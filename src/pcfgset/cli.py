@@ -21,6 +21,7 @@ from .generation import (
     Alphabet,
     Corpus,
     GrammarParams,
+    UniquenessLedger,
     generate_corpus,
     make_primitive_length_corpus,
     split_corpus,
@@ -189,24 +190,12 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
     uniqueness rules that generated corpora obey, so a matched subset that
     gets shipped as corpus files must be filtered to pass validation.
     """
-    from .generation import leaf_tuples
-
-    seen_src: set[str] = set()
-    seen_args: set[tuple[str, ...]] = set()
+    ledger = UniquenessLedger()
     kept = []
     for sample in corpus:
-        text = sample.src_text()
-        leaves = leaf_tuples(sample.tree)
-        multi = [l for l in leaves if len(l) >= 2]
-        if text in seen_src:
-            continue
-        if len(set(leaves)) != len(leaves):
-            continue
-        if any(l in seen_args for l in multi):
-            continue
-        seen_src.add(text)
-        seen_args.update(multi)
-        kept.append(sample)
+        if ledger.violation(sample.tree, sample.src) is None:
+            ledger.add(sample.tree, sample.src, f"sample {sample.id}")
+            kept.append(sample)
     return Corpus(samples=kept, seed=corpus.seed, params=corpus.params)
 
 

@@ -4,8 +4,8 @@ Corpora are stored as line-aligned ``<split>.src`` / ``<split>.tgt`` UTF-8
 token files (single-space separation, newline endings) plus a
 ``manifest.json`` carrying the seed, grammar parameters, split sizes and
 content hashes.  Auxiliary artefacts (held-out pairs, synonym maps,
-exception sets, unroll plans) are JSON sidecars; evaluation reports are
-versioned JSON with CSV breakdowns for plotting.
+exception sets) are JSON sidecars; evaluation reports are versioned JSON
+with CSV breakdowns for plotting.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .generation import Corpus, GrammarParams, Sample
+from .generation import Corpus, GrammarParams, Sample, UniquenessLedger, audit_sample
 from .harness import EvaluationReport, OverallProfilePoint
 from .language import DEFAULT_REGISTRY, FunctionRegistry, parse
-from .suite import ExceptionEntry, HeldOutPair, SynonymMap, UnrollPlan, UnrollStep
+from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
 
@@ -263,40 +263,6 @@ def read_exceptions(path: Path | str) -> list[ExceptionEntry]:
     return entries
 
 
-def write_unroll_plans(path: Path | str, plans: Sequence[UnrollPlan]) -> None:
-    payload = []
-    for plan in plans:
-        steps = []
-        for step in plan.steps:
-            args = []
-            for kind, value in step.args:
-                if kind == "lit":
-                    args.append({"kind": "lit", "symbols": " ".join(value)})
-                else:
-                    args.append({"kind": "step", "index": value})
-            steps.append({"path": list(step.path), "fn": step.fn_name, "args": args})
-        payload.append({"src": " ".join(plan.src), "steps": steps})
-    write_json(path, payload)
-
-
-def read_unroll_plans(path: Path | str) -> list[UnrollPlan]:
-    plans = []
-    for row in read_json(path):
-        steps = []
-        for raw in row["steps"]:
-            args = []
-            for arg in raw["args"]:
-                if arg["kind"] == "lit":
-                    args.append(("lit", tuple(arg["symbols"].split())))
-                else:
-                    args.append(("step", int(arg["index"])))
-            steps.append(
-                UnrollStep(path=tuple(raw["path"]), fn_name=raw["fn"], args=tuple(args))
-            )
-        plans.append(UnrollPlan(src=tuple(row["src"].split()), steps=tuple(steps)))
-    return plans
-
-
 # ---------------------------------------------------------------------------
 # predictions
 
@@ -410,28 +376,22 @@ def validate_corpus_files(
 ) -> list[str]:
     """Audit corpus files; returns line-addressed violation strings.
 
-    Every source line is re-parsed and re-evaluated against its target
-    line.  Target mismatches are excused only when an exception entry with
-    the same source prescribes exactly that target.  Source uniqueness and
-    leaf-argument constraints are checked across all splits.
+    Every line pair goes through ``generation.audit_sample`` in split
+    order, with one ledger across all splits: the source must parse, the
+    target must match its evaluation unless an exception entry with the
+    same source prescribes exactly that target, and the corpus constraints
+    must hold.
     """
-    from .generation import leaf_tuples
-    from .language import LanguageError, evaluate
-
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
     if registry is None:
         registry = registry_for_directory(directory)
-    excused = {}
-    if exceptions:
-        for entry in exceptions:
-            excused[" ".join(entry.src)] = " ".join(entry.exception_tgt)
+    excused = {entry.src: entry.exception_tgt for entry in exceptions or ()}
     names = discover_splits(directory)
     if not names:
         problems.append(f"{directory}: no .src files found")
         return problems
-    seen_src: dict[str, str] = {}
-    seen_args: dict[tuple[str, ...], str] = {}
+    ledger = UniquenessLedger()
     for name in names:
         src_rows = read_token_file(directory / f"{name}.src")
         tgt_rows = read_token_file(directory / f"{name}.tgt")
@@ -440,32 +400,8 @@ def validate_corpus_files(
                 f"{name}: {len(src_rows)} src lines vs {len(tgt_rows)} tgt lines"
             )
         for lineno, (src, tgt) in enumerate(zip(src_rows, tgt_rows), start=1):
-            where = f"{name}.src:{lineno}"
-            text = " ".join(src)
-            try:
-                tree = parse(src, registry)
-            except LanguageError as exc:
-                problems.append(f"{where}: does not parse ({exc})")
-                continue
-            want = evaluate(tree)
-            if tuple(tgt) != want:
-                excuse = excused.get(text)
-                if excuse is None or excuse != " ".join(tgt):
-                    problems.append(
-                        f"{name}.tgt:{lineno}: target does not match evaluation"
-                    )
-            if text in seen_src:
-                problems.append(f"{where}: duplicate source (also at {seen_src[text]})")
-            else:
-                seen_src[text] = where
-            leaves = leaf_tuples(tree)
-            if len(set(leaves)) != len(leaves):
-                problems.append(f"{where}: repeated literal argument within sample")
-            for leaf in {l for l in leaves if len(l) >= 2}:
-                if leaf in seen_args:
-                    problems.append(
-                        f"{where}: argument {' '.join(leaf)!r} reused (also at {seen_args[leaf]})"
-                    )
-                else:
-                    seen_args[leaf] = where
+            audit_sample(
+                src, tgt, ledger, problems, f"{name}.src:{lineno}",
+                tgt_where=f"{name}.tgt:{lineno}", registry=registry, excused=excused,
+            )
     return problems

@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .language import (
     DEFAULT_REGISTRY,
     Apply,
     FunctionRegistry,
+    LanguageError,
     Leaf,
     SequenceStats,
     SyntaxTree,
@@ -257,23 +258,79 @@ def leaf_tuples(tree: SyntaxTree) -> list[tuple[str, ...]]:
     return out
 
 
-def _sample_ok(
-    tree: SyntaxTree,
-    src: tuple[str, ...],
-    seen_src: set[tuple[str, ...]],
-    used_args: set[tuple[str, ...]],
-) -> bool:
-    if src in seen_src:
-        return False
-    tuples = leaf_tuples(tree)
-    literals = [s for t in tuples for s in t]
-    if len(set(literals)) != len(literals):
-        return False
-    multi = [t for t in tuples if len(t) >= 2]
-    if any(t in used_args for t in multi):
-        return False
-    # a long argument reused twice inside one sample also counts as reuse
-    return len(set(multi)) == len(multi)
+class UniquenessLedger:
+    """The corpus constraints, decided one sample at a time.
+
+    Sources are pairwise distinct, no literal occurs twice within one
+    sample, and every string argument of two or more symbols occurs in at
+    most one sample of the corpus.  ``violation`` says whether a tree may
+    join the samples recorded so far; ``add`` records an accepted one.
+    Constructing the ledger from samples records them unchecked.
+    """
+
+    def __init__(self, samples: Iterable[Sample] = ()):
+        self.seen_src: dict[tuple[str, ...], str] = {}
+        self.used_args: dict[tuple[str, ...], str] = {}
+        for s in samples:
+            self.add(s.tree, s.src, f"sample {s.id}")
+
+    def violation(self, tree: SyntaxTree, src: Sequence[str]) -> str | None:
+        """The first constraint the tree breaks, in words, or None."""
+        src = tuple(src)
+        if src in self.seen_src:
+            return f"duplicate source (also at {self.seen_src[src]})"
+        args = leaf_tuples(tree)
+        literals = [sym for arg in args for sym in arg]
+        if len(set(literals)) != len(literals):
+            repeated = next(sym for sym in literals if literals.count(sym) > 1)
+            return f"repeated literal {repeated!r} within sample"
+        for arg in args:
+            if len(arg) >= 2 and arg in self.used_args:
+                return f"argument {' '.join(arg)!r} reused (also at {self.used_args[arg]})"
+        return None
+
+    def add(self, tree: SyntaxTree, src: Sequence[str], where: str) -> None:
+        """Record a sample; ``where`` names it in later violations."""
+        self.seen_src[tuple(src)] = where
+        for arg in leaf_tuples(tree):
+            if len(arg) >= 2:
+                self.used_args[arg] = where
+
+
+def audit_sample(
+    src: Sequence[str],
+    tgt: Sequence[str],
+    ledger: UniquenessLedger,
+    problems: list[str],
+    where: str,
+    *,
+    tgt_where: str | None = None,
+    registry: FunctionRegistry = DEFAULT_REGISTRY,
+    excused: Mapping[tuple[str, ...], tuple[str, ...]] | None = None,
+) -> SyntaxTree | None:
+    """Check one (source, target) row of a corpus under audit.
+
+    Parses the source, evaluates it against the target (a mismatch is
+    excused when ``excused`` prescribes exactly that target for the
+    source) and asks the ledger about the constraints, recording the row
+    if it breaks none.  Violations are appended to ``problems`` prefixed
+    with ``where`` (``tgt_where`` for the target).  Returns the parsed
+    tree, or None when the source does not parse.
+    """
+    try:
+        tree = parse(list(src), registry)
+    except (LanguageError, RecursionError) as exc:
+        problems.append(f"{where}: does not parse ({exc})")
+        return None
+    tgt = tuple(tgt)
+    if evaluate(tree) != tgt and (excused or {}).get(tuple(src)) != tgt:
+        problems.append(f"{tgt_where or where}: target does not match evaluation")
+    violation = ledger.violation(tree, src)
+    if violation is None:
+        ledger.add(tree, src, where)
+    else:
+        problems.append(f"{where}: {violation}")
+    return tree
 
 
 def generate_corpus(
@@ -298,15 +355,14 @@ def generate_corpus(
     if rng is None:
         rng = random.Random(seed)
     samples: list[Sample] = []
-    seen_src: set[tuple[str, ...]] = set()
-    used_args: set[tuple[str, ...]] = set()
+    ledger = UniquenessLedger()
     rejects = 0
     while len(samples) < n:
         tree = sample_tree(
             params, rng, alphabet=alphabet, max_recursion=max_recursion
         )
         src = tuple(t.text for t in render(tree))
-        if not _sample_ok(tree, src, seen_src, used_args):
+        if ledger.violation(tree, src) is not None:
             rejects += 1
             if rejects > max_rejects:
                 raise ExhaustedUniqueArguments(
@@ -314,9 +370,8 @@ def generate_corpus(
                 )
             continue
         rejects = 0
+        ledger.add(tree, src, f"sample {len(samples)}")
         samples.append(Sample.from_tree(len(samples), tree))
-        seen_src.add(src)
-        used_args.update(t for t in leaf_tuples(tree) if len(t) >= 2)
     return Corpus(samples, seed=seed, params=params)
 
 
@@ -347,33 +402,6 @@ def split_corpus(
         "test": tuple(shuffled[n_train + n_valid:]),
     }
     return corpus
-
-
-def make_function_difficulty_corpora(
-    unary_bases: Sequence[Sequence[str]],
-    binary_bases: Sequence[tuple[Sequence[str], Sequence[str]]],
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
-) -> dict[str, Corpus]:
-    """Per-function probe corpora over shared base inputs.
-
-    Each unary function F is probed on ``F <base>`` for every unary base;
-    each binary function on ``F <first> , <second>`` for every base pair.
-    Shared bases make the per-function accuracies comparable.
-    """
-    corpora: dict[str, Corpus] = {}
-    for name in registry.unary_names():
-        samples = []
-        for i, base in enumerate(unary_bases):
-            tree = parse([name, *base], registry)
-            samples.append(Sample.from_tree(i, tree))
-        corpora[name] = Corpus(samples)
-    for name in registry.binary_names():
-        samples = []
-        for i, (first, second) in enumerate(binary_bases):
-            tree = parse([name, *first, ",", *second], registry)
-            samples.append(Sample.from_tree(i, tree))
-        corpora[name] = Corpus(samples)
-    return corpora
 
 
 def make_primitive_length_corpus(
@@ -422,53 +450,25 @@ def validate_corpus(
 ) -> list[str]:
     """Independent audit of a corpus; returns human-readable violations.
 
-    Re-parses every source, re-evaluates every target, and re-checks the
-    uniqueness constraints and split bookkeeping from scratch.
+    Every sample goes through ``audit_sample``, the routine the file
+    validator uses, so both report the same violations in the same words.
+    On top, recorded trees and stats must match the source, ids must be
+    distinct and the splits must partition the corpus.
     """
     problems: list[str] = []
-    seen_src: dict[tuple[str, ...], int] = {}
-    used_args: dict[tuple[str, ...], int] = {}
+    ledger = UniquenessLedger()
     ids = set()
     for s in corpus.samples:
         if s.id in ids:
             problems.append(f"sample {s.id}: duplicate id")
         ids.add(s.id)
-        try:
-            tree = parse(list(s.src), registry)
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the audit
-            problems.append(f"sample {s.id}: src does not parse ({exc})")
+        tree = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}", registry=registry)
+        if tree is None:
             continue
         if tree != s.tree:
             problems.append(f"sample {s.id}: recorded tree does not match src")
-        if evaluate(tree) != s.tgt:
-            problems.append(f"sample {s.id}: tgt does not match evaluation")
         if stats(tree) != s.stats:
             problems.append(f"sample {s.id}: recorded stats are stale")
-        if s.src in seen_src:
-            problems.append(
-                f"sample {s.id}: duplicate src (first seen in {seen_src[s.src]})"
-            )
-        else:
-            seen_src[s.src] = s.id
-        tuples = leaf_tuples(tree)
-        literals = [sym for t in tuples for sym in t]
-        if len(set(literals)) != len(literals):
-            problems.append(f"sample {s.id}: repeated literal within sample")
-        for t in tuples:
-            if len(t) < 2:
-                continue
-            if t in used_args and used_args[t] != s.id:
-                problems.append(
-                    f"sample {s.id}: string argument {' '.join(t)!r} reused "
-                    f"(first seen in {used_args[t]})"
-                )
-            elif t in used_args:
-                problems.append(
-                    f"sample {s.id}: string argument {' '.join(t)!r} used twice "
-                    "within the sample"
-                )
-            else:
-                used_args[t] = s.id
     if corpus.splits:
         all_split_ids: list[int] = []
         for name, split_ids in corpus.splits.items():

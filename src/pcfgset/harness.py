@@ -15,7 +15,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .generation import Alphabet, Corpus, Sample
 from .language import (
@@ -23,8 +23,6 @@ from .language import (
     SEPARATOR,
     FunctionRegistry,
     LanguageError,
-    Leaf,
-    apply_function,
     evaluate,
     is_literal_symbol,
     parse,
@@ -88,9 +86,6 @@ class ModelAdapter:
     def predict(self, src: Sequence[str] | str) -> list[str]:
         raise NotImplementedError
 
-    def predict_all(self, srcs: Iterable[Sequence[str] | str]) -> list[list[str]]:
-        return [self.predict(src) for src in srcs]
-
     def predict_batch(self, srcs: Sequence[Sequence[str] | str]) -> list[Prediction]:
         """Predict each source, recording recoverable failures per sample."""
         results = []
@@ -123,61 +118,6 @@ class OracleAdapter(ModelAdapter):
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
         return list(evaluate(parse(_coerce_src(src), self.registry)))
-
-
-def _transformed_positions(function) -> tuple[int, ...]:
-    """Argument slots whose content a function actually carries over.
-
-    remove_first discards its first argument and remove_second its second,
-    so a model never has to transform the discarded string.
-    """
-    if function.arity == 1:
-        return (0,)
-    if function.name == "remove_first":
-        return (1,)
-    if function.name == "remove_second":
-        return (0,)
-    return (0, 1)
-
-
-class LengthCappedOracleAdapter(OracleAdapter):
-    """Oracle that breaks when a transformed argument exceeds a cap.
-
-    Mimics a model that only generalises up to a training argument length:
-    if any function application inside the sequence receives a transformed
-    string argument longer than cap symbols, the final output is truncated
-    to cap tokens.  Arguments a function discards do not count, and the
-    failure is global to the sequence, so unrolling a long computation step
-    by step gives different answers than presenting it whole.
-    """
-
-    def __init__(self, cap: int, registry: FunctionRegistry = DEFAULT_REGISTRY):
-        super().__init__(registry)
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
-        self.cap = cap
-        self.name = f"oracle-cap-{cap}"
-
-    def predict(self, src: Sequence[str] | str) -> list[str]:
-        tree = parse(_coerce_src(src), self.registry)
-        value, overloaded = self._evaluate(tree)
-        if overloaded:
-            return list(value[: self.cap])
-        return list(value)
-
-    def _evaluate(self, tree) -> tuple[tuple[str, ...], bool]:
-        if isinstance(tree, Leaf):
-            return tree.symbols, False
-        values = []
-        overloaded = False
-        for child in tree.args:
-            value, bad = self._evaluate(child)
-            values.append(value)
-            overloaded = overloaded or bad
-        for position in _transformed_positions(tree.function):
-            if len(values[position]) > self.cap:
-                overloaded = True
-        return apply_function(tree.function, values), overloaded
 
 
 class FaultyOracleAdapter(OracleAdapter):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .generation import Alphabet, Corpus, Sample, leaf_tuples
+from .generation import Alphabet, Corpus, Sample, UniquenessLedger
 from .language import (
     DEFAULT_REGISTRY,
     Apply,
@@ -214,8 +214,7 @@ def substitutivity_primitive(
     rng = rng or random.Random(0)
     registry = synonyms.registry()
     per_base = round_half_up(fraction * len(train))
-    used_args = {t for s in train for t in leaf_tuples(s.tree) if len(t) >= 2}
-    seen_src = {s.src for s in train}
+    ledger = UniquenessLedger(train)
     next_id = max((s.id for s in train), default=-1) + 1
     added: list[Sample] = []
     counts: dict[str, int] = {}
@@ -236,17 +235,12 @@ def substitutivity_primitive(
                 n2 = rng.randint(*arg_len_range)
                 syms = rng.sample(alphabet.symbols, n1 + n2)
                 tree = Apply(fn, (Leaf(tuple(syms[:n1])), Leaf(tuple(syms[n1:]))))
-            tuples = [t for t in leaf_tuples(tree) if len(t) >= 2]
-            src = tuple(t.text for t in render(tree))
-            if src in seen_src or any(t in used_args for t in tuples):
-                continue
-            if len(tuples) == 2 and tuples[0] == tuples[1]:
-                continue
             sample = Sample.from_tree(next_id, tree)
+            if ledger.violation(tree, sample.src) is not None:
+                continue
+            ledger.add(tree, sample.src, f"sample {next_id}")
             next_id += 1
             added.append(sample)
-            seen_src.add(src)
-            used_args.update(tuples)
             made += 1
             attempts = 0
         counts[base] = made
@@ -403,8 +397,7 @@ def exceptions_apply(
             if tok in DEFAULT_REGISTRY:
                 fn_counts[tok] = fn_counts.get(tok, 0) + 1
     samples = list(train.samples)
-    used_args = {t for s in train for t in leaf_tuples(s.tree) if len(t) >= 2}
-    seen_src = {s.src for s in train}
+    ledger = UniquenessLedger(train)
     next_id = max((s.id for s in train), default=-1) + 1
     taken: set[int] = set()
     entries: list[ExceptionEntry] = []
@@ -426,17 +419,14 @@ def exceptions_apply(
         else:
             chosen = list(candidates)
             while len(chosen) < k:
-                tree = _synthesise_pair_sample(outer, inner, alphabet, rng)
-                tuples = [t for t in leaf_tuples(tree) if len(t) >= 2]
-                src = tuple(t.text for t in render(tree))
-                if src in seen_src or any(t in used_args for t in tuples):
+                sample = Sample.from_tree(
+                    next_id, _synthesise_pair_sample(outer, inner, alphabet, rng)
+                )
+                if ledger.violation(sample.tree, sample.src) is not None:
                     continue
-                if len(tuples) >= 2 and len(set(tuples)) != len(tuples):
-                    continue
-                samples.append(Sample.from_tree(next_id, tree))
+                ledger.add(sample.tree, sample.src, f"sample {next_id}")
                 next_id += 1
-                seen_src.add(src)
-                used_args.update(tuples)
+                samples.append(sample)
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from pcfgset import cli, corpus_io
-from pcfgset.generation import GrammarParams
+from pcfgset.generation import Corpus, GrammarParams, Sample
 from pcfgset.language import parse_text
 from pcfgset.suite import DEFAULT_HELD_OUT_PAIRS, contains_pair
 
@@ -103,6 +103,23 @@ def test_validate_passes_then_fails_after_corruption(base_dir, capsys):
     assert run_cli("validate", "--data", base_dir) == 1
     out = capsys.readouterr().out
     assert "train.tgt:5" in out and "FAIL" in out
+
+
+def test_validate_fails_a_literal_repeated_across_arguments(tmp_path, capsys):
+    texts = ["swap D E", "append A B , C A"]
+    samples = [Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)]
+    corpus_io.write_corpus(tmp_path, Corpus(samples))
+    assert run_cli("validate", "--data", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "all.src:2: repeated literal 'A' within sample" in out
+    assert "FAIL: 1 problems" in out
+
+
+def test_degenerate_naturalise_filter_drops_repeated_literals():
+    texts = ["swap D E", "append A B , C A", "copy D E", "swap D E", "reverse F G"]
+    corpus = Corpus([Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)])
+    kept = cli._drop_constraint_violations(corpus)
+    assert [s.src_text() for s in kept] == ["swap D E", "reverse F G"]
 
 
 # --- testbuild ------------------------------------------------------------------

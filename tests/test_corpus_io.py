@@ -6,6 +6,7 @@ by eye; validator findings are asserted by the exact line numbers planted.
 
 import json
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from pcfgset.corpus_io import (
     read_predictions,
     read_synonyms,
     read_token_file,
-    read_unroll_plans,
     registry_for_directory,
     validate_corpus_files,
     verify_manifest,
@@ -38,16 +38,21 @@ from pcfgset.corpus_io import (
     write_strata_csv,
     write_synonyms,
     write_token_file,
-    write_unroll_plans,
 )
-from pcfgset.generation import Corpus, GrammarParams, Sample, generate_corpus, split_corpus
+from pcfgset.generation import (
+    Corpus,
+    GrammarParams,
+    Sample,
+    generate_corpus,
+    split_corpus,
+    validate_corpus,
+)
 from pcfgset.harness import EvaluationReport, OverallProfilePoint
 from pcfgset.language import DEFAULT_REGISTRY, parse_text
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
     HeldOutPair,
     SynonymMap,
-    build_unroll_plan,
     exceptions_apply,
 )
 
@@ -172,14 +177,6 @@ def test_exceptions_round_trip(tmp_path):
     ]
 
 
-def test_unroll_plans_round_trip(tmp_path):
-    trees = [parse_text("append swap F G H , repeat I J"), parse_text("copy A")]
-    plans = [build_unroll_plan(t) for t in trees]
-    write_unroll_plans(tmp_path / "plans.json", plans)
-    again = read_unroll_plans(tmp_path / "plans.json")
-    assert again == plans
-
-
 def test_predictions_round_trip_with_failures(tmp_path):
     path = tmp_path / "out.pred"
     write_predictions(path, [["A", "B"], None, ["C"]])
@@ -289,6 +286,35 @@ def test_validator_flags_repeated_literal_within_sample(tmp_path):
     assert any("repeated literal" in p for p in problems)
 
 
+# the same literal inside two different arguments, or twice in one argument
+@pytest.mark.parametrize("text", ["append A B , C A", "prepend C A , A B", "swap A B C A"])
+def test_validator_flags_literal_repeated_across_arguments(tmp_path, text):
+    write_corpus(tmp_path, corpus_of(["copy D E", text]))
+    problems = validate_corpus_files(tmp_path)
+    assert problems == ["all.src:2: repeated literal 'A' within sample"]
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["swap A B", "swap A B"],
+        ["append A B , C A"],
+        ["swap A B", "copy A B", "copy C D"],
+    ],
+)
+def test_file_and_memory_validators_report_the_same_words(tmp_path, texts):
+    corpus = corpus_of(texts)
+    write_corpus(tmp_path, corpus)
+
+    def words(problems):
+        # drop the row address and the address of the earlier occurrence
+        return [re.sub(r" \(also at .*\)$", "", p.split(": ", 1)[1]) for p in problems]
+
+    memory = validate_corpus(corpus)
+    assert memory
+    assert words(validate_corpus_files(tmp_path)) == words(memory)
+
+
 def test_validator_flags_multi_symbol_argument_reuse(tmp_path):
     corpus = corpus_of(["swap A B", "copy A B"])
     write_corpus(tmp_path, corpus)
@@ -301,6 +327,14 @@ def test_validator_flags_unparseable_source(tmp_path):
     write_token_file(tmp_path / "all.tgt", [["A"]])
     problems = validate_corpus_files(tmp_path)
     assert any("all.src:1" in p and "does not parse" in p for p in problems)
+
+
+def test_validator_reports_a_source_nested_too_deep_to_parse(tmp_path):
+    write_token_file(tmp_path / "all.src", [["copy"] * 3000 + ["A"], ["swap", "B", "C"]])
+    write_token_file(tmp_path / "all.tgt", [["A"], ["C", "B"]])
+    problems = validate_corpus_files(tmp_path)
+    assert len(problems) == 1
+    assert problems[0].startswith("all.src:1: does not parse")
 
 
 def test_validator_accepts_excused_exception_targets(tmp_path):

@@ -16,15 +16,15 @@ from pcfgset.generation import (
     ExhaustedUniqueArguments,
     GrammarParams,
     Sample,
+    UniquenessLedger,
     generate_corpus,
     leaf_tuples,
-    make_function_difficulty_corpora,
     make_primitive_length_corpus,
     sample_tree,
     split_corpus,
     validate_corpus,
 )
-from pcfgset.language import Apply, Leaf, evaluate, parse, stats, tokenize
+from pcfgset.language import Apply, Leaf, evaluate, parse, parse_text, stats, tokenize
 
 
 def uniform_params(**overrides):
@@ -178,8 +178,37 @@ def test_validate_corpus_flags_planted_errors():
                  tgt=good.tgt + ("Z19",), stats=good.stats)
     tampered = Corpus(corpus.samples + [bad])
     problems = validate_corpus(tampered)
-    assert any("duplicate src" in p for p in problems)
-    assert any("tgt does not match" in p for p in problems)
+    assert any("duplicate source" in p for p in problems)
+    assert any("target does not match" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "recorded,candidate,expected",
+    [
+        ([], "append A B , C A", "repeated literal 'A' within sample"),
+        # a multi-symbol argument twice in one sample repeats its literals
+        ([], "append A B , A B", "repeated literal 'A' within sample"),
+        (["swap A B"], "swap A B", "duplicate source (also at sample 0)"),
+        (["swap A B"], "copy A B", "argument 'A B' reused (also at sample 0)"),
+        (["swap A B"], "copy B A", None),
+        (["copy A"], "reverse A", None),  # single symbols may recur across samples
+    ],
+)
+def test_ledger_reports_the_first_violation(recorded, candidate, expected):
+    ledger = UniquenessLedger(
+        Sample.from_tree(i, parse_text(t)) for i, t in enumerate(recorded)
+    )
+    tree = parse_text(candidate)
+    assert ledger.violation(tree, candidate.split()) == expected
+
+
+def test_ledger_records_only_what_is_added():
+    ledger = UniquenessLedger()
+    tree = parse_text("swap A B")
+    assert ledger.violation(tree, ("swap", "A", "B")) is None
+    assert ledger.violation(tree, ("swap", "A", "B")) is None
+    ledger.add(tree, ("swap", "A", "B"), "row 7")
+    assert ledger.violation(tree, ("swap", "A", "B")) == "duplicate source (also at row 7)"
 
 
 # --- splits -------------------------------------------------------------------
@@ -222,25 +251,6 @@ def test_split_size_arithmetic(n):
 
 
 # --- probe corpora --------------------------------------------------------------
-
-def test_function_difficulty_corpora():
-    unary_bases = [["A", "B"], ["copy", "C", "D"]]
-    binary_bases = [(["A", "B"], ["C"])]
-    corpora = make_function_difficulty_corpora(unary_bases, binary_bases)
-    assert set(corpora) == {
-        "copy", "reverse", "shift", "echo", "swap", "repeat",
-        "append", "prepend", "remove_first", "remove_second",
-    }
-    rev = corpora["reverse"]
-    assert len(rev) == 2
-    assert rev.samples[0].src == ("reverse", "A", "B")
-    assert rev.samples[0].tgt == ("B", "A")
-    assert rev.samples[1].src == ("reverse", "copy", "C", "D")
-    assert rev.samples[1].tgt == ("D", "C")
-    pre = corpora["prepend"]
-    assert pre.samples[0].src == ("prepend", "A", "B", ",", "C")
-    assert pre.samples[0].tgt == ("C", "A", "B")
-
 
 def test_primitive_length_corpus_unary():
     corpus = make_primitive_length_corpus(

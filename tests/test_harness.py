@@ -21,7 +21,6 @@ from pcfgset.harness import (
     EvaluationReport,
     FaultyOracleAdapter,
     FileAdapter,
-    LengthCappedOracleAdapter,
     LineCountMismatch,
     ModelAdapter,
     OracleAdapter,
@@ -39,7 +38,7 @@ from pcfgset.harness import (
     run_localism,
     run_overgeneralisation,
 )
-from pcfgset.language import evaluate, parse_text
+from pcfgset.language import Leaf, apply_function, evaluate, parse, parse_text
 from pcfgset.suite import (
     ConsistencyPair,
     ExceptionEntry,
@@ -57,6 +56,60 @@ def corpus_of(*texts):
         tree = parse_text(text)
         samples.append(Sample.from_tree(i, tree))
     return samples
+
+
+
+def _transformed_positions(function) -> tuple[int, ...]:
+    """Argument slots whose content a function actually carries over.
+
+    remove_first discards its first argument and remove_second its second,
+    so a model never has to transform the discarded string.
+    """
+    if function.arity == 1:
+        return (0,)
+    if function.name == "remove_first":
+        return (1,)
+    if function.name == "remove_second":
+        return (0,)
+    return (0, 1)
+
+
+class LengthCappedOracleAdapter(OracleAdapter):
+    """Oracle that breaks when a transformed argument exceeds a cap.
+
+    Mimics a model that only generalises up to a training argument length:
+    if any function application inside the sequence receives a transformed
+    string argument longer than cap symbols, the final output is truncated
+    to cap tokens.  Arguments a function discards do not count, and the
+    failure is global to the sequence, so unrolling a long computation step
+    by step gives different answers than presenting it whole.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+        self.name = f"oracle-cap-{cap}"
+
+    def predict(self, src):
+        tree = parse(src.split() if isinstance(src, str) else list(src), self.registry)
+        value, overloaded = self._evaluate(tree)
+        if overloaded:
+            return list(value[: self.cap])
+        return list(value)
+
+    def _evaluate(self, tree) -> tuple[tuple[str, ...], bool]:
+        if isinstance(tree, Leaf):
+            return tree.symbols, False
+        values = []
+        overloaded = False
+        for child in tree.args:
+            value, bad = self._evaluate(child)
+            values.append(value)
+            overloaded = overloaded or bad
+        for position in _transformed_positions(tree.function):
+            if len(values[position]) > self.cap:
+                overloaded = True
+        return apply_function(tree.function, values), overloaded
 
 
 class StubAdapter(ModelAdapter):
