@@ -42,6 +42,7 @@ from .naturalise import (
     DEFAULT_MAX_ITERS,
     DegenerateCovariance,
     DistributionSpec,
+    EmptyAnchorCell,
     PartitionConfig,
     fit_gaussian_spec,
     mle_estimate,
@@ -88,7 +89,7 @@ def _resolve_seed(args, required: bool) -> int | None:
 def _load_base(path: str) -> Corpus:
     try:
         return corpus_io.read_corpus(path)
-    except corpus_io.ManifestError as exc:
+    except (corpus_io.ManifestError, corpus_io.MalformedLine) as exc:
         raise SystemExit(f"corpus verification failed: {exc}")
 
 
@@ -161,14 +162,17 @@ def cmd_naturalise(args) -> int:
         fit_gaussian_spec(spec)
     except DegenerateCovariance:
         return _naturalise_degenerate(args, seed, spec, out)
-    result = naturalise_pipeline(
-        spec,
-        rng=substream(seed, "pipeline"),
-        random_sample_size=args.sample_size,
-        regenerate_size=args.sample_size,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-    )
+    try:
+        result = naturalise_pipeline(
+            spec,
+            rng=substream(seed, "pipeline"),
+            random_sample_size=args.sample_size,
+            regenerate_size=args.sample_size,
+            epsilon=args.epsilon,
+            max_iters=args.max_iters,
+        )
+    except EmptyAnchorCell as exc:
+        raise SystemExit(f"naturalise failed: {exc}; try a larger --sample-size")
     corpus_io.write_params(out / "params.json", result.params)
     write_kl_trace(out / "kl_trace.csv", result)
     if args.size is not None:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .generation import Corpus, GrammarParams, Sample, UniquenessLedger, audit_sample
 from .harness import EvaluationReport, OverallProfilePoint
-from .language import DEFAULT_REGISTRY, FunctionRegistry, parse
+from .language import DEFAULT_REGISTRY, FunctionRegistry, LanguageError, parse, stats
 from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
@@ -30,6 +30,10 @@ _SPLIT_ORDER = {"train": 0, "valid": 1, "test": 2}
 
 class ManifestError(Exception):
     """manifest.json is missing, malformed or contradicts the files."""
+
+
+class MalformedLine(Exception):
+    """A source line of a corpus file does not parse."""
 
 
 def _split_sort_key(name: str) -> tuple[int, str]:
@@ -151,7 +155,8 @@ def read_corpus(
     Sources are re-parsed into trees; targets are taken verbatim from the
     .tgt files (they may deliberately disagree with the evaluator, as in
     exception training sets).  When a synonyms.json sidecar is present the
-    registry is extended with it automatically.
+    registry is extended with it automatically.  A source line that does
+    not parse raises MalformedLine naming the file and line.
     """
     directory = Path(directory)
     if verify and (directory / "manifest.json").exists():
@@ -172,9 +177,8 @@ def read_corpus(
         raw_params = manifest.get("params")
         if raw_params is not None:
             params = GrammarParams.from_dict(raw_params)
-    samples = []
+    samples: list[Sample] = []
     split_ids: dict[str, tuple[int, ...]] = {}
-    next_id = 0
     for name in names:
         srcs = read_token_file(directory / f"{name}.src")
         tgts = read_token_file(directory / f"{name}.tgt")
@@ -182,22 +186,14 @@ def read_corpus(
             raise ManifestError(
                 f"{directory}/{name}: {len(srcs)} src lines vs {len(tgts)} tgt lines"
             )
-        ids = []
-        for src, tgt in zip(srcs, tgts):
-            tree = parse(src, registry)
-            base = Sample.from_tree(next_id, tree)
-            samples.append(
-                Sample(
-                    id=next_id,
-                    tree=tree,
-                    src=base.src,
-                    tgt=tuple(tgt),
-                    stats=base.stats,
-                )
-            )
-            ids.append(next_id)
-            next_id += 1
-        split_ids[name] = tuple(ids)
+        first = len(samples)
+        for lineno, (src, tgt) in enumerate(zip(srcs, tgts), start=1):
+            try:
+                tree = parse(src, registry)
+            except LanguageError as exc:
+                raise MalformedLine(f"{name}.src:{lineno}: does not parse ({exc})") from None
+            samples.append(Sample(len(samples), tree, tuple(src), tuple(tgt), stats(tree)))
+        split_ids[name] = tuple(range(first, len(samples)))
     return Corpus(samples=samples, seed=seed, params=params, splits=split_ids)
 
 

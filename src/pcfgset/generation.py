@@ -24,6 +24,7 @@ from .language import (
     SyntaxTree,
     evaluate,
     parse,
+    postorder,
     render,
     stats,
 )
@@ -140,8 +141,7 @@ class Sample:
 
     @classmethod
     def from_tree(cls, sample_id: int, tree: SyntaxTree) -> "Sample":
-        src = tuple(t.text for t in render(tree))
-        return cls(sample_id, tree, src, evaluate(tree), stats(tree))
+        return cls(sample_id, tree, tuple(render(tree)), evaluate(tree), stats(tree))
 
     def src_text(self) -> str:
         return " ".join(self.src)
@@ -245,17 +245,7 @@ def sample_tree(
 
 def leaf_tuples(tree: SyntaxTree) -> list[tuple[str, ...]]:
     """All string arguments of a tree, in left-to-right order."""
-    out: list[tuple[str, ...]] = []
-
-    def walk(node: SyntaxTree) -> None:
-        if isinstance(node, Leaf):
-            out.append(node.symbols)
-        else:
-            for a in node.args:
-                walk(a)
-
-    walk(tree)
-    return out
+    return [node.symbols for node in postorder(tree) if isinstance(node, Leaf)]
 
 
 class UniquenessLedger:
@@ -319,7 +309,7 @@ def audit_sample(
     """
     try:
         tree = parse(list(src), registry)
-    except (LanguageError, RecursionError) as exc:
+    except LanguageError as exc:
         problems.append(f"{where}: does not parse ({exc})")
         return None
     tgt = tuple(tgt)
@@ -361,7 +351,7 @@ def generate_corpus(
         tree = sample_tree(
             params, rng, alphabet=alphabet, max_recursion=max_recursion
         )
-        src = tuple(t.text for t in render(tree))
+        src = tuple(render(tree))
         if ledger.violation(tree, src) is not None:
             rejects += 1
             if rejects > max_rejects:
@@ -371,7 +361,7 @@ def generate_corpus(
             continue
         rejects = 0
         ledger.add(tree, src, f"sample {len(samples)}")
-        samples.append(Sample.from_tree(len(samples), tree))
+        samples.append(Sample(len(samples), tree, src, evaluate(tree), stats(tree)))
     return Corpus(samples, seed=seed, params=params)
 
 
@@ -465,7 +455,7 @@ def validate_corpus(
         tree = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}", registry=registry)
         if tree is None:
             continue
-        if tree != s.tree:
+        if render(s.tree) != list(s.src):
             problems.append(f"sample {s.id}: recorded tree does not match src")
         if stats(tree) != s.stats:
             problems.append(f"sample {s.id}: recorded stats are stale")

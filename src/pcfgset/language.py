@@ -285,13 +285,8 @@ def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[T
 
 def _coerce_tokens(tokens: Sequence[Token | str],
                    registry: FunctionRegistry) -> list[Token]:
-    out = []
-    for i, tok in enumerate(tokens):
-        if isinstance(tok, Token):
-            out.append(tok)
-        else:
-            out.append(classify(tok, registry, i))
-    return out
+    return [tok if isinstance(tok, Token) else classify(tok, registry, i)
+            for i, tok in enumerate(tokens)]
 
 
 def parse(tokens: Sequence[Token | str],
@@ -301,75 +296,88 @@ def parse(tokens: Sequence[Token | str],
     Accepts Token objects or raw strings.  Literal runs are greedy: a run
     of adjacent literals forms a single Leaf, terminated only by a
     separator or the end of input.  The entire sequence must form exactly
-    one constituent.
+    one constituent.  Open calls wait on an explicit stack, so nesting
+    depth is bounded by memory alone.
     """
     toks = _coerce_tokens(tokens, registry)
+    end = len(toks)
     pos = 0
-
-    def peek() -> Token | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def parse_s() -> SyntaxTree:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
+    waiting: list[tuple[FunctionSymbol, list[SyntaxTree]]] = []
+    while True:
+        if pos == end:
             raise UnexpectedEnd(pos)
+        tok = toks[pos]
         if tok.kind is TokenKind.FUNCTION:
-            fn = registry.lookup(tok.text)
+            waiting.append((registry.lookup(tok.text), []))
             pos += 1
-            first = parse_s()
-            if fn.arity == 1:
-                return Apply(fn, (first,))
-            sep = peek()
-            if sep is None:
-                raise UnexpectedEnd(pos)
-            if sep.kind is not TokenKind.SEPARATOR:
-                raise UnexpectedToken(sep, pos)
+            continue
+        if tok.kind is not TokenKind.LITERAL:
+            raise UnexpectedToken(tok, pos)
+        start = pos
+        while pos < end and toks[pos].kind is TokenKind.LITERAL:
             pos += 1
-            second = parse_s()
-            return Apply(fn, (first, second))
-        if tok.kind is TokenKind.LITERAL:
-            run = [tok.text]
-            pos += 1
-            while (nxt := peek()) is not None and nxt.kind is TokenKind.LITERAL:
-                run.append(nxt.text)
-                pos += 1
-            return Leaf(tuple(run))
-        raise UnexpectedToken(tok, pos)
-
-    tree = parse_s()
-    if pos != len(toks):
-        raise UnexpectedToken(toks[pos], pos)
-    return tree
+        node: SyntaxTree = Leaf(tuple(t.text for t in toks[start:pos]))
+        # close every call this constituent completes
+        while waiting:
+            fn, args = waiting[-1]
+            args.append(node)
+            if fn.arity != 1 and len(args) < 2:
+                break
+            waiting.pop()
+            node = Apply(fn, tuple(args))
+        else:
+            if pos != end:
+                raise UnexpectedToken(toks[pos], pos)
+            return node
+        # the innermost open call now needs a separator and its second argument
+        if pos == end:
+            raise UnexpectedEnd(pos)
+        if toks[pos].kind is not TokenKind.SEPARATOR:
+            raise UnexpectedToken(toks[pos], pos)
+        pos += 1
 
 
 def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> SyntaxTree:
     return parse(tokenize(text, registry), registry)
 
 
-def render(tree: SyntaxTree) -> list[Token]:
-    """Emit the prefix-notation token sequence of a tree.
+def postorder(tree: SyntaxTree) -> list[SyntaxTree]:
+    """Every node of a tree, children before parents, left child first.
+
+    The one tree walk of the package: an explicit stack, so any nesting
+    depth fits in memory.
+    """
+    order: list[SyntaxTree] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Apply):
+            stack.extend(node.args)
+    order.reverse()
+    return order
+
+
+def render(tree: SyntaxTree) -> list[str]:
+    """Emit the prefix-notation token texts of a tree.
 
     ``parse(render(t))`` reproduces ``t`` for every valid tree.
     """
-    out: list[Token] = []
-
-    def walk(node: SyntaxTree) -> None:
+    parts: list[list[str]] = []
+    for node in postorder(tree):
         if isinstance(node, Leaf):
-            out.extend(Token(TokenKind.LITERAL, s) for s in node.symbols)
-            return
-        out.append(Token(TokenKind.FUNCTION, node.function.name))
-        walk(node.args[0])
+            parts.append(list(node.symbols))
+            continue
         if len(node.args) == 2:
-            out.append(Token(TokenKind.SEPARATOR, SEPARATOR))
-            walk(node.args[1])
-
-    walk(tree)
-    return out
+            right = parts.pop()
+            parts[-1].append(SEPARATOR)
+            parts[-1].extend(right)
+        parts[-1].insert(0, node.function.name)
+    return parts[0]
 
 
 def render_text(tree: SyntaxTree) -> str:
-    return " ".join(t.text for t in render(tree))
+    return " ".join(render(tree))
 
 
 def stats(tree: SyntaxTree) -> SequenceStats:
@@ -378,19 +386,20 @@ def stats(tree: SyntaxTree) -> SequenceStats:
 
     A pure string has depth 0; a single function application has depth 1.
     """
-
-    def walk(node: SyntaxTree) -> tuple[int, int, int]:
+    parts: list[tuple[int, int, int]] = []
+    for node in postorder(tree):
         if isinstance(node, Leaf):
-            return len(node.symbols), 0, 0
-        length, depth, count = 1, 0, 1
-        for i, arg in enumerate(node.args):
-            al, ad, ac = walk(arg)
-            length += al + (1 if i else 0)  # separator before the second arg
-            depth = max(depth, ad)
-            count += ac
-        return length, depth + 1, count
-
-    length, depth, count = walk(tree)
+            parts.append((len(node.symbols), 0, 0))
+            continue
+        length, depth, count = parts.pop()
+        if len(node.args) == 2:
+            # fold in the left argument and the separator after it
+            left_length, left_depth, left_count = parts.pop()
+            length += left_length + 1
+            depth = max(depth, left_depth)
+            count += left_count
+        parts.append((length + 1, depth + 1, count + 1))
+    length, depth, count = parts[0]
     return SequenceStats(length=length, depth=depth, num_functions=count)
 
 
@@ -413,9 +422,15 @@ def evaluate(tree: SyntaxTree) -> Symbols:
     >>> " ".join(evaluate(parse_text("repeat A B C")))
     'A B C A B C'
     """
-    if isinstance(tree, Leaf):
-        return tree.symbols
-    return apply_function(tree.function, [evaluate(a) for a in tree.args])
+    values: list[Symbols] = []
+    for node in postorder(tree):
+        if isinstance(node, Leaf):
+            values.append(node.symbols)
+            continue
+        args = values[-len(node.args):]
+        del values[-len(args):]
+        values.append(apply_function(node.function, args))
+    return values[0]
 
 
 def evaluate_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> str:

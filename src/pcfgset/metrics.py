@@ -1,34 +1,12 @@
-"""Metric kernels: sequence accuracy, consistency, strata, embeddings."""
+"""Metric kernels: sequence accuracy, consistency and stratified means."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Hashable, Iterable, Sequence
-
-import numpy as np
-
-from .language import UNARY_FUNCTIONS, BINARY_FUNCTIONS
+from typing import Hashable, Sequence
 
 
 class LengthMismatch(Exception):
     """Scores and stratum labels (or gold and predictions) differ in length."""
-
-
-class ZeroVector(Exception):
-    """Cosine distance is undefined for a zero vector."""
-
-
-class MissingToken(Exception):
-    """An embedding lookup failed."""
-
-    def __init__(self, token: str):
-        self.token = token
-        super().__init__(f"no embedding for token {token!r}")
-
-
-class NoMappedFunction(Exception):
-    """A synonym report was requested with nothing to report on."""
 
 
 def _tokens(x: str | Sequence[str]) -> tuple[str, ...]:
@@ -66,109 +44,3 @@ def aggregate(
         counts[key] = counts.get(key, 0) + 1
     strata = {k: (sums[k] / counts[k], counts[k]) for k in sums}
     return sum(scores) / len(scores), strata
-
-
-def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
-    """1 - cosine similarity, in [0, 2]."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("vectors must share one dimension")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("zero vector has no direction")
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
-
-
-@dataclass
-class EmbeddingTable:
-    """Token embeddings of a fixed dimension."""
-
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def lookup(self, token: str) -> np.ndarray:
-        try:
-            return self.vectors[token]
-        except KeyError:
-            raise MissingToken(token) from None
-
-    @classmethod
-    def from_text(cls, path: str | Path) -> "EmbeddingTable":
-        """Parse the text format: optional ``<vocab> <dim>`` header, then
-        one ``token v1 .. v_dim`` row per line."""
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines:
-            raise ValueError(f"{path}: empty embedding file")
-        declared: tuple[int, int] | None = None
-        start = 0
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                declared = (int(head[0]), int(head[1]))
-                start = 1
-            except ValueError:
-                declared = None
-        vectors: dict[str, np.ndarray] = {}
-        dim: int | None = declared[1] if declared else None
-        for lineno, line in enumerate(lines[start:], start=start + 1):
-            pieces = line.split()
-            if len(pieces) < 2:
-                raise ValueError(f"{path}:{lineno}: expected token and values")
-            token, values = pieces[0], pieces[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
-            if token in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
-        if declared and declared[0] != len(vectors):
-            raise ValueError(
-                f"{path}: header declares {declared[0]} rows, found {len(vectors)}"
-            )
-        assert dim is not None
-        return cls(dim=dim, vectors=vectors)
-
-
-def synonym_distance_report(
-    table: EmbeddingTable,
-    synonym_map: dict[str, str],
-    functions: Sequence[str] = UNARY_FUNCTIONS + BINARY_FUNCTIONS,
-) -> dict:
-    """Embedding distances between functions and their synonyms.
-
-    Per mapped base F: cosine distance to F_syn, and the mean distance
-    from F to every other regular function ("Other").  A final row holds
-    the column means.
-    """
-    if not synonym_map:
-        raise NoMappedFunction("synonym map is empty")
-    rows = {}
-    for base, syn in synonym_map.items():
-        d_syn = cosine_distance(table.lookup(base), table.lookup(syn))
-        others = [f for f in functions if f != base]
-        d_other = [
-            cosine_distance(table.lookup(base), table.lookup(f)) for f in others
-        ]
-        rows[base] = {
-            "synonym": syn,
-            "synonym_distance": d_syn,
-            "other_mean": sum(d_other) / len(d_other) if d_other else 0.0,
-        }
-    n = len(rows)
-    means = {
-        "synonym_distance": sum(r["synonym_distance"] for r in rows.values()) / n,
-        "other_mean": sum(r["other_mean"] for r in rows.values()) / n,
-    }
-    return {"rows": rows, "means": means}

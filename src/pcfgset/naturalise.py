@@ -27,7 +27,7 @@ from .generation import (
     generate_corpus,
     sample_tree,
 )
-from .language import DEFAULT_REGISTRY, Apply, Leaf, SyntaxTree
+from .language import DEFAULT_REGISTRY, Leaf, postorder
 from .seeding import substream
 
 DEFAULT_EPSILON = 1e-3
@@ -323,6 +323,8 @@ def select_increments(
 
     Each candidate runs on its own derived substream, so the winner does
     not depend on evaluation order.  Ties go to the earliest candidate.
+    A candidate whose anchor cell holds no sample is skipped; when every
+    candidate is skipped, EmptyAnchorCell is raised.
     Returns (config, subsampled corpus, kl).
     """
     rng = rng or random.Random(0)
@@ -331,12 +333,17 @@ def select_increments(
     best: tuple[PartitionConfig, Corpus, float] | None = None
     for config in candidate_configs:
         sub_rng = substream(base, "increments", config.i_length, config.i_depth)
-        subset = subsample_to_match(d_r, d_n, config, sub_rng)
+        try:
+            subset = subsample_to_match(d_r, d_n, config, sub_rng)
+        except EmptyAnchorCell:
+            continue
         fit = fit_gaussian(extract_features(subset))
         kl = kl_gaussian(fit, reference)
         if best is None or kl < best[2]:
             best = (config, subset, kl)
-    assert best is not None
+    if best is None:
+        raise EmptyAnchorCell(f"no sample in the largest reference cell under any of "
+                              f"{len(candidate_configs)} candidate increments")
     return best
 
 
@@ -355,23 +362,17 @@ def mle_estimate(
     n_unary = n_binary = n_leaf = 0
     fn_counts: dict[str, int] = {}
     len_counts: dict[int, int] = {}
-
-    def walk(node: SyntaxTree) -> None:
-        nonlocal n_unary, n_binary, n_leaf
-        if isinstance(node, Leaf):
-            n_leaf += 1
-            len_counts[len(node.symbols)] = len_counts.get(len(node.symbols), 0) + 1
-            return
-        if node.function.arity == 1:
-            n_unary += 1
-        else:
-            n_binary += 1
-        fn_counts[node.function.name] = fn_counts.get(node.function.name, 0) + 1
-        for a in node.args:
-            walk(a)
-
     for s in corpus:
-        walk(s.tree)
+        for node in postorder(s.tree):
+            if isinstance(node, Leaf):
+                n_leaf += 1
+                len_counts[len(node.symbols)] = len_counts.get(len(node.symbols), 0) + 1
+                continue
+            if node.function.arity == 1:
+                n_unary += 1
+            else:
+                n_binary += 1
+            fn_counts[node.function.name] = fn_counts.get(node.function.name, 0) + 1
 
     total = n_unary + n_binary + n_leaf
     if total == 0:

@@ -23,6 +23,7 @@ from .language import (
     apply_function,
     evaluate,
     parse,
+    postorder,
     render,
 )
 from .naturalise import round_half_up
@@ -313,30 +314,35 @@ def exception_evaluate(
     """
     remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
     _check_remap(remap)
+    # per subtree: its symbols, or an application whose meaning waits on
+    # its parent, as [node, meaning from its own first child, arguments]
+    pending: list = []
 
-    def ev(node: SyntaxTree, forced: str | None) -> tuple[str, ...]:
+    def applied(entry, forced: str | None) -> tuple[str, ...]:
+        if not isinstance(entry, list):
+            return entry
+        node, own, values = entry
+        if forced is not None and own is not None and forced != own:
+            raise ValueError(
+                f"conflicting exception remaps for {node.function.name!r}: "
+                f"{forced!r} vs {own!r}"
+            )
+        meaning = own or forced
+        fn = DEFAULT_REGISTRY.lookup(meaning) if meaning else node.function
+        return apply_function(fn, values)
+
+    for node in postorder(tree):
         if isinstance(node, Leaf):
-            return node.symbols
-        name = node.function.name
-        effective = forced
-        child_forced: list[str | None] = [None] * len(node.args)
+            pending.append(node.symbols)
+            continue
+        entries = pending[-len(node.args):]
+        del pending[-len(entries):]
         first = node.args[0]
-        if isinstance(first, Apply):
-            key = (name, first.function.name)
-            if key in remap:
-                outer_new, inner_new = remap[key]
-                if effective is not None and effective != outer_new:
-                    raise ValueError(
-                        f"conflicting exception remaps for {name!r}: "
-                        f"{effective!r} vs {outer_new!r}"
-                    )
-                effective = outer_new
-                child_forced[0] = inner_new
-        fn = DEFAULT_REGISTRY.lookup(effective) if effective else node.function
-        vals = [ev(a, child_forced[i]) for i, a in enumerate(node.args)]
-        return apply_function(fn, vals)
-
-    return ev(tree, None)
+        pair = (node.function.name, first.function.name) if isinstance(first, Apply) else None
+        own, inner = remap.get(pair, (None, None))
+        values = [applied(entries[0], inner)] + [applied(e, None) for e in entries[1:]]
+        pending.append([node, own, values])
+    return applied(pending[0], None)
 
 
 @dataclass(frozen=True)
@@ -481,45 +487,36 @@ def build_unroll_plan(tree: SyntaxTree) -> UnrollPlan:
     """
     if isinstance(tree, Leaf):
         raise ValueError("cannot unroll a bare string")
-    nodes: list[tuple[tuple[int, ...], Apply]] = []
-
-    def collect(node: SyntaxTree, path: tuple[int, ...]) -> None:
+    # applications children first; per application its round and, per
+    # argument, the index of the application heading it (None for a string)
+    nodes: list[Apply] = []
+    rounds: list[int] = []
+    heads: list[list[int | None]] = []
+    pending: list[int | None] = []
+    for node in postorder(tree):
         if isinstance(node, Leaf):
-            return
-        nodes.append((path, node))
-        for i, a in enumerate(node.args):
-            collect(a, path + (i,))
-
-    collect(tree, ())
-    preorder_index = {path: i for i, (path, _) in enumerate(nodes)}
-
-    rounds: dict[tuple[int, ...], int] = {}
-
-    def round_of(path: tuple[int, ...], node: Apply) -> int:
-        if path in rounds:
-            return rounds[path]
-        sub = [
-            round_of(path + (i,), a)
-            for i, a in enumerate(node.args)
-            if isinstance(a, Apply)
-        ]
-        r = 1 + max(sub, default=0)
-        rounds[path] = r
-        return r
-
-    for path, node in nodes:
-        round_of(path, node)
-
-    ordered = sorted(nodes, key=lambda pn: (rounds[pn[0]], preorder_index[pn[0]]))
-    step_index = {path: i for i, (path, _) in enumerate(ordered)}
+            pending.append(None)
+            continue
+        arg_heads = pending[-len(node.args):]
+        del pending[-len(arg_heads):]
+        rounds.append(1 + max((rounds[a] for a in arg_heads if a is not None), default=0))
+        heads.append(arg_heads)
+        pending.append(len(nodes))
+        nodes.append(node)
+    # parents follow their children, so walking back fills paths from the root
+    paths: list[tuple[int, ...]] = [()] * len(nodes)
+    for j in reversed(range(len(nodes))):
+        for i, a in enumerate(heads[j]):
+            if a is not None:
+                paths[a] = paths[j] + (i,)
+    # within a round no application contains another, so postorder ranks
+    # them left to right
+    ordered = sorted(range(len(nodes)), key=lambda j: (rounds[j], j))
+    step_index = {j: k for k, j in enumerate(ordered)}
     steps = []
-    for path, node in ordered:
+    for j in ordered:
         args = []
-        for i, a in enumerate(node.args):
-            if isinstance(a, Leaf):
-                args.append(("lit", a.symbols))
-            else:
-                args.append(("step", step_index[path + (i,)]))
-        steps.append(UnrollStep(path=path, fn_name=node.function.name, args=tuple(args)))
-    src = tuple(t.text for t in render(tree))
-    return UnrollPlan(src=src, steps=tuple(steps))
+        for arg, a in zip(nodes[j].args, heads[j]):
+            args.append(("lit", arg.symbols) if a is None else ("step", step_index[a]))
+        steps.append(UnrollStep(path=paths[j], fn_name=nodes[j].function.name, args=tuple(args)))
+    return UnrollPlan(src=tuple(render(tree)), steps=tuple(steps))

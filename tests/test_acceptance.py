@@ -153,7 +153,7 @@ def test_criterion_2_round_trip():
         if reparsed != sample.tree:
             mismatches += 1
             continue
-        if tuple(t.text for t in render(reparsed)) != sample.src:
+        if tuple(render(reparsed)) != sample.src:
             mismatches += 1
     problems = validate_corpus(corpus)
     elapsed = time.perf_counter() - start

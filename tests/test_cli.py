@@ -398,6 +398,41 @@ def test_oracle_with_synonyms(tmp_path):
     assert proc.stdout == "B A\n"
 
 
+def test_oracle_answers_requests_nested_5000_deep():
+    # the deep requests of the benchmark's evaluate workload, 5,000 levels down
+    depth = 5000
+    letters = ["A", "B", "C"]
+    requests = [
+        (" ".join(["copy"] * depth + ["A"]), "A"),
+        (" ".join(["reverse"] * (depth + 1) + letters), " ".join(reversed(letters))),
+        (" ".join(["append", "A", ","] * depth + ["A"]), " ".join(["A"] * (depth + 1))),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcfgset", "oracle"],
+        input="".join(src + "\n" for src, _ in requests),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [answer for _, answer in requests]
+
+
+def test_malformed_corpus_line_ends_in_one_line(tmp_path):
+    data = tmp_path / "bad"
+    data.mkdir()
+    corpus_io.write_token_file(data / "test.src", [["swap", "A", "B"], ["copy", "a"]])
+    corpus_io.write_token_file(data / "test.tgt", [["B", "A"], ["a"]])
+    expected = ("corpus verification failed: "
+                "test.src:2: does not parse (unknown token 'a' at position 1)")
+    for argv in (["eval", "accuracy", "--data", data, "--out", tmp_path / "ev"],
+                 ["testbuild", "--test", "productivity", "--base", data,
+                  "--out", tmp_path / "tb", "--seed", 1]):
+        with pytest.raises(SystemExit) as ei:
+            run_cli(*argv)
+        assert ei.value.code == expected
+
+
 # --- naturalise -----------------------------------------------------------------
 
 
@@ -427,6 +462,16 @@ def test_naturalise_small_pipeline(tmp_path):
     assert kls == sorted(kls, reverse=True) or len(kls) == 1
     built = corpus_io.read_corpus(out)
     assert len(built.samples) > 0
+
+
+def test_naturalise_with_a_small_pool(tmp_path):
+    # a 500-tree pool leaves the largest reference cell empty under some increments
+    out = tmp_path / "small"
+    assert run_cli("naturalise", "--seed", 0, "--out", out, "--sample-size", 500) == 0
+    assert run_cli("validate", "--data", out) == 0
+    with pytest.raises(SystemExit) as ei:
+        run_cli("naturalise", "--seed", 0, "--out", tmp_path / "tiny", "--sample-size", 5)
+    assert ei.value.code.startswith("naturalise failed: no sample in the largest reference cell")
 
 
 def test_naturalise_degenerate_one_cell_spec(tmp_path):

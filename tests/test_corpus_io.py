@@ -11,6 +11,7 @@ import re
 import pytest
 
 from pcfgset.corpus_io import (
+    MalformedLine,
     ManifestError,
     discover_splits,
     file_sha256,
@@ -145,6 +146,25 @@ def test_read_corpus_line_count_mismatch(tmp_path):
     (tmp_path / "all.tgt").write_text("B A\n", encoding="utf-8")
     with pytest.raises(ManifestError):
         read_corpus(tmp_path, verify=False)
+
+
+def test_read_corpus_names_a_line_that_does_not_parse(tmp_path):
+    write_token_file(tmp_path / "test.src", [["swap", "A", "B"], ["copy", "a"]])
+    write_token_file(tmp_path / "test.tgt", [["B", "A"], ["a"]])
+    with pytest.raises(MalformedLine) as ei:
+        read_corpus(tmp_path)
+    assert str(ei.value) == "test.src:2: does not parse (unknown token 'a' at position 1)"
+
+
+def test_read_and_validate_a_line_nested_5000_deep(tmp_path):
+    deep = ["reverse"] * 5000 + ["A", "B"]
+    write_token_file(tmp_path / "all.src", [deep, ["swap", "C", "D"]])
+    write_token_file(tmp_path / "all.tgt", [["A", "B"], ["D", "C"]])
+    corpus = read_corpus(tmp_path)
+    assert corpus.samples[0].src == tuple(deep)
+    assert corpus.samples[0].stats.depth == 5000
+    assert validate_corpus(corpus) == []
+    assert validate_corpus_files(tmp_path) == []
 
 
 # --- sidecars -------------------------------------------------------------------
@@ -329,12 +349,13 @@ def test_validator_flags_unparseable_source(tmp_path):
     assert any("all.src:1" in p and "does not parse" in p for p in problems)
 
 
-def test_validator_reports_a_source_nested_too_deep_to_parse(tmp_path):
-    write_token_file(tmp_path / "all.src", [["copy"] * 3000 + ["A"], ["swap", "B", "C"]])
+def test_validator_checks_a_source_nested_3000_deep(tmp_path):
+    deep = ["copy"] * 3000 + ["A"]
+    write_token_file(tmp_path / "all.src", [deep, ["swap", "B", "C"]])
     write_token_file(tmp_path / "all.tgt", [["A"], ["C", "B"]])
-    problems = validate_corpus_files(tmp_path)
-    assert len(problems) == 1
-    assert problems[0].startswith("all.src:1: does not parse")
+    assert validate_corpus_files(tmp_path) == []
+    write_token_file(tmp_path / "all.tgt", [["B"], ["C", "B"]])
+    assert validate_corpus_files(tmp_path) == ["all.tgt:1: target does not match evaluation"]
 
 
 def test_validator_accepts_excused_exception_targets(tmp_path):

@@ -33,6 +33,25 @@ GOLDEN = {
         "valid.src": "67dc82b3d033bd8d2b4e82cb39e42e745f9b623c241046bb24accf6076f2f446",
         "valid.tgt": "74944f3dd78f00c2c40cdc154ff9433f4aca96f3eb078f88a938069d917a31d4",
     },
+    "localism": {
+        "report.json": "826ad4f4db0429d772e6813f40741e3c2247f9d89b78772168344742f9d761c5",
+        "strata.csv": "f46ceccb96edf3e74fda5ccf51b734ff0588e80615a16e4e2d08b3b2ace31379",
+    },
+    "accuracy": {
+        "report.json": "0c5ed4ce3bb7155cd8ef473701857c414c3f4818d0def48f0ba6f8d5e8d6603e",
+        "strata.csv": "0135f0817419023f5df722014c6d61d77b21da24c1ca03617b7b7d56753562b5",
+    },
+    "naturalise": {
+        "kl_trace.csv": "1d397287509bdb8599bd9b7450671030078dba0b7f56ae448563b0fb2bb5d36f",
+        "manifest.json": "210ee26578fe1f72fb12afe299c88ae43d08dd3d6d05c91df14c3e69d344c9b3",
+        "params.json": "e1e3c3ab2d818a8d46aad8a62a20d155fcc2ca6c7a47f860ea236c292b92d975",
+        "test.src": "141ba72bfdb36f7d3e3c77b6c597c601b84a5dbe663d8891ed7e7ae37310ab08",
+        "test.tgt": "9722960b5cc762025f086f3fefbaa0d1891ceefc49d3c09c9e3abaffbc7bee19",
+        "train.src": "b3489f8fb362a8a77317f540987de76bc664bc7b7cd063c09d6861f060697490",
+        "train.tgt": "f0908f063149912e8c4fc8830a9b2aa5fbe74f2e0138900196932b470620323c",
+        "valid.src": "76247d8514f33c27ea50219628a22cc4e4d988a3466a022e6c0745047b60c8af",
+        "valid.tgt": "d6101eebe7d5725aae82404f64c2015a7d62af805f1b5809cc010fbaf6f08400",
+    },
     "overgen": {
         "pct-0.5/exceptions.json": "a83470ed9a0c88183bfcbd87ba2c9635a5b50c39df79282a4fd372eee0cf1270",
         "pct-0.5/manifest.json": "7a87f68dbe0bada788bcff0427738403b9ccf1eb172f8b1727b53bf106053888",
@@ -65,6 +84,14 @@ def outputs(tmp_path_factory):
     assert cli.main([
         "testbuild", "--test", "overgen", "--base", str(base),
         "--out", str(root / "overgen"), "--seed", "0", "--exception-pct", "0.5",
+    ]) == 0
+    for mode in ("localism", "accuracy"):
+        assert cli.main([
+            "eval", mode, "--adapter", "oracle", "--data", str(base), "--out", str(root / mode),
+        ]) == 0
+    # the pool size the benchmark's naturalise workload runs
+    assert cli.main([
+        "naturalise", "--seed", "0", "--sample-size", "2000", "--out", str(root / "naturalise"),
     ]) == 0
     return root
 

@@ -5,13 +5,14 @@ definitions and are frozen here as the oracle for the implementation.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     Apply,
     ArityMismatch,
     EmptyArgument,
+    LanguageError,
     Leaf,
     SequenceStats,
     Token,
@@ -332,3 +333,49 @@ def test_binary_length_laws(x, y):
 
 def test_token_str():
     assert str(Token(TokenKind.FUNCTION, "copy")) == "copy"
+
+
+# --- hostile and deep input ------------------------------------------------
+
+_PIECES = list(DEFAULT_REGISTRY.names()) + [",", "A", "B7", "Z19", "a", "A20", "copy_", "?"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=16))
+def test_token_soup_parses_or_raises_language_error(pieces):
+    try:
+        tree = parse(pieces)
+    except LanguageError:
+        return
+    assert render(tree) == pieces
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(["copy", "reverse"]), min_size=1, max_size=5000))
+@example(["copy"] * 2500 + ["reverse"] * 2499)
+def test_deep_unary_chains(names):
+    # copy is the identity and reverse an involution
+    tokens = names + ["A", "B", "C"]
+    tree = parse(tokens)
+    assert render(tree) == tokens
+    assert stats(tree) == SequenceStats(len(tokens), len(names), len(names))
+    flips = names.count("reverse") % 2
+    assert evaluate(tree) == (("C", "B", "A") if flips else ("A", "B", "C"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(["append", "prepend"]), min_size=1, max_size=5000))
+@example(["append", "prepend"] * 2500)
+def test_deep_right_nested_binary_chains(names):
+    # name_i X_i , <rest>: append puts X_i before the rest, prepend after it
+    symbols = [_SYMBOLS[i % len(_SYMBOLS)] for i in range(len(names) + 1)]
+    tokens = []
+    for name, sym in zip(names, symbols):
+        tokens += [name, sym, ","]
+    tokens.append(symbols[-1])
+    tree = parse(tokens)
+    assert render(tree) == tokens
+    assert stats(tree) == SequenceStats(len(tokens), len(names), len(names))
+    expected = [symbols[-1]]
+    for name, sym in reversed(list(zip(names, symbols))):
+        expected = [sym] + expected if name == "append" else expected + [sym]
+    assert evaluate(tree) == tuple(expected)

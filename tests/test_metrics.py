@@ -2,21 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pcfgset.metrics import (
-    EmbeddingTable,
     LengthMismatch,
-    MissingToken,
-    NoMappedFunction,
-    ZeroVector,
     aggregate,
-    cosine_distance,
     pairwise_consistency,
     sequence_accuracy,
-    synonym_distance_report,
 )
 
 
@@ -66,111 +58,3 @@ def test_aggregate_count_weighting():
     # overall equals the count-weighted stratum mean, not the plain mean of means
     weighted = sum(m * c for m, c in strata.values()) / sum(c for _, c in strata.values())
     assert math.isclose(overall, weighted)
-
-
-# --- cosine distance --------------------------------------------------------------
-
-def test_cosine_distance_hand_values():
-    assert math.isclose(cosine_distance([1, 0], [0, 1]), 1.0)
-    assert abs(cosine_distance([1, 2, 3], [1, 2, 3])) <= 1e-12
-    assert math.isclose(cosine_distance([1, 0], [-1, 0]), 2.0)
-    assert math.isclose(cosine_distance([1, 1], [1, 0]), 1 - 1 / math.sqrt(2))
-
-
-def test_cosine_distance_zero_vector():
-    with pytest.raises(ZeroVector):
-        cosine_distance([0, 0], [1, 0])
-
-
-def test_cosine_distance_shape_check():
-    with pytest.raises(ValueError):
-        cosine_distance([1, 0], [1, 0, 0])
-
-
-@given(
-    st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-    st.floats(0.1, 5.0),
-)
-def test_cosine_distance_scale_invariant(v, scale):
-    arr = np.array(v)
-    if np.linalg.norm(arr) < 1e-6:
-        return
-    d = cosine_distance(arr, scale * arr)
-    assert abs(d) <= 1e-9
-    assert -1e-9 <= cosine_distance(arr, [1.0, 2.0, 3.0]) <= 2 + 1e-9
-
-
-# --- embedding table ---------------------------------------------------------------
-
-def test_embedding_table_with_header(tmp_path):
-    path = tmp_path / "emb.txt"
-    path.write_text("2 3\ncopy 1 0 0\nswap 0 1 0\n", encoding="utf-8")
-    table = EmbeddingTable.from_text(path)
-    assert table.dim == 3
-    assert np.allclose(table.lookup("copy"), [1, 0, 0])
-    assert "swap" in table and "echo" not in table
-
-
-def test_embedding_table_without_header(tmp_path):
-    path = tmp_path / "emb.txt"
-    path.write_text("copy 1 0\nswap 0 1\n", encoding="utf-8")
-    table = EmbeddingTable.from_text(path)
-    assert table.dim == 2 and len(table.vectors) == 2
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        "2 3\ncopy 1 0 0\n",                 # header row count wrong
-        "copy 1 0\nswap 0 1 0\n",            # ragged dimensions
-        "copy 1 0\ncopy 0 1\n",              # duplicate token
-        "copy one two\n",                     # non-numeric
-        "",
-    ],
-)
-def test_embedding_table_rejects(tmp_path, content):
-    path = tmp_path / "emb.txt"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(ValueError):
-        EmbeddingTable.from_text(path)
-
-
-def test_embedding_lookup_missing():
-    table = EmbeddingTable(dim=2, vectors={"copy": np.array([1.0, 0.0])})
-    with pytest.raises(MissingToken):
-        table.lookup("swap")
-
-
-# --- synonym distance report ----------------------------------------------------------
-
-BASES = ["copy", "reverse", "shift", "echo", "swap", "repeat",
-         "append", "prepend", "remove_first", "remove_second"]
-
-
-def one_hot_table(extra: dict[str, np.ndarray] | None = None) -> EmbeddingTable:
-    vectors = {name: np.eye(10)[i] for i, name in enumerate(BASES)}
-    vectors.update(extra or {})
-    return EmbeddingTable(dim=10, vectors=vectors)
-
-
-def test_synonym_report_hand_example():
-    # swap_syn lies on swap's axis (distance 0); every other base function
-    # is an orthogonal one-hot (distance exactly 1)
-    table = one_hot_table({"swap_syn": 2 * np.eye(10)[4]})
-    report = synonym_distance_report(table, {"swap": "swap_syn"})
-    row = report["rows"]["swap"]
-    assert abs(row["synonym_distance"]) <= 1e-12
-    assert math.isclose(row["other_mean"], 1.0)
-    assert math.isclose(report["means"]["other_mean"], 1.0)
-    assert abs(report["means"]["synonym_distance"]) <= 1e-12
-
-
-def test_synonym_report_requires_tokens():
-    table = one_hot_table()  # no synonym vectors
-    with pytest.raises(MissingToken):
-        synonym_distance_report(table, {"swap": "swap_syn"})
-
-
-def test_synonym_report_requires_mapping():
-    with pytest.raises(NoMappedFunction):
-        synonym_distance_report(one_hot_table(), {})

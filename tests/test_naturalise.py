@@ -289,6 +289,20 @@ def test_select_increments_tie_prefers_first_candidate():
     assert len(subset) == 28
 
 
+def test_select_increments_skips_candidates_with_an_empty_anchor_cell():
+    d_n = DistributionSpec.from_rows([(5, 1, 10), (3, 1, 4), (7, 2, 4), (9, 3, 4)])
+    # nothing at length 5: the unit increments find the anchor cell empty
+    d_r = fake_corpus({(4, 1): 6, (3, 1): 5, (7, 2): 5, (9, 3): 5})
+    with pytest.raises(EmptyAnchorCell):
+        subsample_to_match(d_r, d_n, PartitionConfig(1, 1), random.Random(0))
+    config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID, random.Random(0))
+    assert config != PartitionConfig(1, 1)
+    assert len(subset) > 0
+    with pytest.raises(EmptyAnchorCell):
+        select_increments(fake_corpus({(20, 5): 10}), d_n, DEFAULT_INCREMENT_GRID,
+                          random.Random(0))
+
+
 # --- random probability sample ----------------------------------------------------
 
 def test_random_probability_sample_shape():

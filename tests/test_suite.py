@@ -227,6 +227,12 @@ def test_exception_evaluate_chained_pairs():
     assert " ".join(exception_evaluate(tree)) == "A B B"
 
 
+def test_exception_evaluate_5000_deep():
+    # every (reverse, echo) pair turns into (echo, copy): each adds one B
+    tree = parse_text("reverse echo " * 2500 + "A B")
+    assert exception_evaluate(tree) == ("A",) + ("B",) * 2501
+
+
 def test_exception_remap_arity_checked():
     with pytest.raises(ValueError):
         exception_evaluate(parse_text("copy A"), {("copy", "echo"): ("append", "copy")})
@@ -323,3 +329,12 @@ def test_unroll_plan_counts_every_application():
 def test_unroll_plan_rejects_bare_string():
     with pytest.raises(ValueError):
         build_unroll_plan(parse_text("A B"))
+
+
+def test_unroll_plan_5000_deep():
+    plan = build_unroll_plan(parse_text("reverse echo " * 2500 + "A B"))
+    assert plan.num_steps == 5000
+    assert plan.steps[0].args == (("lit", ("A", "B")),)
+    assert all(step.args == (("step", k),) for k, step in enumerate(plan.steps[1:]))
+    assert plan.steps[-1].fn_name == "reverse" and plan.steps[-1].path == ()
+    assert plan.src[:2] == ("reverse", "echo") and len(plan.src) == 5002
