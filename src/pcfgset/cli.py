@@ -86,26 +86,26 @@ def _resolve_seed(args, required: bool) -> int | None:
     return None
 
 
-def _load_base(path: str) -> Corpus:
+def _load_base(path: str, splits: list[str] | None = None) -> Corpus:
     try:
-        return corpus_io.read_corpus(path)
+        return corpus_io.read_corpus(path, splits=splits)
     except (corpus_io.ManifestError, corpus_io.MalformedLine) as exc:
         raise SystemExit(f"corpus verification failed: {exc}")
 
 
-def _pick_split(corpus: Corpus, requested: str | None) -> Corpus:
+def _pick_split(path: str, requested: str | None) -> str:
+    """The split of a corpus directory to evaluate."""
+    names = corpus_io.discover_splits(path)
     if requested is not None:
-        if requested not in corpus.splits:
-            raise SystemExit(
-                f"split {requested!r} not found; have {sorted(corpus.splits) or 'none'}"
-            )
-        return corpus.split(requested)
-    if "test" in corpus.splits:
-        return corpus.split("test")
-    if len(corpus.splits) == 1:
-        return corpus.split(next(iter(corpus.splits)))
-    if not corpus.splits:
-        return corpus
+        if requested not in names:
+            raise SystemExit(f"split {requested!r} not found; have {sorted(names) or 'none'}")
+        return requested
+    if "test" in names:
+        return "test"
+    if len(names) == 1:
+        return names[0]
+    if not names:
+        raise SystemExit(f"{path}: no .src files found")
     raise SystemExit("ambiguous corpus splits: pass --split")
 
 
@@ -197,8 +197,8 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
     ledger = UniquenessLedger()
     kept = []
     for sample in corpus:
-        if ledger.violation(sample.tree, sample.src) is None:
-            ledger.add(sample.tree, sample.src, f"sample {sample.id}")
+        if ledger.violation(sample.src) is None:
+            ledger.add(sample.src, f"sample {sample.id}")
             kept.append(sample)
     return Corpus(samples=kept, seed=corpus.seed, params=corpus.params)
 
@@ -402,9 +402,9 @@ def cmd_eval(args) -> int:
         print(f"{len(grid)} cells, worst accuracy {worst:.4f}")
         return 0
 
-    # remaining modes read a corpus directory
-    corpus = _load_base(args.data)
-    testset = _pick_split(corpus, args.split)
+    # remaining modes read the one split they score of a corpus directory
+    split = _pick_split(args.data, args.split)
+    testset = _load_base(args.data, [split]).split(split)
     registry = corpus_io.registry_for_directory(args.data)
     if args.mode == "eos":
         if args.preds:
@@ -466,7 +466,7 @@ def cmd_eval(args) -> int:
             report = run_consistency(adapter, pairs)
             report.extras["skipped"] = skipped
         elif args.mode == "localism":
-            report = run_localism(adapter, testset)
+            report = run_localism(adapter, testset, registry=registry)
         else:
             raise SystemExit(f"unknown eval mode: {args.mode!r}")
     corpus_io.write_report(out / "report.json", report)

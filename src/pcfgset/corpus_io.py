@@ -33,7 +33,7 @@ class ManifestError(Exception):
 
 
 class MalformedLine(Exception):
-    """A source line of a corpus file does not parse."""
+    """A line of a token file is not UTF-8, or a source line does not parse."""
 
 
 def _split_sort_key(name: str) -> tuple[int, str]:
@@ -56,8 +56,15 @@ def write_token_file(path: Path | str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def read_token_file(path: Path | str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return [line.split() for line in handle.read().splitlines()]
+    """The whitespace-split lines of a file; MalformedLine if not UTF-8."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(f"{path.name}:{lineno}: not UTF-8 ({exc.reason})") from None
+    return [line.split() for line in text.splitlines()]
 
 
 def write_corpus(
@@ -152,10 +159,11 @@ def read_corpus(
 ) -> Corpus:
     """Load a corpus directory back into memory.
 
-    Sources are re-parsed into trees; targets are taken verbatim from the
-    .tgt files (they may deliberately disagree with the evaluator, as in
-    exception training sets).  When a synonyms.json sidecar is present the
-    registry is extended with it automatically.  A source line that does
+    Sources are parsed to check them and compute their stats; targets are
+    taken verbatim from the .tgt files (they may deliberately disagree
+    with the evaluator, as in exception training sets).  When a
+    synonyms.json sidecar is present the registry is extended with it
+    automatically.  A line that is not UTF-8 or a source line that does
     not parse raises MalformedLine naming the file and line.
     """
     directory = Path(directory)
@@ -192,7 +200,7 @@ def read_corpus(
                 tree = parse(src, registry)
             except LanguageError as exc:
                 raise MalformedLine(f"{name}.src:{lineno}: does not parse ({exc})") from None
-            samples.append(Sample(len(samples), tree, tuple(src), tuple(tgt), stats(tree)))
+            samples.append(Sample(len(samples), tuple(src), tuple(tgt), stats(tree)))
         split_ids[name] = tuple(range(first, len(samples)))
     return Corpus(samples=samples, seed=seed, params=params, splits=split_ids)
 
@@ -376,7 +384,8 @@ def validate_corpus_files(
     order, with one ledger across all splits: the source must parse, the
     target must match its evaluation unless an exception entry with the
     same source prescribes exactly that target, and the corpus constraints
-    must hold.
+    must hold.  A file that is not UTF-8 is reported, and its split
+    skipped.
     """
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
@@ -389,8 +398,12 @@ def validate_corpus_files(
         return problems
     ledger = UniquenessLedger()
     for name in names:
-        src_rows = read_token_file(directory / f"{name}.src")
-        tgt_rows = read_token_file(directory / f"{name}.tgt")
+        try:
+            src_rows = read_token_file(directory / f"{name}.src")
+            tgt_rows = read_token_file(directory / f"{name}.tgt")
+        except MalformedLine as exc:
+            problems.append(str(exc))
+            continue
         if len(src_rows) != len(tgt_rows):
             problems.append(
                 f"{name}: {len(src_rows)} src lines vs {len(tgt_rows)} tgt lines"

@@ -10,12 +10,13 @@ multi-symbol string argument anywhere else in the corpus.
 from __future__ import annotations
 
 import random
-import string
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .language import (
     DEFAULT_REGISTRY,
+    LITERAL_SET,
+    LITERALS,
     Apply,
     FunctionRegistry,
     LanguageError,
@@ -24,7 +25,6 @@ from .language import (
     SyntaxTree,
     evaluate,
     parse,
-    postorder,
     render,
     stats,
 )
@@ -57,9 +57,7 @@ class Alphabet:
 
     @classmethod
     def default(cls) -> "Alphabet":
-        letters = list(string.ascii_uppercase)
-        syms = letters + [f"{c}{i}" for i in range(1, 20) for c in letters]
-        return cls(tuple(syms))
+        return cls(LITERALS)
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,16 @@ class GrammarParams:
 
 @dataclass(frozen=True)
 class Sample:
-    """One (source sequence, target string) pair with its syntax tree."""
+    """One (source sequence, target string) pair; ``parse(src)`` gives its tree."""
 
     id: int
-    tree: SyntaxTree
     src: tuple[str, ...]
     tgt: tuple[str, ...]
     stats: SequenceStats
 
     @classmethod
     def from_tree(cls, sample_id: int, tree: SyntaxTree) -> "Sample":
-        return cls(sample_id, tree, tuple(render(tree)), evaluate(tree), stats(tree))
+        return cls(sample_id, tuple(render(tree)), evaluate(tree), stats(tree))
 
     def src_text(self) -> str:
         return " ".join(self.src)
@@ -243,9 +240,23 @@ def sample_tree(
     return expand(0, force_function)
 
 
-def leaf_tuples(tree: SyntaxTree) -> list[tuple[str, ...]]:
-    """All string arguments of a tree, in left-to-right order."""
-    return [node.symbols for node in postorder(tree) if isinstance(node, Leaf)]
+def leaf_tuples(src: Sequence[str]) -> list[tuple[str, ...]]:
+    """All string arguments of a source, in left-to-right order.
+
+    A string argument is a maximal run of literal tokens: the parser ends
+    one only at a separator or the end of input.
+    """
+    runs: list[tuple[str, ...]] = []
+    run: list[str] = []
+    for tok in src:
+        if tok in LITERAL_SET:
+            run.append(tok)
+        elif run:
+            runs.append(tuple(run))
+            run = []
+    if run:
+        runs.append(tuple(run))
+    return runs
 
 
 class UniquenessLedger:
@@ -253,7 +264,7 @@ class UniquenessLedger:
 
     Sources are pairwise distinct, no literal occurs twice within one
     sample, and every string argument of two or more symbols occurs in at
-    most one sample of the corpus.  ``violation`` says whether a tree may
+    most one sample of the corpus.  ``violation`` says whether a source may
     join the samples recorded so far; ``add`` records an accepted one.
     Constructing the ledger from samples records them unchecked.
     """
@@ -262,14 +273,14 @@ class UniquenessLedger:
         self.seen_src: dict[tuple[str, ...], str] = {}
         self.used_args: dict[tuple[str, ...], str] = {}
         for s in samples:
-            self.add(s.tree, s.src, f"sample {s.id}")
+            self.add(s.src, f"sample {s.id}")
 
-    def violation(self, tree: SyntaxTree, src: Sequence[str]) -> str | None:
-        """The first constraint the tree breaks, in words, or None."""
+    def violation(self, src: Sequence[str]) -> str | None:
+        """The first constraint the source breaks, in words, or None."""
         src = tuple(src)
         if src in self.seen_src:
             return f"duplicate source (also at {self.seen_src[src]})"
-        args = leaf_tuples(tree)
+        args = leaf_tuples(src)
         literals = [sym for arg in args for sym in arg]
         if len(set(literals)) != len(literals):
             repeated = next(sym for sym in literals if literals.count(sym) > 1)
@@ -279,10 +290,10 @@ class UniquenessLedger:
                 return f"argument {' '.join(arg)!r} reused (also at {self.used_args[arg]})"
         return None
 
-    def add(self, tree: SyntaxTree, src: Sequence[str], where: str) -> None:
+    def add(self, src: Sequence[str], where: str) -> None:
         """Record a sample; ``where`` names it in later violations."""
         self.seen_src[tuple(src)] = where
-        for arg in leaf_tuples(tree):
+        for arg in leaf_tuples(src):
             if len(arg) >= 2:
                 self.used_args[arg] = where
 
@@ -315,9 +326,9 @@ def audit_sample(
     tgt = tuple(tgt)
     if evaluate(tree) != tgt and (excused or {}).get(tuple(src)) != tgt:
         problems.append(f"{tgt_where or where}: target does not match evaluation")
-    violation = ledger.violation(tree, src)
+    violation = ledger.violation(src)
     if violation is None:
-        ledger.add(tree, src, where)
+        ledger.add(src, where)
     else:
         problems.append(f"{where}: {violation}")
     return tree
@@ -352,7 +363,7 @@ def generate_corpus(
             params, rng, alphabet=alphabet, max_recursion=max_recursion
         )
         src = tuple(render(tree))
-        if ledger.violation(tree, src) is not None:
+        if ledger.violation(src) is not None:
             rejects += 1
             if rejects > max_rejects:
                 raise ExhaustedUniqueArguments(
@@ -360,8 +371,8 @@ def generate_corpus(
                 )
             continue
         rejects = 0
-        ledger.add(tree, src, f"sample {len(samples)}")
-        samples.append(Sample(len(samples), tree, src, evaluate(tree), stats(tree)))
+        ledger.add(src, f"sample {len(samples)}")
+        samples.append(Sample(len(samples), src, evaluate(tree), stats(tree)))
     return Corpus(samples, seed=seed, params=params)
 
 
@@ -442,8 +453,8 @@ def validate_corpus(
 
     Every sample goes through ``audit_sample``, the routine the file
     validator uses, so both report the same violations in the same words.
-    On top, recorded trees and stats must match the source, ids must be
-    distinct and the splits must partition the corpus.
+    On top, recorded stats must match the source, ids must be distinct and
+    the splits must partition the corpus.
     """
     problems: list[str] = []
     ledger = UniquenessLedger()
@@ -453,11 +464,7 @@ def validate_corpus(
             problems.append(f"sample {s.id}: duplicate id")
         ids.add(s.id)
         tree = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}", registry=registry)
-        if tree is None:
-            continue
-        if render(s.tree) != list(s.src):
-            problems.append(f"sample {s.id}: recorded tree does not match src")
-        if stats(tree) != s.stats:
+        if tree is not None and stats(tree) != s.stats:
             problems.append(f"sample {s.id}: recorded stats are stale")
     if corpus.splits:
         all_split_ids: list[int] = []

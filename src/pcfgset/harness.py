@@ -9,6 +9,7 @@ checkpoints, length generalisation grids and end-of-sequence analysis.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import queue
 import shlex
@@ -20,11 +21,11 @@ from typing import Iterable, Mapping, Sequence
 from .generation import Alphabet, Corpus, Sample
 from .language import (
     DEFAULT_REGISTRY,
+    LITERAL_SET,
     SEPARATOR,
     FunctionRegistry,
     LanguageError,
     evaluate,
-    is_literal_symbol,
     parse,
 )
 from .metrics import aggregate, pairwise_consistency, sequence_accuracy
@@ -196,7 +197,9 @@ class _Worker:
                 self.proc.kill()
             self.proc.wait()
             if self.proc.stdin is not None:
-                self.proc.stdin.close()
+                # a request still buffered for a dead child cannot be flushed
+                with contextlib.suppress(BrokenPipeError):
+                    self.proc.stdin.close()
             if self.proc.stdout is not None:
                 self.proc.stdout.close()
             self.proc = None
@@ -594,7 +597,7 @@ def execute_unroll(adapter: ModelAdapter, plan: UnrollPlan) -> list[str]:
                 if not previous:
                     raise UnrollFailure("empty intermediate output")
                 for token in previous:
-                    if not is_literal_symbol(token):
+                    if token not in LITERAL_SET:
                         raise UnrollFailure(
                             f"intermediate output token {token!r} is not an alphabet symbol"
                         )
@@ -607,9 +610,13 @@ def run_localism(
     adapter: ModelAdapter,
     samples: Corpus | Sequence[Sample],
     *,
+    registry: FunctionRegistry = DEFAULT_REGISTRY,
     keep_predictions: bool = False,
 ) -> EvaluationReport:
-    """Compare direct predictions against step-by-step unrolled ones."""
+    """Compare direct predictions against step-by-step unrolled ones.
+
+    Each source is parsed with ``registry`` to plan its unrolling.
+    """
     items = [s for s in samples if s.stats.num_functions >= 1]
     if not items:
         raise ValueError("localism needs samples containing at least one function")
@@ -619,7 +626,7 @@ def run_localism(
     steps_total = 0
     failures = 0
     for sample, direct in zip(items, direct_preds):
-        plan = build_unroll_plan(sample.tree)
+        plan = build_unroll_plan(parse(sample.src, registry))
         steps_total += plan.num_steps
         try:
             unrolled = execute_unroll(adapter, plan)

@@ -8,15 +8,19 @@ the ground-truth interpreter.
 
 from __future__ import annotations
 
-import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 SEPARATOR = ","
 
-# One uppercase letter, optionally suffixed by an integer 1..19.
-_LITERAL_RE = re.compile(r"[A-Z](?:1[0-9]|[1-9])?")
+# The alphabet: one uppercase letter, optionally suffixed by an integer
+# 1..19 (A..Z, then A1..Z1 up to A19..Z19).
+LITERALS = tuple(string.ascii_uppercase) + tuple(
+    f"{c}{i}" for i in range(1, 20) for c in string.ascii_uppercase
+)
+LITERAL_SET = frozenset(LITERALS)
 
 
 class LanguageError(Exception):
@@ -105,65 +109,20 @@ class FunctionSymbol:
 # --- interpretation functions -------------------------------------------
 #
 # All operate on non-empty tuples of literal symbols and return tuples.
-
-def _copy(x: Symbols) -> Symbols:
-    return x
-
-
-def _reverse(x: Symbols) -> Symbols:
-    return tuple(reversed(x))
-
-
-def _shift(x: Symbols) -> Symbols:
-    # First symbol moves to the end; identity on single symbols.
-    return x[1:] + x[:1]
-
-
-def _swap(x: Symbols) -> Symbols:
-    # First and last symbols trade places; identity on single symbols.
-    if len(x) == 1:
-        return x
-    return (x[-1],) + x[1:-1] + (x[0],)
-
-
-def _repeat(x: Symbols) -> Symbols:
-    return x + x
-
-
-def _echo(x: Symbols) -> Symbols:
-    return x + (x[-1],)
-
-
-def _append(x: Symbols, y: Symbols) -> Symbols:
-    return x + y
-
-
-def _prepend(x: Symbols, y: Symbols) -> Symbols:
-    return y + x
-
-
-def _remove_first(x: Symbols, y: Symbols) -> Symbols:
-    return y
-
-
-def _remove_second(x: Symbols, y: Symbols) -> Symbols:
-    return x
-
-
-UNARY_FUNCTIONS = ("copy", "reverse", "shift", "echo", "swap", "repeat")
-BINARY_FUNCTIONS = ("append", "prepend", "remove_first", "remove_second")
+# shift moves the first symbol to the end and swap trades the first and
+# last; both are the identity on single symbols.
 
 _SEMANTICS: dict[str, tuple[int, Callable[..., Symbols]]] = {
-    "copy": (1, _copy),
-    "reverse": (1, _reverse),
-    "shift": (1, _shift),
-    "echo": (1, _echo),
-    "swap": (1, _swap),
-    "repeat": (1, _repeat),
-    "append": (2, _append),
-    "prepend": (2, _prepend),
-    "remove_first": (2, _remove_first),
-    "remove_second": (2, _remove_second),
+    "copy": (1, lambda x: x),
+    "reverse": (1, lambda x: x[::-1]),
+    "shift": (1, lambda x: x[1:] + x[:1]),
+    "echo": (1, lambda x: x + x[-1:]),
+    "swap": (1, lambda x: x if len(x) == 1 else x[-1:] + x[1:-1] + x[:1]),
+    "repeat": (1, lambda x: x + x),
+    "append": (2, lambda x, y: x + y),
+    "prepend": (2, lambda x, y: y + x),
+    "remove_first": (2, lambda x, y: y),
+    "remove_second": (2, lambda x, y: x),
 }
 
 
@@ -211,7 +170,7 @@ class FunctionRegistry:
         extra = []
         for base, syn in synonym_map.items():
             original = self.lookup(base)
-            if syn in self or _LITERAL_RE.fullmatch(syn) or syn == SEPARATOR:
+            if syn in self or syn in LITERAL_SET or syn == SEPARATOR:
                 raise ValueError(f"invalid synonym name {syn!r}")
             extra.append(FunctionSymbol(syn, original.arity, original.fn))
         return FunctionRegistry(list(self._by_name.values()) + extra)
@@ -264,14 +223,9 @@ def classify(piece: str, registry: FunctionRegistry = DEFAULT_REGISTRY,
         return Token(TokenKind.SEPARATOR, piece)
     if piece in registry:
         return Token(TokenKind.FUNCTION, piece)
-    if _LITERAL_RE.fullmatch(piece):
+    if piece in LITERAL_SET:
         return Token(TokenKind.LITERAL, piece)
     raise UnknownToken(piece, position)
-
-
-def is_literal_symbol(piece: str) -> bool:
-    """True for pieces shaped like alphabet symbols (A, Q7, Z19, ...)."""
-    return _LITERAL_RE.fullmatch(piece) is not None
 
 
 def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[Token]:
@@ -344,8 +298,7 @@ def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Synt
 def postorder(tree: SyntaxTree) -> list[SyntaxTree]:
     """Every node of a tree, children before parents, left child first.
 
-    The one tree walk of the package: an explicit stack, so any nesting
-    depth fits in memory.
+    An explicit stack, so any nesting depth fits in memory.
     """
     order: list[SyntaxTree] = []
     stack = [tree]
@@ -363,17 +316,21 @@ def render(tree: SyntaxTree) -> list[str]:
 
     ``parse(render(t))`` reproduces ``t`` for every valid tree.
     """
-    parts: list[list[str]] = []
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            parts.append(list(node.symbols))
-            continue
-        if len(node.args) == 2:
-            right = parts.pop()
-            parts[-1].append(SEPARATOR)
-            parts[-1].extend(right)
-        parts[-1].insert(0, node.function.name)
-    return parts[0]
+    out: list[str] = []
+    # nodes still to emit, and separators between arguments, next on top
+    stack: list[SyntaxTree | str] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Leaf):
+            out.extend(node.symbols)
+        else:
+            out.append(node.function.name)
+            if len(node.args) == 2:
+                stack += (node.args[1], SEPARATOR)
+            stack.append(node.args[0])
+    return out
 
 
 def render_text(tree: SyntaxTree) -> str:

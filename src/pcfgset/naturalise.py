@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,9 +26,10 @@ from .generation import (
     GrammarParams,
     Sample,
     generate_corpus,
+    leaf_tuples,
     sample_tree,
 )
-from .language import DEFAULT_REGISTRY, Leaf, postorder
+from .language import DEFAULT_REGISTRY
 from .seeding import substream
 
 DEFAULT_EPSILON = 1e-3
@@ -352,27 +354,24 @@ def mle_estimate(
     *,
     max_arg_len: int | None = None,
 ) -> GrammarParams:
-    """Maximum-likelihood grammar parameters from observed trees.
+    """Maximum-likelihood grammar parameters from observed sources.
 
     Counts every tree position (including roots) as one expansion of the
     three-way choice; function identities and leaf lengths are counted
     within their own distributions.  Every category receives add-one
     smoothing, so choices never observed keep a small positive mass.
+    The positions are read off the tokens: each function token heads one
+    application and each maximal literal run is one leaf.
     """
-    n_unary = n_binary = n_leaf = 0
-    fn_counts: dict[str, int] = {}
-    len_counts: dict[int, int] = {}
+    arity = {fn.name: fn.arity for fn in DEFAULT_REGISTRY}
+    fn_counts: Counter[str] = Counter()
+    len_counts: Counter[int] = Counter()
     for s in corpus:
-        for node in postorder(s.tree):
-            if isinstance(node, Leaf):
-                n_leaf += 1
-                len_counts[len(node.symbols)] = len_counts.get(len(node.symbols), 0) + 1
-                continue
-            if node.function.arity == 1:
-                n_unary += 1
-            else:
-                n_binary += 1
-            fn_counts[node.function.name] = fn_counts.get(node.function.name, 0) + 1
+        fn_counts.update(tok for tok in s.src if tok in arity)
+        len_counts.update(len(arg) for arg in leaf_tuples(s.src))
+    n_unary = sum(count for name, count in fn_counts.items() if arity[name] == 1)
+    n_binary = sum(fn_counts.values()) - n_unary
+    n_leaf = sum(len_counts.values())
 
     total = n_unary + n_binary + n_leaf
     if total == 0:

@@ -10,7 +10,7 @@ exception targets for selected function pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .generation import Alphabet, Corpus, Sample, UniquenessLedger
@@ -143,9 +143,6 @@ class SynonymMap:
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
 
-    def bases(self) -> tuple[str, ...]:
-        return tuple(b for b, _ in self.mapping)
-
     def registry(self, base: FunctionRegistry = DEFAULT_REGISTRY) -> FunctionRegistry:
         return base.with_synonyms(self.as_dict())
 
@@ -237,9 +234,9 @@ def substitutivity_primitive(
                 syms = rng.sample(alphabet.symbols, n1 + n2)
                 tree = Apply(fn, (Leaf(tuple(syms[:n1])), Leaf(tuple(syms[n1:]))))
             sample = Sample.from_tree(next_id, tree)
-            if ledger.violation(tree, sample.src) is not None:
+            if ledger.violation(sample.src) is not None:
                 continue
-            ledger.add(tree, sample.src, f"sample {next_id}")
+            ledger.add(sample.src, f"sample {next_id}")
             next_id += 1
             added.append(sample)
             made += 1
@@ -428,24 +425,23 @@ def exceptions_apply(
                 sample = Sample.from_tree(
                     next_id, _synthesise_pair_sample(outer, inner, alphabet, rng)
                 )
-                if ledger.violation(sample.tree, sample.src) is not None:
+                if ledger.violation(sample.src) is not None:
                     continue
-                ledger.add(sample.tree, sample.src, f"sample {next_id}")
+                ledger.add(sample.src, f"sample {next_id}")
                 next_id += 1
                 samples.append(sample)
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]
-            exc = exception_evaluate(s.tree, remap)
-            samples[pos] = Sample(
-                id=s.id, tree=s.tree, src=s.src, tgt=exc, stats=s.stats
-            )
+            tree = parse(s.src)
+            exc = exception_evaluate(tree, remap)
+            samples[pos] = replace(s, tgt=exc)
             taken.add(pos)
             entries.append(
                 ExceptionEntry(
                     sample_id=s.id,
                     src=s.src,
-                    original_tgt=evaluate(s.tree),
+                    original_tgt=evaluate(tree),
                     exception_tgt=exc,
                     pair=(outer, inner),
                 )
@@ -463,7 +459,6 @@ class UnrollStep:
     ("step", index) for the output of an earlier step.
     """
 
-    path: tuple[int, ...]
     fn_name: str
     args: tuple[tuple, ...]
 
@@ -503,12 +498,6 @@ def build_unroll_plan(tree: SyntaxTree) -> UnrollPlan:
         heads.append(arg_heads)
         pending.append(len(nodes))
         nodes.append(node)
-    # parents follow their children, so walking back fills paths from the root
-    paths: list[tuple[int, ...]] = [()] * len(nodes)
-    for j in reversed(range(len(nodes))):
-        for i, a in enumerate(heads[j]):
-            if a is not None:
-                paths[a] = paths[j] + (i,)
     # within a round no application contains another, so postorder ranks
     # them left to right
     ordered = sorted(range(len(nodes)), key=lambda j: (rounds[j], j))
@@ -518,5 +507,5 @@ def build_unroll_plan(tree: SyntaxTree) -> UnrollPlan:
         args = []
         for arg, a in zip(nodes[j].args, heads[j]):
             args.append(("lit", arg.symbols) if a is None else ("step", step_index[a]))
-        steps.append(UnrollStep(path=paths[j], fn_name=nodes[j].function.name, args=tuple(args)))
+        steps.append(UnrollStep(fn_name=nodes[j].function.name, args=tuple(args)))
     return UnrollPlan(src=tuple(render(tree)), steps=tuple(steps))

@@ -144,17 +144,23 @@ def test_criterion_1_oracle_semantics():
 
 def test_criterion_2_round_trip():
     start = time.perf_counter()
-    corpus = generate_corpus(
-        GrammarParams.default(), 10_000, seed=subseed(DEFAULT_SEED, "roundtrip")
-    )
+    seed = subseed(DEFAULT_SEED, "roundtrip")
+    corpus = generate_corpus(GrammarParams.default(), 10_000, seed=seed)
+    # redraw the trees generate_corpus drew, from the same seeded stream;
+    # the accepted ones render to the corpus sources in order
+    rng = random.Random(seed)
     mismatches = 0
-    for sample in corpus:
-        reparsed = parse(sample.src)
-        if reparsed != sample.tree:
+    accepted = 0
+    for _ in range(2 * len(corpus)):
+        tree = sample_tree(GrammarParams.default(), rng)
+        src = tuple(render(tree))
+        if parse(src) != tree:
             mismatches += 1
-            continue
-        if tuple(render(reparsed)) != sample.src:
-            mismatches += 1
+        if src == corpus.samples[accepted].src:
+            accepted += 1
+            if accepted == len(corpus):
+                break
+    mismatches += len(corpus) - accepted
     problems = validate_corpus(corpus)
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and not problems and elapsed < 10.0

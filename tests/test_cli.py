@@ -433,6 +433,60 @@ def test_malformed_corpus_line_ends_in_one_line(tmp_path):
         assert ei.value.code == expected
 
 
+def test_a_line_that_is_not_utf8_is_located(tmp_path, capsys):
+    data = tmp_path / "bad"
+    data.mkdir()
+    (data / "test.src").write_bytes(b"swap A B\ncopy \xff\n")
+    corpus_io.write_token_file(data / "test.tgt", [["B", "A"], ["A"]])
+    problem = "test.src:2: not UTF-8 (invalid start byte)"
+    assert run_cli("validate", "--data", data) == 1
+    assert problem in capsys.readouterr().out.splitlines()
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", "accuracy", "--data", data, "--out", tmp_path / "ev")
+    assert ei.value.code == f"corpus verification failed: {problem}"
+
+
+def test_eval_reads_only_the_split_it_scores(tmp_path):
+    data = tmp_path / "d"
+    data.mkdir()
+    corpus_io.write_token_file(data / "train.src", [["copy", "a"]])
+    corpus_io.write_token_file(data / "train.tgt", [["a"]])
+    corpus_io.write_token_file(data / "test.src", [["swap", "A", "B"]])
+    corpus_io.write_token_file(data / "test.tgt", [["B", "A"]])
+    assert run_cli("eval", "accuracy", "--data", data, "--out", tmp_path / "ev") == 0
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", "accuracy", "--data", data, "--out", tmp_path / "tr",
+                "--split", "train")
+    assert ei.value.code == ("corpus verification failed: "
+                             "train.src:1: does not parse (unknown token 'a' at position 1)")
+
+
+def test_eval_checks_the_manifest_of_splits_it_does_not_score(base_dir, tmp_path):
+    (base_dir / "train.src").write_text("swap A B\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", "accuracy", "--data", base_dir, "--out", tmp_path / "x")
+    assert "train.src: hash mismatch" in ei.value.code
+
+
+def test_eval_accuracy_with_a_command_that_exits_at_once(base_dir, tmp_path):
+    out = tmp_path / "dead"
+    assert run_cli("eval", "accuracy", "--data", base_dir, "--out", out,
+                   "--adapter", "cmd:false") == 0
+    report = corpus_io.read_json(out / "report.json")
+    assert report["overall"] == 0.0
+    assert report["errors"] == {"ChildExited": 40}
+
+
+def test_eval_localism_on_a_synonym_directory(base_dir, tmp_path):
+    built = tmp_path / "ed"
+    run_cli("testbuild", "--test", "substitutivity-ed", "--base", base_dir,
+            "--out", built, "--seed", 5)
+    out = tmp_path / "loc"
+    assert run_cli("eval", "localism", "--data", built, "--split", "train",
+                   "--out", out) == 0
+    assert corpus_io.read_json(out / "report.json")["overall"] == 1.0
+
+
 # --- naturalise -----------------------------------------------------------------
 
 

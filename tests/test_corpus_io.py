@@ -156,6 +156,17 @@ def test_read_corpus_names_a_line_that_does_not_parse(tmp_path):
     assert str(ei.value) == "test.src:2: does not parse (unknown token 'a' at position 1)"
 
 
+def test_a_token_file_that_is_not_utf8_names_its_line(tmp_path):
+    (tmp_path / "test.src").write_bytes(b"swap A B\ncopy A\n\xe2\x80 B\n")
+    write_token_file(tmp_path / "test.tgt", [["B", "A"], ["A"], ["B"]])
+    with pytest.raises(MalformedLine) as ei:
+        read_token_file(tmp_path / "test.src")
+    assert str(ei.value) == "test.src:3: not UTF-8 (invalid continuation byte)"
+    with pytest.raises(MalformedLine):
+        read_corpus(tmp_path)
+    assert validate_corpus_files(tmp_path) == [str(ei.value)]
+
+
 def test_read_and_validate_a_line_nested_5000_deep(tmp_path):
     deep = ["reverse"] * 5000 + ["A", "B"]
     write_token_file(tmp_path / "all.src", [deep, ["swap", "C", "D"]])

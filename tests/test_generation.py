@@ -24,7 +24,18 @@ from pcfgset.generation import (
     split_corpus,
     validate_corpus,
 )
-from pcfgset.language import Apply, Leaf, evaluate, parse, parse_text, stats, tokenize
+from pcfgset.language import (
+    Apply,
+    Leaf,
+    evaluate,
+    parse,
+    parse_text,
+    postorder,
+    render,
+    stats,
+    tokenize,
+)
+from pcfgset.suite import SynonymMap
 
 
 def uniform_params(**overrides):
@@ -138,14 +149,15 @@ def test_generate_corpus_constraints_hold():
     seen_src = set()
     used_args = {}
     for s in corpus:
-        assert isinstance(s.tree, Apply)  # never a bare string
-        assert parse(list(s.src)) == s.tree
-        assert evaluate(s.tree) == s.tgt
+        tree = parse(list(s.src))
+        assert isinstance(tree, Apply)  # never a bare string
+        assert evaluate(tree) == s.tgt
+        assert stats(tree) == s.stats
         assert s.src not in seen_src
         seen_src.add(s.src)
-        literals = [sym for t in leaf_tuples(s.tree) for sym in t]
+        literals = [sym for t in leaf_tuples(s.src) for sym in t]
         assert len(set(literals)) == len(literals), "literal repeated in sample"
-        for t in leaf_tuples(s.tree):
+        for t in leaf_tuples(s.src):
             if len(t) >= 2:
                 assert t not in used_args, "string argument reused across corpus"
                 used_args[t] = s.id
@@ -174,7 +186,7 @@ def test_generate_corpus_exhaustion():
 def test_validate_corpus_flags_planted_errors():
     corpus = generate_corpus(uniform_params(), 50, rng=random.Random(2))
     good = corpus.samples[0]
-    bad = Sample(id=good.id + 1000, tree=good.tree, src=good.src,
+    bad = Sample(id=good.id + 1000, src=good.src,
                  tgt=good.tgt + ("Z19",), stats=good.stats)
     tampered = Corpus(corpus.samples + [bad])
     problems = validate_corpus(tampered)
@@ -198,17 +210,29 @@ def test_ledger_reports_the_first_violation(recorded, candidate, expected):
     ledger = UniquenessLedger(
         Sample.from_tree(i, parse_text(t)) for i, t in enumerate(recorded)
     )
-    tree = parse_text(candidate)
-    assert ledger.violation(tree, candidate.split()) == expected
+    assert ledger.violation(candidate.split()) == expected
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_leaf_tuples_of_a_source_are_the_leaves_of_its_tree(seed):
+    tree = sample_tree(uniform_params(), random.Random(seed))
+    leaves = [node.symbols for node in postorder(tree) if isinstance(node, Leaf)]
+    assert leaf_tuples(render(tree)) == leaves
+
+
+def test_leaf_tuples_skip_functions_synonyms_and_separators():
+    src = "append_syn swap A B19 , C".split()
+    assert parse(src, SynonymMap.default().registry())  # a well-formed source
+    assert leaf_tuples(src) == [("A", "B19"), ("C",)]
 
 
 def test_ledger_records_only_what_is_added():
     ledger = UniquenessLedger()
-    tree = parse_text("swap A B")
-    assert ledger.violation(tree, ("swap", "A", "B")) is None
-    assert ledger.violation(tree, ("swap", "A", "B")) is None
-    ledger.add(tree, ("swap", "A", "B"), "row 7")
-    assert ledger.violation(tree, ("swap", "A", "B")) == "duplicate source (also at row 7)"
+    assert ledger.violation(("swap", "A", "B")) is None
+    assert ledger.violation(("swap", "A", "B")) is None
+    ledger.add(("swap", "A", "B"), "row 7")
+    assert ledger.violation(("swap", "A", "B")) == "duplicate source (also at row 7)"
 
 
 # --- splits -------------------------------------------------------------------
@@ -257,12 +281,12 @@ def test_primitive_length_corpus_unary():
         "reverse", [2, 6, 9], 4, rng=random.Random(3)
     )
     assert len(corpus) == 12
-    lengths = sorted({len(leaf_tuples(s.tree)[0]) for s in corpus})
+    lengths = sorted({len(leaf_tuples(s.src)[0]) for s in corpus})
     assert lengths == [2, 6, 9]
     for s in corpus:
-        assert parse(list(s.src)) == s.tree
-        assert s.tgt == tuple(reversed(leaf_tuples(s.tree)[0]))
-        literals = list(leaf_tuples(s.tree)[0])
+        assert stats(parse(list(s.src))) == s.stats
+        assert s.tgt == tuple(reversed(leaf_tuples(s.src)[0]))
+        literals = list(leaf_tuples(s.src)[0])
         assert len(set(literals)) == len(literals)
 
 
@@ -271,7 +295,7 @@ def test_primitive_length_corpus_binary_varies_one_argument():
         "remove_first", [9], 10, rng=random.Random(4), vary_arg=0
     )
     for s in corpus:
-        first, second = leaf_tuples(s.tree)
+        first, second = leaf_tuples(s.src)
         assert len(first) == 9
         assert 1 <= len(second) <= 5
         assert s.tgt == second  # overlong ignored argument leaves tgt untouched

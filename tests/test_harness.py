@@ -28,6 +28,7 @@ from pcfgset.harness import (
     ProtocolViolation,
     SubprocessAdapter,
     Timeout,
+    _Worker,
     build_adapter,
     dataset_hash,
     execute_unroll,
@@ -258,7 +259,7 @@ class TestRunAccuracy:
 class TestDatasetHash:
     def test_depends_on_content_not_ids(self):
         a = corpus_of("copy A", "reverse B C")
-        b = [Sample.from_tree(s.id + 40, s.tree) for s in a]
+        b = [Sample.from_tree(s.id + 40, parse(s.src)) for s in a]
         assert dataset_hash(a) == dataset_hash(b)
 
     def test_changes_with_content(self):
@@ -403,6 +404,14 @@ class TestSubprocessAdapter:
             with pytest.raises(ChildExited):
                 adapter.predict("copy A")
 
+    def test_stop_tolerates_a_request_left_in_a_dead_pipe(self):
+        worker = _Worker([sys.executable, "-c", "pass"], timeout_s=5.0)
+        worker._spawn()
+        worker.proc.wait()
+        worker.proc.stdin.write("copy A")  # no newline: stays buffered
+        worker.stop()
+        assert worker.proc is None
+
     def test_one_shot_child_is_restarted(self):
         with SubprocessAdapter(child(UPPER_ONCE_CHILD), timeout_s=5.0) as adapter:
             assert adapter.predict("copy A") == ["copy", "A"]
@@ -532,6 +541,13 @@ class TestLocalism:
         samples = corpus_of("swap copy A")
         report = run_localism(adapter, samples)
         assert report.errors.get("UnrollFailure") == 1
+
+    def test_synonym_sources_parse_with_the_given_registry(self):
+        registry = SynonymMap.default().registry()
+        samples = [Sample.from_tree(0, parse("swap_syn append_syn A , B C".split(), registry))]
+        report = run_localism(OracleAdapter(registry), samples, registry=registry)
+        assert report.overall == 1.0
+        assert report.extras["mean_unroll_steps"] == 2.0
 
     def test_leaf_only_samples_rejected(self):
         with pytest.raises(ValueError):

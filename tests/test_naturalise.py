@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcfgset.generation import Corpus, GrammarParams, Sample, sample_tree
-from pcfgset.language import SequenceStats, parse, stats
+from pcfgset.language import DEFAULT_REGISTRY, Leaf, SequenceStats, parse, postorder, stats
 from pcfgset.naturalise import (
     DEFAULT_INCREMENT_GRID,
     DegenerateCovariance,
@@ -37,10 +37,9 @@ from pcfgset.naturalise import (
 
 
 def fake_sample(i, length, depth):
-    """A sample whose stats are set directly; the tree is a placeholder."""
-    tree = parse(["copy", "A"])
+    """A sample whose stats are set directly; the source is a placeholder."""
     return Sample(
-        id=i, tree=tree, src=("copy", "A"), tgt=("A",),
+        id=i, src=("copy", "A"), tgt=("A",),
         stats=SequenceStats(length=length, depth=depth, num_functions=1),
     )
 
@@ -350,6 +349,32 @@ def test_mle_hand_counts():
     assert params.max_arg_len == 2
     assert math.isclose(params.arg_len_dist[1], 3 / 5)
     assert math.isclose(params.arg_len_dist[2], 2 / 5)
+
+
+def test_mle_counts_equal_a_walk_over_the_parsed_trees():
+    pool = random_probability_sample(300, rng=random.Random(5))
+    n_unary = n_binary = 0
+    fn_counts: dict[str, int] = {}
+    len_counts: dict[int, int] = {}
+    for s in pool:
+        for node in postorder(parse(s.src)):
+            if isinstance(node, Leaf):
+                len_counts[len(node.symbols)] = len_counts.get(len(node.symbols), 0) + 1
+                continue
+            n_unary += node.function.arity == 1
+            n_binary += node.function.arity == 2
+            fn_counts[node.function.name] = fn_counts.get(node.function.name, 0) + 1
+    total = n_unary + n_binary + sum(len_counts.values())
+    params = mle_estimate(pool, max_arg_len=5)
+    assert params.p_unary == (n_unary + 1) / (total + 3)
+    assert params.p_binary == (n_binary + 1) / (total + 3)
+    unary_total = sum(fn_counts.get(n, 0) for n in DEFAULT_REGISTRY.unary_names()) + 6
+    assert params.fn_weights["swap"] == (fn_counts.get("swap", 0) + 1) / unary_total
+    binary_total = sum(fn_counts.get(n, 0) for n in DEFAULT_REGISTRY.binary_names()) + 4
+    assert params.fn_weights["append"] == (fn_counts.get("append", 0) + 1) / binary_total
+    leaf_total = sum(len_counts.values()) + 5
+    assert params.arg_len_dist == {k: (len_counts.get(k, 0) + 1) / leaf_total
+                                   for k in range(1, 6)}
 
 
 def test_mle_unseen_categories_get_smoothing_mass_only():

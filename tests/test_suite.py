@@ -162,12 +162,12 @@ def test_substitutivity_primitive_adds_single_function_samples():
     assert len(out) == 18
     added = out.samples[10:]
     reg = SynonymMap.default().registry()
-    used = {t for s in corpus for t in leaf_tuples(s.tree) if len(t) >= 2}
+    used = {t for s in corpus for t in leaf_tuples(s.src) if len(t) >= 2}
     for s in added:
         assert s.stats.num_functions == 1
         assert s.src[0].endswith("_syn")
         assert evaluate(parse(s.src, reg)) == s.tgt
-        for t in leaf_tuples(s.tree):
+        for t in leaf_tuples(s.src):
             if len(t) >= 2:
                 assert t not in used
                 used.add(t)
@@ -259,11 +259,12 @@ def test_exceptions_apply_counts_and_rewrites():
     assert all(e.pair == ("reverse", "echo") for e in entries)
     rewritten = {e.sample_id for e in entries}
     for s in out:
+        tree = parse(s.src)
         if s.id in rewritten:
-            assert s.tgt == exception_evaluate(s.tree)
-            assert s.tgt != evaluate(s.tree)
+            assert s.tgt == exception_evaluate(tree)
+            assert s.tgt != evaluate(tree)
         else:
-            assert s.tgt == evaluate(s.tree)
+            assert s.tgt == evaluate(tree)
     for e in entries:
         assert e.original_tgt != e.exception_tgt
 
@@ -289,7 +290,7 @@ def test_exceptions_apply_synthesises_when_short():
     new_ids = [s.id for s in out.samples[4:]]
     assert new_ids == [4, 5, 6, 7]
     for s in out.samples[4:]:
-        literals = [sym for t in leaf_tuples(s.tree) for sym in t]
+        literals = [sym for t in leaf_tuples(s.src) for sym in t]
         assert len(set(literals)) == len(literals)
 
 
@@ -306,11 +307,11 @@ def test_unroll_plan_example():
     plan = build_unroll_plan(parse_text("echo append C , prepend B , A"))
     assert plan.num_steps == 3
     s0, s1, s2 = plan.steps
-    assert (s0.fn_name, s0.path) == ("prepend", (0, 1))
+    assert s0.fn_name == "prepend"
     assert s0.args == (("lit", ("B",)), ("lit", ("A",)))
-    assert (s1.fn_name, s1.path) == ("append", (0,))
+    assert s1.fn_name == "append"
     assert s1.args == (("lit", ("C",)), ("step", 0))
-    assert (s2.fn_name, s2.path) == ("echo", ())
+    assert s2.fn_name == "echo"
     assert s2.args == (("step", 1),)
 
 
@@ -336,5 +337,5 @@ def test_unroll_plan_5000_deep():
     assert plan.num_steps == 5000
     assert plan.steps[0].args == (("lit", ("A", "B")),)
     assert all(step.args == (("step", k),) for k, step in enumerate(plan.steps[1:]))
-    assert plan.steps[-1].fn_name == "reverse" and plan.steps[-1].path == ()
+    assert plan.steps[-1].fn_name == "reverse"
     assert plan.src[:2] == ("reverse", "echo") and len(plan.src) == 5002
