@@ -28,6 +28,7 @@ from .generation import (
 )
 from .harness import (
     STRATA_FAMILIES,
+    LineCountMismatch,
     build_adapter,
     run_accuracy,
     run_consistency,
@@ -171,7 +172,7 @@ def cmd_naturalise(args) -> int:
             epsilon=args.epsilon,
             max_iters=args.max_iters,
         )
-    except EmptyAnchorCell as exc:
+    except (EmptyAnchorCell, DegenerateCovariance) as exc:
         raise SystemExit(f"naturalise failed: {exc}; try a larger --sample-size")
     corpus_io.write_params(out / "params.json", result.params)
     write_kl_trace(out / "kl_trace.csv", result)
@@ -182,6 +183,9 @@ def cmd_naturalise(args) -> int:
     split_corpus(corpus, rng=substream(seed, "split"))
     corpus_io.write_corpus(out, corpus)
     print(f"initial KL: {result.initial_kl:.6f}")
+    max_length, max_depth = result.pool_bound
+    print(f"pool: kept {result.pool_kept} of {args.sample_size} trees "
+          f"(length <= {max_length}, depth <= {max_depth})")
     print(f"final KL:   {result.final_kl:.6f} after {len(result.trace)} iterations")
     print(f"wrote {out}/params.json, kl_trace.csv and corpus files")
     return 0
@@ -206,12 +210,11 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
 def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -> int:
     # too little spread for Gaussian matching: fall back to histogram
     # matching at unit increments and ship the matched subset itself
+    unit = PartitionConfig(1, 1)
     pool = random_probability_sample(
-        args.sample_size, Alphabet.default(), substream(seed, "random-sample")
+        args.sample_size, spec, (unit,), rng=substream(seed, "random-sample")
     )
-    subset = subsample_to_match(
-        pool, spec, PartitionConfig(1, 1), substream(seed, "degenerate-match")
-    )
+    subset = subsample_to_match(pool, spec, unit, substream(seed, "degenerate-match"))
     subset = _drop_constraint_violations(subset)
     params = mle_estimate(subset, max_arg_len=5)
     corpus_io.write_params(out / "params.json", params)
@@ -328,6 +331,13 @@ def _default_vary_arg(fn_name: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        return _run_eval(args)
+    except (corpus_io.MalformedLine, LineCountMismatch) as exc:
+        raise SystemExit(f"eval failed: {exc}")
+
+
+def _run_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "overgen-profile":

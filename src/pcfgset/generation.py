@@ -10,7 +10,9 @@ multi-symbol string argument anywhere else in the corpus.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .language import (
@@ -19,6 +21,7 @@ from .language import (
     LITERALS,
     Apply,
     FunctionRegistry,
+    FunctionSymbol,
     LanguageError,
     Leaf,
     SequenceStats,
@@ -171,13 +174,16 @@ class Corpus:
         return self.subset(self.splits[name])
 
 
-def _renormalise(pairs: Sequence[tuple[str, float]]) -> tuple[list[str], list[float]]:
-    names = [n for n, _ in pairs]
-    weights = [w for _, w in pairs]
-    total = sum(weights)
-    if total <= 0:
+def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:
+    """What ``random.choices`` computes from ``weights`` before each draw:
+    cumulative weights, their total and the upper index bound, so that
+    ``bisect_right(cum, rng.random() * total, 0, hi)`` picks the index
+    ``choices`` would, from the same single ``rng.random()`` call.
+    Weights that sum to zero count as uniform."""
+    if sum(weights) <= 0:
         weights = [1.0] * len(weights)
-    return names, weights
+    cum = list(accumulate(weights))
+    return cum, cum[-1] + 0.0, len(cum) - 1
 
 
 def sample_tree(
@@ -189,7 +195,8 @@ def sample_tree(
     force_function: bool = True,
     max_nodes: int | None = None,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
-) -> SyntaxTree:
+    bound: tuple[int, int] | None = None,
+) -> SyntaxTree | None:
     """Draw one syntax tree.
 
     The top-level position is forced to expand into a function call unless
@@ -197,47 +204,83 @@ def sample_tree(
     function.  ``max_recursion`` forces a leaf at that nesting depth and
     ``max_nodes`` caps the total number of expanded positions; both guards
     exist for pathological parameter draws, not for normal operation.
+
+    Positions are expanded in preorder from an explicit stack, and each
+    leaf closes the applications it completes, as in ``parse``, so any
+    ``max_recursion`` fits in memory.  With ``bound = (max_length,
+    max_depth)`` a tree whose ``stats`` exceed either is not built: once
+    its running length or depth passes the bound, the draw only consumes
+    the random numbers the tree would have used and returns None.  So
+    ``rng`` ends in the same state with or without a bound.
     """
     alphabet = alphabet or Alphabet.default()
-    unary_names, unary_w = _renormalise(
-        [(n, params.fn_weights.get(n, 0.0)) for n in registry.unary_names()]
+    symbols = alphabet.symbols
+    random_, choice = rng.random, rng.choice
+    unary_fns = [registry.lookup(n) for n in registry.unary_names()]
+    binary_fns = [registry.lookup(n) for n in registry.binary_names()]
+    unary_cum, unary_total, unary_hi = _cumulative(
+        [params.fn_weights.get(fn.name, 0.0) for fn in unary_fns]
     )
-    binary_names, binary_w = _renormalise(
-        [(n, params.fn_weights.get(n, 0.0)) for n in registry.binary_names()]
+    binary_cum, binary_total, binary_hi = _cumulative(
+        [params.fn_weights.get(fn.name, 0.0) for fn in binary_fns]
     )
     lengths = sorted(params.arg_len_dist)
-    length_w = [params.arg_len_dist[k] for k in lengths]
-    expanded = 0
+    length_cum, length_total, length_hi = _cumulative(
+        [params.arg_len_dist[k] for k in lengths]
+    )
+    # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
+    kind_cum, kind_total, _ = _cumulative([params.p_unary, params.p_binary, params.p_leaf])
+    root_cum, root_total, _ = _cumulative([params.p_unary, params.p_binary])
+    max_length, max_depth = bound or (None, None)
 
-    def make_leaf() -> Leaf:
-        n = rng.choices(lengths, weights=length_w)[0]
-        return Leaf(tuple(rng.choice(alphabet.symbols) for _ in range(n)))
-
-    def expand(depth: int, force_fn: bool) -> SyntaxTree:
-        nonlocal expanded
+    pending = [0]  # nesting depths of the positions still to draw, next on top
+    waiting: list[tuple[FunctionSymbol, list[SyntaxTree]]] = []
+    length = depth = expanded = 0
+    building = True
+    node: SyntaxTree | None = None
+    while pending:
+        level = pending.pop()
         expanded += 1
-        budget_hit = max_nodes is not None and expanded > max_nodes
-        if depth >= max_recursion or budget_hit:
-            return make_leaf()
-        if force_fn:
-            kinds, weights = ["unary", "binary"], [params.p_unary, params.p_binary]
-            if params.p_unary + params.p_binary <= 0:
-                weights = [1.0, 1.0]
+        if level >= max_recursion or (max_nodes is not None and expanded > max_nodes):
+            kind = 2
+        elif expanded == 1 and force_function:
+            kind = bisect_right(root_cum, random_() * root_total, 0, 1)
         else:
-            kinds = ["unary", "binary", "leaf"]
-            weights = [params.p_unary, params.p_binary, params.p_leaf]
-        kind = rng.choices(kinds, weights=weights)[0]
-        if kind == "leaf":
-            return make_leaf()
-        if kind == "unary":
-            fn = registry.lookup(rng.choices(unary_names, weights=unary_w)[0])
-            return Apply(fn, (expand(depth + 1, False),))
-        fn = registry.lookup(rng.choices(binary_names, weights=binary_w)[0])
-        left = expand(depth + 1, False)
-        right = expand(depth + 1, False)
-        return Apply(fn, (left, right))
-
-    return expand(0, force_function)
+            kind = bisect_right(kind_cum, random_() * kind_total, 0, 2)
+        if kind == 2:
+            n = lengths[bisect_right(length_cum, random_() * length_total, 0, length_hi)]
+            leaf = tuple([choice(symbols) for _ in range(n)])
+            if not building:
+                continue
+            length += n
+            if bound is not None and length > max_length:
+                building = False
+                continue
+            node = Leaf(leaf)
+            while waiting:
+                fn, args = waiting[-1]
+                args.append(node)
+                if fn.arity == 2 and len(args) < 2:
+                    break
+                waiting.pop()
+                node = Apply(fn, tuple(args))
+            continue
+        if kind == 0:
+            fn = unary_fns[bisect_right(unary_cum, random_() * unary_total, 0, unary_hi)]
+            pending.append(level + 1)
+        else:
+            fn = binary_fns[bisect_right(binary_cum, random_() * binary_total, 0, binary_hi)]
+            pending += (level + 1, level + 1)
+        if not building:
+            continue
+        # the function name, and the separator after a first argument
+        length += fn.arity
+        depth = max(depth, level + 1)
+        if bound is not None and (length > max_length or depth > max_depth):
+            building = False
+            continue
+        waiting.append((fn, []))
+    return node if building else None
 
 
 def leaf_tuples(src: Sequence[str]) -> list[tuple[str, ...]]:
@@ -313,8 +356,9 @@ def audit_sample(
 
     Parses the source, evaluates it against the target (a mismatch is
     excused when ``excused`` prescribes exactly that target for the
-    source) and asks the ledger about the constraints, recording the row
-    if it breaks none.  Violations are appended to ``problems`` prefixed
+    source; a value too long to build is a problem of its own) and asks
+    the ledger about the constraints, recording the row if it breaks
+    none.  Violations are appended to ``problems`` prefixed
     with ``where`` (``tgt_where`` for the target).  Returns the parsed
     tree, or None when the source does not parse.
     """
@@ -324,8 +368,13 @@ def audit_sample(
         problems.append(f"{where}: does not parse ({exc})")
         return None
     tgt = tuple(tgt)
-    if evaluate(tree) != tgt and (excused or {}).get(tuple(src)) != tgt:
-        problems.append(f"{tgt_where or where}: target does not match evaluation")
+    try:
+        value = evaluate(tree)
+    except LanguageError as exc:
+        problems.append(f"{where}: does not evaluate ({exc})")
+    else:
+        if value != tgt and (excused or {}).get(tuple(src)) != tgt:
+            problems.append(f"{tgt_where or where}: target does not match evaluation")
     violation = ledger.violation(src)
     if violation is None:
         ledger.add(src, where)

@@ -326,21 +326,22 @@ class FileAdapter(ModelAdapter):
     """Adapter serving predictions from a line-aligned file.
 
     Line i of the file is the prediction for sample i of the test set, so
-    the file must have exactly one line per test sample.
+    the file must have exactly one line per test sample.  A line that is
+    not UTF-8 raises ``corpus_io.MalformedLine``.
     """
 
     def __init__(self, path, testset: Corpus | Sequence[Sample]):
+        from .corpus_io import read_token_file  # corpus_io imports this module
+
         samples = list(testset)
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-        lines = raw.splitlines()
+        lines = read_token_file(path)
         if len(lines) != len(samples):
             raise LineCountMismatch(
                 f"{path}: {len(lines)} prediction lines for {len(samples)} test samples"
             )
         self.by_src: dict[str, tuple[str, ...]] = {}
         for sample, line in zip(samples, lines):
-            self.by_src[sample.src_text()] = tuple(line.split())
+            self.by_src[sample.src_text()] = tuple(line)
         self.name = f"file:{path}"
 
     def predict(self, src: Sequence[str] | str) -> list[str]:

@@ -72,6 +72,17 @@ class EmptyArgument(LanguageError):
         super().__init__(f"{name} received an empty argument")
 
 
+class OutputTooLong(LanguageError):
+    """An application would build a value longer than MAX_OUTPUT_LENGTH."""
+
+    def __init__(self, name: str, length: int):
+        self.name = name
+        self.length = length
+        super().__init__(
+            f"{name} would output {length} symbols, over the limit of {MAX_OUTPUT_LENGTH}"
+        )
+
+
 class TokenKind(Enum):
     FUNCTION = "function"
     LITERAL = "literal"
@@ -94,13 +105,16 @@ Symbols = tuple[str, ...]
 class FunctionSymbol:
     """A named string-edit function with fixed arity.
 
-    Equality and hashing go by (name, arity) so that a synonym registered
-    with the same underlying behaviour still compares as a distinct symbol.
+    ``size`` gives the output length from the argument lengths, so a value
+    can be bounded before it is built.  Equality and hashing go by (name,
+    arity) so that a synonym registered with the same underlying behaviour
+    still compares as a distinct symbol.
     """
 
     name: str
     arity: int
     fn: Callable[..., Symbols] = field(compare=False, repr=False)
+    size: Callable[..., int] = field(compare=False, repr=False)
 
     def __call__(self, *args: Symbols) -> Symbols:
         return self.fn(*args)
@@ -110,20 +124,28 @@ class FunctionSymbol:
 #
 # All operate on non-empty tuples of literal symbols and return tuples.
 # shift moves the first symbol to the end and swap trades the first and
-# last; both are the identity on single symbols.
+# last; both are the identity on single symbols.  The third entry is the
+# output length as a function of the argument lengths.
 
-_SEMANTICS: dict[str, tuple[int, Callable[..., Symbols]]] = {
-    "copy": (1, lambda x: x),
-    "reverse": (1, lambda x: x[::-1]),
-    "shift": (1, lambda x: x[1:] + x[:1]),
-    "echo": (1, lambda x: x + x[-1:]),
-    "swap": (1, lambda x: x if len(x) == 1 else x[-1:] + x[1:-1] + x[:1]),
-    "repeat": (1, lambda x: x + x),
-    "append": (2, lambda x, y: x + y),
-    "prepend": (2, lambda x, y: y + x),
-    "remove_first": (2, lambda x, y: y),
-    "remove_second": (2, lambda x, y: x),
+_SEMANTICS: dict[str, tuple[int, Callable[..., Symbols], Callable[..., int]]] = {
+    "copy": (1, lambda x: x, lambda n: n),
+    "reverse": (1, lambda x: x[::-1], lambda n: n),
+    "shift": (1, lambda x: x[1:] + x[:1], lambda n: n),
+    "echo": (1, lambda x: x + x[-1:], lambda n: n + 1),
+    "swap": (1, lambda x: x if len(x) == 1 else x[-1:] + x[1:-1] + x[:1], lambda n: n),
+    "repeat": (1, lambda x: x + x, lambda n: 2 * n),
+    "append": (2, lambda x, y: x + y, lambda n, m: n + m),
+    "prepend": (2, lambda x, y: y + x, lambda n, m: n + m),
+    "remove_first": (2, lambda x, y: y, lambda n, m: m),
+    "remove_second": (2, lambda x, y: x, lambda n, m: n),
 }
+
+# The longest value one application may build.  A hostile line doubles its value
+# with every ``repeat``, so 41 tokens would ask for 2**40 symbols.  The
+# longest target seen in a generated corpus is 3,351 symbols (generate
+# --seed 0 --size 100000; the calibration run's 100k base peaks at 672), and
+# the benchmark's deepest requests answer with 5,001.
+MAX_OUTPUT_LENGTH = 1_000_000
 
 
 class FunctionRegistry:
@@ -172,12 +194,12 @@ class FunctionRegistry:
             original = self.lookup(base)
             if syn in self or syn in LITERAL_SET or syn == SEPARATOR:
                 raise ValueError(f"invalid synonym name {syn!r}")
-            extra.append(FunctionSymbol(syn, original.arity, original.fn))
+            extra.append(FunctionSymbol(syn, original.arity, original.fn, original.size))
         return FunctionRegistry(list(self._by_name.values()) + extra)
 
 
 DEFAULT_REGISTRY = FunctionRegistry(
-    FunctionSymbol(name, arity, fn) for name, (arity, fn) in _SEMANTICS.items()
+    FunctionSymbol(name, arity, fn, size) for name, (arity, fn, size) in _SEMANTICS.items()
 )
 
 
@@ -361,7 +383,11 @@ def stats(tree: SyntaxTree) -> SequenceStats:
 
 
 def apply_function(fn: FunctionSymbol, args: Sequence[Sequence[str]]) -> Symbols:
-    """Apply one function to already-evaluated string arguments."""
+    """Apply one function to already-evaluated string arguments.
+
+    Raises OutputTooLong, before building it, for a value longer than
+    MAX_OUTPUT_LENGTH.
+    """
     if len(args) != fn.arity:
         raise ArityMismatch(fn.name, fn.arity, len(args))
     coerced = []
@@ -370,11 +396,17 @@ def apply_function(fn: FunctionSymbol, args: Sequence[Sequence[str]]) -> Symbols
         if not t:
             raise EmptyArgument(fn.name)
         coerced.append(t)
+    size = fn.size(*map(len, coerced))
+    if size > MAX_OUTPUT_LENGTH:
+        raise OutputTooLong(fn.name, size)
     return fn(*coerced)
 
 
 def evaluate(tree: SyntaxTree) -> Symbols:
     """Ground-truth interpretation of a tree as a symbol tuple.
+
+    Raises OutputTooLong, before building it, for any value longer than
+    MAX_OUTPUT_LENGTH.
 
     >>> " ".join(evaluate(parse_text("repeat A B C")))
     'A B C A B C'
@@ -384,9 +416,15 @@ def evaluate(tree: SyntaxTree) -> Symbols:
         if isinstance(node, Leaf):
             values.append(node.symbols)
             continue
+        # apply_function's checks, less those a tree passes by construction:
+        # arity, and non-empty arguments (leaves are, and so is every value)
+        fn = node.function
         args = values[-len(node.args):]
         del values[-len(args):]
-        values.append(apply_function(node.function, args))
+        size = fn.size(*map(len, args))
+        if size > MAX_OUTPUT_LENGTH:
+            raise OutputTooLong(fn.name, size)
+        values.append(fn.fn(*args))
     return values[0]
 
 

@@ -121,6 +121,11 @@ class PartitionConfig:
         return (length // self.i_length, depth // self.i_depth)
 
 
+DEFAULT_INCREMENT_GRID = tuple(
+    PartitionConfig(i, j) for i in (1, 2, 3) for j in (1, 2, 3)
+)
+
+
 @dataclass(frozen=True)
 class GaussianFit:
     mean: np.ndarray
@@ -138,25 +143,50 @@ def extract_features(corpus: Corpus) -> list[tuple[int, int]]:
     return [(s.stats.length, s.stats.depth) for s in corpus]
 
 
+def support_bound(
+    spec: DistributionSpec, candidate_configs: Sequence[PartitionConfig]
+) -> tuple[int, int]:
+    """The largest length and depth that any candidate maps into a
+    reference cell.
+
+    Under increments (i, j) a reference cell (v, w) holds lengths up to
+    (v + 1) * i - 1 and depths up to (w + 1) * j - 1, so a tree beyond
+    either maximum can never be kept by ``subsample_to_match``.
+    """
+    max_length = max(length for length, _, _ in spec.entries)
+    max_depth = max(depth for _, depth, _ in spec.entries)
+    return (
+        max((max_length // c.i_length + 1) * c.i_length - 1 for c in candidate_configs),
+        max((max_depth // c.i_depth + 1) * c.i_depth - 1 for c in candidate_configs),
+    )
+
+
 def random_probability_sample(
     n: int,
+    spec: DistributionSpec,
+    candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
+    *,
     alphabet: Alphabet | None = None,
     rng: random.Random | None = None,
-    *,
     max_arg_len: int = 5,
     max_recursion: int = 25,
     max_nodes: int = RANDOM_SAMPLE_NODE_BUDGET,
 ) -> Corpus:
-    """Corpus of ``n`` trees, each under freshly randomised probabilities.
+    """The trees of ``n`` draws, each under freshly randomised
+    probabilities, that some candidate can match to the reference.
 
     Per instance the production triple and the leaf-length distribution
     are drawn from symmetric Dirichlet(1) priors (uniform on the simplex);
     function weights stay uniform.  No uniqueness constraints apply here:
-    the sample only exists to cover feature space.
+    the sample only exists to cover feature space.  A draw longer or
+    deeper than ``support_bound(spec, candidate_configs)`` is not built,
+    and the corpus holds only the kept trees, each with its draw index as
+    id.  The random stream is the one every draw would use unbounded.
     """
     alphabet = alphabet or Alphabet.default()
     rng = rng or random.Random(0)
     uniform_weights = {name: 1.0 for name in DEFAULT_REGISTRY.names()}
+    bound = support_bound(spec, candidate_configs)
 
     def dirichlet(k: int) -> list[float]:
         draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
@@ -181,8 +211,10 @@ def random_probability_sample(
             alphabet=alphabet,
             max_recursion=max_recursion,
             max_nodes=max_nodes,
+            bound=bound,
         )
-        samples.append(Sample.from_tree(i, tree))
+        if tree is not None:
+            samples.append(Sample.from_tree(i, tree))
     return Corpus(samples)
 
 
@@ -310,11 +342,6 @@ def kl_gaussian(p: GaussianFit, q: GaussianFit) -> float:
     return 0.5 * (term_trace + term_mahal - 2.0 + logdet_q - logdet_p)
 
 
-DEFAULT_INCREMENT_GRID = tuple(
-    PartitionConfig(i, j) for i in (1, 2, 3) for j in (1, 2, 3)
-)
-
-
 def select_increments(
     d_r: Corpus,
     d_n: DistributionSpec,
@@ -418,9 +445,15 @@ class TraceRow:
 
 @dataclass
 class PipelineResult:
+    """What the loop produced, and the pool it started from: ``initial_kl``
+    scores the ``pool_kept`` random-probability trees within
+    ``pool_bound`` (max length, max depth)."""
+
     params: GrammarParams
     corpus: Corpus
     initial_kl: float
+    pool_kept: int
+    pool_bound: tuple[int, int]
     trace: list[TraceRow] = field(default_factory=list)
 
     @property
@@ -449,26 +482,38 @@ def naturalise_pipeline(
     non-increasing; the loop stops once the improvement drops below
     ``epsilon`` (or on the first non-improving candidate, or after
     ``max_iters`` iterations).
+
+    The loop starts from the trees of ``random_sample_size`` random-
+    probability draws that some candidate can match to the reference
+    (see ``random_probability_sample``); ``initial_kl`` is the KL of that
+    kept pool.
     """
     alphabet = alphabet or Alphabet.default()
     base = rng.getrandbits(64)
     current = random_probability_sample(
         random_sample_size,
-        alphabet,
-        substream(base, "random-sample"),
+        d_n,
+        candidate_configs,
+        alphabet=alphabet,
+        rng=substream(base, "random-sample"),
         max_arg_len=max_arg_len,
     )
+    pool_kept = len(current)
     reference = fit_gaussian_spec(d_n)
-    initial_kl = kl_gaussian(fit_gaussian(extract_features(current)), reference)
 
     params: GrammarParams | None = None
     corpus: Corpus | None = None
-    best_kl = initial_kl
     trace: list[TraceRow] = []
     for iteration in range(1, max_iters + 1):
         config, subset, kl = select_increments(
             current, d_n, candidate_configs, substream(base, "select", iteration)
         )
+        if params is None:
+            # the pool fits once a subset of it did, so a pool too small
+            # to fit has already failed the selection
+            initial_kl = best_kl = kl_gaussian(
+                fit_gaussian(extract_features(current)), reference
+            )
         if params is None or kl < best_kl:
             params = mle_estimate(subset, max_arg_len=max_arg_len)
             corpus = generate_corpus(
@@ -488,7 +533,14 @@ def naturalise_pipeline(
             trace.append(TraceRow(iteration, config.i_length, config.i_depth, best_kl))
             break
     assert params is not None and corpus is not None
-    return PipelineResult(params=params, corpus=corpus, initial_kl=initial_kl, trace=trace)
+    return PipelineResult(
+        params=params,
+        corpus=corpus,
+        initial_kl=initial_kl,
+        pool_kept=pool_kept,
+        pool_bound=support_bound(d_n, candidate_configs),
+        trace=trace,
+    )
 
 
 def naturalised_corpus(

@@ -446,6 +446,61 @@ def test_a_line_that_is_not_utf8_is_located(tmp_path, capsys):
     assert ei.value.code == f"corpus verification failed: {problem}"
 
 
+def one_sample_directory(path):
+    path.mkdir()
+    corpus_io.write_token_file(path / "test.src", [["swap", "A", "B"]])
+    corpus_io.write_token_file(path / "test.tgt", [["B", "A"]])
+    return path
+
+
+@pytest.mark.parametrize("mode, option", [("accuracy", "--adapter"), ("eos", "--preds")])
+def test_a_prediction_file_that_is_not_utf8_ends_in_one_line(tmp_path, mode, option):
+    data = one_sample_directory(tmp_path / "d")
+    preds = tmp_path / "bad.pred"
+    preds.write_bytes(b"A \xff\n")
+    value = f"file:{preds}" if option == "--adapter" else preds
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", mode, "--data", data, "--out", tmp_path / "ev", option, value)
+    assert ei.value.code == "eval failed: bad.pred:1: not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("mode, option", [("accuracy", "--adapter"), ("eos", "--preds")])
+def test_a_prediction_file_with_a_line_too_many_ends_in_one_line(tmp_path, mode, option):
+    data = one_sample_directory(tmp_path / "d")
+    preds = tmp_path / "long.pred"
+    corpus_io.write_token_file(preds, [["B", "A"], ["C"]])
+    value = f"file:{preds}" if option == "--adapter" else preds
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", mode, "--data", data, "--out", tmp_path / "ev", option, value)
+    assert ei.value.code == {
+        "accuracy": f"eval failed: {preds}: 2 prediction lines for 1 test samples",
+        "eos": "eval failed: 2 predictions for 1 targets",
+    }[mode]
+
+
+def test_an_output_too_long_to_build_is_a_recorded_problem(tmp_path, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    hostile = ["repeat"] * 41 + ["A"]
+    corpus_io.write_token_file(data / "test.src", [hostile])
+    corpus_io.write_token_file(data / "test.tgt", [["A"]])
+    assert run_cli("validate", "--data", data) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "test.src:1: does not evaluate "
+        "(repeat would output 1048576 symbols, over the limit of 1000000)",
+        "FAIL: 1 problems",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcfgset", "oracle"],
+        input=" ".join(hostile) + "\nswap A B\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "\nB A\n"
+
+
 def test_eval_reads_only_the_split_it_scores(tmp_path):
     data = tmp_path / "d"
     data.mkdir()
@@ -526,6 +581,23 @@ def test_naturalise_with_a_small_pool(tmp_path):
     with pytest.raises(SystemExit) as ei:
         run_cli("naturalise", "--seed", 0, "--out", tmp_path / "tiny", "--sample-size", 5)
     assert ei.value.code.startswith("naturalise failed: no sample in the largest reference cell")
+
+
+def test_naturalise_reports_the_kept_pool(tmp_path, capsys):
+    assert run_cli("naturalise", "--seed", 0, "--out", tmp_path / "n", "--sample-size", 500) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("initial KL: ")
+    kept = int(lines[1].split()[2])
+    assert 0 < kept < 500
+    assert lines[1] == f"pool: kept {kept} of 500 trees (length <= 59, depth <= 17)"
+
+
+def test_naturalise_with_a_pool_too_small_to_fit_ends_in_one_line(tmp_path):
+    # the subsample of seed 0's 30 draws holds fewer than three trees to fit
+    with pytest.raises(SystemExit) as ei:
+        run_cli("naturalise", "--seed", 0, "--out", tmp_path / "n", "--sample-size", 30)
+    assert ei.value.code == ("naturalise failed: need at least three feature points; "
+                             "try a larger --sample-size")
 
 
 def test_naturalise_degenerate_one_cell_spec(tmp_path):

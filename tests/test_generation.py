@@ -25,6 +25,7 @@ from pcfgset.generation import (
     validate_corpus,
 )
 from pcfgset.language import (
+    DEFAULT_REGISTRY,
     Apply,
     Leaf,
     evaluate,
@@ -139,6 +140,57 @@ def test_sample_tree_deterministic():
     t1 = sample_tree(params, random.Random(42))
     t2 = sample_tree(params, random.Random(42))
     assert t1 == t2
+
+
+def test_sample_tree_draws_a_unary_chain_5000_deep():
+    params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0)
+    tree = sample_tree(params, random.Random(8), max_recursion=5000)
+    s = stats(tree)
+    assert s.depth == 5000 and s.num_functions == 5000
+
+
+@st.composite
+def grammar_params(draw):
+    """Any valid parameters over the default functions and leaf lengths 1..5."""
+    weight = st.floats(min_value=0.0, max_value=1.0)
+    triple = [draw(weight) for _ in range(3)]
+    total = sum(triple) or 1.0
+    p_unary, p_binary = triple[0] / total, triple[1] / total
+    if not sum(triple):
+        p_unary = p_binary = 0.0
+    lengths = [draw(weight) for _ in range(4)] + [draw(st.floats(0.01, 1.0))]
+    return GrammarParams(
+        p_unary=p_unary,
+        p_binary=p_binary,
+        p_leaf=max(0.0, 1.0 - p_unary - p_binary),
+        fn_weights={n: draw(st.floats(0.01, 1.0)) for n in DEFAULT_REGISTRY.names()},
+        arg_len_dist={k + 1: w / sum(lengths) for k, w in enumerate(lengths)},
+    )
+
+
+@given(
+    params=grammar_params(),
+    seed=st.integers(min_value=0, max_value=2**32),
+    force=st.booleans(),
+    max_recursion=st.integers(min_value=0, max_value=30),
+    max_nodes=st.integers(min_value=0, max_value=300),
+    bound=st.tuples(st.integers(min_value=1, max_value=80),
+                    st.integers(min_value=0, max_value=20)),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_bounded_draw_uses_the_same_stream_and_keeps_exactly_the_trees_in_bound(
+    params, seed, force, max_recursion, max_nodes, bound
+):
+    free_rng, bounded_rng = random.Random(seed), random.Random(seed)
+    options = dict(force_function=force, max_recursion=max_recursion, max_nodes=max_nodes)
+    tree = sample_tree(params, free_rng, **options)
+    kept = sample_tree(params, bounded_rng, bound=bound, **options)
+    assert bounded_rng.getstate() == free_rng.getstate()
+    s = stats(tree)
+    if s.length <= bound[0] and s.depth <= bound[1]:
+        assert kept == tree
+    else:
+        assert kept is None
 
 
 # --- corpus generation --------------------------------------------------------

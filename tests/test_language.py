@@ -12,8 +12,10 @@ from pcfgset.language import (
     Apply,
     ArityMismatch,
     EmptyArgument,
+    LITERALS,
     LanguageError,
     Leaf,
+    OutputTooLong,
     SequenceStats,
     Token,
     TokenKind,
@@ -209,6 +211,41 @@ def test_apply_function_empty_argument():
     cp = DEFAULT_REGISTRY.lookup("copy")
     with pytest.raises(EmptyArgument):
         apply_function(cp, [()])
+
+
+# --- output length bound ---------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_function_knows_its_output_length(data):
+    fn = data.draw(st.sampled_from(list(DEFAULT_REGISTRY)))
+    symbols = st.lists(st.sampled_from(LITERALS[:26]), min_size=1, max_size=12).map(tuple)
+    args = [data.draw(symbols) for _ in range(fn.arity)]
+    assert fn.size(*map(len, args)) == len(fn(*args))
+
+
+def test_synonyms_share_the_output_length():
+    registry = DEFAULT_REGISTRY.with_synonyms({"repeat": "again"})
+    assert registry.lookup("again").size(3) == 6
+
+
+def test_a_repeat_chain_is_refused_before_its_value_is_built():
+    with pytest.raises(OutputTooLong) as ei:
+        evaluate_text("repeat " * 41 + "A")
+    # 2**20 symbols is the first value over the limit: nothing larger was asked for
+    assert ei.value.name == "repeat" and ei.value.length == 2**20
+    assert isinstance(ei.value, LanguageError)
+
+
+def test_the_limit_admits_a_value_of_exactly_its_length(monkeypatch):
+    monkeypatch.setattr("pcfgset.language.MAX_OUTPUT_LENGTH", 8)
+    assert evaluate_text("repeat append A B , C D") == "A B C D A B C D"
+    with pytest.raises(OutputTooLong, match="echo would output 9 symbols, over the limit of 8"):
+        evaluate_text("echo repeat append A B , C D")
+    repeat = DEFAULT_REGISTRY.lookup("repeat")
+    assert apply_function(repeat, [tuple("ABCD")]) == tuple("ABCDABCD")
+    with pytest.raises(OutputTooLong, match="repeat would output 10 symbols"):
+        apply_function(repeat, [tuple("ABCDE")])
 
 
 # --- synonym registry ------------------------------------------------------

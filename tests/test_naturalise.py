@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcfgset.cli import reference_spec_path
 from pcfgset.generation import Corpus, GrammarParams, Sample, sample_tree
 from pcfgset.language import DEFAULT_REGISTRY, Leaf, SequenceStats, parse, postorder, stats
 from pcfgset.naturalise import (
@@ -33,6 +34,7 @@ from pcfgset.naturalise import (
     round_half_up,
     select_increments,
     subsample_to_match,
+    support_bound,
 )
 
 
@@ -267,7 +269,7 @@ def test_select_increments_returns_grid_member_and_consistent_kl():
         [(4, 1, 6), (6, 2, 10), (8, 2, 6), (10, 3, 4), (14, 4, 2)]
     )
     rng = random.Random(3)
-    d_r = random_probability_sample(1200, rng=rng)
+    d_r = random_probability_sample(1200, d_n, rng=rng)
     config, subset, kl = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID,
                                            random.Random(5))
     assert config in DEFAULT_INCREMENT_GRID
@@ -304,23 +306,55 @@ def test_select_increments_skips_candidates_with_an_empty_anchor_cell():
 
 # --- random probability sample ----------------------------------------------------
 
+def bundled_spec() -> DistributionSpec:
+    return DistributionSpec.from_csv(reference_spec_path())
+
+
+def test_support_bound_of_the_bundled_reference_over_the_default_grid():
+    # lengths 57-59 share cell 19 under i_length 3; depths 15-17 share cell 5 under i_depth 3
+    assert support_bound(bundled_spec(), DEFAULT_INCREMENT_GRID) == (59, 17)
+
+
+def test_support_bound_of_unit_increments_is_the_reference_maximum():
+    spec = bundled_spec()
+    longest = max(length for length, _, _ in spec.entries)
+    deepest = max(depth for _, depth, _ in spec.entries)
+    assert support_bound(spec, [PartitionConfig(1, 1)]) == (longest, deepest)
+
+
 def test_random_probability_sample_shape():
-    corpus = random_probability_sample(60, rng=random.Random(11))
-    assert len(corpus) == 60
-    assert [s.id for s in corpus] == list(range(60))
+    corpus = random_probability_sample(60, bundled_spec(), rng=random.Random(11))
+    assert 0 < len(corpus) <= 60
+    ids = [s.id for s in corpus]
+    assert ids == sorted(set(ids)) and set(ids) <= set(range(60))
     for s in corpus:
         assert s.stats.num_functions >= 1  # root is forced to be a function
         assert s.tgt  # evaluates to something non-empty
+        assert s.stats.length <= 59 and s.stats.depth <= 17
+
+
+def test_random_probability_sample_keeps_exactly_the_draws_in_bound():
+    # a one-cell reference far beyond any tree: unit increments keep every draw
+    everything = random_probability_sample(
+        200, DistributionSpec.from_rows([(100_000, 1_000, 1)]), [PartitionConfig(1, 1)],
+        rng=random.Random(7),
+    )
+    assert [s.id for s in everything] == list(range(200))
+    kept = random_probability_sample(200, bundled_spec(), rng=random.Random(7))
+    assert kept.samples == [
+        s for s in everything if s.stats.length <= 59 and s.stats.depth <= 17
+    ]
+    assert 0 < len(kept) < 200
 
 
 def test_random_probability_sample_deterministic():
-    a = random_probability_sample(25, rng=random.Random(4))
-    b = random_probability_sample(25, rng=random.Random(4))
+    a = random_probability_sample(25, bundled_spec(), rng=random.Random(4))
+    b = random_probability_sample(25, bundled_spec(), rng=random.Random(4))
     assert [s.src for s in a] == [s.src for s in b]
 
 
 def test_random_probability_sample_respects_node_budget():
-    corpus = random_probability_sample(40, rng=random.Random(9), max_nodes=50)
+    corpus = random_probability_sample(40, bundled_spec(), rng=random.Random(9), max_nodes=50)
     for s in corpus:
         n_leaves = len(s.tgt)  # not exact, but leaves <= symbols emitted
         assert s.stats.num_functions <= 50
@@ -352,7 +386,7 @@ def test_mle_hand_counts():
 
 
 def test_mle_counts_equal_a_walk_over_the_parsed_trees():
-    pool = random_probability_sample(300, rng=random.Random(5))
+    pool = random_probability_sample(300, bundled_spec(), rng=random.Random(5))
     n_unary = n_binary = 0
     fn_counts: dict[str, int] = {}
     len_counts: dict[int, int] = {}
@@ -441,6 +475,8 @@ def test_pipeline_improves_and_trace_is_monotone():
     )
     assert result.trace, "pipeline must run at least one iteration"
     assert result.final_kl < result.initial_kl
+    assert 0 < result.pool_kept <= 1_500
+    assert result.pool_bound == support_bound(small_reference(), DEFAULT_INCREMENT_GRID)
     kls = [row.kl for row in result.trace]
     assert all(a >= b - 1e-12 for a, b in zip(kls, kls[1:]))
     assert len(result.corpus) == 1_500
