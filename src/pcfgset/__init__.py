@@ -33,11 +33,10 @@ from .harness import (
 )
 from .language import (
     DEFAULT_REGISTRY,
-    Apply,
     FunctionRegistry,
-    Leaf,
     evaluate,
     evaluate_text,
+    fold,
     parse,
     parse_text,
     render_text,

@@ -20,6 +20,7 @@ from . import corpus_io
 from .generation import (
     Alphabet,
     Corpus,
+    ExhaustedUniqueArguments,
     GrammarParams,
     UniquenessLedger,
     generate_corpus,
@@ -55,6 +56,8 @@ from .naturalise import (
 from .seeding import subseed, substream
 from .suite import (
     DEFAULT_HELD_OUT_PAIRS,
+    EmptySide,
+    InsufficientPositives,
     SynonymMap,
     exceptions_apply,
     make_consistency_pairs,
@@ -90,7 +93,7 @@ def _resolve_seed(args, required: bool) -> int | None:
 def _load_base(path: str, splits: list[str] | None = None) -> Corpus:
     try:
         return corpus_io.read_corpus(path, splits=splits)
-    except (corpus_io.ManifestError, corpus_io.MalformedLine) as exc:
+    except (corpus_io.ManifestError, corpus_io.MalformedLine, FileNotFoundError) as exc:
         raise SystemExit(f"corpus verification failed: {exc}")
 
 
@@ -144,7 +147,10 @@ def cmd_generate(args) -> int:
     params = (
         corpus_io.read_params(args.params) if args.params else GrammarParams.default()
     )
-    corpus = generate_corpus(params, args.size, seed=seed)
+    try:
+        corpus = generate_corpus(params, args.size, seed=seed)
+    except ExhaustedUniqueArguments as exc:
+        raise SystemExit(f"generate failed: {exc}")
     split_corpus(corpus, rng=substream(seed, "split"))
     manifest = corpus_io.write_corpus(args.out, corpus)
     for name, size in manifest["sizes"].items():
@@ -228,7 +234,17 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
 
 def cmd_testbuild(args) -> int:
     seed = _resolve_seed(args, required=True)
-    base = _load_base(args.base)
+    # overgen builds on train alone; train is read first, so ids agree
+    overgen_train = args.test == "overgen" and "train" in corpus_io.discover_splits(args.base)
+    base = _load_base(args.base, ["train"] if overgen_train else None)
+    try:
+        _build_test(args, seed, base)
+    except (LanguageError, InsufficientPositives, EmptySide) as exc:
+        raise SystemExit(f"testbuild failed: {exc}")
+    return 0
+
+
+def _build_test(args, seed: int, base: Corpus) -> None:
     out = Path(args.out)
     rng = substream(seed, "testbuild", args.test)
     if args.test == "systematicity":
@@ -308,7 +324,6 @@ def cmd_testbuild(args) -> int:
     else:
         raise SystemExit(f"unknown test name: {args.test!r}")
     print(f"wrote {out}")
-    return 0
 
 
 def _parse_lengths(text: str) -> list[int]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .generation import Corpus, GrammarParams, Sample, UniquenessLedger, audit_sample
 from .harness import EvaluationReport, OverallProfilePoint
-from .language import DEFAULT_REGISTRY, FunctionRegistry, LanguageError, parse, stats
+from .language import DEFAULT_REGISTRY, FunctionRegistry, LanguageError, stats
 from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
@@ -159,9 +159,10 @@ def read_corpus(
 ) -> Corpus:
     """Load a corpus directory back into memory.
 
-    Sources are parsed to check them and compute their stats; targets are
-    taken verbatim from the .tgt files (they may deliberately disagree
-    with the evaluator, as in exception training sets).  When a
+    Sources are folded to check them and compute their stats, but not
+    evaluated; targets are taken verbatim from the .tgt files (they may
+    deliberately disagree with the evaluator, as in exception training
+    sets).  When a
     synonyms.json sidecar is present the registry is extended with it
     automatically.  A line that is not UTF-8 or a source line that does
     not parse raises MalformedLine naming the file and line.
@@ -197,10 +198,10 @@ def read_corpus(
         first = len(samples)
         for lineno, (src, tgt) in enumerate(zip(srcs, tgts), start=1):
             try:
-                tree = parse(src, registry)
+                seq_stats = stats(src, registry)
             except LanguageError as exc:
                 raise MalformedLine(f"{name}.src:{lineno}: does not parse ({exc})") from None
-            samples.append(Sample(len(samples), tuple(src), tuple(tgt), stats(tree)))
+            samples.append(Sample(len(samples), tuple(src), tuple(tgt), seq_stats))
         split_ids[name] = tuple(range(first, len(samples)))
     return Corpus(samples=samples, seed=seed, params=params, splits=split_ids)
 

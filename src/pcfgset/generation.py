@@ -1,8 +1,8 @@
 """Probabilistic generation of PCFG SET corpora.
 
-Trees are drawn top-down from a three-way choice (unary call, binary call,
-string leaf) with function identities and leaf lengths drawn from their own
-distributions.  Corpus assembly enforces the anti-memorisation constraints:
+Programs are drawn top-down, as their prefix-notation tokens, from a
+three-way choice (unary call, binary call, string leaf) with function
+identities and leaf lengths drawn from their own distributions.  Corpus assembly enforces the anti-memorisation constraints:
 distinct sources, no repeated literal within a sample, and no reuse of a
 multi-symbol string argument anywhere else in the corpus.
 """
@@ -19,17 +19,13 @@ from .language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
     LITERALS,
-    Apply,
+    SEPARATOR,
     FunctionRegistry,
-    FunctionSymbol,
     LanguageError,
-    Leaf,
+    OutputTooLong,
     SequenceStats,
-    SyntaxTree,
-    evaluate,
-    parse,
-    render,
-    stats,
+    fold,
+    interpret,
 )
 
 MAX_RECURSION_DEFAULT = 25
@@ -132,7 +128,7 @@ class GrammarParams:
 
 @dataclass(frozen=True)
 class Sample:
-    """One (source sequence, target string) pair; ``parse(src)`` gives its tree."""
+    """One (source sequence, target string) pair; the source is the program."""
 
     id: int
     src: tuple[str, ...]
@@ -140,8 +136,12 @@ class Sample:
     stats: SequenceStats
 
     @classmethod
-    def from_tree(cls, sample_id: int, tree: SyntaxTree) -> "Sample":
-        return cls(sample_id, tuple(render(tree)), evaluate(tree), stats(tree))
+    def from_src(cls, sample_id: int, src: Sequence[str],
+                 registry: FunctionRegistry = DEFAULT_REGISTRY) -> "Sample":
+        """The sample of a source, its target evaluated and its stats
+        taken in one fold."""
+        seq_stats, tgt = fold(src, registry, interpret)
+        return cls(sample_id, tuple(src), tgt, seq_stats)
 
     def src_text(self) -> str:
         return " ".join(self.src)
@@ -196,8 +196,8 @@ def sample_tree(
     max_nodes: int | None = None,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
     bound: tuple[int, int] | None = None,
-) -> SyntaxTree | None:
-    """Draw one syntax tree.
+) -> tuple[str, ...] | None:
+    """Draw one program, as its tokens.
 
     The top-level position is forced to expand into a function call unless
     ``force_function`` is off, so every sample contains at least one
@@ -205,12 +205,13 @@ def sample_tree(
     ``max_nodes`` caps the total number of expanded positions; both guards
     exist for pathological parameter draws, not for normal operation.
 
-    Positions are expanded in preorder from an explicit stack, and each
-    leaf closes the applications it completes, as in ``parse``, so any
+    Positions are expanded in preorder from an explicit stack, on which a
+    binary call leaves a separator marker between its two argument
+    positions, so tokens come out in prefix order and any
     ``max_recursion`` fits in memory.  With ``bound = (max_length,
-    max_depth)`` a tree whose ``stats`` exceed either is not built: once
+    max_depth)`` a program whose ``stats`` exceed either is not built: once
     its running length or depth passes the bound, the draw only consumes
-    the random numbers the tree would have used and returns None.  So
+    the random numbers the program would have used and returns None.  So
     ``rng`` ends in the same state with or without a bound.
     """
     alphabet = alphabet or Alphabet.default()
@@ -233,13 +234,19 @@ def sample_tree(
     root_cum, root_total, _ = _cumulative([params.p_unary, params.p_binary])
     max_length, max_depth = bound or (None, None)
 
-    pending = [0]  # nesting depths of the positions still to draw, next on top
-    waiting: list[tuple[FunctionSymbol, list[SyntaxTree]]] = []
-    length = depth = expanded = 0
+    # nesting depths of the positions still to draw, next on top; None
+    # marks the separator between a binary call's arguments
+    pending: list[int | None] = [0]
+    out: list[str] = []
+    depth = expanded = 0
     building = True
-    node: SyntaxTree | None = None
     while pending:
         level = pending.pop()
+        if level is None:
+            if building:
+                out.append(SEPARATOR)
+                building = bound is None or len(out) <= max_length
+            continue
         expanded += 1
         if level >= max_recursion or (max_nodes is not None and expanded > max_nodes):
             kind = 2
@@ -249,38 +256,22 @@ def sample_tree(
             kind = bisect_right(kind_cum, random_() * kind_total, 0, 2)
         if kind == 2:
             n = lengths[bisect_right(length_cum, random_() * length_total, 0, length_hi)]
-            leaf = tuple([choice(symbols) for _ in range(n)])
-            if not building:
-                continue
-            length += n
-            if bound is not None and length > max_length:
-                building = False
-                continue
-            node = Leaf(leaf)
-            while waiting:
-                fn, args = waiting[-1]
-                args.append(node)
-                if fn.arity == 2 and len(args) < 2:
-                    break
-                waiting.pop()
-                node = Apply(fn, tuple(args))
+            leaf = [choice(symbols) for _ in range(n)]
+            if building:
+                out += leaf
+                building = bound is None or len(out) <= max_length
             continue
         if kind == 0:
             fn = unary_fns[bisect_right(unary_cum, random_() * unary_total, 0, unary_hi)]
             pending.append(level + 1)
         else:
             fn = binary_fns[bisect_right(binary_cum, random_() * binary_total, 0, binary_hi)]
-            pending += (level + 1, level + 1)
-        if not building:
-            continue
-        # the function name, and the separator after a first argument
-        length += fn.arity
-        depth = max(depth, level + 1)
-        if bound is not None and (length > max_length or depth > max_depth):
-            building = False
-            continue
-        waiting.append((fn, []))
-    return node if building else None
+            pending += (level + 1, None, level + 1)
+        if building:
+            out.append(fn.name)
+            depth = max(depth, level + 1)
+            building = bound is None or (len(out) <= max_length and depth <= max_depth)
+    return tuple(out) if building else None
 
 
 def leaf_tuples(src: Sequence[str]) -> list[tuple[str, ...]]:
@@ -351,28 +342,28 @@ def audit_sample(
     tgt_where: str | None = None,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
     excused: Mapping[tuple[str, ...], tuple[str, ...]] | None = None,
-) -> SyntaxTree | None:
+) -> SequenceStats | None:
     """Check one (source, target) row of a corpus under audit.
 
-    Parses the source, evaluates it against the target (a mismatch is
+    Folds the source, evaluating it against the target (a mismatch is
     excused when ``excused`` prescribes exactly that target for the
-    source; a value too long to build is a problem of its own) and asks
-    the ledger about the constraints, recording the row if it breaks
-    none.  Violations are appended to ``problems`` prefixed
-    with ``where`` (``tgt_where`` for the target).  Returns the parsed
-    tree, or None when the source does not parse.
+    source; a value too long to build is a problem of its own, reported
+    only when the source parses) and asks the ledger about the
+    constraints, recording the row if it breaks none.  Violations are
+    appended to ``problems`` prefixed with ``where`` (``tgt_where`` for
+    the target).  Returns the source's stats, or None when it does not
+    parse.
     """
     try:
-        tree = parse(list(src), registry)
+        seq_stats, value = fold(src, registry, interpret)
+    except OutputTooLong as exc:
+        problems.append(f"{where}: does not evaluate ({exc})")
+        seq_stats = fold(src, registry)[0]
     except LanguageError as exc:
         problems.append(f"{where}: does not parse ({exc})")
         return None
-    tgt = tuple(tgt)
-    try:
-        value = evaluate(tree)
-    except LanguageError as exc:
-        problems.append(f"{where}: does not evaluate ({exc})")
     else:
+        tgt = tuple(tgt)
         if value != tgt and (excused or {}).get(tuple(src)) != tgt:
             problems.append(f"{tgt_where or where}: target does not match evaluation")
     violation = ledger.violation(src)
@@ -380,7 +371,7 @@ def audit_sample(
         ledger.add(src, where)
     else:
         problems.append(f"{where}: {violation}")
-    return tree
+    return seq_stats
 
 
 def generate_corpus(
@@ -397,8 +388,9 @@ def generate_corpus(
 
     Constraints: sources are pairwise distinct, no literal occurs twice
     within one sample, and every string argument of two or more symbols is
-    used at most once across the entire corpus.  Violations are resolved by
-    rejection; ``max_rejects`` consecutive failures raise
+    used at most once across the entire corpus.  Violations, and draws
+    whose value would be longer than MAX_OUTPUT_LENGTH, are resolved by
+    rejection; ``max_rejects`` consecutive rejections raise
     ExhaustedUniqueArguments.
     """
     alphabet = alphabet or Alphabet.default()
@@ -408,11 +400,14 @@ def generate_corpus(
     ledger = UniquenessLedger()
     rejects = 0
     while len(samples) < n:
-        tree = sample_tree(
-            params, rng, alphabet=alphabet, max_recursion=max_recursion
-        )
-        src = tuple(render(tree))
-        if ledger.violation(src) is not None:
+        src = sample_tree(params, rng, alphabet=alphabet, max_recursion=max_recursion)
+        rejected = ledger.violation(src) is not None
+        if not rejected:
+            try:
+                sample = Sample.from_src(len(samples), src)
+            except OutputTooLong:
+                rejected = True
+        if rejected:
             rejects += 1
             if rejects > max_rejects:
                 raise ExhaustedUniqueArguments(
@@ -421,7 +416,7 @@ def generate_corpus(
             continue
         rejects = 0
         ledger.add(src, f"sample {len(samples)}")
-        samples.append(Sample(len(samples), src, evaluate(tree), stats(tree)))
+        samples.append(sample)
     return Corpus(samples, seed=seed, params=params)
 
 
@@ -482,16 +477,13 @@ def make_primitive_length_corpus(
             raise ValueError("argument lengths must be at least 1")
         for _ in range(per_length):
             if fn.arity == 1:
-                syms = rng.sample(alphabet.symbols, length)
-                tree: SyntaxTree = Apply(fn, (Leaf(tuple(syms)),))
+                src = [fn_name, *rng.sample(alphabet.symbols, length)]
             else:
                 other = rng.randint(*fixed_len_range)
                 lens = [length, other] if vary_arg == 0 else [other, length]
                 syms = rng.sample(alphabet.symbols, sum(lens))
-                first = Leaf(tuple(syms[: lens[0]]))
-                second = Leaf(tuple(syms[lens[0]:]))
-                tree = Apply(fn, (first, second))
-            samples.append(Sample.from_tree(len(samples), tree))
+                src = [fn_name, *syms[: lens[0]], SEPARATOR, *syms[lens[0]:]]
+            samples.append(Sample.from_src(len(samples), src, registry))
     return Corpus(samples)
 
 
@@ -512,8 +504,9 @@ def validate_corpus(
         if s.id in ids:
             problems.append(f"sample {s.id}: duplicate id")
         ids.add(s.id)
-        tree = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}", registry=registry)
-        if tree is not None and stats(tree) != s.stats:
+        seq_stats = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}",
+                                 registry=registry)
+        if seq_stats is not None and seq_stats != s.stats:
             problems.append(f"sample {s.id}: recorded stats are stale")
     if corpus.splits:
         all_split_ids: list[int] = []

@@ -22,11 +22,11 @@ from .generation import Alphabet, Corpus, Sample
 from .language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
+    MAX_OUTPUT_LENGTH,
     SEPARATOR,
     FunctionRegistry,
     LanguageError,
     evaluate,
-    parse,
 )
 from .metrics import aggregate, pairwise_consistency, sequence_accuracy
 from .seeding import substream
@@ -59,6 +59,10 @@ class UnrollFailure(Exception):
 
 # Failures recorded per sample instead of aborting a run.
 RECOVERABLE_ERRORS = (AdapterError, LanguageError, UnrollFailure)
+
+# The longest reply line a child may send: MAX_OUTPUT_LENGTH symbols of at
+# most three characters, each followed by a space or the newline.
+MAX_REPLY_CHARS = 4 * MAX_OUTPUT_LENGTH
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,14 +115,14 @@ class ModelAdapter:
 
 
 class OracleAdapter(ModelAdapter):
-    """Ground-truth adapter: parses the source and evaluates it."""
+    """Ground-truth adapter: evaluates the source."""
 
     def __init__(self, registry: FunctionRegistry = DEFAULT_REGISTRY):
         self.registry = registry
         self.name = "oracle"
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
-        return list(evaluate(parse(_coerce_src(src), self.registry)))
+        return list(evaluate(_coerce_src(src), self.registry))
 
 
 class FaultyOracleAdapter(OracleAdapter):
@@ -183,8 +187,14 @@ class _Worker:
 
     @staticmethod
     def _pump(proc: subprocess.Popen, lines: queue.Queue) -> None:
+        """Queue the child's output lines, then None at EOF; a line longer
+        than MAX_REPLY_CHARS is queued as a ProtocolViolation instead, and
+        ends the reading, so a child cannot grow this process's memory."""
         assert proc.stdout is not None
-        for line in proc.stdout:
+        while line := proc.stdout.readline(MAX_REPLY_CHARS + 1):
+            if len(line) > MAX_REPLY_CHARS:
+                lines.put(ProtocolViolation(f"reply line longer than {MAX_REPLY_CHARS} characters"))
+                return
             lines.put(line)
         lines.put(None)  # EOF marker
 
@@ -217,6 +227,8 @@ class _Worker:
             pass
         else:
             self.stop()
+            if isinstance(stale, ProtocolViolation):
+                raise stale
             if stale is not None:
                 raise ProtocolViolation(f"unsolicited output line: {stale.rstrip()!r}")
             raise ChildExited("child closed its output stream")
@@ -232,6 +244,9 @@ class _Worker:
         except queue.Empty:
             self.stop()
             raise Timeout(f"no reply within {self.timeout_s} seconds") from None
+        if isinstance(reply, ProtocolViolation):
+            self.stop()
+            raise reply
         if reply is None:
             self.stop()
             raise ChildExited("child exited before answering")
@@ -245,6 +260,8 @@ class _Worker:
         self.stop()
         if extra is None:
             return reply.rstrip("\n")
+        if isinstance(extra, ProtocolViolation):
+            raise extra
         raise ProtocolViolation(f"extra output line: {extra.rstrip()!r}")
 
 
@@ -616,7 +633,7 @@ def run_localism(
 ) -> EvaluationReport:
     """Compare direct predictions against step-by-step unrolled ones.
 
-    Each source is parsed with ``registry`` to plan its unrolling.
+    Each source is folded with ``registry`` to plan its unrolling.
     """
     items = [s for s in samples if s.stats.num_functions >= 1]
     if not items:
@@ -627,7 +644,7 @@ def run_localism(
     steps_total = 0
     failures = 0
     for sample, direct in zip(items, direct_preds):
-        plan = build_unroll_plan(parse(sample.src, registry))
+        plan = build_unroll_plan(sample.src, registry)
         steps_total += plan.num_steps
         try:
             unrolled = execute_unroll(adapter, plan)

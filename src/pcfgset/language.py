@@ -2,7 +2,8 @@
 
 Sequences are prefix-notation programs over ten string-edit functions and
 uppercase literal symbols, e.g. ``append swap F G H , repeat I J``.  This
-module owns tokenisation, parsing, rendering, per-sequence statistics, and
+module owns tokenisation, the one structural fold over a program's tokens
+(``fold``: parsing, per-sequence statistics and any bottom-up value), and
 the ground-truth interpreter.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 SEPARATOR = ","
 
@@ -116,6 +117,10 @@ class FunctionSymbol:
     fn: Callable[..., Symbols] = field(compare=False, repr=False)
     size: Callable[..., int] = field(compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.arity not in (1, 2):
+            raise ValueError(f"{self.name}: the grammar has unary and binary functions only")
+
     def __call__(self, *args: Symbols) -> Symbols:
         return self.fn(*args)
 
@@ -203,32 +208,6 @@ DEFAULT_REGISTRY = FunctionRegistry(
 )
 
 
-# --- syntax trees --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Leaf:
-    """A maximal run of literal symbols (a string argument)."""
-
-    symbols: Symbols
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("leaf must hold at least one symbol")
-
-
-@dataclass(frozen=True)
-class Apply:
-    function: FunctionSymbol
-    args: tuple["SyntaxTree", ...]
-
-    def __post_init__(self):
-        if len(self.args) != self.function.arity:
-            raise ArityMismatch(self.function.name, self.function.arity, len(self.args))
-
-
-SyntaxTree = Union[Leaf, Apply]
-
-
 @dataclass(frozen=True, slots=True)
 class SequenceStats:
     length: int
@@ -236,7 +215,7 @@ class SequenceStats:
     num_functions: int
 
 
-# --- tokenisation and parsing --------------------------------------------
+# --- tokenisation and the structural fold ----------------------------------
 
 def classify(piece: str, registry: FunctionRegistry = DEFAULT_REGISTRY,
              position: int | None = None) -> Token:
@@ -259,127 +238,135 @@ def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[T
     return [classify(piece, registry, i) for i, piece in enumerate(text.split())]
 
 
-def _coerce_tokens(tokens: Sequence[Token | str],
-                   registry: FunctionRegistry) -> list[Token]:
-    return [tok if isinstance(tok, Token) else classify(tok, registry, i)
-            for i, tok in enumerate(tokens)]
+def _texts(tokens: Sequence[Token | str]) -> list[str]:
+    return [tok.text if isinstance(tok, Token) else tok for tok in tokens]
 
 
-def parse(tokens: Sequence[Token | str],
-          registry: FunctionRegistry = DEFAULT_REGISTRY) -> SyntaxTree:
-    """Parse a token sequence into a syntax tree.
+def _unexpected(kind: FunctionSymbol | TokenKind, text: str, position: int) -> UnexpectedToken:
+    if not isinstance(kind, TokenKind):
+        kind = TokenKind.FUNCTION
+    return UnexpectedToken(Token(kind, text), position)
 
-    Accepts Token objects or raw strings.  Literal runs are greedy: a run
-    of adjacent literals forms a single Leaf, terminated only by a
-    separator or the end of input.  The entire sequence must form exactly
-    one constituent.  Open calls wait on an explicit stack, so nesting
-    depth is bounded by memory alone.
+
+def fold(
+    tokens: Sequence[Token | str],
+    registry: FunctionRegistry = DEFAULT_REGISTRY,
+    apply: Callable[[FunctionSymbol, int, list], Any] | None = None,
+) -> tuple[SequenceStats, Any]:
+    """The one structural pass over a prefix-notation program.
+
+    Tokens (Token objects or raw strings) are read left to right.  A
+    function opens a call that waits on an explicit stack; a maximal run of
+    literals is one string argument, ended only by a separator or the end
+    of input; each argument closes the calls it completes, after which the
+    innermost open (binary) call needs a separator and its second argument.
+    The whole sequence must form exactly one constituent.  Nesting depth is
+    bounded by memory alone.
+
+    Returns the program's stats (length: tokens; depth: the most calls
+    open at once; the number of functions) and a value.  With ``apply``,
+    a string argument's value is its tuple of symbols and each call, as it
+    closes (children before parents, left to right), takes the value
+    ``apply(function, position, argument values)``, ``position`` being the
+    index of its function token.  Without ``apply`` the value is None.
+
+    An unknown piece raises UnknownToken before the structure is read; a
+    structural fault raises UnexpectedEnd or UnexpectedToken at its
+    position.  A LanguageError raised by ``apply`` (OutputTooLong, say) is
+    held until the whole structure has been checked, so a structural fault
+    anywhere takes precedence over it.
     """
-    toks = _coerce_tokens(tokens, registry)
-    end = len(toks)
-    pos = 0
-    waiting: list[tuple[FunctionSymbol, list[SyntaxTree]]] = []
+    texts = _texts(tokens)
+    literal, separator = TokenKind.LITERAL, TokenKind.SEPARATOR
+    functions = registry._by_name
+    # classify's rules, inline: this loop runs once per token of a corpus
+    kinds: list[FunctionSymbol | TokenKind] = []
+    for i, text in enumerate(texts):
+        if text == SEPARATOR:
+            kinds.append(separator)
+        elif text in functions:
+            kinds.append(functions[text])
+        elif text in LITERAL_SET:
+            kinds.append(literal)
+        else:
+            raise UnknownToken(text, i)
+    end = len(texts)
+    pos = depth = count = 0
+    waiting: list[tuple[FunctionSymbol, int, list]] = []
+    held: LanguageError | None = None
     while True:
         if pos == end:
             raise UnexpectedEnd(pos)
-        tok = toks[pos]
-        if tok.kind is TokenKind.FUNCTION:
-            waiting.append((registry.lookup(tok.text), []))
+        kind = kinds[pos]
+        if kind is separator:
+            raise _unexpected(kind, texts[pos], pos)
+        if kind is not literal:
+            waiting.append((kind, pos, []))
+            count += 1
+            depth = max(depth, len(waiting))
             pos += 1
             continue
-        if tok.kind is not TokenKind.LITERAL:
-            raise UnexpectedToken(tok, pos)
         start = pos
-        while pos < end and toks[pos].kind is TokenKind.LITERAL:
+        while pos < end and kinds[pos] is literal:
             pos += 1
-        node: SyntaxTree = Leaf(tuple(t.text for t in toks[start:pos]))
+        value = tuple(texts[start:pos]) if apply is not None else None
         # close every call this constituent completes
         while waiting:
-            fn, args = waiting[-1]
-            args.append(node)
-            if fn.arity != 1 and len(args) < 2:
+            fn, at, args = waiting[-1]
+            args.append(value)
+            if fn.arity == 2 and len(args) < 2:
                 break
             waiting.pop()
-            node = Apply(fn, tuple(args))
+            value = None
+            if apply is not None:
+                try:
+                    value = apply(fn, at, args)
+                except LanguageError as exc:
+                    held, apply = exc, None
         else:
             if pos != end:
-                raise UnexpectedToken(toks[pos], pos)
-            return node
-        # the innermost open call now needs a separator and its second argument
+                raise _unexpected(kinds[pos], texts[pos], pos)
+            if held is not None:
+                raise held
+            return SequenceStats(end, depth, count), value
         if pos == end:
             raise UnexpectedEnd(pos)
-        if toks[pos].kind is not TokenKind.SEPARATOR:
-            raise UnexpectedToken(toks[pos], pos)
+        if kinds[pos] is not separator:
+            raise _unexpected(kinds[pos], texts[pos], pos)
         pos += 1
 
 
-def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> SyntaxTree:
+def parse(tokens: Sequence[Token | str],
+          registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
+    """Check that the tokens form exactly one program; returns their texts.
+
+    A program is its tokens: every consumer folds over them.
+    """
+    fold(tokens, registry)
+    return tuple(_texts(tokens))
+
+
+def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
     return parse(tokenize(text, registry), registry)
 
 
-def postorder(tree: SyntaxTree) -> list[SyntaxTree]:
-    """Every node of a tree, children before parents, left child first.
-
-    An explicit stack, so any nesting depth fits in memory.
-    """
-    order: list[SyntaxTree] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, Apply):
-            stack.extend(node.args)
-    order.reverse()
-    return order
+def render(src: Sequence[str]) -> list[str]:
+    """The token texts of a program."""
+    return list(src)
 
 
-def render(tree: SyntaxTree) -> list[str]:
-    """Emit the prefix-notation token texts of a tree.
-
-    ``parse(render(t))`` reproduces ``t`` for every valid tree.
-    """
-    out: list[str] = []
-    # nodes still to emit, and separators between arguments, next on top
-    stack: list[SyntaxTree | str] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Leaf):
-            out.extend(node.symbols)
-        else:
-            out.append(node.function.name)
-            if len(node.args) == 2:
-                stack += (node.args[1], SEPARATOR)
-            stack.append(node.args[0])
-    return out
+def render_text(src: Sequence[str]) -> str:
+    return " ".join(src)
 
 
-def render_text(tree: SyntaxTree) -> str:
-    return " ".join(render(tree))
-
-
-def stats(tree: SyntaxTree) -> SequenceStats:
-    """Length (all rendered tokens), depth (nested applications on the
-    deepest path), and total number of function applications.
+def stats(src: Sequence[Token | str],
+          registry: FunctionRegistry = DEFAULT_REGISTRY) -> SequenceStats:
+    """Length (all tokens), depth (nested applications on the deepest
+    path), and total number of function applications.
 
     A pure string has depth 0; a single function application has depth 1.
     """
-    parts: list[tuple[int, int, int]] = []
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            parts.append((len(node.symbols), 0, 0))
-            continue
-        length, depth, count = parts.pop()
-        if len(node.args) == 2:
-            # fold in the left argument and the separator after it
-            left_length, left_depth, left_count = parts.pop()
-            length += left_length + 1
-            depth = max(depth, left_depth)
-            count += left_count
-        parts.append((length + 1, depth + 1, count + 1))
-    length, depth, count = parts[0]
-    return SequenceStats(length=length, depth=depth, num_functions=count)
+    return fold(src, registry)[0]
 
 
 def apply_function(fn: FunctionSymbol, args: Sequence[Sequence[str]]) -> Symbols:
@@ -396,37 +383,34 @@ def apply_function(fn: FunctionSymbol, args: Sequence[Sequence[str]]) -> Symbols
         if not t:
             raise EmptyArgument(fn.name)
         coerced.append(t)
-    size = fn.size(*map(len, coerced))
+    return interpret(fn, None, coerced)
+
+
+def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols]) -> Symbols:
+    """``fold``'s callback for ground-truth evaluation.
+
+    Arguments a fold passes are non-empty and match the arity, so only the
+    output length is checked: OutputTooLong is raised, before building it,
+    for a value longer than MAX_OUTPUT_LENGTH.
+    """
+    size = fn.size(*map(len, args))
     if size > MAX_OUTPUT_LENGTH:
         raise OutputTooLong(fn.name, size)
-    return fn(*coerced)
+    return fn.fn(*args)
 
 
-def evaluate(tree: SyntaxTree) -> Symbols:
-    """Ground-truth interpretation of a tree as a symbol tuple.
+def evaluate(src: Sequence[Token | str],
+             registry: FunctionRegistry = DEFAULT_REGISTRY) -> Symbols:
+    """Ground-truth interpretation of a program as a symbol tuple.
 
     Raises OutputTooLong, before building it, for any value longer than
-    MAX_OUTPUT_LENGTH.
+    MAX_OUTPUT_LENGTH, once the program is known to parse.
 
-    >>> " ".join(evaluate(parse_text("repeat A B C")))
+    >>> " ".join(evaluate("repeat A B C".split()))
     'A B C A B C'
     """
-    values: list[Symbols] = []
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            values.append(node.symbols)
-            continue
-        # apply_function's checks, less those a tree passes by construction:
-        # arity, and non-empty arguments (leaves are, and so is every value)
-        fn = node.function
-        args = values[-len(node.args):]
-        del values[-len(args):]
-        size = fn.size(*map(len, args))
-        if size > MAX_OUTPUT_LENGTH:
-            raise OutputTooLong(fn.name, size)
-        values.append(fn.fn(*args))
-    return values[0]
+    return fold(src, registry, interpret)[1]
 
 
 def evaluate_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> str:
-    return " ".join(evaluate(parse_text(text, registry)))
+    return " ".join(evaluate(text.split(), registry))

@@ -205,7 +205,7 @@ def random_probability_sample(
             arg_len_dist={k + 1: p for k, p in enumerate(len_probs)},
             max_arg_len=max_arg_len,
         )
-        tree = sample_tree(
+        src = sample_tree(
             params,
             rng,
             alphabet=alphabet,
@@ -213,8 +213,8 @@ def random_probability_sample(
             max_nodes=max_nodes,
             bound=bound,
         )
-        if tree is not None:
-            samples.append(Sample.from_tree(i, tree))
+        if src is not None:
+            samples.append(Sample.from_src(i, src))
     return Corpus(samples)
 
 

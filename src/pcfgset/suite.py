@@ -16,15 +16,12 @@ from typing import Iterable, Sequence
 from .generation import Alphabet, Corpus, Sample, UniquenessLedger
 from .language import (
     DEFAULT_REGISTRY,
-    Apply,
+    SEPARATOR,
     FunctionRegistry,
-    Leaf,
-    SyntaxTree,
+    FunctionSymbol,
     apply_function,
     evaluate,
-    parse,
-    postorder,
-    render,
+    fold,
 )
 from .naturalise import round_half_up
 
@@ -183,8 +180,7 @@ def substitutivity_equal(
             rewritten.append(s)
             continue
         src = tuple(subs.get(i, tok) for i, tok in enumerate(s.src))
-        tree = parse(src, registry)
-        new = Sample.from_tree(s.id, tree)
+        new = Sample.from_src(s.id, src, registry)
         assert new.tgt == s.tgt, "synonym rewriting must not change the target"
         rewritten.append(new)
     return Corpus(rewritten, seed=train.seed, params=train.params), audit
@@ -226,14 +222,13 @@ def substitutivity_primitive(
                 raise RuntimeError(f"could not place fresh arguments for {syn}")
             if fn.arity == 1:
                 n = rng.randint(*arg_len_range)
-                syms = rng.sample(alphabet.symbols, n)
-                tree: SyntaxTree = Apply(fn, (Leaf(tuple(syms)),))
+                src = [syn, *rng.sample(alphabet.symbols, n)]
             else:
                 n1 = rng.randint(*arg_len_range)
                 n2 = rng.randint(*arg_len_range)
                 syms = rng.sample(alphabet.symbols, n1 + n2)
-                tree = Apply(fn, (Leaf(tuple(syms[:n1])), Leaf(tuple(syms[n1:]))))
-            sample = Sample.from_tree(next_id, tree)
+                src = [syn, *syms[:n1], SEPARATOR, *syms[n1:]]
+            sample = Sample.from_src(next_id, src, registry)
             if ledger.violation(sample.src) is not None:
                 continue
             ledger.add(sample.src, f"sample {next_id}")
@@ -299,47 +294,36 @@ def _check_remap(remap: ExceptionRemap) -> None:
 
 
 def exception_evaluate(
-    tree: SyntaxTree, remap: ExceptionRemap | None = None
+    src: Sequence[str], remap: ExceptionRemap | None = None
 ) -> tuple[str, ...]:
     """Evaluate with pair exceptions applied.
 
     Wherever a remapped pair occurs as a function immediately followed by
     another function (parent and first child), both members take their
     replacement meanings for that occurrence.  Matching is decided on the
-    original tree, so overlapping pairs each contribute a substitution; a
-    custom table whose overlaps disagree on some member is rejected.
+    original source, so overlapping pairs each contribute a substitution;
+    a custom table whose overlaps disagree on some member is rejected.
     """
     remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
     _check_remap(remap)
-    # per subtree: its symbols, or an application whose meaning waits on
-    # its parent, as [node, meaning from its own first child, arguments]
-    pending: list = []
+    # per function position: the meaning its pair as outer member (own)
+    # and as inner member (forced) gives it
+    own: dict[int, str] = {}
+    forced: dict[int, str] = {}
+    for i, pair in enumerate(zip(src, src[1:])):
+        if pair in remap:
+            own[i], forced[i + 1] = remap[pair]
 
-    def applied(entry, forced: str | None) -> tuple[str, ...]:
-        if not isinstance(entry, list):
-            return entry
-        node, own, values = entry
-        if forced is not None and own is not None and forced != own:
+    def apply(fn: FunctionSymbol, position: int, args: list) -> tuple[str, ...]:
+        mine, given = own.get(position), forced.get(position)
+        if mine is not None and given is not None and mine != given:
             raise ValueError(
-                f"conflicting exception remaps for {node.function.name!r}: "
-                f"{forced!r} vs {own!r}"
+                f"conflicting exception remaps for {fn.name!r}: {given!r} vs {mine!r}"
             )
-        meaning = own or forced
-        fn = DEFAULT_REGISTRY.lookup(meaning) if meaning else node.function
-        return apply_function(fn, values)
+        meaning = mine or given
+        return apply_function(DEFAULT_REGISTRY.lookup(meaning) if meaning else fn, args)
 
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            pending.append(node.symbols)
-            continue
-        entries = pending[-len(node.args):]
-        del pending[-len(entries):]
-        first = node.args[0]
-        pair = (node.function.name, first.function.name) if isinstance(first, Apply) else None
-        own, inner = remap.get(pair, (None, None))
-        values = [applied(entries[0], inner)] + [applied(e, None) for e in entries[1:]]
-        pending.append([node, own, values])
-    return applied(pending[0], None)
+    return fold(src, DEFAULT_REGISTRY, apply)[1]
 
 
 @dataclass(frozen=True)
@@ -357,22 +341,21 @@ def _synthesise_pair_sample(
     alphabet: Alphabet,
     rng: random.Random,
     arg_len_range: tuple[int, int] = (1, 5),
-) -> SyntaxTree:
-    """A minimal tree whose source contains ``outer inner`` adjacently."""
-    outer_fn = DEFAULT_REGISTRY.lookup(outer)
-    inner_fn = DEFAULT_REGISTRY.lookup(inner)
-    n_leaves = inner_fn.arity + (1 if outer_fn.arity == 2 else 0)
-    lens = [rng.randint(*arg_len_range) for _ in range(n_leaves)]
+) -> list[str]:
+    """A minimal source that contains ``outer inner`` adjacently."""
+    outer_arity = DEFAULT_REGISTRY.lookup(outer).arity
+    inner_arity = DEFAULT_REGISTRY.lookup(inner).arity
+    lens = [rng.randint(*arg_len_range) for _ in range(inner_arity + outer_arity - 1)]
     syms = rng.sample(alphabet.symbols, sum(lens))
-    leaves = []
+    # the string arguments in source order, a separator between each two
+    src = [outer, inner]
     start = 0
     for n in lens:
-        leaves.append(Leaf(tuple(syms[start:start + n])))
+        if start:
+            src.append(SEPARATOR)
+        src += syms[start:start + n]
         start += n
-    inner_node = Apply(inner_fn, tuple(leaves[: inner_fn.arity]))
-    if outer_fn.arity == 1:
-        return Apply(outer_fn, (inner_node,))
-    return Apply(outer_fn, (inner_node, leaves[-1]))
+    return src
 
 
 def exceptions_apply(
@@ -422,7 +405,7 @@ def exceptions_apply(
         else:
             chosen = list(candidates)
             while len(chosen) < k:
-                sample = Sample.from_tree(
+                sample = Sample.from_src(
                     next_id, _synthesise_pair_sample(outer, inner, alphabet, rng)
                 )
                 if ledger.violation(sample.src) is not None:
@@ -433,15 +416,14 @@ def exceptions_apply(
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]
-            tree = parse(s.src)
-            exc = exception_evaluate(tree, remap)
+            exc = exception_evaluate(s.src, remap)
             samples[pos] = replace(s, tgt=exc)
             taken.add(pos)
             entries.append(
                 ExceptionEntry(
                     sample_id=s.id,
                     src=s.src,
-                    original_tgt=evaluate(tree),
+                    original_tgt=evaluate(s.src),
                     exception_tgt=exc,
                     pair=(outer, inner),
                 )
@@ -473,39 +455,35 @@ class UnrollPlan:
         return len(self.steps)
 
 
-def build_unroll_plan(tree: SyntaxTree) -> UnrollPlan:
-    """Innermost-first evaluation schedule for a tree.
+def build_unroll_plan(
+    src: Sequence[str], registry: FunctionRegistry = DEFAULT_REGISTRY
+) -> UnrollPlan:
+    """Innermost-first evaluation schedule for a source.
 
     Steps proceed in rounds: a round takes every application whose
     function arguments were all completed in earlier rounds (innermost
     applications first), left to right.  The final step is the root.
     """
-    if isinstance(tree, Leaf):
+    # per application, in the order the fold closes them: its round, the
+    # position of its function token, its name and its argument values
+    # (symbols for a string, the index of the application heading it)
+    apps: list[tuple[int, int, str, list]] = []
+
+    def record(fn: FunctionSymbol, position: int, args: list) -> int:
+        round_ = 1 + max((apps[a][0] for a in args if isinstance(a, int)), default=0)
+        apps.append((round_, position, fn.name, args))
+        return len(apps) - 1
+
+    fold(src, registry, record)
+    if not apps:
         raise ValueError("cannot unroll a bare string")
-    # applications children first; per application its round and, per
-    # argument, the index of the application heading it (None for a string)
-    nodes: list[Apply] = []
-    rounds: list[int] = []
-    heads: list[list[int | None]] = []
-    pending: list[int | None] = []
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            pending.append(None)
-            continue
-        arg_heads = pending[-len(node.args):]
-        del pending[-len(arg_heads):]
-        rounds.append(1 + max((rounds[a] for a in arg_heads if a is not None), default=0))
-        heads.append(arg_heads)
-        pending.append(len(nodes))
-        nodes.append(node)
-    # within a round no application contains another, so postorder ranks
-    # them left to right
-    ordered = sorted(range(len(nodes)), key=lambda j: (rounds[j], j))
+    # within a round no application contains another, so their positions
+    # rank them left to right
+    ordered = sorted(range(len(apps)), key=lambda j: apps[j][:2])
     step_index = {j: k for k, j in enumerate(ordered)}
     steps = []
     for j in ordered:
-        args = []
-        for arg, a in zip(nodes[j].args, heads[j]):
-            args.append(("lit", arg.symbols) if a is None else ("step", step_index[a]))
-        steps.append(UnrollStep(fn_name=nodes[j].function.name, args=tuple(args)))
-    return UnrollPlan(src=tuple(render(tree)), steps=tuple(steps))
+        args = tuple(("step", step_index[a]) if isinstance(a, int) else ("lit", a)
+                     for a in apps[j][3])
+        steps.append(UnrollStep(fn_name=apps[j][2], args=args))
+    return UnrollPlan(src=tuple(src), steps=tuple(steps))

@@ -124,9 +124,9 @@ def test_criterion_1_oracle_semantics():
         if got != want:
             bad.append(f"{src!r} -> {got!r} (want {want!r})")
     for src, original, exception in EXCEPTION_TABLE:
-        tree = parse_text(src)
-        got_original = " ".join(evaluate(tree))
-        got_exception = " ".join(exception_evaluate(tree))
+        program = parse_text(src)
+        got_original = " ".join(evaluate(program))
+        got_exception = " ".join(exception_evaluate(program))
         if got_original != original:
             bad.append(f"{src!r} original -> {got_original!r}")
         if got_exception != exception:
@@ -152,9 +152,9 @@ def test_criterion_2_round_trip():
     mismatches = 0
     accepted = 0
     for _ in range(2 * len(corpus)):
-        tree = sample_tree(GrammarParams.default(), rng)
-        src = tuple(render(tree))
-        if parse(src) != tree:
+        program = sample_tree(GrammarParams.default(), rng)
+        src = tuple(render(program))
+        if parse(src) != program:
             mismatches += 1
         if src == corpus.samples[accepted].src:
             accepted += 1
@@ -343,10 +343,10 @@ def test_criterion_7_exception_counts(raw_base):
             if len(got) != want:
                 issues.append(f"pct {pct} {pair}: {len(got)} want {want}")
         for entry in entries:
-            tree = parse_text(" ".join(entry.src))
-            if evaluate(tree) != entry.original_tgt:
+            program = parse_text(" ".join(entry.src))
+            if evaluate(program) != entry.original_tgt:
                 issues.append(f"original target wrong for {' '.join(entry.src)}")
-            if exception_evaluate(tree) != entry.exception_tgt:
+            if exception_evaluate(program) != entry.exception_tgt:
                 issues.append(f"exception target wrong for {' '.join(entry.src)}")
     verdict(7, not issues,
             "exception counts equal round(pct * min occurrence) for the four "
@@ -475,7 +475,7 @@ def test_criterion_9_naturalisation():
     true = GrammarParams.default()
     tree_rng = random.Random(subseed(DEFAULT_SEED, "mle"))
     samples = [
-        Sample.from_tree(i, sample_tree(true, tree_rng, force_function=False))
+        Sample.from_src(i, sample_tree(true, tree_rng, force_function=False))
         for i in range(100_000)
     ]
     est = mle_estimate(Corpus(samples))

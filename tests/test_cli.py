@@ -5,15 +5,21 @@ come from the documented defaults (85/5/10 split flooring, half-of-k
 rewrites, round(pct * occurrences) exception counts).
 """
 
+import contextlib
+import functools
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from pcfgset import cli, corpus_io
+from pcfgset import cli, corpus_io, generation
 from pcfgset.generation import Corpus, GrammarParams, Sample
-from pcfgset.language import parse_text
 from pcfgset.suite import DEFAULT_HELD_OUT_PAIRS, contains_pair
 
 
@@ -49,6 +55,33 @@ def test_generate_same_seed_is_byte_identical(tmp_path):
     run_cli("generate", "--seed", 10, "--size", 60, "--out", tmp_path / "c")
     c = corpus_io.read_json(tmp_path / "c" / "manifest.json")
     assert c["hashes"] != a["hashes"]
+
+
+def test_generate_rejects_draws_too_long_to_evaluate(tmp_path):
+    # nearly every draw is a deep repeat chain, most of them over the output limit
+    weights = dict.fromkeys(("copy", "reverse", "shift", "echo", "swap",
+                             "prepend", "remove_first", "remove_second"), 0.01)
+    params = {"p_unary": 0.97, "p_binary": 0.01, "p_leaf": 0.02,
+              "fn_weights": {**weights, "repeat": 1.0, "append": 1.0},
+              "arg_len_dist": {"5": 1.0}}
+    (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "c"
+    assert run_cli("generate", "--seed", 0, "--size", 50, "--out", out,
+                   "--params", tmp_path / "p.json") == 0
+    assert run_cli("validate", "--data", out) == 0
+
+
+def test_generate_exhausted_ends_in_one_line(tmp_path, monkeypatch):
+    # every draw is a chain of 25 repeats, too long to evaluate
+    params = {"p_unary": 1.0, "p_binary": 0.0, "p_leaf": 0.0,
+              "fn_weights": {"repeat": 1.0, "append": 1.0}, "arg_len_dist": {"1": 1.0}}
+    (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_corpus",
+                        functools.partial(generation.generate_corpus, max_rejects=20))
+    with pytest.raises(SystemExit) as ei:
+        run_cli("generate", "--seed", 0, "--size", 5, "--out", tmp_path / "c",
+                "--params", tmp_path / "p.json")
+    assert ei.value.code == "generate failed: 20 consecutive rejections at 0 samples"
 
 
 def test_generate_requires_seed(tmp_path, monkeypatch):
@@ -107,7 +140,7 @@ def test_validate_passes_then_fails_after_corruption(base_dir, capsys):
 
 def test_validate_fails_a_literal_repeated_across_arguments(tmp_path, capsys):
     texts = ["swap D E", "append A B , C A"]
-    samples = [Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)]
+    samples = [Sample.from_src(i, t.split()) for i, t in enumerate(texts)]
     corpus_io.write_corpus(tmp_path, Corpus(samples))
     assert run_cli("validate", "--data", tmp_path) == 1
     out = capsys.readouterr().out
@@ -117,7 +150,7 @@ def test_validate_fails_a_literal_repeated_across_arguments(tmp_path, capsys):
 
 def test_degenerate_naturalise_filter_drops_repeated_literals():
     texts = ["swap D E", "append A B , C A", "copy D E", "swap D E", "reverse F G"]
-    corpus = Corpus([Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)])
+    corpus = Corpus([Sample.from_src(i, t.split()) for i, t in enumerate(texts)])
     kept = cli._drop_constraint_violations(corpus)
     assert [s.src_text() for s in kept] == ["swap D E", "reverse F G"]
 
@@ -209,10 +242,21 @@ def test_testbuild_overgen_counts_and_validation(base_dir, tmp_path, capsys):
                    "--exceptions", variant / "exceptions.json") == 0
 
 
+def test_testbuild_overgen_reads_only_train_but_checks_every_hash(base_dir, tmp_path):
+    (base_dir / "test.src").write_text("copy a\n", encoding="utf-8")
+    argv = ["testbuild", "--test", "overgen", "--base", base_dir, "--seed", 5,
+            "--exception-pct", "0.01", "--out"]
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*argv, tmp_path / "checked")
+    assert "test.src: hash mismatch" in ei.value.code
+    (base_dir / "manifest.json").unlink()
+    assert run_cli(*argv, tmp_path / "unchecked") == 0
+
+
 def test_testbuild_substitutivity_needs_splits(tmp_path):
     from pcfgset.generation import Corpus, Sample
 
-    unsplit = Corpus([Sample.from_tree(0, parse_text("swap A B"))])
+    unsplit = Corpus([Sample.from_src(0, "swap A B".split())])
     corpus_io.write_corpus(tmp_path / "flat", unsplit)
     with pytest.raises(SystemExit):
         run_cli("testbuild", "--test", "substitutivity-ed", "--base", tmp_path / "flat",
@@ -433,6 +477,13 @@ def test_malformed_corpus_line_ends_in_one_line(tmp_path):
         assert ei.value.code == expected
 
 
+def test_testbuild_on_a_directory_without_corpus_files_ends_in_one_line(tmp_path):
+    with pytest.raises(SystemExit) as ei:
+        run_cli("testbuild", "--test", "productivity", "--base", tmp_path,
+                "--out", tmp_path / "tb", "--seed", 1)
+    assert ei.value.code == f"corpus verification failed: {tmp_path}: no .src files found"
+
+
 def test_a_line_that_is_not_utf8_is_located(tmp_path, capsys):
     data = tmp_path / "bad"
     data.mkdir()
@@ -490,6 +541,11 @@ def test_an_output_too_long_to_build_is_a_recorded_problem(tmp_path, capsys):
         "(repeat would output 1048576 symbols, over the limit of 1000000)",
         "FAIL: 1 problems",
     ]
+    # reading does not evaluate; the oracle records the failure
+    assert corpus_io.read_corpus(data).samples[0].stats.depth == 41
+    out = tmp_path / "ev"
+    assert run_cli("eval", "accuracy", "--data", data, "--out", out, "--adapter", "oracle") == 0
+    assert corpus_io.read_json(out / "report.json")["errors"] == {"OutputTooLong": 1}
     proc = subprocess.run(
         [sys.executable, "-m", "pcfgset", "oracle"],
         input=" ".join(hostile) + "\nswap A B\n",
@@ -613,3 +669,96 @@ def test_naturalise_degenerate_one_cell_spec(tmp_path):
         s.stats.length == 5 and s.stats.depth == 1 for s in built
     )
     assert run_cli("validate", "--data", out) == 0
+
+
+# --- hostile corpus directories ---------------------------------------------------
+
+# Each defect rewrites (src lines, tgt lines, raw bytes of one file) of a healthy
+# split. The unreadable ones break what reading a corpus checks: line counts,
+# UTF-8 and source structure. The others leave a corpus that reads but breaks a
+# rule only validation checks.
+_UNREADABLE = {"truncated", "misaligned", "bad bytes", "unknown token", "unclosed nesting"}
+_DEFECTS = sorted(_UNREADABLE | {"deep nesting", "repeat chain"})
+
+
+def _damage(directory, split, defect, row, cut):
+    src_path, tgt_path = directory / f"{split}.src", directory / f"{split}.tgt"
+    lines = src_path.read_bytes().splitlines(keepends=True)
+    row %= len(lines)
+    if defect == "truncated":
+        # cut inside a line before the last, so whole lines are lost
+        cut %= max(1, sum(len(line) for line in lines[:-1]))
+        src_path.write_bytes(b"".join(lines)[:cut])
+    elif defect == "misaligned":
+        del lines[row]
+        src_path.write_bytes(b"".join(lines))
+    elif defect == "bad bytes":
+        data = tgt_path.read_bytes()
+        cut %= len(data)
+        tgt_path.write_bytes(data[:cut] + b"\xff\xfe" + data[cut:])
+    else:
+        lines[row] = {
+            "unknown token": b"copy A b\n",
+            "unclosed nesting": b"copy " * 3000 + b"\n",
+            "deep nesting": b"copy " * 3000 + b"Z19 Z19\n",  # a literal twice
+            "repeat chain": b"repeat " * 41 + b"A\n",
+        }[defect]
+        src_path.write_bytes(b"".join(lines))
+
+
+def _outcome(argv):
+    """(exit code, output) of one command; any exception but SystemExit propagates."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    corpus = generation.generate_corpus(GrammarParams.default(), 40, seed=4)
+    return generation.split_corpus(corpus, rng=random.Random(4))
+
+
+@given(
+    defect=st.sampled_from(_DEFECTS),
+    split=st.sampled_from(["train", "test"]),
+    row=st.integers(min_value=0, max_value=100),
+    cut=st.integers(min_value=0, max_value=10**6),
+    keep_manifest=st.booleans(),
+    test=st.sampled_from(["systematicity", "productivity", "substitutivity-ed", "overgen"]),
+    mode=st.sampled_from(["accuracy", "localism", "eos"]),
+)
+@example(defect="repeat chain", split="train", row=0, cut=0, keep_manifest=False,
+         test="substitutivity-ed", mode="localism")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_hostile_corpus_directory_ends_in_a_report_or_one_line(
+    small_corpus, defect, split, row, cut, keep_manifest, test, mode
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        corpus_io.write_corpus(data, small_corpus)
+        _damage(data, split, defect, row, cut)
+        if not keep_manifest:
+            (data / "manifest.json").unlink()
+
+        code, out = _outcome(["validate", "--data", data])
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == f"FAIL: {len(lines) - 1} problems"
+
+        # the manifest covers every split; each command reads only the splits it uses
+        testbuild = ["testbuild", "--test", test, "--base", data, "--out", tmp / "tb",
+                     "--seed", 1, "--test-size", 2, "--threshold", 2]
+        evaluate = ["eval", mode, "--data", data, "--split", "test", "--out", tmp / "ev"]
+        for argv, reads in ((testbuild, ["train"] if test == "overgen" else ["train", "test"]),
+                            (evaluate, ["test"])):
+            code, _ = _outcome(argv)
+            if keep_manifest or (defect in _UNREADABLE and split in reads):
+                assert isinstance(code, str) and "\n" not in code, code
+            else:
+                assert code == 0 or (isinstance(code, str) and "\n" not in code), code

@@ -49,7 +49,7 @@ from pcfgset.generation import (
     validate_corpus,
 )
 from pcfgset.harness import EvaluationReport, OverallProfilePoint
-from pcfgset.language import DEFAULT_REGISTRY, parse_text
+from pcfgset.language import DEFAULT_REGISTRY
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
     HeldOutPair,
@@ -59,7 +59,7 @@ from pcfgset.suite import (
 
 
 def corpus_of(texts, splits=None):
-    samples = [Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)]
+    samples = [Sample.from_src(i, t.split()) for i, t in enumerate(texts)]
     corpus = Corpus(samples)
     if splits:
         corpus.splits = {name: tuple(ids) for name, ids in splits.items()}

@@ -17,6 +17,7 @@ from pcfgset.generation import (
     GrammarParams,
     Sample,
     UniquenessLedger,
+    audit_sample,
     generate_corpus,
     leaf_tuples,
     make_primitive_length_corpus,
@@ -26,13 +27,11 @@ from pcfgset.generation import (
 )
 from pcfgset.language import (
     DEFAULT_REGISTRY,
-    Apply,
-    Leaf,
+    LITERAL_SET,
+    SequenceStats,
     evaluate,
+    fold,
     parse,
-    parse_text,
-    postorder,
-    render,
     stats,
     tokenize,
 )
@@ -110,15 +109,15 @@ def test_forced_root_means_primitive_sample_under_leaf_only_params():
     params = uniform_params(p_unary=0.0, p_binary=0.0, p_leaf=1.0)
     rng = random.Random(7)
     for _ in range(50):
-        tree = sample_tree(params, rng)
-        assert isinstance(tree, Apply)
-        assert stats(tree).num_functions == 1
+        src = sample_tree(params, rng)
+        assert src[0] in DEFAULT_REGISTRY
+        assert stats(src).num_functions == 1
 
 
 def test_unforced_root_can_be_leaf():
     params = uniform_params(p_unary=0.0, p_binary=0.0, p_leaf=1.0)
-    tree = sample_tree(params, random.Random(1), force_function=False)
-    assert isinstance(tree, Leaf)
+    src = sample_tree(params, random.Random(1), force_function=False)
+    assert all(tok in LITERAL_SET for tok in src)
 
 
 def test_max_recursion_caps_depth():
@@ -201,10 +200,9 @@ def test_generate_corpus_constraints_hold():
     seen_src = set()
     used_args = {}
     for s in corpus:
-        tree = parse(list(s.src))
-        assert isinstance(tree, Apply)  # never a bare string
-        assert evaluate(tree) == s.tgt
-        assert stats(tree) == s.stats
+        assert s.src[0] in DEFAULT_REGISTRY  # never a bare string
+        assert evaluate(s.src) == s.tgt
+        assert stats(s.src) == s.stats
         assert s.src not in seen_src
         seen_src.add(s.src)
         literals = [sym for t in leaf_tuples(s.src) for sym in t]
@@ -235,6 +233,30 @@ def test_generate_corpus_exhaustion():
                         max_recursion=1, max_rejects=500)
 
 
+def test_a_draw_too_long_to_evaluate_is_a_rejection():
+    # every draw is 25 nested repeats: a value of at least 2**25 symbols
+    params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0,
+                            fn_weights={"repeat": 1.0, "append": 1.0})
+    with pytest.raises(ExhaustedUniqueArguments, match="20 consecutive rejections at 0"):
+        generate_corpus(params, 1, rng=random.Random(0), max_rejects=20)
+
+
+@pytest.mark.parametrize(
+    "src,problem,seq_stats",
+    [
+        ("repeat " * 20 + "A B , C",
+         "does not parse (unexpected token ',' at position 22)", None),
+        ("repeat " * 20 + "A B",
+         "does not evaluate (repeat would output 1048576 symbols, over the limit of 1000000)",
+         SequenceStats(22, 20, 20)),
+    ],
+)
+def test_audit_reports_a_parse_fault_before_a_value_too_long(src, problem, seq_stats):
+    problems = []
+    assert audit_sample(src.split(), ["A"], UniquenessLedger(), problems, "row 1") == seq_stats
+    assert problems[0] == f"row 1: {problem}"
+
+
 def test_validate_corpus_flags_planted_errors():
     corpus = generate_corpus(uniform_params(), 50, rng=random.Random(2))
     good = corpus.samples[0]
@@ -260,7 +282,7 @@ def test_validate_corpus_flags_planted_errors():
 )
 def test_ledger_reports_the_first_violation(recorded, candidate, expected):
     ledger = UniquenessLedger(
-        Sample.from_tree(i, parse_text(t)) for i, t in enumerate(recorded)
+        Sample.from_src(i, t.split()) for i, t in enumerate(recorded)
     )
     assert ledger.violation(candidate.split()) == expected
 
@@ -268,9 +290,14 @@ def test_ledger_reports_the_first_violation(recorded, candidate, expected):
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=200, deadline=None)
 def test_leaf_tuples_of_a_source_are_the_leaves_of_its_tree(seed):
-    tree = sample_tree(uniform_params(), random.Random(seed))
-    leaves = [node.symbols for node in postorder(tree) if isinstance(node, Leaf)]
-    assert leaf_tuples(render(tree)) == leaves
+    src = sample_tree(uniform_params(), random.Random(seed))
+    # the fold's structure, as nested lists of string arguments
+    nested = fold(src, apply=lambda fn, position, args: list(args))[1]
+
+    def leaves(value):
+        return [value] if isinstance(value, tuple) else [t for a in value for t in leaves(a)]
+
+    assert leaf_tuples(src) == leaves(nested)
 
 
 def test_leaf_tuples_skip_functions_synonyms_and_separators():
@@ -300,7 +327,7 @@ def test_ledger_records_only_what_is_added():
     ],
 )
 def test_split_sizes(n, expected):
-    samples = [Sample.from_tree(i, parse(["copy", "A"])) for i in range(n)]
+    samples = [Sample.from_src(i, ["copy", "A"]) for i in range(n)]
     corpus = Corpus(samples)
     split_corpus(corpus, rng=random.Random(1))
     sizes = tuple(len(corpus.splits[k]) for k in ("train", "valid", "test"))
@@ -318,7 +345,7 @@ def test_split_partition_is_disjoint_and_covering():
 @given(st.integers(min_value=1, max_value=5000))
 @settings(max_examples=30, deadline=None)
 def test_split_size_arithmetic(n):
-    samples = [Sample.from_tree(i, parse(["copy", "A"])) for i in range(n)]
+    samples = [Sample.from_src(i, ["copy", "A"]) for i in range(n)]
     corpus = split_corpus(Corpus(samples), rng=random.Random(n))
     assert len(corpus.splits["valid"]) == int(n * 0.05)
     assert len(corpus.splits["test"]) == int(n * 0.10)

@@ -25,6 +25,7 @@ from pcfgset.harness import (
     ModelAdapter,
     OracleAdapter,
     Prediction,
+    MAX_REPLY_CHARS,
     ProtocolViolation,
     SubprocessAdapter,
     Timeout,
@@ -39,7 +40,7 @@ from pcfgset.harness import (
     run_localism,
     run_overgeneralisation,
 )
-from pcfgset.language import Leaf, apply_function, evaluate, parse, parse_text
+from pcfgset.language import MAX_OUTPUT_LENGTH, apply_function, evaluate, fold, parse_text
 from pcfgset.suite import (
     ConsistencyPair,
     ExceptionEntry,
@@ -54,8 +55,7 @@ from pcfgset.generation import Sample
 def corpus_of(*texts):
     samples = []
     for i, text in enumerate(texts):
-        tree = parse_text(text)
-        samples.append(Sample.from_tree(i, tree))
+        samples.append(Sample.from_src(i, text.split()))
     return samples
 
 
@@ -92,25 +92,19 @@ class LengthCappedOracleAdapter(OracleAdapter):
         self.name = f"oracle-cap-{cap}"
 
     def predict(self, src):
-        tree = parse(src.split() if isinstance(src, str) else list(src), self.registry)
-        value, overloaded = self._evaluate(tree)
+        overloaded = False
+
+        def apply(function, position, values):
+            nonlocal overloaded
+            if any(len(values[i]) > self.cap for i in _transformed_positions(function)):
+                overloaded = True
+            return apply_function(function, values)
+
+        tokens = src.split() if isinstance(src, str) else list(src)
+        value = fold(tokens, self.registry, apply)[1]
         if overloaded:
             return list(value[: self.cap])
         return list(value)
-
-    def _evaluate(self, tree) -> tuple[tuple[str, ...], bool]:
-        if isinstance(tree, Leaf):
-            return tree.symbols, False
-        values = []
-        overloaded = False
-        for child in tree.args:
-            value, bad = self._evaluate(child)
-            values.append(value)
-            overloaded = overloaded or bad
-        for position in _transformed_positions(tree.function):
-            if len(values[position]) > self.cap:
-                overloaded = True
-        return apply_function(tree.function, values), overloaded
 
 
 class StubAdapter(ModelAdapter):
@@ -259,7 +253,7 @@ class TestRunAccuracy:
 class TestDatasetHash:
     def test_depends_on_content_not_ids(self):
         a = corpus_of("copy A", "reverse B C")
-        b = [Sample.from_tree(s.id + 40, parse(s.src)) for s in a]
+        b = [Sample.from_src(s.id + 40, s.src) for s in a]
         assert dataset_hash(a) == dataset_hash(b)
 
     def test_changes_with_content(self):
@@ -426,6 +420,17 @@ class TestSubprocessAdapter:
                 time.sleep(0.3)
                 adapter.predict("copy B")
 
+    def test_a_reply_line_without_end_stops_at_the_limit(self):
+        # 6,000,000 characters and no newline: more than the longest valid reply
+        endless = ("import sys; sys.stdin.readline(); "
+                   "sys.stdout.write('A' * 6_000_000); sys.stdout.flush(); sys.stdin.read()")
+        with SubprocessAdapter([sys.executable, "-c", endless], timeout_s=30.0,
+                               max_restarts=0) as adapter:
+            (result,) = adapter.predict_batch(["copy A"])
+            assert adapter.workers[0].proc is None  # the child was stopped
+        assert result.error == "ProtocolViolation"
+        assert MAX_REPLY_CHARS == 4 * MAX_OUTPUT_LENGTH < 6_000_000
+
     def test_parallel_jobs_match_single_worker(self):
         corpus = generate_corpus(GrammarParams.default(), 40, seed=33)
         srcs = [s.src for s in corpus]
@@ -505,8 +510,7 @@ class TestLocalism:
         assert report.extras["mean_unroll_steps"] >= 1.0
 
     def test_execute_unroll_matches_direct_evaluation(self):
-        tree = parse_text("append swap F G H , repeat I J")
-        plan = build_unroll_plan(tree)
+        plan = build_unroll_plan("append swap F G H , repeat I J".split())
         final = execute_unroll(OracleAdapter(), plan)
         assert final == ["H", "G", "F", "I", "J", "I", "J"]
 
@@ -544,7 +548,7 @@ class TestLocalism:
 
     def test_synonym_sources_parse_with_the_given_registry(self):
         registry = SynonymMap.default().registry()
-        samples = [Sample.from_tree(0, parse("swap_syn append_syn A , B C".split(), registry))]
+        samples = [Sample.from_src(0, "swap_syn append_syn A , B C".split(), registry)]
         report = run_localism(OracleAdapter(registry), samples, registry=registry)
         assert report.overall == 1.0
         assert report.extras["mean_unroll_steps"] == 2.0

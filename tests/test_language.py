@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcfgset.language import (
     DEFAULT_REGISTRY,
-    Apply,
+    LITERAL_SET,
     ArityMismatch,
     EmptyArgument,
+    FunctionSymbol,
     LITERALS,
     LanguageError,
-    Leaf,
     OutputTooLong,
     SequenceStats,
     Token,
@@ -25,6 +25,7 @@ from pcfgset.language import (
     apply_function,
     evaluate,
     evaluate_text,
+    fold,
     parse,
     parse_text,
     render,
@@ -124,24 +125,34 @@ def test_tokenize_rejects(piece):
 
 # --- parsing ---------------------------------------------------------------
 
+def _nested(fn, position, args):
+    """A fold callback that spells out the structure: (name, position, *args)."""
+    return (fn.name, position, *args)
+
+
 def test_parse_greedy_literal_run():
-    tree = parse_text("copy A B C")
-    assert tree == Apply(DEFAULT_REGISTRY.lookup("copy"), (Leaf(("A", "B", "C")),))
+    assert parse_text("copy A B C") == ("copy", "A", "B", "C")
+    assert fold("copy A B C".split(), apply=_nested)[1] == ("copy", 0, ("A", "B", "C"))
 
 
 def test_parse_binary_structure():
-    tree = parse_text("append swap F G H , repeat I J")
-    swap = DEFAULT_REGISTRY.lookup("swap")
-    rep = DEFAULT_REGISTRY.lookup("repeat")
-    app = DEFAULT_REGISTRY.lookup("append")
-    assert tree == Apply(
-        app,
-        (Apply(swap, (Leaf(("F", "G", "H")),)), Apply(rep, (Leaf(("I", "J")),))),
-    )
+    closed = []
+
+    def record(fn, position, args):
+        closed.append(fn.name)
+        return _nested(fn, position, args)
+
+    seq_stats, value = fold("append swap F G H , repeat I J".split(), apply=record)
+    assert value == ("append", 0, ("swap", 1, ("F", "G", "H")), ("repeat", 6, ("I", "J")))
+    # calls close children first, left to right
+    assert closed == ["swap", "repeat", "append"]
+    assert seq_stats == SequenceStats(length=9, depth=2, num_functions=3)
+    # without a callback only the structure is checked
+    assert fold("append swap F G H , repeat I J".split()) == (seq_stats, None)
 
 
 def test_parse_accepts_plain_strings():
-    assert parse(["copy", "A"]) == parse_text("copy A")
+    assert parse(["copy", "A"]) == parse_text("copy A") == ("copy", "A")
 
 
 @pytest.mark.parametrize(
@@ -207,6 +218,11 @@ def test_apply_function_arity():
         apply_function(cp, [("A",), ("B",)])
 
 
+def test_functions_are_unary_or_binary():
+    with pytest.raises(ValueError, match="unary and binary functions only"):
+        FunctionSymbol("triple", 3, lambda x, y, z: x + y + z, lambda n, m, k: n + m + k)
+
+
 def test_apply_function_empty_argument():
     cp = DEFAULT_REGISTRY.lookup("copy")
     with pytest.raises(EmptyArgument):
@@ -235,6 +251,9 @@ def test_a_repeat_chain_is_refused_before_its_value_is_built():
     # 2**20 symbols is the first value over the limit: nothing larger was asked for
     assert ei.value.name == "repeat" and ei.value.length == 2**20
     assert isinstance(ei.value, LanguageError)
+    # a structural fault anywhere takes precedence, as when parsing came first
+    with pytest.raises(UnexpectedToken, match="unexpected token ',' at position 22"):
+        evaluate_text("repeat " * 20 + "A B , C")
 
 
 def test_the_limit_admits_a_value_of_exactly_its_length(monkeypatch):
@@ -272,20 +291,18 @@ def test_synonym_name_collisions_rejected():
 
 _SYMBOLS = [c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"] + ["A1", "B3", "Q17", "Z19"]
 
-_leaves = st.builds(
-    lambda syms: Leaf(tuple(syms)),
-    st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=5),
-)
+# random well-formed programs, as token lists
+_leaves = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=5)
 
 
 def _apply_nodes(children):
     unary = st.builds(
-        lambda name, a: Apply(DEFAULT_REGISTRY.lookup(name), (a,)),
+        lambda name, a: [name, *a],
         st.sampled_from(["copy", "reverse", "shift", "echo", "swap", "repeat"]),
         children,
     )
     binary = st.builds(
-        lambda name, a, b: Apply(DEFAULT_REGISTRY.lookup(name), (a, b)),
+        lambda name, a, b: [name, *a, ",", *b],
         st.sampled_from(["append", "prepend", "remove_first", "remove_second"]),
         children,
         children,
@@ -293,36 +310,30 @@ def _apply_nodes(children):
     return unary | binary
 
 
-_trees = st.recursive(_leaves, _apply_nodes, max_leaves=12)
+_programs = st.recursive(_leaves, _apply_nodes, max_leaves=12)
 
 
-@given(_trees)
-def test_parse_render_round_trip(tree):
-    assert parse(render(tree)) == tree
+@given(_programs)
+def test_parse_render_round_trip(src):
+    assert render(parse(src)) == src
+    functions = sum(1 for tok in src if tok in DEFAULT_REGISTRY)
+    seq_stats = stats(src)
+    assert (seq_stats.length, seq_stats.num_functions) == (len(src), functions)
+    assert (seq_stats.depth == 0) == (functions == 0)
 
 
-@given(_trees)
-def test_render_as_text_round_trip(tree):
-    text = render_text(tree)
-    assert parse_text(text) == tree
+@given(_programs)
+def test_render_as_text_round_trip(src):
+    text = " ".join(src)
+    assert parse_text(text) == tuple(src)
     assert render_text(parse_text(text)) == text
 
 
-@given(_trees)
-def test_evaluate_emits_only_input_symbols(tree):
-    out = evaluate(tree)
+@given(_programs)
+def test_evaluate_emits_only_input_symbols(src):
+    out = evaluate(src)
     assert len(out) >= 1
-    leaf_symbols = set()
-
-    def collect(node):
-        if isinstance(node, Leaf):
-            leaf_symbols.update(node.symbols)
-        else:
-            for a in node.args:
-                collect(a)
-
-    collect(tree)
-    assert set(out) <= leaf_symbols
+    assert set(out) <= {tok for tok in src if tok in LITERAL_SET}
 
 
 _args = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=8).map(tuple)
@@ -330,42 +341,41 @@ _args = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=8).map(tuple)
 
 @given(_args)
 def test_unary_length_laws(x):
-    e = evaluate
-    assert e(Apply(DEFAULT_REGISTRY.lookup("copy"), (Leaf(x),))) == x
-    assert len(e(Apply(DEFAULT_REGISTRY.lookup("reverse"), (Leaf(x),)))) == len(x)
-    assert len(e(Apply(DEFAULT_REGISTRY.lookup("shift"), (Leaf(x),)))) == len(x)
-    assert len(e(Apply(DEFAULT_REGISTRY.lookup("swap"), (Leaf(x),)))) == len(x)
-    assert len(e(Apply(DEFAULT_REGISTRY.lookup("repeat"), (Leaf(x),)))) == 2 * len(x)
-    assert len(e(Apply(DEFAULT_REGISTRY.lookup("echo"), (Leaf(x),)))) == len(x) + 1
+    def e(name):
+        return evaluate([name, *x])
+    assert e("copy") == x
+    assert len(e("reverse")) == len(x)
+    assert len(e("shift")) == len(x)
+    assert len(e("swap")) == len(x)
+    assert len(e("repeat")) == 2 * len(x)
+    assert len(e("echo")) == len(x) + 1
 
 
 @given(_args)
 def test_permutations_preserve_multiset(x):
     for name in ("reverse", "shift", "swap"):
-        out = evaluate(Apply(DEFAULT_REGISTRY.lookup(name), (Leaf(x),)))
+        out = evaluate([name, *x])
         assert sorted(out) == sorted(x)
 
 
 @given(_args)
 def test_reverse_involution(x):
-    rev = DEFAULT_REGISTRY.lookup("reverse")
-    assert evaluate(Apply(rev, (Apply(rev, (Leaf(x),)),))) == x
+    assert evaluate(["reverse", "reverse", *x]) == x
 
 
 @given(_args)
 def test_swap_involution(x):
-    sw = DEFAULT_REGISTRY.lookup("swap")
-    assert evaluate(Apply(sw, (Apply(sw, (Leaf(x),)),))) == x
+    assert evaluate(["swap", "swap", *x]) == x
 
 
 @given(_args, _args)
 def test_binary_length_laws(x, y):
-    e = evaluate
-    reg = DEFAULT_REGISTRY
-    assert e(Apply(reg.lookup("append"), (Leaf(x), Leaf(y)))) == x + y
-    assert e(Apply(reg.lookup("prepend"), (Leaf(x), Leaf(y)))) == y + x
-    assert e(Apply(reg.lookup("remove_first"), (Leaf(x), Leaf(y)))) == y
-    assert e(Apply(reg.lookup("remove_second"), (Leaf(x), Leaf(y)))) == x
+    def e(name):
+        return evaluate([name, *x, ",", *y])
+    assert e("append") == x + y
+    assert e("prepend") == y + x
+    assert e("remove_first") == y
+    assert e("remove_second") == x
 
 
 def test_token_str():
@@ -380,10 +390,10 @@ _PIECES = list(DEFAULT_REGISTRY.names()) + [",", "A", "B7", "Z19", "a", "A20", "
 @given(st.lists(st.sampled_from(_PIECES), max_size=16))
 def test_token_soup_parses_or_raises_language_error(pieces):
     try:
-        tree = parse(pieces)
+        src = parse(pieces)
     except LanguageError:
         return
-    assert render(tree) == pieces
+    assert render(src) == pieces
 
 
 @settings(max_examples=25, deadline=None)
@@ -392,11 +402,11 @@ def test_token_soup_parses_or_raises_language_error(pieces):
 def test_deep_unary_chains(names):
     # copy is the identity and reverse an involution
     tokens = names + ["A", "B", "C"]
-    tree = parse(tokens)
-    assert render(tree) == tokens
-    assert stats(tree) == SequenceStats(len(tokens), len(names), len(names))
+    src = parse(tokens)
+    assert render(src) == tokens
+    assert stats(src) == SequenceStats(len(tokens), len(names), len(names))
     flips = names.count("reverse") % 2
-    assert evaluate(tree) == (("C", "B", "A") if flips else ("A", "B", "C"))
+    assert evaluate(src) == (("C", "B", "A") if flips else ("A", "B", "C"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -409,10 +419,10 @@ def test_deep_right_nested_binary_chains(names):
     for name, sym in zip(names, symbols):
         tokens += [name, sym, ","]
     tokens.append(symbols[-1])
-    tree = parse(tokens)
-    assert render(tree) == tokens
-    assert stats(tree) == SequenceStats(len(tokens), len(names), len(names))
+    src = parse(tokens)
+    assert render(src) == tokens
+    assert stats(src) == SequenceStats(len(tokens), len(names), len(names))
     expected = [symbols[-1]]
     for name, sym in reversed(list(zip(names, symbols))):
         expected = [sym] + expected if name == "append" else expected + [sym]
-    assert evaluate(tree) == tuple(expected)
+    assert evaluate(src) == tuple(expected)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcfgset.cli import reference_spec_path
 from pcfgset.generation import Corpus, GrammarParams, Sample, sample_tree
-from pcfgset.language import DEFAULT_REGISTRY, Leaf, SequenceStats, parse, postorder, stats
+from pcfgset.language import DEFAULT_REGISTRY, SequenceStats, fold
 from pcfgset.naturalise import (
     DEFAULT_INCREMENT_GRID,
     DegenerateCovariance,
@@ -365,8 +365,8 @@ def test_random_probability_sample_respects_node_budget():
 def test_mle_hand_counts():
     # "copy A B" and "append A , B": expansions = 1 unary, 1 binary, 3 leaves
     samples = [
-        Sample.from_tree(0, parse("copy A B".split())),
-        Sample.from_tree(1, parse("append A , B".split())),
+        Sample.from_src(0, "copy A B".split()),
+        Sample.from_src(1, "append A , B".split()),
     ]
     params = mle_estimate(Corpus(samples))
     # add-one over three categories: (1+1, 1+1, 3+1) / 8
@@ -390,14 +390,18 @@ def test_mle_counts_equal_a_walk_over_the_parsed_trees():
     n_unary = n_binary = 0
     fn_counts: dict[str, int] = {}
     len_counts: dict[int, int] = {}
+
+    def count(function, position, args):
+        nonlocal n_unary, n_binary
+        for arg in args:
+            if arg is not None:  # a string argument; applications are None
+                len_counts[len(arg)] = len_counts.get(len(arg), 0) + 1
+        n_unary += function.arity == 1
+        n_binary += function.arity == 2
+        fn_counts[function.name] = fn_counts.get(function.name, 0) + 1
+
     for s in pool:
-        for node in postorder(parse(s.src)):
-            if isinstance(node, Leaf):
-                len_counts[len(node.symbols)] = len_counts.get(len(node.symbols), 0) + 1
-                continue
-            n_unary += node.function.arity == 1
-            n_binary += node.function.arity == 2
-            fn_counts[node.function.name] = fn_counts.get(node.function.name, 0) + 1
+        fold(s.src, apply=count)
     total = n_unary + n_binary + sum(len_counts.values())
     params = mle_estimate(pool, max_arg_len=5)
     assert params.p_unary == (n_unary + 1) / (total + 3)
@@ -412,7 +416,7 @@ def test_mle_counts_equal_a_walk_over_the_parsed_trees():
 
 
 def test_mle_unseen_categories_get_smoothing_mass_only():
-    samples = [Sample.from_tree(0, parse("copy A".split()))]
+    samples = [Sample.from_src(0, "copy A".split())]
     params = mle_estimate(Corpus(samples))
     assert 0 < params.p_binary < params.p_unary
     assert params.fn_weights["append"] == params.fn_weights["remove_first"]
@@ -431,7 +435,7 @@ def test_mle_recovers_known_params():
     )
     rng = random.Random(17)
     samples = [
-        Sample.from_tree(i, sample_tree(true, rng, force_function=False))
+        Sample.from_src(i, sample_tree(true, rng, force_function=False))
         for i in range(30_000)
     ]
     est = mle_estimate(Corpus(samples), max_arg_len=5)

@@ -32,7 +32,7 @@ from pcfgset.suite import (
 
 
 def corpus_of(*texts: str) -> Corpus:
-    return Corpus([Sample.from_tree(i, parse_text(t)) for i, t in enumerate(texts)])
+    return Corpus([Sample.from_src(i, t.split()) for i, t in enumerate(texts)])
 
 
 # --- pair containment --------------------------------------------------------
@@ -146,7 +146,7 @@ def test_substitutivity_equal_default_map_targets_hold():
     out, audit = substitutivity_equal(corpus, rng=random.Random(9))
     reg = SynonymMap.default().registry()
     for s in out:
-        assert evaluate(parse(s.src, reg)) == s.tgt
+        assert evaluate(s.src, reg) == s.tgt
     for base, (replaced, total) in audit.items():
         assert replaced == total // 2
 
@@ -166,7 +166,7 @@ def test_substitutivity_primitive_adds_single_function_samples():
     for s in added:
         assert s.stats.num_functions == 1
         assert s.src[0].endswith("_syn")
-        assert evaluate(parse(s.src, reg)) == s.tgt
+        assert evaluate(s.src, reg) == s.tgt
         for t in leaf_tuples(s.src):
             if len(t) >= 2:
                 assert t not in used
@@ -193,7 +193,7 @@ def test_synonym_map_validation():
     with pytest.raises(ValueError):
         SynonymMap.from_dict({"swap": "x_syn", "repeat": "x_syn"})
     reg = SynonymMap.default().registry()
-    assert evaluate(parse("repeat_syn A".split(), reg)) == ("A", "A")
+    assert evaluate("repeat_syn A".split(), reg) == ("A", "A")
 
 
 # --- overgeneralisation -------------------------------------------------------------
@@ -208,29 +208,39 @@ def test_synonym_map_validation():
     ],
 )
 def test_exception_table_rows(src, original, exception):
-    tree = parse_text(src)
-    assert " ".join(evaluate(tree)) == original
-    assert " ".join(exception_evaluate(tree)) == exception
+    program = parse_text(src)
+    assert " ".join(evaluate(program)) == original
+    assert " ".join(exception_evaluate(program)) == exception
 
 
 def test_exception_evaluate_leaves_other_trees_alone():
     for src in ("reverse copy A B", "prepend A , reverse B C", "echo A B"):
-        tree = parse_text(src)
-        assert exception_evaluate(tree) == evaluate(tree)
+        program = parse_text(src)
+        assert exception_evaluate(program) == evaluate(program)
 
 
 def test_exception_evaluate_chained_pairs():
     # (prepend, reverse) and (reverse, echo) overlap on the middle token;
     # both substitutions agree that reverse acts as echo here
-    tree = parse_text("prepend reverse echo A B , C")
-    assert " ".join(evaluate(tree)) == "C B B A"
-    assert " ".join(exception_evaluate(tree)) == "A B B"
+    program = parse_text("prepend reverse echo A B , C")
+    assert " ".join(evaluate(program)) == "C B B A"
+    assert " ".join(exception_evaluate(program)) == "A B B"
 
 
 def test_exception_evaluate_5000_deep():
     # every (reverse, echo) pair turns into (echo, copy): each adds one B
-    tree = parse_text("reverse echo " * 2500 + "A B")
-    assert exception_evaluate(tree) == ("A",) + ("B",) * 2501
+    program = parse_text("reverse echo " * 2500 + "A B")
+    assert exception_evaluate(program) == ("A",) + ("B",) * 2501
+
+
+def test_exception_remaps_that_disagree_on_an_overlap_are_rejected():
+    # reverse heads (reverse, echo), which says echo, and closes
+    # (prepend, reverse), which says copy
+    remap = {("reverse", "echo"): ("echo", "copy"), ("prepend", "reverse"): ("remove_second", "copy")}
+    with pytest.raises(ValueError, match="conflicting exception remaps for 'reverse': 'copy' vs 'echo'"):
+        exception_evaluate("prepend reverse echo A B , C".split(), remap)
+    # apart, each pair applies
+    assert exception_evaluate("prepend reverse A , C".split(), remap) == ("A",)
 
 
 def test_exception_remap_arity_checked():
@@ -259,12 +269,12 @@ def test_exceptions_apply_counts_and_rewrites():
     assert all(e.pair == ("reverse", "echo") for e in entries)
     rewritten = {e.sample_id for e in entries}
     for s in out:
-        tree = parse(s.src)
+        program = parse(s.src)
         if s.id in rewritten:
-            assert s.tgt == exception_evaluate(tree)
-            assert s.tgt != evaluate(tree)
+            assert s.tgt == exception_evaluate(program)
+            assert s.tgt != evaluate(program)
         else:
-            assert s.tgt == evaluate(tree)
+            assert s.tgt == evaluate(program)
     for e in entries:
         assert e.original_tgt != e.exception_tgt
 
