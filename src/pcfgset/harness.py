@@ -187,13 +187,18 @@ class _Worker:
 
     @staticmethod
     def _pump(proc: subprocess.Popen, lines: queue.Queue) -> None:
-        """Queue the child's output lines, then None at EOF; a line longer
-        than MAX_REPLY_CHARS is queued as a ProtocolViolation instead, and
-        ends the reading, so a child cannot grow this process's memory."""
+        """Queue the child's output lines, then None at EOF.  A line longer
+        than MAX_REPLY_CHARS, so a child cannot grow this process's memory,
+        or one the child ended by exiting instead of a newline, so it may
+        be cut short, is queued as a ProtocolViolation instead and ends the
+        reading."""
         assert proc.stdout is not None
         while line := proc.stdout.readline(MAX_REPLY_CHARS + 1):
             if len(line) > MAX_REPLY_CHARS:
                 lines.put(ProtocolViolation(f"reply line longer than {MAX_REPLY_CHARS} characters"))
+                return
+            if not line.endswith("\n"):
+                lines.put(ProtocolViolation("reply line ended without a newline"))
                 return
             lines.put(line)
         lines.put(None)  # EOF marker

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .generation import (
     Alphabet,
     Corpus,
@@ -128,8 +126,11 @@ DEFAULT_INCREMENT_GRID = tuple(
 
 @dataclass(frozen=True)
 class GaussianFit:
-    mean: np.ndarray
-    cov: np.ndarray
+    """Mean vector and covariance matrix as numpy arrays.  The annotations
+    are never evaluated, so this module loads without numpy."""
+
+    mean: numpy.ndarray
+    cov: numpy.ndarray
 
 
 def round_half_up(x: float) -> int:
@@ -290,6 +291,10 @@ def fit_gaussian(
     DegenerateCovariance when fewer than three points are available or the
     points are collinear.
     """
+    # numpy is imported here, not at module level, so that only the
+    # Gaussian fit pays its start-up cost
+    import numpy as np
+
     pts = np.asarray(features, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("features must be (length, depth) pairs")
@@ -328,6 +333,8 @@ def kl_gaussian(p: GaussianFit, q: GaussianFit) -> float:
     0.5 * (tr(Sq^-1 Sp) + (mq - mp)^T Sq^-1 (mq - mp) - 2
            + ln det Sq - ln det Sp)
     """
+    import numpy as np
+
     sign_q, logdet_q = np.linalg.slogdet(q.cov)
     sign_p, logdet_p = np.linalg.slogdet(p.cov)
     if sign_q <= 0 or sign_p <= 0:

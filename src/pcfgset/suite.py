@@ -383,6 +383,17 @@ def exceptions_apply(
             if tok in DEFAULT_REGISTRY:
                 fn_counts[tok] = fn_counts.get(tok, 0) + 1
     samples = list(train.samples)
+    # per remapped pair, the ascending positions of the samples holding it
+    holders: dict[tuple[str, str], list[int]] = {pair: [] for pair in remap}
+
+    def index(pos: int, src: Sequence[str]) -> None:
+        for pair in zip(src, src[1:]):
+            positions = holders.get(pair)
+            if positions is not None and (not positions or positions[-1] != pos):
+                positions.append(pos)
+
+    for pos, s in enumerate(samples):
+        index(pos, s.src)
     ledger = UniquenessLedger(train)
     next_id = max((s.id for s in train), default=-1) + 1
     taken: set[int] = set()
@@ -394,12 +405,7 @@ def exceptions_apply(
         )
         if k == 0:
             continue
-        candidates = [
-            pos
-            for pos, s in enumerate(samples)
-            if pos not in taken
-            and contains_pair(s.src, [HeldOutPair(outer, inner)])
-        ]
+        candidates = [pos for pos in holders[outer, inner] if pos not in taken]
         if len(candidates) >= k:
             chosen = sorted(rng.sample(candidates, k))
         else:
@@ -413,6 +419,7 @@ def exceptions_apply(
                 ledger.add(sample.src, f"sample {next_id}")
                 next_id += 1
                 samples.append(sample)
+                index(len(samples) - 1, sample.src)
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]

@@ -445,6 +445,59 @@ class TestSubprocessAdapter:
             SubprocessAdapter("")
 
 
+# Children that misbehave on a given request of their own, counted from 1
+# for each process.  Each notes its start in the file named by its first
+# argument, and answers a request it serves by echoing it.
+MISBEHAVING_PRELUDE = (
+    "import sys, time\n"
+    "with open(sys.argv[1], 'a') as f:\n"
+    "    f.write('x')\n"
+    "for n, line in enumerate(sys.stdin, 1):\n"
+)
+MISBEHAVING_CHILDREN = {
+    # (loop body, error tag per request, processes started)
+    "exits-at-once": (
+        "    sys.exit(3)\n",
+        ["ChildExited"] * 5, 15),
+    "exits-after-2-replies": (
+        "    print(line.strip(), flush=True)\n"
+        "    if n == 2:\n"
+        "        sys.exit(0)\n",
+        [None] * 5, 3),
+    "no-newline-then-exits": (
+        "    if n == 2:\n"
+        "        sys.stdout.write(line.strip())\n"
+        "        sys.exit(0)\n"
+        "    print(line.strip(), flush=True)\n",
+        [None, "ProtocolViolation", None, "ProtocolViolation", None], 3),
+    "sleeps-on-3rd-request": (
+        "    if n == 3:\n"
+        "        time.sleep(60)\n"
+        "    print(line.strip(), flush=True)\n",
+        [None, None, "Timeout", None, None], 2),
+    "two-lines-on-2nd-request": (
+        "    extra = 'extra\\n' if n == 2 else ''\n"
+        "    sys.stdout.write(line.strip() + '\\n' + extra)\n"
+        "    sys.stdout.flush()\n",
+        [None, "ProtocolViolation", None, "ProtocolViolation", None], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISBEHAVING_CHILDREN))
+def test_misbehaving_child_is_recorded_per_sample(name, tmp_path):
+    body, tags, started = MISBEHAVING_CHILDREN[name]
+    starts = tmp_path / "starts"
+    argv = [sys.executable, "-c", MISBEHAVING_PRELUDE + body, str(starts)]
+    srcs = [f"copy {letter}" for letter in "ABCDE"]
+    with SubprocessAdapter(argv, timeout_s=2.0, jobs=1, max_restarts=2) as adapter:
+        results = adapter.predict_batch(srcs)
+    assert [r.error for r in results] == tags
+    for src, result in zip(srcs, results):
+        assert result.tokens == (None if result.error else tuple(src.split()))
+    # the first process plus one restart per process that died or was stopped
+    assert len(starts.read_text()) == started
+
+
 class TestFileAdapter:
     def test_line_aligned_predictions(self, tmp_path):
         samples = corpus_of("copy A", "reverse B C", "echo D")
