@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -328,13 +328,12 @@ def _build_test(args, seed: int, base: Corpus) -> None:
 
 def _parse_lengths(text: str) -> list[int]:
     lengths: list[int] = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if "-" in piece:
-            lo, hi = piece.split("-", 1)
-            lengths.extend(range(int(lo), int(hi) + 1))
-        else:
-            lengths.append(int(piece))
+    try:
+        for piece in text.split(","):
+            lo, _, hi = piece.strip().partition("-")
+            lengths.extend(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        lengths = []
     if not lengths or any(l < 1 for l in lengths):
         raise SystemExit(f"bad --lengths value: {text!r}")
     return lengths
@@ -348,14 +347,36 @@ def _default_vary_arg(fn_name: str) -> int:
 def cmd_eval(args) -> int:
     try:
         return _run_eval(args)
-    except (corpus_io.MalformedLine, LineCountMismatch) as exc:
+    except (corpus_io.MalformedLine, LineCountMismatch, OSError, ValueError) as exc:
+        # OSError: a file or command that cannot be opened; ValueError: a
+        # malformed adapter descriptor or --jobs value, or unusable test data
         raise SystemExit(f"eval failed: {exc}")
+
+
+def _require_options(args, *names: str) -> None:
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise SystemExit(f"eval {args.mode} needs {' and '.join(missing)}")
+
+
+def _write_eos(out: Path, predictions, testset: Corpus) -> int:
+    result = run_eos_analysis(predictions, [s.tgt for s in testset])
+    corpus_io.write_report(out / "report.json", {"metric": "eos_analysis", **result})
+    corpus_io.write_kv_csv(out / "eos.csv", result)
+    prefix = result["strict_prefix_frac"]
+    print(
+        f"incorrect: {result['incorrect']} of {result['total']}; "
+        f"strict-prefix fraction: "
+        + ("n/a" if prefix is None else f"{prefix:.4f}")
+    )
+    return 0
 
 
 def _run_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "overgen-profile":
+        _require_options(args, "exceptions", "preds")
         entries = corpus_io.read_exceptions(args.exceptions)
         checkpoints = corpus_io.read_checkpoint_predictions(args.preds)
         profile, peak = run_overgeneralisation(checkpoints, entries)
@@ -365,21 +386,8 @@ def _run_eval(args) -> int:
             {
                 "metric": "overgeneralisation_profile",
                 "count": len(entries),
-                "peak": {
-                    "checkpoint": peak.checkpoint,
-                    "overgeneralisation_frac": peak.overgeneralisation_frac,
-                    "memorisation_frac": peak.memorisation_frac,
-                    "other_frac": peak.other_frac,
-                },
-                "profile": [
-                    {
-                        "checkpoint": p.checkpoint,
-                        "overgeneralisation_frac": p.overgeneralisation_frac,
-                        "memorisation_frac": p.memorisation_frac,
-                        "other_frac": p.other_frac,
-                    }
-                    for p in profile
-                ],
+                "peak": asdict(peak),
+                "profile": [asdict(p) for p in profile],
             },
         )
         print(
@@ -394,6 +402,9 @@ def _run_eval(args) -> int:
             if args.functions
             else list(DEFAULT_REGISTRY.names())
         )
+        unknown = [n for n in names if n not in DEFAULT_REGISTRY.names()]
+        if unknown:
+            raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
         lengths = _parse_lengths(args.lengths)
         alphabet = Alphabet.default()
         cells = {}
@@ -409,7 +420,7 @@ def _run_eval(args) -> int:
                     vary_arg=_default_vary_arg(name),
                 )
         with build_adapter(
-            args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed or 0
+            args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed
         ) as adapter:
             grid = run_length_generalisation(adapter, cells)
         corpus_io.write_grid_csv(out / "grid.csv", grid)
@@ -428,52 +439,30 @@ def _run_eval(args) -> int:
         return 0
 
     # remaining modes read the one split they score of a corpus directory
+    _require_options(args, "data")
     split = _pick_split(args.data, args.split)
     testset = _load_base(args.data, [split]).split(split)
     registry = corpus_io.registry_for_directory(args.data)
-    if args.mode == "eos":
-        if args.preds:
-            predictions: list = corpus_io.read_predictions(args.preds)
-        else:
-            adapter = build_adapter(
-                args.adapter,
-                testset=testset,
-                registry=registry,
-                timeout_s=args.timeout,
-                jobs=args.jobs,
-                seed=_resolve_seed(args, required=False) or 0,
-            )
-            with adapter:
-                predictions = [p.tokens for p in adapter.predict_batch([s.src for s in testset])]
-        result = run_eos_analysis(predictions, [s.tgt for s in testset])
-        corpus_io.write_report(out / "report.json", {"metric": "eos_analysis", **result})
-        corpus_io.write_kv_csv(out / "eos.csv", result)
-        prefix = result["strict_prefix_frac"]
-        print(
-            f"incorrect: {result['incorrect']} of {result['total']}; "
-            f"strict-prefix fraction: "
-            + ("n/a" if prefix is None else f"{prefix:.4f}")
-        )
-        return 0
-    seed = _resolve_seed(args, required=False) or 0
-    adapter = build_adapter(
+    if args.mode == "eos" and args.preds:
+        return _write_eos(out, corpus_io.read_predictions(args.preds), testset)
+    with build_adapter(
         args.adapter,
         testset=testset,
         registry=registry,
         timeout_s=args.timeout,
         jobs=args.jobs,
-        seed=seed,
-    )
-    with adapter:
+        seed=_resolve_seed(args, required=False) or 0,
+    ) as adapter:
+        if args.mode == "eos":
+            predictions = adapter.predict_batch([s.src for s in testset])
+            return _write_eos(out, [p.tokens for p in predictions], testset)
         if args.mode == "accuracy":
             pairs_path = Path(args.data) / "pairs.json"
             pairs = corpus_io.read_pairs(pairs_path) if pairs_path.exists() else None
             strata = list(STRATA_FAMILIES)
             if pairs:
                 strata.append("pair")
-            report = run_accuracy(
-                adapter, testset, strata=strata, pairs=pairs, keep_predictions=True
-            )
+            report = run_accuracy(adapter, testset, strata=strata, pairs=pairs)
             if args.save_preds:
                 corpus_io.write_predictions(
                     out / "predictions.pred",

@@ -10,13 +10,14 @@ checkpoints, length generalisation grids and end-of-sequence analysis.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import queue
 import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .generation import Alphabet, Corpus, Sample
 from .language import (
@@ -30,7 +31,9 @@ from .language import (
 )
 from .metrics import aggregate, pairwise_consistency, sequence_accuracy
 from .seeding import substream
-from .suite import ConsistencyPair, ExceptionEntry, HeldOutPair, UnrollPlan, build_unroll_plan, contains_pair
+from .suite import (
+    ConsistencyPair, ExceptionEntry, HeldOutPair, UnrollPlan, UnrollStep, build_unroll_plan, contains_pair,
+)
 
 
 class AdapterError(Exception):
@@ -53,12 +56,8 @@ class LineCountMismatch(Exception):
     """A prediction source does not line up with the test material."""
 
 
-class UnrollFailure(Exception):
-    """An intermediate unroll output cannot be fed back as an argument."""
-
-
 # Failures recorded per sample instead of aborting a run.
-RECOVERABLE_ERRORS = (AdapterError, LanguageError, UnrollFailure)
+RECOVERABLE_ERRORS = (AdapterError, LanguageError)
 
 # The longest reply line a child may send: MAX_OUTPUT_LENGTH symbols of at
 # most three characters, each followed by a space or the newline.
@@ -83,8 +82,24 @@ def _coerce_src(src: Sequence[str] | str) -> list[str]:
     return list(src)
 
 
+def _attempt_each(
+    predict: Callable[[Sequence[str] | str], Sequence[str]],
+    srcs: Sequence[Sequence[str] | str],
+) -> list[Prediction]:
+    """Predict each source in turn; the one place where a recoverable
+    failure becomes a Prediction tagged with the exception's class name."""
+    results = []
+    for src in srcs:
+        try:
+            results.append(Prediction(tuple(predict(src))))
+        except RECOVERABLE_ERRORS as exc:
+            results.append(Prediction(None, type(exc).__name__))
+    return results
+
+
 class ModelAdapter:
-    """Base adapter: subclasses implement predict for a single source."""
+    """Base adapter: subclasses implement predict for a single source, and
+    the runners reach every adapter through predict_batch."""
 
     name: str = "adapter"
 
@@ -93,16 +108,7 @@ class ModelAdapter:
 
     def predict_batch(self, srcs: Sequence[Sequence[str] | str]) -> list[Prediction]:
         """Predict each source, recording recoverable failures per sample."""
-        results = []
-        for src in srcs:
-            results.append(self._guarded(src))
-        return results
-
-    def _guarded(self, src: Sequence[str] | str) -> Prediction:
-        try:
-            return Prediction(tuple(self.predict(src)))
-        except RECOVERABLE_ERRORS as exc:
-            return Prediction(None, type(exc).__name__)
+        return _attempt_each(self.predict, srcs)
 
     def close(self) -> None:
         pass
@@ -173,14 +179,18 @@ class _Worker:
         self.lines: queue.Queue = queue.Queue()
 
     def _spawn(self) -> None:
-        self.proc = subprocess.Popen(
-            self.argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self.proc = subprocess.Popen(
+                self.argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            # not recoverable: no later request could start it either
+            raise OSError(f"cannot start {shlex.join(self.argv)}: {exc.strerror or exc}") from exc
         self.lines = queue.Queue()
         thread = threading.Thread(target=self._pump, args=(self.proc, self.lines), daemon=True)
         thread.start()
@@ -275,9 +285,10 @@ class SubprocessAdapter(ModelAdapter):
 
     The child reads one source line from stdin and must answer with exactly
     one prediction line on stdout, flushed.  A crashed child is restarted
-    and the request retried up to max_restarts times.  With jobs > 1 a
-    fixed pool of children is used and sources are assigned round-robin by
-    index, so results do not depend on thread timing.
+    and the request retried up to max_restarts times.  A batch is served
+    by a fixed pool of jobs children, each on its own thread, with sources
+    assigned round-robin by index, so results do not depend on thread
+    timing.
     """
 
     def __init__(
@@ -304,7 +315,8 @@ class SubprocessAdapter(ModelAdapter):
         self.workers = [_Worker(argv, timeout_s) for _ in range(jobs)]
         self.name = f"cmd:{' '.join(argv)}"
 
-    def _ask(self, worker: _Worker, text: str) -> list[str]:
+    def _ask(self, worker: _Worker, src: Sequence[str] | str) -> list[str]:
+        text = " ".join(_coerce_src(src))
         attempts = self.max_restarts + 1
         for attempt in range(attempts):
             try:
@@ -315,29 +327,33 @@ class SubprocessAdapter(ModelAdapter):
         raise AssertionError("unreachable")
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
-        return self._ask(self.workers[0], " ".join(_coerce_src(src)))
+        return self._ask(self.workers[0], src)
 
     def predict_batch(self, srcs: Sequence[Sequence[str] | str]) -> list[Prediction]:
-        if self.jobs == 1:
-            return super().predict_batch(srcs)
-        results: list[Prediction | None] = [None] * len(srcs)
+        """Serve sources w, w + jobs, ... from worker w.  An exception that
+        is not a recoverable error reaches the caller, the first worker's
+        first."""
+        shares: list[list[Prediction] | Exception] = [[] for _ in self.workers]
 
-        def drive(worker_index: int) -> None:
-            worker = self.workers[worker_index]
-            for i in range(worker_index, len(srcs), self.jobs):
-                try:
-                    tokens = self._ask(worker, " ".join(_coerce_src(srcs[i])))
-                    results[i] = Prediction(tuple(tokens))
-                except RECOVERABLE_ERRORS as exc:
-                    results[i] = Prediction(None, type(exc).__name__)
+        def serve(w: int) -> None:
+            try:
+                shares[w] = _attempt_each(
+                    functools.partial(self._ask, self.workers[w]), srcs[w :: self.jobs]
+                )
+            except Exception as exc:
+                shares[w] = exc
 
-        threads = [threading.Thread(target=drive, args=(w,)) for w in range(self.jobs)]
+        threads = [threading.Thread(target=serve, args=(w,)) for w in range(self.jobs)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+        results: list = [None] * len(srcs)
+        for w, share in enumerate(shares):
+            if isinstance(share, Exception):
+                raise share
+            results[w :: self.jobs] = share
+        return results
 
     def close(self) -> None:
         for worker in self.workers:
@@ -454,31 +470,22 @@ class EvaluationReport:
 STRATA_FAMILIES = ("length", "depth", "num_functions", "function")
 
 
-def _sample_labels(
-    sample: Sample,
-    families: Sequence[str],
-    pairs: Sequence[HeldOutPair] | None,
-) -> dict[str, object]:
-    labels: dict[str, object] = {}
-    for family in families:
-        if family == "length":
-            labels[family] = sample.stats.length
-        elif family == "depth":
-            labels[family] = sample.stats.depth
-        elif family == "num_functions":
-            labels[family] = sample.stats.num_functions
-        elif family == "function":
-            labels[family] = sample.src[0]
-        elif family == "pair":
-            if pairs is None:
-                raise ValueError("pair stratification needs the held-out pair list")
-            containing = [p for p in pairs if contains_pair(sample.src, [p])]
-            labels[family] = " ".join(
-                f"{p.outer}+{p.inner}" for p in containing
-            ) or "none"
-        else:
-            raise ValueError(f"unknown stratum family: {family}")
-    return labels
+def _label(sample: Sample, family: str, pairs: Sequence[HeldOutPair] | None) -> object:
+    """The label of a sample in one stratum family."""
+    if family == "length":
+        return sample.stats.length
+    if family == "depth":
+        return sample.stats.depth
+    if family == "num_functions":
+        return sample.stats.num_functions
+    if family == "function":
+        return sample.src[0]
+    if family == "pair":
+        if pairs is None:
+            raise ValueError("pair stratification needs the held-out pair list")
+        containing = [p for p in pairs if contains_pair(sample.src, [p])]
+        return " ".join(f"{p.outer}+{p.inner}" for p in containing) or "none"
+    raise ValueError(f"unknown stratum family: {family}")
 
 
 def _stratify(
@@ -489,8 +496,7 @@ def _stratify(
 ) -> dict[str, dict[object, tuple[float, int]]]:
     strata: dict[str, dict[object, tuple[float, int]]] = {}
     for family in families:
-        labels = [_sample_labels(s, [family], pairs)[family] for s in samples]
-        _, rows = aggregate(scores, labels)
+        _, rows = aggregate(scores, [_label(s, family, pairs) for s in samples])
         strata[family] = rows
     return strata
 
@@ -503,89 +509,77 @@ def _error_counts(predictions: Sequence[Prediction]) -> dict[str, int]:
     return counts
 
 
+def _accuracy_scores(predictions: Iterable[Prediction], samples: Sequence[Sample]) -> list[float]:
+    """Exact-match score per sample; an error tag scores zero."""
+    return [
+        sequence_accuracy(pred.tokens, sample.tgt) if pred.ok else 0.0
+        for sample, pred in zip(samples, predictions)
+    ]
+
+
 def run_accuracy(
     adapter: ModelAdapter,
     testset: Corpus | Sequence[Sample],
     *,
     strata: Sequence[str] = STRATA_FAMILIES,
     pairs: Sequence[HeldOutPair] | None = None,
-    keep_predictions: bool = False,
 ) -> EvaluationReport:
     """Exact-match sequence accuracy with per-stratum breakdowns."""
     samples = list(testset)
     predictions = adapter.predict_batch([s.src for s in samples])
-    scores = [
-        sequence_accuracy(pred.tokens, sample.tgt) if pred.ok else 0.0
-        for pred, sample in zip(predictions, samples)
-    ]
+    scores = _accuracy_scores(predictions, samples)
     overall = sum(scores) / len(scores) if scores else 0.0
-    report = EvaluationReport(
+    return EvaluationReport(
         metric="accuracy",
         overall=overall,
         count=len(samples),
         strata=_stratify(scores, samples, strata, pairs),
         errors=_error_counts(predictions),
         metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(samples)},
+        predictions=predictions,
     )
-    if keep_predictions:
-        report.predictions = list(predictions)
-    return report
 
 
-def run_consistency(
-    adapter: ModelAdapter,
-    pairs: Sequence[ConsistencyPair],
-    *,
-    keep_predictions: bool = False,
-) -> EvaluationReport:
+def run_consistency(adapter: ModelAdapter, pairs: Sequence[ConsistencyPair]) -> EvaluationReport:
     """Synonym consistency with correct/incorrect breakdown.
 
-    consistency splits into consistent_correct (both sides equal the
-    target) and consistent_incorrect (both sides equal but wrong);
+    Base and synonym sources go out as one batch.  consistency splits
+    into consistent_correct (both sides equal the target) and
+    consistent_incorrect (both sides equal but wrong);
     consistency_across_incorrect renormalises the latter by the fraction
     of pairs with at least one wrong side, and is None when every pair is
     fully correct.
     """
     if not pairs:
         raise ValueError("need at least one consistency pair")
-    base_preds = adapter.predict_batch([p.src_base for p in pairs])
-    syn_preds = adapter.predict_batch([p.src_syn for p in pairs])
+    n = len(pairs)
+    predictions = adapter.predict_batch(
+        [p.src_base for p in pairs] + [p.src_syn for p in pairs]
+    )
     scores = []
     n_consistent_correct = 0
     n_consistent_incorrect = 0
-    n_incorrect = 0
-    for pair, base, syn in zip(pairs, base_preds, syn_preds):
-        if base.ok and syn.ok:
-            same = base.tokens == syn.tokens
-            correct = same and base.tokens == pair.tgt
-        else:
-            same = False
-            correct = False
-        wrong_somewhere = not (
-            base.ok and syn.ok and base.tokens == pair.tgt and syn.tokens == pair.tgt
-        )
+    for pair, base, syn in zip(pairs, predictions[:n], predictions[n:]):
+        same = base.ok and syn.ok and base.tokens == syn.tokens
         scores.append(1.0 if same else 0.0)
-        if same and correct:
+        if same and base.tokens == pair.tgt:
             n_consistent_correct += 1
         elif same:
             n_consistent_incorrect += 1
-        if wrong_somewhere:
-            n_incorrect += 1
-    n = len(pairs)
     overall = sum(scores) / n
     lengths = [len(p.src_base) for p in pairs]
     _, by_length = aggregate(scores, lengths)
+    # a pair is wrong on some side unless both sides equal the target,
+    # which makes it consistent and correct
+    n_incorrect = n - n_consistent_correct
     incorrect_fraction = n_incorrect / n
     across = (n_consistent_incorrect / n) / incorrect_fraction if n_incorrect else None
-    errors = _error_counts(base_preds)
-    for tag, count in _error_counts(syn_preds).items():
-        errors[tag] = errors.get(tag, 0) + count
-    report = EvaluationReport(
+    return EvaluationReport(
         metric="consistency",
         overall=overall,
         count=n,
         strata={"length": by_length},
-        errors=errors,
+        errors=_error_counts(predictions),
         metadata={"adapter": adapter.name},
         extras={
             "consistent_correct": n_consistent_correct / n,
@@ -593,40 +587,57 @@ def run_consistency(
             "incorrect_fraction": incorrect_fraction,
             "consistency_across_incorrect": across,
         },
+        predictions=predictions,
     )
-    if keep_predictions:
-        report.predictions = list(base_preds) + list(syn_preds)
-    return report
 
 
-def execute_unroll(adapter: ModelAdapter, plan: UnrollPlan) -> list[str]:
-    """Run an unroll plan step by step through the adapter.
+def _step_source(step: UnrollStep, outputs: Sequence[tuple[str, ...]]) -> list[str] | None:
+    """The single-function sequence of one unroll step, or None when an
+    earlier output it reads is not a non-empty run of alphabet symbols, so
+    the sequence would not be well formed."""
+    tokens = [step.fn_name]
+    for position, (kind, value) in enumerate(step.args):
+        if position:
+            tokens.append(SEPARATOR)
+        if kind == "lit":
+            tokens.extend(value)
+        elif outputs[value] and LITERAL_SET.issuperset(outputs[value]):
+            tokens.extend(outputs[value])
+        else:
+            return None
+    return tokens
+
+
+def execute_unroll(adapter: ModelAdapter, plans: Sequence[UnrollPlan]) -> list[Prediction]:
+    """Run unroll plans step by step through the adapter.
 
     Each step queries the adapter on a single-function sequence whose
-    arguments are literals or earlier step outputs.  Outputs fed back in
-    must be non-empty runs of alphabet symbols, otherwise the sequence for
-    the next step would not be well formed and UnrollFailure is raised.
+    arguments are literals or earlier outputs of its own plan, so step k
+    of every plan still running goes out in one predict_batch call.  A
+    plan ends with the prediction of its last step, at its first error
+    tag, or as an UnrollFailure when an output fed back in is not a
+    non-empty run of alphabet symbols.
     """
-    outputs: list[list[str]] = []
-    for step in plan.steps:
-        tokens: list[str] = [step.fn_name]
-        for position, (kind, value) in enumerate(step.args):
-            if position:
-                tokens.append(SEPARATOR)
-            if kind == "lit":
-                tokens.extend(value)
+    outputs: list[list[tuple[str, ...]]] = [[] for _ in plans]
+    finals = [Prediction(None, "UnrollFailure")] * len(plans)
+    running: Sequence[int] = range(len(plans))
+    step = 0
+    while running:
+        asked, sources = [], []
+        for i in running:
+            source = _step_source(plans[i].steps[step], outputs[i])
+            if source is not None:
+                asked.append(i)
+                sources.append(source)
+        running = []
+        for i, pred in zip(asked, adapter.predict_batch(sources)):
+            if pred.ok and step + 1 < plans[i].num_steps:
+                outputs[i].append(pred.tokens)
+                running.append(i)
             else:
-                previous = outputs[value]
-                if not previous:
-                    raise UnrollFailure("empty intermediate output")
-                for token in previous:
-                    if token not in LITERAL_SET:
-                        raise UnrollFailure(
-                            f"intermediate output token {token!r} is not an alphabet symbol"
-                        )
-                tokens.extend(previous)
-        outputs.append(list(adapter.predict(tokens)))
-    return outputs[-1]
+                finals[i] = pred
+        step += 1
+    return finals
 
 
 def run_localism(
@@ -634,50 +645,39 @@ def run_localism(
     samples: Corpus | Sequence[Sample],
     *,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
-    keep_predictions: bool = False,
 ) -> EvaluationReport:
     """Compare direct predictions against step-by-step unrolled ones.
 
-    Each source is folded with ``registry`` to plan its unrolling.
+    Each source is folded with ``registry`` to plan its unrolling.  A
+    sample whose unrolling ends in an error tag scores zero and counts
+    as an unroll failure.
     """
     items = [s for s in samples if s.stats.num_functions >= 1]
     if not items:
         raise ValueError("localism needs samples containing at least one function")
     direct_preds = adapter.predict_batch([s.src for s in items])
-    scores = []
-    errors = _error_counts(direct_preds)
-    steps_total = 0
-    failures = 0
-    for sample, direct in zip(items, direct_preds):
-        plan = build_unroll_plan(sample.src, registry)
-        steps_total += plan.num_steps
-        try:
-            unrolled = execute_unroll(adapter, plan)
-        except RECOVERABLE_ERRORS as exc:
-            tag = type(exc).__name__
-            errors[tag] = errors.get(tag, 0) + 1
-            failures += 1
-            scores.append(0.0)
-            continue
-        if direct.ok:
-            scores.append(pairwise_consistency(direct.tokens, unrolled))
-        else:
-            scores.append(0.0)
+    plans = [build_unroll_plan(s.src, registry) for s in items]
+    unrolled = execute_unroll(adapter, plans)
+    scores = [
+        pairwise_consistency(direct.tokens, final.tokens) if direct.ok and final.ok else 0.0
+        for direct, final in zip(direct_preds, unrolled)
+    ]
     overall = sum(scores) / len(scores)
     labels = [s.stats.num_functions for s in items]
     _, by_steps = aggregate(scores, labels)
-    report = EvaluationReport(
+    return EvaluationReport(
         metric="localism_consistency",
         overall=overall,
         count=len(items),
         strata={"num_functions": by_steps},
-        errors=errors,
+        errors=_error_counts(direct_preds + unrolled),
         metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(items)},
-        extras={"mean_unroll_steps": steps_total / len(items), "unroll_failures": failures},
+        extras={
+            "mean_unroll_steps": sum(p.num_steps for p in plans) / len(items),
+            "unroll_failures": sum(1 for final in unrolled if not final.ok),
+        },
+        predictions=direct_preds,
     )
-    if keep_predictions:
-        report.predictions = list(direct_preds)
-    return report
 
 
 @dataclass(frozen=True, slots=True)
@@ -745,17 +745,18 @@ def run_length_generalisation(
     adapter: ModelAdapter,
     cells: Mapping[tuple[str, int], Corpus | Sequence[Sample]],
 ) -> dict[tuple[str, int], tuple[float, int]]:
-    """Accuracy per (function, argument length) cell."""
-    grid: dict[tuple[str, int], tuple[float, int]] = {}
-    for key in sorted(cells):
-        samples = list(cells[key])
+    """Accuracy per (function, argument length) cell; every cell's
+    sources go out as one batch."""
+    by_key = {key: list(cells[key]) for key in sorted(cells)}
+    for key, samples in by_key.items():
         if not samples:
             raise ValueError(f"empty cell: {key!r}")
-        predictions = adapter.predict_batch([s.src for s in samples])
-        scores = [
-            sequence_accuracy(pred.tokens, sample.tgt) if pred.ok else 0.0
-            for pred, sample in zip(predictions, samples)
-        ]
+    predictions = iter(
+        adapter.predict_batch([s.src for samples in by_key.values() for s in samples])
+    )
+    grid: dict[tuple[str, int], tuple[float, int]] = {}
+    for key, samples in by_key.items():
+        scores = _accuracy_scores(predictions, samples)
         grid[key] = (sum(scores) / len(scores), len(scores))
     return grid
 

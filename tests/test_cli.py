@@ -598,6 +598,47 @@ def test_eval_localism_on_a_synonym_directory(base_dir, tmp_path):
     assert corpus_io.read_json(out / "report.json")["overall"] == 1.0
 
 
+def test_eval_localism_through_the_oracle_command_is_the_same_at_any_jobs(base_dir, tmp_path):
+    command = f"cmd:{sys.executable} -m pcfgset oracle"
+    for jobs in (1, 2):
+        assert run_cli("eval", "localism", "--data", base_dir, "--adapter", command,
+                       "--jobs", jobs, "--out", tmp_path / f"jobs{jobs}") == 0
+    for name in ("report.json", "strata.csv"):
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+    assert corpus_io.read_json(tmp_path / "jobs1" / "report.json")["overall"] == 1.0
+
+
+NO_SUCH_FILE = "eval failed: [Errno 2] No such file or directory: '{tmp}/nope.pred'"
+CANNOT_START = "eval failed: cannot start no-such-command-xyz: No such file or directory"
+DATA = ["--data", "{tmp}/d"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", *DATA, "--adapter", "faulty:x"], "eval failed: could not convert string to float: 'x'"),
+    (["accuracy", *DATA, "--adapter", "faulty:2"], "eval failed: rate must lie in [0, 1]"),
+    (["accuracy", *DATA, "--adapter", "telnet:x"], "eval failed: unknown adapter description: 'telnet:x'"),
+    (["accuracy", *DATA, "--adapter", "cmd:"], "eval failed: command must not be empty"),
+    (["accuracy", *DATA, "--adapter", "cmd:cat", "--jobs", "0"], "eval failed: jobs must be at least 1"),
+    (["accuracy", *DATA, "--adapter", "file:{tmp}/nope.pred"], NO_SUCH_FILE),
+    (["eos", *DATA, "--preds", "{tmp}/nope.pred"], NO_SUCH_FILE),
+    (["accuracy", *DATA, "--adapter", "cmd:no-such-command-xyz"], CANNOT_START),
+    (["accuracy", *DATA, "--adapter", "cmd:no-such-command-xyz", "--jobs", "2"], CANNOT_START),
+    (["accuracy"], "eval accuracy needs --data"),
+    (["overgen-profile", "--preds", "{tmp}"], "eval overgen-profile needs --exceptions"),
+    (["length-gen", "--seed", "1", "--lengths", "x"], "bad --lengths value: 'x'"),
+    (["length-gen", "--seed", "1", "--functions", "copy,nope"], "unknown --functions: nope"),
+], ids=["faulty-rate-not-a-number", "faulty-rate-out-of-range", "unknown-adapter",
+        "empty-command", "no-jobs", "missing-file-adapter", "missing-preds",
+        "command-cannot-start", "command-cannot-start-2-jobs", "no-data", "no-exceptions",
+        "bad-lengths", "unknown-function"])
+def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, message):
+    one_sample_directory(tmp_path / "d")
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", *(a.format(tmp=tmp_path) for a in argv), "--out", tmp_path / "ev")
+    assert ei.value.code == message.format(tmp=tmp_path)
+    assert capsys.readouterr().err == ""
+
+
 # --- naturalise -----------------------------------------------------------------
 
 

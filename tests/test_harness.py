@@ -134,6 +134,18 @@ class FailingAdapter(ModelAdapter):
         return list(self.table[text])
 
 
+class CountingOracleAdapter(OracleAdapter):
+    """Oracle noting the size of every batch it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def predict_batch(self, srcs):
+        self.batches.append(len(srcs))
+        return super().predict_batch(srcs)
+
+
 class TestOracleAdapter:
     def test_worked_example(self):
         oracle = OracleAdapter()
@@ -246,7 +258,7 @@ class TestRunAccuracy:
 
     def test_keep_predictions(self):
         samples = corpus_of("copy A")
-        report = run_accuracy(OracleAdapter(), samples, keep_predictions=True)
+        report = run_accuracy(OracleAdapter(), samples)
         assert report.predictions == [Prediction(("A",))]
 
 
@@ -444,6 +456,26 @@ class TestSubprocessAdapter:
         with pytest.raises(ValueError):
             SubprocessAdapter("")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_command_that_cannot_start_reaches_the_caller(self, jobs, capsys):
+        with SubprocessAdapter("no-such-command-xyz --flag", jobs=jobs) as adapter:
+            with pytest.raises(OSError, match="cannot start no-such-command-xyz --flag"):
+                adapter.predict_batch(["copy A", "copy B", "copy C"])
+        assert capsys.readouterr().err == ""  # nothing died inside a thread
+
+    def test_a_failure_that_is_not_recoverable_reaches_the_caller(self, monkeypatch):
+        def ask(self, worker, src):
+            if src == "copy C":
+                raise RuntimeError("broken")
+            return src.split()
+
+        monkeypatch.setattr(SubprocessAdapter, "_ask", ask)
+        with SubprocessAdapter(child(ECHO_CHILD), jobs=2) as adapter:
+            assert adapter.predict_batch(["copy A", "copy B"]) == [
+                Prediction(("copy", "A")), Prediction(("copy", "B"))]
+            with pytest.raises(RuntimeError, match="broken"):
+                adapter.predict_batch(["copy A", "copy B", "copy C"])
+
 
 # Children that misbehave on a given request of their own, counted from 1
 # for each process.  Each notes its start in the file named by its first
@@ -563,9 +595,40 @@ class TestLocalism:
         assert report.extras["mean_unroll_steps"] >= 1.0
 
     def test_execute_unroll_matches_direct_evaluation(self):
-        plan = build_unroll_plan("append swap F G H , repeat I J".split())
-        final = execute_unroll(OracleAdapter(), plan)
-        assert final == ["H", "G", "F", "I", "J", "I", "J"]
+        sources = ["append swap F G H , repeat I J", "copy A", "swap echo B C"]
+        plans = [build_unroll_plan(src.split()) for src in sources]
+        finals = execute_unroll(OracleAdapter(), plans)
+        assert finals == [Prediction(tuple(evaluate(src.split()))) for src in sources]
+        assert finals[0].tokens == ("H", "G", "F", "I", "J", "I", "J")
+
+    def test_runners_batch_their_requests(self):
+        corpus = generate_corpus(GrammarParams.default(), 200, seed=41)
+        adapter = CountingOracleAdapter()
+        run_localism(adapter, corpus)
+        longest = max(build_unroll_plan(s.src).num_steps for s in corpus if s.stats.num_functions)
+        # the direct batch, then one batch per unroll step of the longest plan
+        assert longest > 1 and len(adapter.batches) == 1 + longest
+        assert adapter.batches[1] == sum(1 for s in corpus if s.stats.num_functions)
+        adapter.batches.clear()
+        pairs, _ = make_consistency_pairs(corpus, SynonymMap.default())
+        run_consistency(adapter, pairs)
+        assert adapter.batches == [2 * len(pairs)]
+        adapter.batches.clear()
+        cells = TestLengthGeneralisation.cells("reverse", [2, 4, 6])
+        run_length_generalisation(adapter, cells)
+        assert adapter.batches == [18]
+
+    def test_an_adapter_error_ends_only_its_own_plan(self):
+        samples = corpus_of("swap copy A B", "swap copy C D", "reverse E F")
+        adapter = FailingAdapter(
+            {"swap copy A B": "B A", "swap copy C D": "D C", "reverse E F": "F E",
+             "copy A B": "A B", "swap A B": "B A", "copy C D": "C D"},
+            failing={"swap C D"},
+        )
+        report = run_localism(adapter, samples)
+        assert report.overall == pytest.approx(2 / 3)
+        assert report.errors == {"AdapterError": 1}
+        assert report.extras["unroll_failures"] == 1
 
     def test_capped_adapter_consistent_on_short_arguments(self):
         samples = corpus_of("swap copy A B C", "reverse echo D E", "repeat swap F G")
