@@ -142,15 +142,22 @@ def _mean_functions(corpus: Corpus) -> float:
 # commands
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise SystemExit(
+                f"{args.command} --{name.replace('_', '-')} must be at least 1, got {value}"
+            )
+
+
 def cmd_generate(args) -> int:
+    _require_positive(args, "size")
     seed = _resolve_seed(args, required=True)
     params = (
         corpus_io.read_params(args.params) if args.params else GrammarParams.default()
     )
-    try:
-        corpus = generate_corpus(params, args.size, seed=seed)
-    except ExhaustedUniqueArguments as exc:
-        raise SystemExit(f"generate failed: {exc}")
+    corpus = generate_corpus(params, args.size, seed=seed)
     split_corpus(corpus, rng=substream(seed, "split"))
     manifest = corpus_io.write_corpus(args.out, corpus)
     for name, size in manifest["sizes"].items():
@@ -160,6 +167,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_naturalise(args) -> int:
+    _require_positive(args, "size", "sample_size")
     seed = _resolve_seed(args, required=True)
     spec_path = Path(args.spec) if args.spec else reference_spec_path()
     spec = DistributionSpec.from_csv(spec_path)
@@ -237,14 +245,6 @@ def cmd_testbuild(args) -> int:
     # overgen builds on train alone; train is read first, so ids agree
     overgen_train = args.test == "overgen" and "train" in corpus_io.discover_splits(args.base)
     base = _load_base(args.base, ["train"] if overgen_train else None)
-    try:
-        _build_test(args, seed, base)
-    except (LanguageError, InsufficientPositives, EmptySide) as exc:
-        raise SystemExit(f"testbuild failed: {exc}")
-    return 0
-
-
-def _build_test(args, seed: int, base: Corpus) -> None:
     out = Path(args.out)
     rng = substream(seed, "testbuild", args.test)
     if args.test == "systematicity":
@@ -324,6 +324,7 @@ def _build_test(args, seed: int, base: Corpus) -> None:
     else:
         raise SystemExit(f"unknown test name: {args.test!r}")
     print(f"wrote {out}")
+    return 0
 
 
 def _parse_lengths(text: str) -> list[int]:
@@ -342,15 +343,6 @@ def _parse_lengths(text: str) -> list[int]:
 def _default_vary_arg(fn_name: str) -> int:
     # probe the argument whose content survives into the output
     return 1 if fn_name == "remove_first" else 0
-
-
-def cmd_eval(args) -> int:
-    try:
-        return _run_eval(args)
-    except (corpus_io.MalformedLine, LineCountMismatch, OSError, ValueError) as exc:
-        # OSError: a file or command that cannot be opened; ValueError: a
-        # malformed adapter descriptor or --jobs value, or unusable test data
-        raise SystemExit(f"eval failed: {exc}")
 
 
 def _require_options(args, *names: str) -> None:
@@ -372,7 +364,7 @@ def _write_eos(out: Path, predictions, testset: Corpus) -> int:
     return 0
 
 
-def _run_eval(args) -> int:
+def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "overgen-profile":
@@ -606,10 +598,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a command raises on bad input, which main turns into one line: an
+# OSError is a file or command that cannot be opened, a ValueError a
+# malformed file or argument value (bad JSON or CSV, an unknown name, an
+# adapter descriptor), and the rest input a command cannot build from.
+_FAILURES = (
+    OSError,
+    ValueError,
+    corpus_io.MalformedLine,
+    LineCountMismatch,
+    LanguageError,
+    ExhaustedUniqueArguments,
+    InsufficientPositives,
+    EmptySide,
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _FAILURES as exc:
+        raise SystemExit(f"{args.command} failed: {exc}")
 
 
 if __name__ == "__main__":

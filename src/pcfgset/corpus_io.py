@@ -112,8 +112,13 @@ def write_json(path: Path | str, payload) -> None:
 
 
 def read_json(path: Path | str):
+    """The JSON document in a file; one that is not UTF-8 JSON raises a
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 def verify_manifest(directory: Path | str) -> list[str]:
@@ -124,8 +129,8 @@ def verify_manifest(directory: Path | str) -> list[str]:
         return [f"{manifest_path}: missing manifest"]
     try:
         manifest = read_json(manifest_path)
-    except json.JSONDecodeError as exc:
-        return [f"{manifest_path}: not valid JSON ({exc})"]
+    except ValueError as exc:
+        return [str(exc)]
     problems = []
     hashes = manifest.get("hashes")
     if not isinstance(hashes, dict):

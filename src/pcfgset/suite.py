@@ -118,6 +118,9 @@ class SynonymMap:
     mapping: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        for name, _ in self.mapping:
+            if name not in DEFAULT_REGISTRY:
+                raise ValueError(f"unknown function {name!r}")
         syns = [s for _, s in self.mapping]
         if len(set(syns)) != len(syns):
             raise ValueError("synonym names must be distinct")

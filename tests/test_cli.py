@@ -639,6 +639,66 @@ def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, mess
     assert capsys.readouterr().err == ""
 
 
+BAD_JSON = ("{tmp}/bad.json: not valid JSON "
+            "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))")
+MISSING = "[Errno 2] No such file or directory: '{tmp}/nope.{ext}'"
+BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--seed", "0", "--out", "{tmp}/g", "--params", "{tmp}/bad.json"],
+     "generate failed: " + BAD_JSON),
+    (["generate", "--seed", "0", "--out", "{tmp}/g", "--params", "{tmp}/nope.json"],
+     "generate failed: " + MISSING),
+    (["generate", "--seed", "0", "--out", "{tmp}/g", "--params", "{tmp}/latin1.json"],
+     "generate failed: {tmp}/latin1.json: not valid JSON "
+     "('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"),
+    (["naturalise", "--seed", "0", "--out", "{tmp}/n", "--spec", "{tmp}/bad.csv"],
+     "naturalise failed: {tmp}/bad.csv: expected header 'length,depth,count'"),
+    (["naturalise", "--seed", "0", "--out", "{tmp}/n", "--spec", "{tmp}/nope.csv"],
+     "naturalise failed: " + MISSING),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/bad.json"],
+     "testbuild failed: " + BAD_JSON),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/unknown.json"],
+     "testbuild failed: unknown function 'nope'"),
+    (["testbuild", "--test", "substitutivity-ed", *BASE, "--synonyms", "{tmp}/bad.json"],
+     "testbuild failed: " + BAD_JSON),
+    (["testbuild", "--test", "substitutivity-ed", *BASE, "--synonyms", "{tmp}/unknown.json"],
+     "testbuild failed: unknown function 'nope'"),
+    (["validate", "--data", "{tmp}/base", "--exceptions", "{tmp}/bad.json"],
+     "validate failed: " + BAD_JSON),
+    (["oracle", "--synonyms", "{tmp}/bad.json"], "oracle failed: " + BAD_JSON),
+], ids=["generate-params-bad-json", "generate-params-missing", "generate-params-not-utf8",
+        "naturalise-spec-bad-header", "naturalise-spec-missing", "testbuild-pairs-bad-json",
+        "testbuild-pairs-unknown-function", "testbuild-synonyms-bad-json",
+        "testbuild-synonyms-unknown-function", "validate-exceptions-bad-json",
+        "oracle-synonyms-bad-json"])
+def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
+    (tmp_path / "bad.json").write_text("{bad\n", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b"\xff\n")
+    (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    unknown = [{"outer": "nope", "inner": "copy"}] if "--pairs" in argv else {"nope": "x"}
+    (tmp_path / "unknown.json").write_text(json.dumps(unknown), encoding="utf-8")
+    run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
+    ext = argv[-1].rpartition(".")[2]
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert ei.value.code == message.format(tmp=tmp_path, ext=ext)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--size", "-3"],
+    ["generate", "--size", "0"],
+    ["naturalise", "--sample-size", "0"],
+    ["naturalise", "--size", "-1"],
+])
+def test_a_size_below_one_ends_in_one_line(tmp_path, argv):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*argv, "--seed", 0, "--out", tmp_path / "x")
+    assert ei.value.code == f"{argv[0]} {argv[1]} must be at least 1, got {argv[2]}"
+    assert not (tmp_path / "x").exists()
+
+
 # --- naturalise -----------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from pcfgset.generation import (
     GrammarParams,
     Sample,
     UniquenessLedger,
+    _too_long,
     audit_sample,
     generate_corpus,
     leaf_tuples,
@@ -28,6 +29,7 @@ from pcfgset.generation import (
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
+    OutputTooLong,
     SequenceStats,
     evaluate,
     fold,
@@ -192,6 +194,34 @@ def test_a_bounded_draw_uses_the_same_stream_and_keeps_exactly_the_trees_in_boun
         assert kept is None
 
 
+def _leaf_by_choice(rng, params, symbols):
+    """One leaf as drawn under leaf-only params: the kind, the length, then
+    each symbol picked by ``rng.choice``."""
+    rng.random()
+    lengths = sorted(params.arg_len_dist)
+    (n,) = rng.choices(lengths, [params.arg_len_dist[k] for k in lengths])
+    return tuple(rng.choice(symbols) for _ in range(n))
+
+
+@pytest.mark.parametrize("size", [1, 2, 512, 520])
+def test_leaf_symbols_are_what_rng_choice_draws(size):
+    params = uniform_params(p_unary=0.0, p_binary=0.0, p_leaf=1.0)
+    alphabet = Alphabet(Alphabet.default().symbols[:size])
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            src = sample_tree(params, rng, alphabet=alphabet, force_function=False)
+            assert src == _leaf_by_choice(reference, params, alphabet.symbols)
+        assert rng.getstate() == reference.getstate()
+        # past the bound at once: the forced root's leaves are only consumed
+        assert sample_tree(params, rng, alphabet=alphabet, bound=(0, 0)) is None
+        arity = reference.choices([1, 2])[0]  # both call classes weigh 0: uniform
+        reference.random()  # the function
+        for _ in range(arity):
+            _leaf_by_choice(reference, params, alphabet.symbols)
+        assert rng.getstate() == reference.getstate()
+
+
 # --- corpus generation --------------------------------------------------------
 
 def test_generate_corpus_constraints_hold():
@@ -239,6 +269,24 @@ def test_a_draw_too_long_to_evaluate_is_a_rejection():
                             fn_weights={"repeat": 1.0, "append": 1.0})
     with pytest.raises(ExhaustedUniqueArguments, match="20 consecutive rejections at 0"):
         generate_corpus(params, 1, rng=random.Random(0), max_rejects=20)
+
+
+def test_a_draw_is_too_long_exactly_when_its_value_fold_says_so():
+    # mostly repeat chains: about a third over the output limit, and a
+    # fifth more past the cheap bound but within the limit
+    params = uniform_params(p_unary=0.9, p_binary=0.05, p_leaf=0.05,
+                            fn_weights={"repeat": 1.0, "echo": 0.3, "append": 1.0})
+    rng = random.Random(2)
+    outcomes = []
+    for _ in range(400):
+        src = sample_tree(params, rng)
+        try:
+            evaluate(src)
+            outcomes.append(False)
+        except OutputTooLong:
+            outcomes.append(True)
+        assert _too_long(src) == outcomes[-1]
+    assert 10 < sum(outcomes) < 390
 
 
 @pytest.mark.parametrize(

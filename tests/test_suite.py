@@ -192,6 +192,8 @@ def test_make_consistency_pairs():
 def test_synonym_map_validation():
     with pytest.raises(ValueError):
         SynonymMap.from_dict({"swap": "x_syn", "repeat": "x_syn"})
+    with pytest.raises(ValueError, match="unknown function 'nope'"):
+        SynonymMap.from_dict({"nope": "nope_syn"})
     reg = SynonymMap.default().registry()
     assert evaluate("repeat_syn A".split(), reg) == ("A", "A")
 
