@@ -121,6 +121,13 @@ def read_json(path: Path | str):
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _manifest(path: Path) -> dict:
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    return manifest
+
+
 def verify_manifest(directory: Path | str) -> list[str]:
     """Check manifest hashes against the files; returns problem strings."""
     directory = Path(directory)
@@ -128,7 +135,7 @@ def verify_manifest(directory: Path | str) -> list[str]:
     if not manifest_path.exists():
         return [f"{manifest_path}: missing manifest"]
     try:
-        manifest = read_json(manifest_path)
+        manifest = _manifest(manifest_path)
     except ValueError as exc:
         return [str(exc)]
     problems = []
@@ -186,11 +193,11 @@ def read_corpus(
     seed = None
     params = None
     if manifest_path.exists():
-        manifest = read_json(manifest_path)
+        manifest = _manifest(manifest_path)
         seed = manifest.get("seed")
         raw_params = manifest.get("params")
         if raw_params is not None:
-            params = GrammarParams.from_dict(raw_params)
+            params = _params(manifest_path, raw_params)
     samples: list[Sample] = []
     split_ids: dict[str, tuple[int, ...]] = {}
     for name in names:
@@ -230,8 +237,30 @@ def write_pairs(path: Path | str, pairs: Sequence[HeldOutPair]) -> None:
     write_json(path, [{"outer": p.outer, "inner": p.inner} for p in pairs])
 
 
+def _rows(path: Path | str, fields: Mapping[str, type]) -> list[dict]:
+    """The rows of a JSON sidecar that holds a list of objects, each with
+    ``fields`` of the given types; any other shape raises ValueError naming
+    the file and the row."""
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON list, got {type(rows).__name__}")
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: row {index}: expected an object")
+        for name, kind in fields.items():
+            if name not in row:
+                raise ValueError(f"{path}: row {index}: missing {name!r}")
+            # JSON true and false are ints to isinstance
+            if not isinstance(row[name], kind) or isinstance(row[name], bool):
+                raise ValueError(f"{path}: row {index}: {name!r} must be {kind.__name__}")
+    return rows
+
+
 def read_pairs(path: Path | str) -> list[HeldOutPair]:
-    return [HeldOutPair(row["outer"], row["inner"]) for row in read_json(path)]
+    rows = _rows(path, {"outer": str, "inner": str})
+    if not rows:  # no pair to hold out would leave the test split empty
+        raise ValueError(f"{path}: holds no pairs")
+    return [HeldOutPair(row["outer"], row["inner"]) for row in rows]
 
 
 def write_synonyms(path: Path | str, synonyms: SynonymMap) -> None:
@@ -239,7 +268,12 @@ def write_synonyms(path: Path | str, synonyms: SynonymMap) -> None:
 
 
 def read_synonyms(path: Path | str) -> SynonymMap:
-    return SynonymMap.from_dict(read_json(path))
+    synonyms = read_json(path)
+    if not isinstance(synonyms, dict) or not all(
+        isinstance(name, str) for name in synonyms.values()
+    ):
+        raise ValueError(f"{path}: expected a JSON object of function names")
+    return SynonymMap.from_dict(synonyms)
 
 
 def write_exceptions(path: Path | str, entries: Sequence[ExceptionEntry]) -> None:
@@ -259,15 +293,20 @@ def write_exceptions(path: Path | str, entries: Sequence[ExceptionEntry]) -> Non
 
 
 def read_exceptions(path: Path | str) -> list[ExceptionEntry]:
+    rows = _rows(path, {"sample_id": int, "src": str, "original_tgt": str,
+                        "exception_tgt": str, "pair": list})
     entries = []
-    for row in read_json(path):
+    for index, row in enumerate(rows):
+        pair = row["pair"]
+        if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
+            raise ValueError(f"{path}: row {index}: 'pair' must be two function names")
         entries.append(
             ExceptionEntry(
-                sample_id=int(row["sample_id"]),
+                sample_id=row["sample_id"],
                 src=tuple(row["src"].split()),
                 original_tgt=tuple(row["original_tgt"].split()),
                 exception_tgt=tuple(row["exception_tgt"].split()),
-                pair=(row["pair"][0], row["pair"][1]),
+                pair=(pair[0], pair[1]),
             )
         )
     return entries
@@ -371,7 +410,16 @@ def write_params(path: Path | str, params: GrammarParams) -> None:
 
 
 def read_params(path: Path | str) -> GrammarParams:
-    return GrammarParams.from_dict(read_json(path))
+    """Grammar parameters from a JSON file; a document of the wrong shape or
+    with invalid values raises ValueError naming the file."""
+    return _params(path, read_json(path))
+
+
+def _params(path: Path | str, document) -> GrammarParams:
+    try:
+        return GrammarParams.from_dict(document)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ multi-symbol string argument anywhere else in the corpus.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .language import (
     DEFAULT_REGISTRY,
@@ -80,13 +81,14 @@ class GrammarParams:
     max_arg_len: int = 5
 
     def __post_init__(self):
+        # written so that NaN, which fails every comparison, fails each check
         triple = (self.p_unary, self.p_binary, self.p_leaf)
-        if any(p < 0 for p in triple):
+        if not all(p >= 0 for p in triple):
             raise ValueError("production probabilities must be non-negative")
-        if abs(sum(triple) - 1.0) > 1e-9:
+        if not abs(sum(triple) - 1.0) <= 1e-9:
             raise ValueError("p_unary + p_binary + p_leaf must equal 1")
-        if any(w < 0 for w in self.fn_weights.values()):
-            raise ValueError("function weights must be non-negative")
+        if not all(0 <= w < math.inf for w in self.fn_weights.values()):
+            raise ValueError("function weights must be non-negative and finite")
         unary = [self.fn_weights.get(n, 0.0) for n in DEFAULT_REGISTRY.unary_names()]
         binary = [self.fn_weights.get(n, 0.0) for n in DEFAULT_REGISTRY.binary_names()]
         if sum(unary) <= 0 or sum(binary) <= 0:
@@ -95,9 +97,9 @@ class GrammarParams:
             raise ValueError("arg_len_dist must not be empty")
         if any(k < 1 or k > self.max_arg_len for k in self.arg_len_dist):
             raise ValueError("leaf lengths must lie in 1..max_arg_len")
-        if any(p < 0 for p in self.arg_len_dist.values()):
+        if not all(p >= 0 for p in self.arg_len_dist.values()):
             raise ValueError("leaf length probabilities must be non-negative")
-        if abs(sum(self.arg_len_dist.values()) - 1.0) > 1e-9:
+        if not abs(sum(self.arg_len_dist.values()) - 1.0) <= 1e-9:
             raise ValueError("arg_len_dist must sum to 1")
 
     @classmethod
@@ -119,14 +121,29 @@ class GrammarParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GrammarParams":
-        return cls(
-            p_unary=float(d["p_unary"]),
-            p_binary=float(d["p_binary"]),
-            p_leaf=float(d["p_leaf"]),
-            fn_weights={k: float(v) for k, v in d["fn_weights"].items()},
-            arg_len_dist={int(k): float(v) for k, v in d["arg_len_dist"].items()},
-            max_arg_len=int(d.get("max_arg_len", 5)),
-        )
+        """The parameters of a ``to_dict`` document.  One of another shape
+        (not an object, a key missing, a value that is not a number)
+        raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("p_unary", "p_binary", "p_leaf", "fn_weights",
+                                   "arg_len_dist") if key not in d]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
+        for key in ("fn_weights", "arg_len_dist"):
+            if not isinstance(d[key], dict):
+                raise ValueError(f"{key} must be a JSON object")
+        try:
+            return cls(
+                p_unary=float(d["p_unary"]),
+                p_binary=float(d["p_binary"]),
+                p_leaf=float(d["p_leaf"]),
+                fn_weights={k: float(v) for k, v in d["fn_weights"].items()},
+                arg_len_dist={int(k): float(v) for k, v in d["arg_len_dist"].items()},
+                max_arg_len=int(d.get("max_arg_len", 5)),
+            )
+        except TypeError as exc:  # a value such as null or a list
+            raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -189,6 +206,43 @@ def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:
     return cum, cum[-1] + 0.0, len(cum) - 1
 
 
+class DrawTables(NamedTuple):
+    """What ``sample_tree`` draws with under one params and registry: the
+    function names of each call class, the leaf lengths, and a
+    ``_cumulative`` table for each weighted pick (the three-way kind, the
+    forced root's call class, the function within each class and the leaf
+    length).  A caller that draws many trees from the same params builds
+    them once."""
+
+    unary_names: tuple[str, ...]
+    binary_names: tuple[str, ...]
+    lengths: list[int]
+    kind: tuple[list[float], float, int]
+    root: tuple[list[float], float, int]
+    unary: tuple[list[float], float, int]
+    binary: tuple[list[float], float, int]
+    length: tuple[list[float], float, int]
+
+    @classmethod
+    def build(
+        cls, params: GrammarParams, registry: FunctionRegistry = DEFAULT_REGISTRY
+    ) -> "DrawTables":
+        unary_names = registry.unary_names()
+        binary_names = registry.binary_names()
+        lengths = sorted(params.arg_len_dist)
+        return cls(
+            unary_names,
+            binary_names,
+            lengths,
+            # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
+            _cumulative([params.p_unary, params.p_binary, params.p_leaf]),
+            _cumulative([params.p_unary, params.p_binary]),
+            _cumulative([params.fn_weights.get(n, 0.0) for n in unary_names]),
+            _cumulative([params.fn_weights.get(n, 0.0) for n in binary_names]),
+            _cumulative([params.arg_len_dist[k] for k in lengths]),
+        )
+
+
 def sample_tree(
     params: GrammarParams,
     rng: random.Random,
@@ -199,6 +253,7 @@ def sample_tree(
     max_nodes: int | None = None,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
     bound: tuple[int, int] | None = None,
+    tables: DrawTables | None = None,
 ) -> tuple[str, ...] | None:
     """Draw one program, as its tokens.
 
@@ -212,37 +267,30 @@ def sample_tree(
     binary call leaves a separator marker between its two argument
     positions, so tokens come out in prefix order and any
     ``max_recursion`` fits in memory.  With ``bound = (max_length,
-    max_depth)`` a program whose ``stats`` exceed either is not built: once
-    its running length or depth passes the bound, the draw only consumes
-    the random numbers the program would have used and returns None.  So
-    ``rng`` ends in the same state with or without a bound.
+    max_depth)`` a program whose ``stats`` exceed either is not built: the
+    draw returns None as soon as its running length or depth passes the
+    bound, and ``rng`` is left wherever the draw stopped.
 
     Every draw makes the calls ``rng.random()`` and ``rng.choice`` would:
     a weighted pick is one ``random()`` call (see ``_cumulative``), and a
     leaf symbol is ``symbols[r]`` for the first ``r = rng.getrandbits(k)``
     below ``len(symbols)``, ``k`` being that length's bit count, which is
-    how ``random.Random.choice`` picks.
+    how ``random.Random.choice`` picks.  ``tables`` are
+    ``DrawTables.build(params, registry)``, passed by callers that draw
+    many trees from one params so they are built once.
     """
     alphabet = alphabet or Alphabet.default()
     symbols = alphabet.symbols
     n_symbols = len(symbols)
     bits = n_symbols.bit_length()
     random_, getrandbits = rng.random, rng.getrandbits
-    unary_fns = [registry.lookup(n) for n in registry.unary_names()]
-    binary_fns = [registry.lookup(n) for n in registry.binary_names()]
-    unary_cum, unary_total, unary_hi = _cumulative(
-        [params.fn_weights.get(fn.name, 0.0) for fn in unary_fns]
-    )
-    binary_cum, binary_total, binary_hi = _cumulative(
-        [params.fn_weights.get(fn.name, 0.0) for fn in binary_fns]
-    )
-    lengths = sorted(params.arg_len_dist)
-    length_cum, length_total, length_hi = _cumulative(
-        [params.arg_len_dist[k] for k in lengths]
-    )
-    # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
-    kind_cum, kind_total, _ = _cumulative([params.p_unary, params.p_binary, params.p_leaf])
-    root_cum, root_total, _ = _cumulative([params.p_unary, params.p_binary])
+    tables = tables or DrawTables.build(params, registry)
+    unary_names, binary_names, lengths = tables.unary_names, tables.binary_names, tables.lengths
+    kind_cum, kind_total, _ = tables.kind
+    root_cum, root_total, _ = tables.root
+    unary_cum, unary_total, unary_hi = tables.unary
+    binary_cum, binary_total, binary_hi = tables.binary
+    length_cum, length_total, length_hi = tables.length
     max_length, max_depth = bound or (sys.maxsize, sys.maxsize)
     max_nodes = sys.maxsize if max_nodes is None else max_nodes
 
@@ -257,7 +305,7 @@ def sample_tree(
         if level is None:
             append(SEPARATOR)
             if len(out) > max_length:
-                break
+                return None
             continue
         expanded += 1
         if level >= max_recursion or expanded > max_nodes:
@@ -274,43 +322,18 @@ def sample_tree(
                     r = getrandbits(bits)
                 append(symbols[r])
             if len(out) > max_length:
-                break
+                return None
             continue
         if kind == 0:
-            fn = unary_fns[bisect_right(unary_cum, random_() * unary_total, 0, unary_hi)]
+            append(unary_names[bisect_right(unary_cum, random_() * unary_total, 0, unary_hi)])
             pending.append(level + 1)
         else:
-            fn = binary_fns[bisect_right(binary_cum, random_() * binary_total, 0, binary_hi)]
+            append(binary_names[bisect_right(binary_cum, random_() * binary_total, 0, binary_hi)])
             pending += (level + 1, None, level + 1)
-        append(fn.name)
         # the call's depth is level + 1
         if len(out) > max_length or level >= max_depth:
-            break
-    else:
-        return tuple(out)
-
-    # Out of bound: draw what the rest of the program would and keep
-    # nothing.  The root is drawn, so force_function is spent; no separator
-    # is written; a call's identity is one random() call whatever its
-    # weights; and a kind is bisect_right(kind_cum, u, 0, 2) done inline.
-    pending = [level for level in pending if level is not None]
-    unary_end, binary_end = kind_cum[0], kind_cum[1]
-    while pending:
-        level = pending.pop()
-        expanded += 1
-        if level < max_recursion and expanded <= max_nodes:
-            u = random_() * kind_total
-            if u < binary_end:
-                random_()
-                pending.append(level + 1)
-                if u >= unary_end:
-                    pending.append(level + 1)
-                continue
-        need = lengths[bisect_right(length_cum, random_() * length_total, 0, length_hi)]
-        while need:
-            if getrandbits(bits) < n_symbols:
-                need -= 1
-    return None
+            return None
+    return tuple(out)
 
 
 def leaf_tuples(src: Sequence[str]) -> list[tuple[str, ...]]:
@@ -467,8 +490,10 @@ def generate_corpus(
     samples: list[Sample] = []
     ledger = UniquenessLedger()
     rejects = 0
+    tables = DrawTables.build(params)
     while len(samples) < n:
-        src = sample_tree(params, rng, alphabet=alphabet, max_recursion=max_recursion)
+        src = sample_tree(params, rng, alphabet=alphabet, max_recursion=max_recursion,
+                          tables=tables)
         if ledger.violation(src) is not None or _too_long(src):
             rejects += 1
             if rejects > max_rejects:

@@ -162,6 +162,13 @@ def support_bound(
     )
 
 
+def _dirichlet(rng: random.Random, k: int) -> list[float]:
+    """One draw from the symmetric Dirichlet(1) over ``k`` categories."""
+    draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
+    total = sum(draws)
+    return [d / total for d in draws]
+
+
 def random_probability_sample(
     n: int,
     spec: DistributionSpec,
@@ -180,24 +187,26 @@ def random_probability_sample(
     are drawn from symmetric Dirichlet(1) priors (uniform on the simplex);
     function weights stay uniform.  No uniqueness constraints apply here:
     the sample only exists to cover feature space.  A draw longer or
-    deeper than ``support_bound(spec, candidate_configs)`` is not built,
-    and the corpus holds only the kept trees, each with its draw index as
-    id.  The random stream is the one every draw would use unbounded.
+    deeper than ``support_bound(spec, candidate_configs)`` stops as soon as
+    it passes the bound, and the corpus holds only the kept trees, each
+    with its draw index as id.
+
+    ``rng`` gives one 64-bit base; instance ``i`` draws its probabilities
+    and its tree from ``substream(base, "pool", i)``, so no instance
+    depends on how far an earlier draw went, and a pool of ``n`` is the
+    first ``n`` instances of any larger pool from the same ``rng``.
     """
     alphabet = alphabet or Alphabet.default()
     rng = rng or random.Random(0)
+    base = rng.getrandbits(64)
     uniform_weights = {name: 1.0 for name in DEFAULT_REGISTRY.names()}
     bound = support_bound(spec, candidate_configs)
 
-    def dirichlet(k: int) -> list[float]:
-        draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
-        total = sum(draws)
-        return [d / total for d in draws]
-
     samples = []
     for i in range(n):
-        p_unary, p_binary, p_leaf = dirichlet(3)
-        len_probs = dirichlet(max_arg_len)
+        instance = substream(base, "pool", i)
+        p_unary, p_binary, p_leaf = _dirichlet(instance, 3)
+        len_probs = _dirichlet(instance, max_arg_len)
         params = GrammarParams(
             p_unary=p_unary,
             p_binary=p_binary,
@@ -208,7 +217,7 @@ def random_probability_sample(
         )
         src = sample_tree(
             params,
-            rng,
+            instance,
             alphabet=alphabet,
             max_recursion=max_recursion,
             max_nodes=max_nodes,

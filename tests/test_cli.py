@@ -668,17 +668,39 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
     (["validate", "--data", "{tmp}/base", "--exceptions", "{tmp}/bad.json"],
      "validate failed: " + BAD_JSON),
     (["oracle", "--synonyms", "{tmp}/bad.json"], "oracle failed: " + BAD_JSON),
+    (["generate", "--seed", "0", "--out", "{tmp}/g", "--params", "{tmp}/short.json"],
+     "generate failed: {tmp}/short.json: missing p_binary, p_leaf, fn_weights, arg_len_dist"),
+    (["generate", "--seed", "0", "--out", "{tmp}/g", "--params", "{tmp}/list.json"],
+     "generate failed: {tmp}/list.json: expected a JSON object, got list"),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/object.json"],
+     "testbuild failed: {tmp}/object.json: expected a JSON list, got dict"),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/rowless.json"],
+     "testbuild failed: {tmp}/rowless.json: row 0: missing 'outer'"),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/empty.json"],
+     "testbuild failed: {tmp}/empty.json: holds no pairs"),
+    (["testbuild", "--test", "substitutivity-ed", *BASE, "--synonyms", "{tmp}/list.json"],
+     "testbuild failed: {tmp}/list.json: expected a JSON object of function names"),
+    (["validate", "--data", "{tmp}/base", "--exceptions", "{tmp}/rowless.json"],
+     "validate failed: {tmp}/rowless.json: row 0: missing 'sample_id'"),
+    (["validate", "--data", "{tmp}/base", "--exceptions", "{tmp}/object.json"],
+     "validate failed: {tmp}/object.json: expected a JSON list, got dict"),
 ], ids=["generate-params-bad-json", "generate-params-missing", "generate-params-not-utf8",
         "naturalise-spec-bad-header", "naturalise-spec-missing", "testbuild-pairs-bad-json",
         "testbuild-pairs-unknown-function", "testbuild-synonyms-bad-json",
         "testbuild-synonyms-unknown-function", "validate-exceptions-bad-json",
-        "oracle-synonyms-bad-json"])
+        "oracle-synonyms-bad-json", "generate-params-missing-keys", "generate-params-not-an-object",
+        "testbuild-pairs-not-a-list", "testbuild-pairs-row-missing-a-key", "testbuild-pairs-empty",
+        "testbuild-synonyms-not-an-object", "validate-exceptions-row-missing-a-key",
+        "validate-exceptions-not-a-list"])
 def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.json").write_text("{bad\n", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes(b"\xff\n")
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     unknown = [{"outer": "nope", "inner": "copy"}] if "--pairs" in argv else {"nope": "x"}
     (tmp_path / "unknown.json").write_text(json.dumps(unknown), encoding="utf-8")
+    for name, document in [("short", {"p_unary": 1}), ("list", ["swap"]), ("object", {}),
+                           ("rowless", [{"inner": "copy"}]), ("empty", [])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
     run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
     ext = argv[-1].rpartition(".")[2]
     with pytest.raises(SystemExit) as ei:
@@ -750,9 +772,9 @@ def test_naturalise_reports_the_kept_pool(tmp_path, capsys):
 
 
 def test_naturalise_with_a_pool_too_small_to_fit_ends_in_one_line(tmp_path):
-    # the subsample of seed 0's 30 draws holds fewer than three trees to fit
+    # the subsample of seed 0's 20 draws holds fewer than three trees to fit
     with pytest.raises(SystemExit) as ei:
-        run_cli("naturalise", "--seed", 0, "--out", tmp_path / "n", "--sample-size", 30)
+        run_cli("naturalise", "--seed", 0, "--out", tmp_path / "n", "--sample-size", 20)
     assert ei.value.code == ("naturalise failed: need at least three feature points; "
                              "try a larger --sample-size")
 

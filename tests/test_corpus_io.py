@@ -141,6 +141,19 @@ def test_missing_manifest_entries_reported(tmp_path):
     assert any("missing" in p for p in verify_manifest(tmp_path))
 
 
+def test_a_manifest_of_the_wrong_shape_is_named(tmp_path):
+    write_corpus(tmp_path, corpus_of(["swap A B"]))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]\n", encoding="utf-8")
+    assert verify_manifest(tmp_path) == [f"{manifest}: expected a JSON object, got list"]
+    with pytest.raises(ValueError, match="expected a JSON object, got list"):
+        read_corpus(tmp_path, verify=False)
+    manifest.write_text(json.dumps({"params": {"p_unary": 1}}), encoding="utf-8")
+    with pytest.raises(ValueError) as ei:
+        read_corpus(tmp_path, verify=False)
+    assert str(ei.value) == f"{manifest}: missing p_binary, p_leaf, fn_weights, arg_len_dist"
+
+
 def test_read_corpus_line_count_mismatch(tmp_path):
     write_corpus(tmp_path, corpus_of(["swap A B", "copy C"]))
     (tmp_path / "all.tgt").write_text("B A\n", encoding="utf-8")
@@ -281,6 +294,35 @@ def test_grid_and_kv_csv(tmp_path):
 def test_params_round_trip(tmp_path):
     write_params(tmp_path / "params.json", GrammarParams.default())
     assert read_params(tmp_path / "params.json") == GrammarParams.default()
+
+
+def exception_row(**change):
+    return {"sample_id": 0, "src": "copy A", "original_tgt": "A", "exception_tgt": "B",
+            "pair": ["copy", "copy"], **change}
+
+
+@pytest.mark.parametrize("reader, document, problem", [
+    (read_params, {**GrammarParams.default().to_dict(), "fn_weights": [1.0]},
+     "fn_weights must be a JSON object"),
+    (read_params, {**GrammarParams.default().to_dict(), "p_leaf": None},
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    (read_params, {**GrammarParams.default().to_dict(), "p_leaf": 0.9},
+     "p_unary + p_binary + p_leaf must equal 1"),
+    (read_exceptions, [exception_row(pair=["copy"])], "row 0: 'pair' must be two function names"),
+    (read_exceptions, [exception_row(sample_id="0")], "row 0: 'sample_id' must be int"),
+    (read_exceptions, [exception_row(sample_id=True)], "row 0: 'sample_id' must be int"),
+    (read_exceptions, ["copy A"], "row 0: expected an object"),
+    (read_pairs, [{"outer": ["swap"], "inner": "copy"}], "row 0: 'outer' must be str"),
+    (read_synonyms, {"swap": 1}, "expected a JSON object of function names"),
+], ids=["params-weights-not-an-object", "params-null", "params-sum", "exceptions-pair-short",
+        "exceptions-id-a-string", "exceptions-id-a-bool", "exceptions-row-a-string",
+        "pairs-name-a-list", "synonyms-name-a-number"])
+def test_a_sidecar_of_the_wrong_shape_is_named(tmp_path, reader, document, problem):
+    path = tmp_path / "sidecar.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ValueError) as ei:
+        reader(path)
+    assert str(ei.value) == f"{path}: {problem}"
 
 
 # --- validation -----------------------------------------------------------------

@@ -5,6 +5,7 @@ Split sizes and constraint outcomes asserted here were computed by hand
 stand independent of the implementation.
 """
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pcfgset.generation import (
     Alphabet,
     Corpus,
+    DrawTables,
     ExhaustedUniqueArguments,
     GrammarParams,
     Sample,
@@ -88,6 +90,18 @@ def test_params_reject_negative():
         uniform_params(p_unary=-0.1, p_binary=0.6, p_leaf=0.5)
 
 
+@pytest.mark.parametrize("change", [
+    dict(p_unary=math.nan, p_binary=0.5, p_leaf=0.5),
+    dict(p_leaf=math.inf),
+    dict(fn_weights={**{n: 1.0 for n in DEFAULT_REGISTRY.names()}, "copy": math.inf}),
+    dict(fn_weights={**{n: 1.0 for n in DEFAULT_REGISTRY.names()}, "copy": math.nan}),
+    dict(arg_len_dist={1: math.nan, 2: 1.0}),
+])
+def test_params_reject_nan_and_infinity(change):
+    with pytest.raises(ValueError):
+        uniform_params(**change)
+
+
 def test_params_need_weight_in_each_class():
     with pytest.raises(ValueError):
         uniform_params(fn_weights={"copy": 1.0})  # no binary mass
@@ -143,6 +157,14 @@ def test_sample_tree_deterministic():
     assert t1 == t2
 
 
+def test_prebuilt_tables_draw_the_same_trees():
+    params = uniform_params()
+    tables = DrawTables.build(params)
+    with_tables, without = random.Random(3), random.Random(3)
+    for _ in range(100):
+        assert sample_tree(params, with_tables, tables=tables) == sample_tree(params, without)
+
+
 def test_sample_tree_draws_a_unary_chain_5000_deep():
     params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0)
     tree = sample_tree(params, random.Random(8), max_recursion=5000)
@@ -179,14 +201,12 @@ def grammar_params(draw):
                     st.integers(min_value=0, max_value=20)),
 )
 @settings(max_examples=300, deadline=None)
-def test_a_bounded_draw_uses_the_same_stream_and_keeps_exactly_the_trees_in_bound(
+def test_a_bounded_draw_keeps_exactly_the_trees_in_bound(
     params, seed, force, max_recursion, max_nodes, bound
 ):
-    free_rng, bounded_rng = random.Random(seed), random.Random(seed)
     options = dict(force_function=force, max_recursion=max_recursion, max_nodes=max_nodes)
-    tree = sample_tree(params, free_rng, **options)
-    kept = sample_tree(params, bounded_rng, bound=bound, **options)
-    assert bounded_rng.getstate() == free_rng.getstate()
+    tree = sample_tree(params, random.Random(seed), **options)
+    kept = sample_tree(params, random.Random(seed), bound=bound, **options)
     s = stats(tree)
     if s.length <= bound[0] and s.depth <= bound[1]:
         assert kept == tree
@@ -213,12 +233,11 @@ def test_leaf_symbols_are_what_rng_choice_draws(size):
             src = sample_tree(params, rng, alphabet=alphabet, force_function=False)
             assert src == _leaf_by_choice(reference, params, alphabet.symbols)
         assert rng.getstate() == reference.getstate()
-        # past the bound at once: the forced root's leaves are only consumed
+        # past the bound at once: the forced root's call class and function
+        # are drawn, its arguments are not
         assert sample_tree(params, rng, alphabet=alphabet, bound=(0, 0)) is None
-        arity = reference.choices([1, 2])[0]  # both call classes weigh 0: uniform
-        reference.random()  # the function
-        for _ in range(arity):
-            _leaf_by_choice(reference, params, alphabet.symbols)
+        reference.random()
+        reference.random()
         assert rng.getstate() == reference.getstate()
 
 

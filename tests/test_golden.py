@@ -42,15 +42,15 @@ GOLDEN = {
         "strata.csv": "0135f0817419023f5df722014c6d61d77b21da24c1ca03617b7b7d56753562b5",
     },
     "naturalise": {
-        "kl_trace.csv": "1d397287509bdb8599bd9b7450671030078dba0b7f56ae448563b0fb2bb5d36f",
-        "manifest.json": "210ee26578fe1f72fb12afe299c88ae43d08dd3d6d05c91df14c3e69d344c9b3",
-        "params.json": "e1e3c3ab2d818a8d46aad8a62a20d155fcc2ca6c7a47f860ea236c292b92d975",
-        "test.src": "141ba72bfdb36f7d3e3c77b6c597c601b84a5dbe663d8891ed7e7ae37310ab08",
-        "test.tgt": "9722960b5cc762025f086f3fefbaa0d1891ceefc49d3c09c9e3abaffbc7bee19",
-        "train.src": "b3489f8fb362a8a77317f540987de76bc664bc7b7cd063c09d6861f060697490",
-        "train.tgt": "f0908f063149912e8c4fc8830a9b2aa5fbe74f2e0138900196932b470620323c",
-        "valid.src": "76247d8514f33c27ea50219628a22cc4e4d988a3466a022e6c0745047b60c8af",
-        "valid.tgt": "d6101eebe7d5725aae82404f64c2015a7d62af805f1b5809cc010fbaf6f08400",
+        "kl_trace.csv": "35c132a9bf41acccec45b94e3aed5c824bb3f36d2d5c0a7f84e7802a100f7926",
+        "manifest.json": "a6d07892aae79607a28714c786b3bd3c21f74198053a23d51fa679671ca2cfcf",
+        "params.json": "5faffcb2e10dd10f742324ab826455e8f421ec71f1a792cfb52c2b8b73edfda0",
+        "test.src": "32691aca934745887bc7635af858a45d834109dcf1f0d5e7a796d1bc97f38165",
+        "test.tgt": "263d21c988a9a47aebf3c15a70ad3cbe481498c58cf064d4cb8f21c78b62562b",
+        "train.src": "b3bf9bc86709872e68ee0471c94c342593c5c7b157e0744a2640d65f681c525e",
+        "train.tgt": "c29ab92e001f1d08ea212e5e8586da67f6e300826cf98b34bde11a14c41acf49",
+        "valid.src": "f9824697b8095be9211c108d1207470d2ff296b5a410fd4c3161f6cb199a21e8",
+        "valid.tgt": "bbb79dc5b9be641ce9de95aca3bc31ed573327326a22a3419d4f4d927ed67a4a",
     },
     "overgen": {
         "pct-0.5/exceptions.json": "a83470ed9a0c88183bfcbd87ba2c9635a5b50c39df79282a4fd372eee0cf1270",

@@ -347,6 +347,14 @@ def test_random_probability_sample_keeps_exactly_the_draws_in_bound():
     assert 0 < len(kept) < 200
 
 
+def test_a_random_probability_pool_is_the_prefix_of_a_larger_one():
+    # each instance draws from its own substream of the one base rng gives
+    small = random_probability_sample(60, bundled_spec(), rng=random.Random(5))
+    large = random_probability_sample(120, bundled_spec(), rng=random.Random(5))
+    assert small.samples == [s for s in large if s.id < 60]
+    assert 0 < len(small) < len(large)
+
+
 def test_random_probability_sample_deterministic():
     a = random_probability_sample(25, bundled_spec(), rng=random.Random(4))
     b = random_probability_sample(25, bundled_spec(), rng=random.Random(4))
