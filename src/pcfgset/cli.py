@@ -189,7 +189,7 @@ def cmd_naturalise(args) -> int:
     except (EmptyAnchorCell, DegenerateCovariance) as exc:
         raise SystemExit(f"naturalise failed: {exc}; try a larger --sample-size")
     corpus_io.write_params(out / "params.json", result.params)
-    write_kl_trace(out / "kl_trace.csv", result)
+    write_kl_trace(out / "kl_trace.csv", result.trace)
     if args.size is not None:
         corpus = generate_corpus(result.params, args.size, seed=subseed(seed, "final"))
     else:
@@ -232,8 +232,7 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
     subset = _drop_constraint_violations(subset)
     params = mle_estimate(subset, max_arg_len=5)
     corpus_io.write_params(out / "params.json", params)
-    with open(out / "kl_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iteration,i_length,i_depth,kl\n")
+    write_kl_trace(out / "kl_trace.csv", ())
     corpus_io.write_corpus(out, subset)
     print(f"degenerate reference: matched {len(subset)} samples by histogram")
     print(f"wrote {out}/params.json, kl_trace.csv and corpus files")

@@ -17,9 +17,17 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .generation import Corpus, GrammarParams, Sample, UniquenessLedger, audit_sample
+from .generation import Corpus, GrammarParams, Sample, UniquenessLedger
 from .harness import EvaluationReport, OverallProfilePoint
-from .language import DEFAULT_REGISTRY, FunctionRegistry, LanguageError, stats
+from .language import (
+    DEFAULT_REGISTRY,
+    FunctionRegistry,
+    LanguageError,
+    OutputTooLong,
+    fold,
+    interpret,
+    stats,
+)
 from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
@@ -357,52 +365,48 @@ def write_report(path: Path | str, report: EvaluationReport | dict) -> None:
     write_json(path, payload)
 
 
-def write_strata_csv(path: Path | str, report: EvaluationReport) -> None:
+def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One CSV table: ``csv.writer``'s defaults (CRLF rows; None is empty), UTF-8."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["family", "label", "mean", "count"])
-        for family in sorted(report.strata):
-            rows = report.strata[family]
-            for label in sorted(rows, key=str):
-                mean, count = rows[label]
-                writer.writerow([family, label, f"{mean:.9f}", count])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_strata_csv(path: Path | str, report: EvaluationReport) -> None:
+    write_csv(path, ["family", "label", "mean", "count"], (
+        [family, label, f"{mean:.9f}", count]
+        for family, rows in sorted(report.strata.items())
+        for label, (mean, count) in sorted(rows.items(), key=lambda item: str(item[0]))
+    ))
 
 
 def write_profile_csv(path: Path | str, profile: Sequence[OverallProfilePoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["checkpoint", "overgeneralisation_frac", "memorisation_frac", "other_frac"]
-        )
-        for point in profile:
-            writer.writerow(
-                [
-                    point.checkpoint,
-                    f"{point.overgeneralisation_frac:.9f}",
-                    f"{point.memorisation_frac:.9f}",
-                    f"{point.other_frac:.9f}",
-                ]
-            )
+    write_csv(
+        path,
+        ["checkpoint", "overgeneralisation_frac", "memorisation_frac", "other_frac"],
+        (
+            [
+                point.checkpoint,
+                f"{point.overgeneralisation_frac:.9f}",
+                f"{point.memorisation_frac:.9f}",
+                f"{point.other_frac:.9f}",
+            ]
+            for point in profile
+        ),
+    )
 
 
 def write_grid_csv(
     path: Path | str, grid: Mapping[tuple[str, int], tuple[float, int]]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["function", "length", "accuracy", "count"])
-        for fn, length in sorted(grid):
-            mean, count = grid[(fn, length)]
-            writer.writerow([fn, length, f"{mean:.9f}", count])
+    write_csv(path, ["function", "length", "accuracy", "count"], (
+        [fn, length, f"{mean:.9f}", count] for (fn, length), (mean, count) in sorted(grid.items())
+    ))
 
 
 def write_kv_csv(path: Path | str, values: Mapping[str, object]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        for key in sorted(values):
-            value = values[key]
-            writer.writerow([key, "" if value is None else value])
+    write_csv(path, ["key", "value"], ([key, values[key]] for key in sorted(values)))
 
 
 def write_params(path: Path | str, params: GrammarParams) -> None:
@@ -432,14 +436,15 @@ def validate_corpus_files(
     registry: FunctionRegistry | None = None,
     exceptions: Sequence[ExceptionEntry] | None = None,
 ) -> list[str]:
-    """Audit corpus files; returns line-addressed violation strings.
+    """The corpus validator; returns line-addressed violation strings.
 
-    Every line pair goes through ``generation.audit_sample`` in split
-    order, with one ledger across all splits: the source must parse, the
+    Every line pair is checked in split order, with one
+    ``UniquenessLedger`` across all splits: the source must parse, the
     target must match its evaluation unless an exception entry with the
-    same source prescribes exactly that target, and the corpus constraints
-    must hold.  A file that is not UTF-8 is reported, and its split
-    skipped.
+    same source prescribes exactly that target (a value too long to build
+    is a problem of its own, reported only when the source parses), and
+    the corpus constraints must hold; a row that breaks none is recorded.
+    A file that is not UTF-8 is reported, and its split skipped.
     """
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
@@ -463,8 +468,21 @@ def validate_corpus_files(
                 f"{name}: {len(src_rows)} src lines vs {len(tgt_rows)} tgt lines"
             )
         for lineno, (src, tgt) in enumerate(zip(src_rows, tgt_rows), start=1):
-            audit_sample(
-                src, tgt, ledger, problems, f"{name}.src:{lineno}",
-                tgt_where=f"{name}.tgt:{lineno}", registry=registry, excused=excused,
-            )
+            where = f"{name}.src:{lineno}"
+            try:
+                value = fold(src, registry, interpret)[1]
+            except OutputTooLong as exc:
+                problems.append(f"{where}: does not evaluate ({exc})")
+            except LanguageError as exc:
+                problems.append(f"{where}: does not parse ({exc})")
+                continue
+            else:
+                tgt = tuple(tgt)
+                if value != tgt and excused.get(tuple(src)) != tgt:
+                    problems.append(f"{name}.tgt:{lineno}: target does not match evaluation")
+            violation = ledger.violation(src)
+            if violation is None:
+                ledger.add(src, where)
+            else:
+                problems.append(f"{where}: {violation}")
     return problems

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .language import (
     DEFAULT_REGISTRY,
@@ -25,7 +25,6 @@ from .language import (
     MAX_OUTPUT_LENGTH,
     FunctionRegistry,
     FunctionSymbol,
-    LanguageError,
     OutputTooLong,
     SequenceStats,
     fold,
@@ -58,9 +57,13 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    @classmethod
-    def default(cls) -> "Alphabet":
-        return cls(LITERALS)
+    @staticmethod
+    def default() -> "Alphabet":
+        """The one shared default inventory."""
+        return _DEFAULT_ALPHABET
+
+
+_DEFAULT_ALPHABET = Alphabet(LITERALS)
 
 
 @dataclass(frozen=True)
@@ -394,48 +397,6 @@ class UniquenessLedger:
                 self.used_args[arg] = where
 
 
-def audit_sample(
-    src: Sequence[str],
-    tgt: Sequence[str],
-    ledger: UniquenessLedger,
-    problems: list[str],
-    where: str,
-    *,
-    tgt_where: str | None = None,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
-    excused: Mapping[tuple[str, ...], tuple[str, ...]] | None = None,
-) -> SequenceStats | None:
-    """Check one (source, target) row of a corpus under audit.
-
-    Folds the source, evaluating it against the target (a mismatch is
-    excused when ``excused`` prescribes exactly that target for the
-    source; a value too long to build is a problem of its own, reported
-    only when the source parses) and asks the ledger about the
-    constraints, recording the row if it breaks none.  Violations are
-    appended to ``problems`` prefixed with ``where`` (``tgt_where`` for
-    the target).  Returns the source's stats, or None when it does not
-    parse.
-    """
-    try:
-        seq_stats, value = fold(src, registry, interpret)
-    except OutputTooLong as exc:
-        problems.append(f"{where}: does not evaluate ({exc})")
-        seq_stats = fold(src, registry)[0]
-    except LanguageError as exc:
-        problems.append(f"{where}: does not parse ({exc})")
-        return None
-    else:
-        tgt = tuple(tgt)
-        if value != tgt and (excused or {}).get(tuple(src)) != tgt:
-            problems.append(f"{tgt_where or where}: target does not match evaluation")
-    violation = ledger.violation(src)
-    if violation is None:
-        ledger.add(src, where)
-    else:
-        problems.append(f"{where}: {violation}")
-    return seq_stats
-
-
 def _output_length(fn: FunctionSymbol, position: int, args: Sequence) -> int:
     """``fold``'s callback for a value's length alone: ``interpret``'s
     check on ``fn.size``, without building the value.  A string argument
@@ -572,41 +533,6 @@ def make_primitive_length_corpus(
                 src = [fn_name, *syms[: lens[0]], SEPARATOR, *syms[lens[0]:]]
             samples.append(Sample.from_src(len(samples), src, registry))
     return Corpus(samples)
-
-
-def validate_corpus(
-    corpus: Corpus, registry: FunctionRegistry = DEFAULT_REGISTRY
-) -> list[str]:
-    """Independent audit of a corpus; returns human-readable violations.
-
-    Every sample goes through ``audit_sample``, the routine the file
-    validator uses, so both report the same violations in the same words.
-    On top, recorded stats must match the source, ids must be distinct and
-    the splits must partition the corpus.
-    """
-    problems: list[str] = []
-    ledger = UniquenessLedger()
-    ids = set()
-    for s in corpus.samples:
-        if s.id in ids:
-            problems.append(f"sample {s.id}: duplicate id")
-        ids.add(s.id)
-        seq_stats = audit_sample(s.src, s.tgt, ledger, problems, f"sample {s.id}",
-                                 registry=registry)
-        if seq_stats is not None and seq_stats != s.stats:
-            problems.append(f"sample {s.id}: recorded stats are stale")
-    if corpus.splits:
-        all_split_ids: list[int] = []
-        for name, split_ids in corpus.splits.items():
-            unknown = set(split_ids) - ids
-            if unknown:
-                problems.append(f"split {name}: unknown ids {sorted(unknown)[:5]}")
-            all_split_ids.extend(split_ids)
-        if len(all_split_ids) != len(set(all_split_ids)):
-            problems.append("splits overlap")
-        if set(all_split_ids) != ids:
-            problems.append("splits do not cover the corpus")
-    return problems
 
 
 # Calibrated against data/reference_length_depth.csv; the provenance run is

@@ -1,17 +1,17 @@
 """Core language for the PCFG SET string-edit task.
 
 Sequences are prefix-notation programs over ten string-edit functions and
-uppercase literal symbols, e.g. ``append swap F G H , repeat I J``.  This
-module owns tokenisation, the one structural fold over a program's tokens
-(``fold``: parsing, per-sequence statistics and any bottom-up value), and
-the ground-truth interpreter.
+uppercase literal symbols, e.g. ``append swap F G H , repeat I J``.  A
+program is its list of token strings.  This module owns tokenisation, the
+one structural fold over a program's tokens (``fold``: parsing,
+per-sequence statistics and any bottom-up value), and the ground-truth
+interpreter.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 SEPARATOR = ","
@@ -49,10 +49,10 @@ class UnexpectedEnd(LanguageError):
 class UnexpectedToken(LanguageError):
     """A token that cannot start or continue a constituent at this point."""
 
-    def __init__(self, token: "Token", position: int):
-        self.token = token
+    def __init__(self, text: str, position: int):
+        self.text = text
         self.position = position
-        super().__init__(f"unexpected token {token.text!r} at position {position}")
+        super().__init__(f"unexpected token {text!r} at position {position}")
 
 
 class ArityMismatch(LanguageError):
@@ -82,21 +82,6 @@ class OutputTooLong(LanguageError):
         super().__init__(
             f"{name} would output {length} symbols, over the limit of {MAX_OUTPUT_LENGTH}"
         )
-
-
-class TokenKind(Enum):
-    FUNCTION = "function"
-    LITERAL = "literal"
-    SEPARATOR = "separator"
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
-    text: str
-
-    def __str__(self) -> str:
-        return self.text
 
 
 Symbols = tuple[str, ...]
@@ -217,51 +202,38 @@ class SequenceStats:
 
 # --- tokenisation and the structural fold ----------------------------------
 
-def classify(piece: str, registry: FunctionRegistry = DEFAULT_REGISTRY,
-             position: int | None = None) -> Token:
-    """Classify one whitespace-delimited piece into a Token."""
-    if piece == SEPARATOR:
-        return Token(TokenKind.SEPARATOR, piece)
-    if piece in registry:
-        return Token(TokenKind.FUNCTION, piece)
-    if piece in LITERAL_SET:
-        return Token(TokenKind.LITERAL, piece)
-    raise UnknownToken(piece, position)
+def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[str]:
+    """Split on whitespace; every piece must be a function, the separator
+    or a literal, else UnknownToken names it and its position.
 
-
-def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[Token]:
-    """Split on whitespace and classify each piece.
-
-    >>> [t.text for t in tokenize("append A B , C")]
+    >>> tokenize("append A B , C")
     ['append', 'A', 'B', ',', 'C']
     """
-    return [classify(piece, registry, i) for i, piece in enumerate(text.split())]
+    tokens = text.split()
+    for i, piece in enumerate(tokens):
+        if piece != SEPARATOR and piece not in registry and piece not in LITERAL_SET:
+            raise UnknownToken(piece, i)
+    return tokens
 
 
-def _texts(tokens: Sequence[Token | str]) -> list[str]:
-    return [tok.text if isinstance(tok, Token) else tok for tok in tokens]
-
-
-def _unexpected(kind: FunctionSymbol | TokenKind, text: str, position: int) -> UnexpectedToken:
-    if not isinstance(kind, TokenKind):
-        kind = TokenKind.FUNCTION
-    return UnexpectedToken(Token(kind, text), position)
+# what fold records for a token that is not a function
+_LITERAL, _SEPARATOR = object(), object()
 
 
 def fold(
-    tokens: Sequence[Token | str],
+    tokens: Sequence[str],
     registry: FunctionRegistry = DEFAULT_REGISTRY,
     apply: Callable[[FunctionSymbol, int, list], Any] | None = None,
 ) -> tuple[SequenceStats, Any]:
     """The one structural pass over a prefix-notation program.
 
-    Tokens (Token objects or raw strings) are read left to right.  A
-    function opens a call that waits on an explicit stack; a maximal run of
-    literals is one string argument, ended only by a separator or the end
-    of input; each argument closes the calls it completes, after which the
-    innermost open (binary) call needs a separator and its second argument.
-    The whole sequence must form exactly one constituent.  Nesting depth is
-    bounded by memory alone.
+    The tokens are read left to right.  A function opens a call that
+    waits on an explicit stack; a maximal run of literals is one string
+    argument, ended only by a separator or the end of input; each argument
+    closes the calls it completes, after which the innermost open (binary)
+    call needs a separator and its second argument.  The whole sequence
+    must form exactly one constituent.  Nesting depth is bounded by memory
+    alone.
 
     Returns the program's stats (length: tokens; depth: the most calls
     open at once; the number of functions) and a value.  With ``apply``,
@@ -276,12 +248,10 @@ def fold(
     held until the whole structure has been checked, so a structural fault
     anywhere takes precedence over it.
     """
-    texts = _texts(tokens)
-    literal, separator = TokenKind.LITERAL, TokenKind.SEPARATOR
+    literal, separator = _LITERAL, _SEPARATOR
     functions = registry._by_name
-    # classify's rules, inline: this loop runs once per token of a corpus
-    kinds: list[FunctionSymbol | TokenKind] = []
-    for i, text in enumerate(texts):
+    kinds: list = []
+    for i, text in enumerate(tokens):
         if text == SEPARATOR:
             kinds.append(separator)
         elif text in functions:
@@ -290,7 +260,7 @@ def fold(
             kinds.append(literal)
         else:
             raise UnknownToken(text, i)
-    end = len(texts)
+    end = len(tokens)
     pos = depth = count = 0
     waiting: list[tuple[FunctionSymbol, int, list]] = []
     held: LanguageError | None = None
@@ -299,7 +269,7 @@ def fold(
             raise UnexpectedEnd(pos)
         kind = kinds[pos]
         if kind is separator:
-            raise _unexpected(kind, texts[pos], pos)
+            raise UnexpectedToken(tokens[pos], pos)
         if kind is not literal:
             waiting.append((kind, pos, []))
             count += 1
@@ -309,7 +279,7 @@ def fold(
         start = pos
         while pos < end and kinds[pos] is literal:
             pos += 1
-        value = tuple(texts[start:pos]) if apply is not None else None
+        value = tuple(tokens[start:pos]) if apply is not None else None
         # close every call this constituent completes
         while waiting:
             fn, at, args = waiting[-1]
@@ -325,25 +295,25 @@ def fold(
                     held, apply = exc, None
         else:
             if pos != end:
-                raise _unexpected(kinds[pos], texts[pos], pos)
+                raise UnexpectedToken(tokens[pos], pos)
             if held is not None:
                 raise held
             return SequenceStats(end, depth, count), value
         if pos == end:
             raise UnexpectedEnd(pos)
         if kinds[pos] is not separator:
-            raise _unexpected(kinds[pos], texts[pos], pos)
+            raise UnexpectedToken(tokens[pos], pos)
         pos += 1
 
 
-def parse(tokens: Sequence[Token | str],
+def parse(tokens: Sequence[str],
           registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
-    """Check that the tokens form exactly one program; returns their texts.
+    """Check that the tokens form exactly one program; returns them as a tuple.
 
     A program is its tokens: every consumer folds over them.
     """
     fold(tokens, registry)
-    return tuple(_texts(tokens))
+    return tuple(tokens)
 
 
 def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
@@ -359,7 +329,7 @@ def render_text(src: Sequence[str]) -> str:
     return " ".join(src)
 
 
-def stats(src: Sequence[Token | str],
+def stats(src: Sequence[str],
           registry: FunctionRegistry = DEFAULT_REGISTRY) -> SequenceStats:
     """Length (all tokens), depth (nested applications on the deepest
     path), and total number of function applications.
@@ -399,7 +369,7 @@ def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols])
     return fn.fn(*args)
 
 
-def evaluate(src: Sequence[Token | str],
+def evaluate(src: Sequence[str],
              registry: FunctionRegistry = DEFAULT_REGISTRY) -> Symbols:
     """Ground-truth interpretation of a program as a symbol tuple.
 

@@ -97,11 +97,9 @@ class DistributionSpec:
         return cls.from_rows(rows)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["length", "depth", "count"])
-            for length, depth, count in sorted(self.entries):
-                writer.writerow([length, depth, count])
+        from .corpus_io import write_csv  # corpus_io imports this module, through suite
+
+        write_csv(path, ["length", "depth", "count"], sorted(self.entries))
 
 
 @dataclass(frozen=True)
@@ -598,9 +596,9 @@ def naturalised_corpus(
     )
 
 
-def write_kl_trace(path: str | Path, result: PipelineResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "i_length", "i_depth", "kl"])
-        for row in result.trace:
-            writer.writerow([row.iteration, row.i_length, row.i_depth, f"{row.kl:.9f}"])
+def write_kl_trace(path: str | Path, trace: Sequence[TraceRow]) -> None:
+    from .corpus_io import write_csv  # corpus_io imports this module, through suite
+
+    write_csv(path, ["iteration", "i_length", "i_depth", "kl"], (
+        [row.iteration, row.i_length, row.i_depth, f"{row.kl:.9f}"] for row in trace
+    ))

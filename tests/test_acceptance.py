@@ -23,7 +23,6 @@ from pcfgset.generation import (
     generate_corpus,
     sample_tree,
     split_corpus,
-    validate_corpus,
 )
 from pcfgset.harness import (
     FaultyOracleAdapter,
@@ -142,7 +141,7 @@ def test_criterion_1_oracle_semantics():
 # --- criterion 2: round-trip ------------------------------------------------------
 
 
-def test_criterion_2_round_trip():
+def test_criterion_2_round_trip(tmp_path):
     start = time.perf_counter()
     seed = subseed(DEFAULT_SEED, "roundtrip")
     corpus = generate_corpus(GrammarParams.default(), 10_000, seed=seed)
@@ -161,7 +160,8 @@ def test_criterion_2_round_trip():
             if accepted == len(corpus):
                 break
     mismatches += len(corpus) - accepted
-    problems = validate_corpus(corpus)
+    corpus_io.write_corpus(tmp_path, corpus)
+    problems = corpus_io.validate_corpus_files(tmp_path)
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and not problems and elapsed < 10.0
     verdict(2, ok,

@@ -792,6 +792,8 @@ def test_naturalise_degenerate_one_cell_spec(tmp_path):
         s.stats.length == 5 and s.stats.depth == 1 for s in built
     )
     assert run_cli("validate", "--data", out) == 0
+    # no Gaussian search ran: the trace is its header alone, in the CSV dialect
+    assert (out / "kl_trace.csv").read_bytes() == b"iteration,i_length,i_depth,kl\r\n"
 
 
 # --- hostile corpus directories ---------------------------------------------------

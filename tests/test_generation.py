@@ -20,19 +20,17 @@ from pcfgset.generation import (
     Sample,
     UniquenessLedger,
     _too_long,
-    audit_sample,
     generate_corpus,
     leaf_tuples,
     make_primitive_length_corpus,
     sample_tree,
     split_corpus,
-    validate_corpus,
 )
+from pcfgset.corpus_io import validate_corpus_files, write_corpus, write_token_file
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
     OutputTooLong,
-    SequenceStats,
     evaluate,
     fold,
     parse,
@@ -68,9 +66,12 @@ def test_default_alphabet():
     assert "Z19" in a.symbols
     assert "A0" not in a.symbols and "A20" not in a.symbols
     # every symbol is a valid literal token
-    for sym in a.symbols:
-        (tok,) = tokenize(sym)
-        assert tok.kind.value == "literal"
+    assert tokenize(" ".join(a.symbols)) == list(a.symbols)
+    assert set(a.symbols) <= LITERAL_SET
+
+
+def test_default_alphabet_is_one_shared_instance():
+    assert Alphabet.default() is Alphabet.default()
 
 
 def test_alphabet_rejects_duplicates():
@@ -243,7 +244,7 @@ def test_leaf_symbols_are_what_rng_choice_draws(size):
 
 # --- corpus generation --------------------------------------------------------
 
-def test_generate_corpus_constraints_hold():
+def test_generate_corpus_constraints_hold(tmp_path):
     corpus = generate_corpus(uniform_params(), 400, rng=random.Random(11))
     assert len(corpus) == 400
     seen_src = set()
@@ -260,7 +261,8 @@ def test_generate_corpus_constraints_hold():
             if len(t) >= 2:
                 assert t not in used_args, "string argument reused across corpus"
                 used_args[t] = s.id
-    assert validate_corpus(corpus) == []
+    write_corpus(tmp_path, corpus)
+    assert validate_corpus_files(tmp_path) == []
 
 
 def test_generate_corpus_deterministic_by_seed():
@@ -309,30 +311,30 @@ def test_a_draw_is_too_long_exactly_when_its_value_fold_says_so():
 
 
 @pytest.mark.parametrize(
-    "src,problem,seq_stats",
+    "src,problem",
     [
         ("repeat " * 20 + "A B , C",
-         "does not parse (unexpected token ',' at position 22)", None),
+         "does not parse (unexpected token ',' at position 22)"),
         ("repeat " * 20 + "A B",
-         "does not evaluate (repeat would output 1048576 symbols, over the limit of 1000000)",
-         SequenceStats(22, 20, 20)),
+         "does not evaluate (repeat would output 1048576 symbols, over the limit of 1000000)"),
     ],
 )
-def test_audit_reports_a_parse_fault_before_a_value_too_long(src, problem, seq_stats):
-    problems = []
-    assert audit_sample(src.split(), ["A"], UniquenessLedger(), problems, "row 1") == seq_stats
-    assert problems[0] == f"row 1: {problem}"
+def test_audit_reports_a_parse_fault_before_a_value_too_long(tmp_path, src, problem):
+    write_token_file(tmp_path / "all.src", [src.split()])
+    write_token_file(tmp_path / "all.tgt", [["A"]])
+    assert validate_corpus_files(tmp_path) == [f"all.src:1: {problem}"]
 
 
-def test_validate_corpus_flags_planted_errors():
+def test_validate_corpus_flags_planted_errors(tmp_path):
     corpus = generate_corpus(uniform_params(), 50, rng=random.Random(2))
     good = corpus.samples[0]
     bad = Sample(id=good.id + 1000, src=good.src,
                  tgt=good.tgt + ("Z19",), stats=good.stats)
-    tampered = Corpus(corpus.samples + [bad])
-    problems = validate_corpus(tampered)
-    assert any("duplicate source" in p for p in problems)
-    assert any("target does not match" in p for p in problems)
+    write_corpus(tmp_path, Corpus(corpus.samples + [bad]))
+    assert validate_corpus_files(tmp_path) == [
+        "all.tgt:51: target does not match evaluation",
+        "all.src:51: duplicate source (also at all.src:1)",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -401,12 +403,13 @@ def test_split_sizes(n, expected):
     assert sizes == expected
 
 
-def test_split_partition_is_disjoint_and_covering():
+def test_split_partition_is_disjoint_and_covering(tmp_path):
     corpus = generate_corpus(uniform_params(), 200, rng=random.Random(9))
     split_corpus(corpus, rng=random.Random(5))
     ids = [i for k in ("train", "valid", "test") for i in corpus.splits[k]]
     assert sorted(ids) == [s.id for s in corpus.samples]
-    assert validate_corpus(corpus) == []
+    write_corpus(tmp_path, corpus)
+    assert validate_corpus_files(tmp_path) == []
 
 
 @given(st.integers(min_value=1, max_value=5000))

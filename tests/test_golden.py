@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pcfgset import cli
+from pcfgset import cli, corpus_io
 
 GOLDEN = {
     "base": {
@@ -51,6 +51,22 @@ GOLDEN = {
         "train.tgt": "c29ab92e001f1d08ea212e5e8586da67f6e300826cf98b34bde11a14c41acf49",
         "valid.src": "f9824697b8095be9211c108d1207470d2ff296b5a410fd4c3161f6cb199a21e8",
         "valid.tgt": "bbb79dc5b9be641ce9de95aca3bc31ed573327326a22a3419d4f4d927ed67a4a",
+    },
+    "eos": {
+        "eos.csv": "df6f22c85b94ed42c47a2f27b534393ef2d8fc71432c6da1fb9cf800a88da67e",
+        "report.json": "42b3c9bafb4dda1436aae94fce7169a1ac7d9460cd44088e3831997b89bdaada",
+    },
+    "eos-preds": {
+        "eos.csv": "122a1191ab98386dc9a9076c64a8c3ec1d158183ef50360f20bd29b3427138fd",
+        "report.json": "5dc569e1403a0262b35107d9c5b66ffc4326a797e9c45d83a418e8d13fdaaa79",
+    },
+    "length-gen": {
+        "grid.csv": "d849800d7a020671093c3d1a25ea5b9701c22d7ea89f9e64aa3ffc6bc17faa55",
+        "report.json": "6fa732ad42a18b694e079b1ee8a1056556dec152335c79ecfa662351d7b9a63a",
+    },
+    "overgen-profile": {
+        "profile.csv": "cc11dc824f92ff831c73ce40c1242966535dca37f3da40b9a16f8f8072608660",
+        "report.json": "4173b4cc08f0dff9b82097a3ccb898e4bc7dbae216d60556e1fdc58e42e1e90d",
     },
     "overgen": {
         "pct-0.5/exceptions.json": "a83470ed9a0c88183bfcbd87ba2c9635a5b50c39df79282a4fd372eee0cf1270",
@@ -92,6 +108,42 @@ def outputs(tmp_path_factory):
     # the pool size the benchmark's naturalise workload runs
     assert cli.main([
         "naturalise", "--seed", "0", "--sample-size", "2000", "--out", str(root / "naturalise"),
+    ]) == 0
+    assert cli.main([
+        "eval", "eos", "--adapter", "oracle", "--data", str(base), "--out", str(root / "eos"),
+    ]) == 0
+    # every third prediction stops one symbol early and every fifth loses its
+    # first symbol, so both fractions of the eos report are numbers
+    preds = corpus_io.read_token_file(base / "test.tgt")
+    for i, pred in enumerate(preds):
+        if i % 3 == 0:
+            del pred[-1:]
+        elif i % 5 == 0:
+            del pred[:1]
+    corpus_io.write_predictions(root / "model.pred", preds)
+    assert cli.main([
+        "eval", "eos", "--data", str(base), "--preds", str(root / "model.pred"),
+        "--out", str(root / "eos-preds"),
+    ]) == 0
+    assert cli.main([
+        "eval", "length-gen", "--adapter", "oracle", "--seed", "0",
+        "--functions", "echo,append,remove_first", "--lengths", "1-4", "--per-length", "3",
+        "--out", str(root / "length-gen"),
+    ]) == 0
+    # three checkpoints from the exceptions sidecar: the rule everywhere, a
+    # mix of rule, exception and neither, then the exceptions everywhere
+    exceptions = root / "overgen" / "pct-0.5" / "exceptions.json"
+    entries = corpus_io.read_exceptions(exceptions)
+    checkpoints = root / "checkpoints"
+    checkpoints.mkdir()
+    corpus_io.write_predictions(checkpoints / "0_early.pred", [e.original_tgt for e in entries])
+    corpus_io.write_predictions(checkpoints / "1_mid.pred", [
+        (e.original_tgt, e.exception_tgt, ("Q9",))[i % 3] for i, e in enumerate(entries)
+    ])
+    corpus_io.write_predictions(checkpoints / "2_late.pred", [e.exception_tgt for e in entries])
+    assert cli.main([
+        "eval", "overgen-profile", "--exceptions", str(exceptions),
+        "--preds", str(checkpoints), "--out", str(root / "overgen-profile"),
     ]) == 0
     return root
 

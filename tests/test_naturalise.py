@@ -93,6 +93,12 @@ def test_spec_csv_round_trip(tmp_path):
     assert again.total == 16
 
 
+def test_spec_to_csv_rewrites_the_bundled_reference_byte_for_byte(tmp_path):
+    bundled = reference_spec_path()
+    DistributionSpec.from_csv(bundled).to_csv(tmp_path / "ref.csv")
+    assert (tmp_path / "ref.csv").read_bytes() == bundled.read_bytes()
+
+
 def test_spec_drops_zero_count_rows(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("length,depth,count\n3,1,5\n4,1,0\n", encoding="utf-8")
