@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .generation import (
 )
 from .harness import (
     STRATA_FAMILIES,
+    EvaluationReport,
     LineCountMismatch,
     build_adapter,
     run_accuracy,
@@ -350,19 +351,6 @@ def _require_options(args, *names: str) -> None:
         raise SystemExit(f"eval {args.mode} needs {' and '.join(missing)}")
 
 
-def _write_eos(out: Path, predictions, testset: Corpus) -> int:
-    result = run_eos_analysis(predictions, [s.tgt for s in testset])
-    corpus_io.write_report(out / "report.json", {"metric": "eos_analysis", **result})
-    corpus_io.write_kv_csv(out / "eos.csv", result)
-    prefix = result["strict_prefix_frac"]
-    print(
-        f"incorrect: {result['incorrect']} of {result['total']}; "
-        f"strict-prefix fraction: "
-        + ("n/a" if prefix is None else f"{prefix:.4f}")
-    )
-    return 0
-
-
 def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,74 +358,60 @@ def cmd_eval(args) -> int:
         _require_options(args, "exceptions", "preds")
         entries = corpus_io.read_exceptions(args.exceptions)
         checkpoints = corpus_io.read_checkpoint_predictions(args.preds)
-        profile, peak = run_overgeneralisation(checkpoints, entries)
-        corpus_io.write_profile_csv(out / "profile.csv", profile)
-        corpus_io.write_report(
-            out / "report.json",
-            {
-                "metric": "overgeneralisation_profile",
-                "count": len(entries),
-                "peak": asdict(peak),
-                "profile": [asdict(p) for p in profile],
-            },
-        )
-        print(
-            f"peak overgeneralisation {peak.overgeneralisation_frac:.4f} "
-            f"at checkpoint {peak.checkpoint}"
-        )
-        return 0
-    if args.mode == "length-gen":
-        seed = _resolve_seed(args, required=True)
-        names = (
-            [n.strip() for n in args.functions.split(",")]
-            if args.functions
-            else list(DEFAULT_REGISTRY.names())
-        )
-        unknown = [n for n in names if n not in DEFAULT_REGISTRY.names()]
-        if unknown:
-            raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
-        lengths = _parse_lengths(args.lengths)
-        alphabet = Alphabet.default()
-        cells = {}
-        for name in names:
-            cell_rng = substream(seed, "length-gen", name)
-            for length in lengths:
-                cells[(name, length)] = make_primitive_length_corpus(
-                    name,
-                    [length],
-                    args.per_length,
-                    alphabet,
-                    cell_rng,
-                    vary_arg=_default_vary_arg(name),
-                )
-        with build_adapter(
-            args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed
-        ) as adapter:
-            grid = run_length_generalisation(adapter, cells)
-        corpus_io.write_grid_csv(out / "grid.csv", grid)
-        corpus_io.write_report(
-            out / "report.json",
-            {
-                "metric": "length_generalisation",
-                "grid": [
-                    {"function": fn, "length": L, "accuracy": acc, "count": count}
-                    for (fn, L), (acc, count) in sorted(grid.items())
-                ],
-            },
-        )
-        worst = min(acc for acc, _ in grid.values())
-        print(f"{len(grid)} cells, worst accuracy {worst:.4f}")
-        return 0
+        report = run_overgeneralisation(checkpoints, entries)
+    elif args.mode == "length-gen":
+        report = _eval_length_gen(args)
+    else:
+        report = _eval_split(args, out)
+    corpus_io.write_report(out / "report.json", report)
+    corpus_io.write_strata_csv(out / "strata.csv", report)
+    print(f"{report.metric}: {report.overall:.6f} over {report.count} samples")
+    if report.errors:
+        tags = ", ".join(f"{k}: {v}" for k, v in sorted(report.errors.items()))
+        print(f"adapter errors: {tags}")
+    return 0
 
-    # remaining modes read the one split they score of a corpus directory
+
+def _eval_length_gen(args) -> EvaluationReport:
+    seed = _resolve_seed(args, required=True)
+    names = (
+        [n.strip() for n in args.functions.split(",")]
+        if args.functions
+        else list(DEFAULT_REGISTRY.names())
+    )
+    unknown = [n for n in names if n not in DEFAULT_REGISTRY.names()]
+    if unknown:
+        raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
+    lengths = _parse_lengths(args.lengths)
+    alphabet = Alphabet.default()
+    cells = {}
+    for name in names:
+        cell_rng = substream(seed, "length-gen", name)
+        for length in lengths:
+            cells[(name, length)] = make_primitive_length_corpus(
+                name,
+                [length],
+                args.per_length,
+                alphabet,
+                cell_rng,
+                vary_arg=_default_vary_arg(name),
+            )
+    with build_adapter(
+        args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed
+    ) as adapter:
+        return run_length_generalisation(adapter, cells)
+
+
+def _eval_split(args, out: Path) -> EvaluationReport:
+    """The modes that score the one split they read of a corpus directory."""
     _require_options(args, "data")
     split = _pick_split(args.data, args.split)
     testset = _load_base(args.data, [split]).split(split)
     registry = corpus_io.registry_for_directory(args.data)
-    if args.mode == "eos" and args.preds:
-        return _write_eos(out, corpus_io.read_predictions(args.preds), testset)
+    # an eos prediction file is served as a file adapter
+    adapter = f"file:{args.preds}" if args.mode == "eos" and args.preds else args.adapter
     with build_adapter(
-        args.adapter,
+        adapter,
         testset=testset,
         registry=registry,
         timeout_s=args.timeout,
@@ -445,8 +419,7 @@ def cmd_eval(args) -> int:
         seed=_resolve_seed(args, required=False) or 0,
     ) as adapter:
         if args.mode == "eos":
-            predictions = adapter.predict_batch([s.src for s in testset])
-            return _write_eos(out, [p.tokens for p in predictions], testset)
+            return run_eos_analysis(adapter, testset)
         if args.mode == "accuracy":
             pairs_path = Path(args.data) / "pairs.json"
             pairs = corpus_io.read_pairs(pairs_path) if pairs_path.exists() else None
@@ -459,7 +432,8 @@ def cmd_eval(args) -> int:
                     out / "predictions.pred",
                     [p.tokens for p in report.predictions],
                 )
-        elif args.mode == "consistency":
+            return report
+        if args.mode == "consistency":
             synonyms = (
                 corpus_io.read_synonyms(args.synonyms)
                 if args.synonyms
@@ -470,17 +444,10 @@ def cmd_eval(args) -> int:
                 raise SystemExit("no test samples contain a mapped function")
             report = run_consistency(adapter, pairs)
             report.extras["skipped"] = skipped
-        elif args.mode == "localism":
-            report = run_localism(adapter, testset, registry=registry)
-        else:
-            raise SystemExit(f"unknown eval mode: {args.mode!r}")
-    corpus_io.write_report(out / "report.json", report)
-    corpus_io.write_strata_csv(out / "strata.csv", report)
-    print(f"{report.metric}: {report.overall:.6f} over {report.count} samples")
-    if report.errors:
-        tags = ", ".join(f"{k}: {v}" for k, v in sorted(report.errors.items()))
-        print(f"adapter errors: {tags}")
-    return 0
+            return report
+        if args.mode == "localism":
+            return run_localism(adapter, testset, registry=registry)
+    raise SystemExit(f"unknown eval mode: {args.mode!r}")
 
 
 def cmd_validate(args) -> int:

@@ -4,8 +4,8 @@ Corpora are stored as line-aligned ``<split>.src`` / ``<split>.tgt`` UTF-8
 token files (single-space separation, newline endings) plus a
 ``manifest.json`` carrying the seed, grammar parameters, split sizes and
 content hashes.  Auxiliary artefacts (held-out pairs, synonym maps,
-exception sets) are JSON sidecars; evaluation reports are versioned JSON
-with CSV breakdowns for plotting.
+exception sets) are JSON sidecars.  Every evaluation mode writes one
+versioned ``report.json`` and one ``strata.csv`` breakdown for plotting.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .generation import Corpus, GrammarParams, Sample, UniquenessLedger
-from .harness import EvaluationReport, OverallProfilePoint
 from .language import (
     DEFAULT_REGISTRY,
     FunctionRegistry,
@@ -29,6 +28,9 @@ from .language import (
     stats,
 )
 from .suite import ExceptionEntry, HeldOutPair, SynonymMap
+
+if TYPE_CHECKING:
+    from .harness import EvaluationReport
 
 SCHEMA_VERSION = 1
 
@@ -127,6 +129,8 @@ def read_json(path: Path | str):
             return json.load(handle)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def _manifest(path: Path) -> dict:
@@ -359,10 +363,8 @@ def read_checkpoint_predictions(directory: Path | str) -> list[tuple[str, list[l
 # reports
 
 
-def write_report(path: Path | str, report: EvaluationReport | dict) -> None:
-    payload = report.to_dict() if isinstance(report, EvaluationReport) else dict(report)
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    write_json(path, payload)
+def write_report(path: Path | str, report: EvaluationReport) -> None:
+    write_json(path, {"schema_version": SCHEMA_VERSION, **report.to_dict()})
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -374,39 +376,13 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def write_strata_csv(path: Path | str, report: EvaluationReport) -> None:
+    """The report's strata rows, families by name and each family's rows in
+    the report's order."""
     write_csv(path, ["family", "label", "mean", "count"], (
         [family, label, f"{mean:.9f}", count]
         for family, rows in sorted(report.strata.items())
-        for label, (mean, count) in sorted(rows.items(), key=lambda item: str(item[0]))
+        for label, (mean, count) in rows.items()
     ))
-
-
-def write_profile_csv(path: Path | str, profile: Sequence[OverallProfilePoint]) -> None:
-    write_csv(
-        path,
-        ["checkpoint", "overgeneralisation_frac", "memorisation_frac", "other_frac"],
-        (
-            [
-                point.checkpoint,
-                f"{point.overgeneralisation_frac:.9f}",
-                f"{point.memorisation_frac:.9f}",
-                f"{point.other_frac:.9f}",
-            ]
-            for point in profile
-        ),
-    )
-
-
-def write_grid_csv(
-    path: Path | str, grid: Mapping[tuple[str, int], tuple[float, int]]
-) -> None:
-    write_csv(path, ["function", "length", "accuracy", "count"], (
-        [fn, length, f"{mean:.9f}", count] for (fn, length), (mean, count) in sorted(grid.items())
-    ))
-
-
-def write_kv_csv(path: Path | str, values: Mapping[str, object]) -> None:
-    write_csv(path, ["key", "value"], ([key, values[key]] for key in sorted(values)))
 
 
 def write_params(path: Path | str, params: GrammarParams) -> None:

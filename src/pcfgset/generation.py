@@ -468,6 +468,11 @@ def generate_corpus(
     return Corpus(samples, seed=seed, params=params)
 
 
+def round_half_up(x: float) -> int:
+    """Rounding with ties away from zero, for quota arithmetic."""
+    return int(math.floor(x + 0.5))
+
+
 def split_corpus(
     corpus: Corpus,
     fractions: tuple[float, float, float] = (0.85, 0.05, 0.10),

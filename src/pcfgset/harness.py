@@ -1,8 +1,9 @@
 """Model adapters and evaluation runners.
 
 An adapter turns a source token sequence into a predicted target token
-sequence.  The runners feed test material through an adapter and reduce
-the outcomes into evaluation reports: plain accuracy with strata, synonym
+sequence.  Each runner feeds test material through an adapter (or, for the
+overgeneralisation profile, reads checkpoint predictions) and reduces the
+outcomes into one EvaluationReport: plain accuracy with strata, synonym
 consistency, localism unrolling, overgeneralisation profiles over training
 checkpoints, length generalisation grids and end-of-sequence analysis.
 """
@@ -19,6 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .corpus_io import read_token_file
 from .generation import Alphabet, Corpus, Sample
 from .language import (
     DEFAULT_REGISTRY,
@@ -369,8 +371,6 @@ class FileAdapter(ModelAdapter):
     """
 
     def __init__(self, path, testset: Corpus | Sequence[Sample]):
-        from .corpus_io import read_token_file  # corpus_io imports this module
-
         samples = list(testset)
         lines = read_token_file(path)
         if len(lines) != len(samples):
@@ -432,11 +432,25 @@ def dataset_hash(samples: Iterable[Sample]) -> str:
 
 @dataclass
 class EvaluationReport:
-    """Outcome of one evaluation run.
+    """Outcome of one evaluation run, whatever the mode.
 
-    strata maps a family name (length, depth, num_functions, function,
-    pair) to per-label (mean, count) rows.  The overall score is always
-    the count-weighted mean of any stratum family.
+    strata maps a family name to per-label (mean, count) rows; strata.csv
+    lists the families by name and each family's rows in this order.  What overall and count mean depends on
+    the metric:
+
+    - accuracy and eos: exact match over count test samples, the
+      count-weighted mean of any of the length, depth, num_functions,
+      function and pair families;
+    - consistency: the share of count synonym pairs whose two sides are
+      predicted alike, per source length;
+    - localism_consistency: the share of count samples whose direct and
+      unrolled predictions agree, per number of functions;
+    - length_generalisation: exact match over the count samples of every
+      cell, with one family per function and one row per length;
+    - overgeneralisation_profile: the highest overgeneralisation fraction
+      of any checkpoint over count exception entries, with the
+      overgeneralisation, memorisation and other families holding one
+      fraction per checkpoint.
     """
 
     metric: str
@@ -451,8 +465,7 @@ class EvaluationReport:
     def to_dict(self) -> dict:
         strata = {
             family: {
-                str(label): {"mean": mean, "count": count}
-                for label, (mean, count) in sorted(rows.items(), key=lambda kv: str(kv[0]))
+                str(label): {"mean": mean, "count": count} for label, (mean, count) in rows.items()
             }
             for family, rows in self.strata.items()
         }
@@ -488,17 +501,24 @@ def _label(sample: Sample, family: str, pairs: Sequence[HeldOutPair] | None) -> 
     raise ValueError(f"unknown stratum family: {family}")
 
 
+def _label_rows(
+    scores: Sequence[float], labels: Sequence[object]
+) -> dict[object, tuple[float, int]]:
+    """Per-label (mean, count) rows, in the order of the labels' text."""
+    _, rows = aggregate(scores, labels)
+    return dict(sorted(rows.items(), key=lambda kv: str(kv[0])))
+
+
 def _stratify(
     scores: Sequence[float],
     samples: Sequence[Sample],
     families: Sequence[str],
     pairs: Sequence[HeldOutPair] | None,
 ) -> dict[str, dict[object, tuple[float, int]]]:
-    strata: dict[str, dict[object, tuple[float, int]]] = {}
-    for family in families:
-        _, rows = aggregate(scores, [_label(s, family, pairs) for s in samples])
-        strata[family] = rows
-    return strata
+    return {
+        family: _label_rows(scores, [_label(s, family, pairs) for s in samples])
+        for family in families
+    }
 
 
 def _error_counts(predictions: Sequence[Prediction]) -> dict[str, int]:
@@ -517,6 +537,26 @@ def _accuracy_scores(predictions: Iterable[Prediction], samples: Sequence[Sample
     ]
 
 
+def _exact_match_report(
+    metric: str,
+    adapter: ModelAdapter,
+    samples: Sequence[Sample],
+    families: Sequence[str],
+    pairs: Sequence[HeldOutPair] | None,
+) -> EvaluationReport:
+    predictions = adapter.predict_batch([s.src for s in samples])
+    scores = _accuracy_scores(predictions, samples)
+    return EvaluationReport(
+        metric=metric,
+        overall=sum(scores) / len(scores) if scores else 0.0,
+        count=len(samples),
+        strata=_stratify(scores, samples, families, pairs),
+        errors=_error_counts(predictions),
+        metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(samples)},
+        predictions=predictions,
+    )
+
+
 def run_accuracy(
     adapter: ModelAdapter,
     testset: Corpus | Sequence[Sample],
@@ -525,19 +565,7 @@ def run_accuracy(
     pairs: Sequence[HeldOutPair] | None = None,
 ) -> EvaluationReport:
     """Exact-match sequence accuracy with per-stratum breakdowns."""
-    samples = list(testset)
-    predictions = adapter.predict_batch([s.src for s in samples])
-    scores = _accuracy_scores(predictions, samples)
-    overall = sum(scores) / len(scores) if scores else 0.0
-    return EvaluationReport(
-        metric="accuracy",
-        overall=overall,
-        count=len(samples),
-        strata=_stratify(scores, samples, strata, pairs),
-        errors=_error_counts(predictions),
-        metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(samples)},
-        predictions=predictions,
-    )
+    return _exact_match_report("accuracy", adapter, list(testset), strata, pairs)
 
 
 def run_consistency(adapter: ModelAdapter, pairs: Sequence[ConsistencyPair]) -> EvaluationReport:
@@ -567,8 +595,7 @@ def run_consistency(adapter: ModelAdapter, pairs: Sequence[ConsistencyPair]) -> 
         elif same:
             n_consistent_incorrect += 1
     overall = sum(scores) / n
-    lengths = [len(p.src_base) for p in pairs]
-    _, by_length = aggregate(scores, lengths)
+    by_length = _label_rows(scores, [len(p.src_base) for p in pairs])
     # a pair is wrong on some side unless both sides equal the target,
     # which makes it consistent and correct
     n_incorrect = n - n_consistent_correct
@@ -663,8 +690,7 @@ def run_localism(
         for direct, final in zip(direct_preds, unrolled)
     ]
     overall = sum(scores) / len(scores)
-    labels = [s.stats.num_functions for s in items]
-    _, by_steps = aggregate(scores, labels)
+    by_steps = _label_rows(scores, [s.stats.num_functions for s in items])
     return EvaluationReport(
         metric="localism_consistency",
         overall=overall,
@@ -680,45 +706,37 @@ def run_localism(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class OverallProfilePoint:
-    """Exception-set outcome fractions at one training checkpoint."""
-
-    checkpoint: str
-    overgeneralisation_frac: float
-    memorisation_frac: float
-    other_frac: float
-
-    def __post_init__(self):
-        total = self.overgeneralisation_frac + self.memorisation_frac + self.other_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {total!r}")
-
-
 def run_overgeneralisation(
     checkpoints: Sequence[tuple[str, Sequence[Sequence[str] | None]]],
     exception_set: Sequence[ExceptionEntry],
-) -> tuple[list[OverallProfilePoint], OverallProfilePoint]:
+) -> EvaluationReport:
     """Profile exception-set predictions across training checkpoints.
 
     For each checkpoint, a prediction matching the original compositional
     target counts as overgeneralisation (the rule was applied although the
     training data said otherwise), one matching the exception target counts
-    as memorisation, and anything else as other.  Returns the profile and
-    the point with the highest overgeneralisation fraction (earliest wins
-    ties).
+    as memorisation, and anything else as other.  Each of those three
+    strata families holds one fraction per checkpoint, in checkpoint order.
+    overall is the highest overgeneralisation fraction, and
+    extras["peak_checkpoint"] names the checkpoint where it is reached
+    (the earliest wins ties).
     """
     if not exception_set:
         raise ValueError("need at least one exception entry")
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     entries = list(exception_set)
-    profile = []
+    n = len(entries)
+    strata: dict[str, dict[object, tuple[float, int]]] = {
+        "overgeneralisation": {}, "memorisation": {}, "other": {},
+    }
     for label, predictions in checkpoints:
-        if len(predictions) != len(entries):
+        if label in strata["other"]:
+            raise ValueError(f"checkpoint {label!r} appears twice")
+        if len(predictions) != n:
             raise LineCountMismatch(
                 f"checkpoint {label!r}: {len(predictions)} predictions "
-                f"for {len(entries)} exception entries"
+                f"for {n} exception entries"
             )
         n_overgen = 0
         n_memo = 0
@@ -728,61 +746,68 @@ def run_overgeneralisation(
                 n_overgen += 1
             elif tokens == entry.exception_tgt:
                 n_memo += 1
-        n = len(entries)
-        profile.append(
-            OverallProfilePoint(
-                checkpoint=label,
-                overgeneralisation_frac=n_overgen / n,
-                memorisation_frac=n_memo / n,
-                other_frac=(n - n_overgen - n_memo) / n,
-            )
-        )
-    peak = max(profile, key=lambda point: point.overgeneralisation_frac)
-    return profile, peak
+        strata["overgeneralisation"][label] = (n_overgen / n, n)
+        strata["memorisation"][label] = (n_memo / n, n)
+        strata["other"][label] = ((n - n_overgen - n_memo) / n, n)
+    overgen = strata["overgeneralisation"]
+    peak = max(overgen, key=lambda label: overgen[label][0])
+    return EvaluationReport(
+        metric="overgeneralisation_profile",
+        overall=overgen[peak][0],
+        count=n,
+        strata=strata,
+        extras={"peak_checkpoint": peak},
+    )
 
 
 def run_length_generalisation(
     adapter: ModelAdapter,
     cells: Mapping[tuple[str, int], Corpus | Sequence[Sample]],
-) -> dict[tuple[str, int], tuple[float, int]]:
-    """Accuracy per (function, argument length) cell; every cell's
-    sources go out as one batch."""
+) -> EvaluationReport:
+    """Exact match per (function, argument length) cell; every cell's
+    sources go out as one batch.  Each function is a strata family with
+    one row per length, in numeric order."""
     by_key = {key: list(cells[key]) for key in sorted(cells)}
     for key, samples in by_key.items():
         if not samples:
             raise ValueError(f"empty cell: {key!r}")
-    predictions = iter(
-        adapter.predict_batch([s.src for samples in by_key.values() for s in samples])
+    every = [s for samples in by_key.values() for s in samples]
+    predictions = adapter.predict_batch([s.src for s in every])
+    outcomes = iter(predictions)
+    strata: dict[str, dict[object, tuple[float, int]]] = {}
+    hits = 0.0
+    for (name, length), samples in by_key.items():
+        scores = _accuracy_scores(outcomes, samples)
+        strata.setdefault(name, {})[length] = (sum(scores) / len(scores), len(scores))
+        hits += sum(scores)
+    return EvaluationReport(
+        metric="length_generalisation",
+        overall=hits / len(every) if every else 0.0,
+        count=len(every),
+        strata=strata,
+        errors=_error_counts(predictions),
+        metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(every)},
     )
-    grid: dict[tuple[str, int], tuple[float, int]] = {}
-    for key, samples in by_key.items():
-        scores = _accuracy_scores(predictions, samples)
-        grid[key] = (sum(scores) / len(scores), len(scores))
-    return grid
 
 
-def run_eos_analysis(
-    predictions: Sequence[Sequence[str] | None],
-    targets: Sequence[Sequence[str]],
-) -> dict[str, float | int | None]:
-    """Characterise wrong predictions as early stops or fragments.
+def run_eos_analysis(adapter: ModelAdapter, testset: Corpus | Sequence[Sample]) -> EvaluationReport:
+    """Exact match with per-stratum breakdowns, and what the wrong
+    predictions look like.
 
-    Among incorrect predictions, strict_prefix_frac counts those that are
-    proper prefixes of the target (the output simply stopped early) and
-    substring_frac those appearing as a contiguous window anywhere in the
-    target.  Prefixes are substrings, so the second fraction is never
-    smaller.  With no incorrect predictions both fractions are None.
+    Among incorrect predictions (an error tag counts as one),
+    strict_prefix_frac counts those that are proper prefixes of the target
+    (the output simply stopped early) and substring_frac those appearing as
+    a contiguous window anywhere in the target.  Prefixes are substrings,
+    so the second fraction is never smaller.  With no incorrect predictions
+    both fractions are None.
     """
-    if len(predictions) != len(targets):
-        raise LineCountMismatch(
-            f"{len(predictions)} predictions for {len(targets)} targets"
-        )
+    samples = list(testset)
+    report = _exact_match_report("eos", adapter, samples, STRATA_FAMILIES, None)
     incorrect = 0
     prefixes = 0
     substrings = 0
-    for prediction, target in zip(predictions, targets):
-        tgt = tuple(target)
-        pred = None if prediction is None else tuple(prediction)
+    for sample, prediction in zip(samples, report.predictions):
+        tgt, pred = sample.tgt, prediction.tokens
         if pred == tgt:
             continue
         incorrect += 1
@@ -795,9 +820,9 @@ def run_eos_analysis(
             tgt[start : start + window] == pred for start in range(len(tgt) - window + 1)
         ):
             substrings += 1
-    return {
-        "total": len(targets),
+    report.extras = {
         "incorrect": incorrect,
         "strict_prefix_frac": prefixes / incorrect if incorrect else None,
         "substring_frac": substrings / incorrect if incorrect else None,
     }
+    return report

@@ -177,12 +177,13 @@ class FunctionRegistry:
         """Extend with synonyms sharing the base function's behaviour.
 
         ``synonym_map`` maps base name -> synonym name.  Synonym names must
-        be fresh and must not collide with literals or the separator.
+        be single tokens (a corpus file could not hold a name with a space),
+        fresh, and must not collide with literals or the separator.
         """
         extra = []
         for base, syn in synonym_map.items():
             original = self.lookup(base)
-            if syn in self or syn in LITERAL_SET or syn == SEPARATOR:
+            if syn.split() != [syn] or syn in self or syn in LITERAL_SET or syn == SEPARATOR:
                 raise ValueError(f"invalid synonym name {syn!r}")
             extra.append(FunctionSymbol(syn, original.arity, original.fn, original.size))
         return FunctionRegistry(list(self._by_name.values()) + extra)

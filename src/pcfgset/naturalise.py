@@ -25,8 +25,10 @@ from .generation import (
     Sample,
     generate_corpus,
     leaf_tuples,
+    round_half_up,
     sample_tree,
 )
+from .corpus_io import write_csv
 from .language import DEFAULT_REGISTRY
 from .seeding import substream
 
@@ -97,8 +99,6 @@ class DistributionSpec:
         return cls.from_rows(rows)
 
     def to_csv(self, path: str | Path) -> None:
-        from .corpus_io import write_csv  # corpus_io imports this module, through suite
-
         write_csv(path, ["length", "depth", "count"], sorted(self.entries))
 
 
@@ -129,13 +129,6 @@ class GaussianFit:
 
     mean: numpy.ndarray
     cov: numpy.ndarray
-
-
-def round_half_up(x: float) -> int:
-    """Rounding with ties away from zero, for quota arithmetic."""
-    import math
-
-    return int(math.floor(x + 0.5))
 
 
 def extract_features(corpus: Corpus) -> list[tuple[int, int]]:
@@ -597,8 +590,6 @@ def naturalised_corpus(
 
 
 def write_kl_trace(path: str | Path, trace: Sequence[TraceRow]) -> None:
-    from .corpus_io import write_csv  # corpus_io imports this module, through suite
-
     write_csv(path, ["iteration", "i_length", "i_depth", "kl"], (
         [row.iteration, row.i_length, row.i_depth, f"{row.kl:.9f}"] for row in trace
     ))

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .generation import Alphabet, Corpus, Sample, UniquenessLedger
+from .generation import Alphabet, Corpus, Sample, UniquenessLedger, round_half_up
 from .language import (
     DEFAULT_REGISTRY,
     SEPARATOR,
@@ -23,7 +23,6 @@ from .language import (
     evaluate,
     fold,
 )
-from .naturalise import round_half_up
 
 
 class InsufficientPositives(Exception):

@@ -424,16 +424,17 @@ def test_criterion_8_metric_validation(raw_base):
             else:
                 out.append(("Q9",))
         return out
-    profile, peak = run_overgeneralisation(
+    profile = run_overgeneralisation(
         [("1", preds(8, 1)), ("2", preds(4, 5)), ("3", preds(1, 9))], entries
     )
-    if peak is not profile[0] or peak.overgeneralisation_frac != 0.8:
-        issues.append(f"peak {peak}")
-    for point in profile:
-        total = (point.overgeneralisation_frac + point.memorisation_frac
-                 + point.other_frac)
+    peak = profile.extras["peak_checkpoint"]
+    if peak != "1" or profile.overall != 0.8:
+        issues.append(f"peak {profile.overall} at {peak}")
+    for checkpoint in profile.strata["other"]:
+        total = sum(profile.strata[family][checkpoint][0]
+                    for family in ("overgeneralisation", "memorisation", "other"))
         if abs(total - 1.0) > 1e-12:
-            issues.append(f"fractions sum {total} at {point.checkpoint}")
+            issues.append(f"fractions sum {total} at {checkpoint}")
 
     verdict(8, not issues,
             f"faulty-oracle accuracy {faulty.overall:.4f} in [0.68, 0.72]; "
@@ -546,10 +547,10 @@ def test_criterion_10_end_to_end(raw_base, tmp_path):
                        "--exceptions", str(pct_dir / "exceptions.json"),
                        "--preds", str(ck), "--out", str(out)])
         report = corpus_io.read_json(out / "report.json")
-        peak = report["peak"]
-        if (rc != 0 or peak["overgeneralisation_frac"] != 1.0
-                or peak["memorisation_frac"] != 0.0):
-            issues.append(f"{pct_dir.name}: peak {peak}")
+        peak = report["extras"]["peak_checkpoint"]
+        memorised = report["strata"]["memorisation"][peak]["mean"]
+        if rc != 0 or report["overall"] != 1.0 or memorised != 0.0:
+            issues.append(f"{pct_dir.name}: peak {report['overall']}, memorised {memorised}")
 
     elapsed = gen_seconds + (time.perf_counter() - start)
     if elapsed >= 600:

@@ -6,6 +6,7 @@ rewrites, round(pct * occurrences) exception counts).
 """
 
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -20,7 +21,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pcfgset import cli, corpus_io, generation
 from pcfgset.generation import Corpus, GrammarParams, Sample
-from pcfgset.suite import DEFAULT_HELD_OUT_PAIRS, contains_pair
+from pcfgset.suite import (
+    DEFAULT_HELD_OUT_PAIRS, ExceptionEntry, SynonymMap, contains_pair, exceptions_apply,
+)
 
 
 def run_cli(*argv):
@@ -317,6 +320,12 @@ def test_eval_localism_oracle(base_dir, tmp_path):
     assert report["extras"]["mean_unroll_steps"] >= 1.0
 
 
+def report_of(out):
+    """The report of an eval run, checking it wrote report.json and strata.csv alone."""
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "strata.csv"]
+    return corpus_io.read_json(out / "report.json")
+
+
 def test_eval_eos_with_correct_predictions(base_dir, tmp_path):
     test = corpus_io.read_corpus(base_dir).split("test")
     preds_path = tmp_path / "model.pred"
@@ -324,23 +333,26 @@ def test_eval_eos_with_correct_predictions(base_dir, tmp_path):
     out = tmp_path / "eos"
     assert run_cli("eval", "eos", "--data", base_dir, "--out", out,
                    "--preds", preds_path) == 0
-    report = corpus_io.read_json(out / "report.json")
-    assert report["incorrect"] == 0
-    assert report["strict_prefix_frac"] is None
-    assert (out / "eos.csv").exists()
+    report = report_of(out)
+    assert (report["metric"], report["overall"], report["count"]) == ("eos", 1.0, len(test))
+    assert report["metadata"]["adapter"] == f"file:{preds_path}"
+    assert report["extras"]["incorrect"] == 0
+    assert report["extras"]["strict_prefix_frac"] is None
 
 
 def test_eval_eos_without_preds_queries_adapter(base_dir, tmp_path):
     out = tmp_path / "eos_adapter"
     assert run_cli("eval", "eos", "--data", base_dir, "--out", out) == 0
-    report = corpus_io.read_json(out / "report.json")
-    assert report["incorrect"] == 0
+    report = report_of(out)
+    assert report["extras"]["incorrect"] == 0
     # a lossy adapter must show up as incorrect samples
     out2 = tmp_path / "eos_faulty"
     run_cli("eval", "eos", "--adapter", "faulty:0.5", "--seed", 9,
             "--data", base_dir, "--out", out2)
-    report2 = corpus_io.read_json(out2 / "report.json")
-    assert 0 < report2["incorrect"] <= report2["total"]
+    report2 = report_of(out2)
+    assert 0 < report2["extras"]["incorrect"] <= report2["count"]
+    wrong = report2["extras"]["incorrect"] / report2["count"]
+    assert report2["overall"] == pytest.approx(1 - wrong)
 
 
 def test_eval_eos_counts_truncations(base_dir, tmp_path):
@@ -351,8 +363,8 @@ def test_eval_eos_counts_truncations(base_dir, tmp_path):
     corpus_io.write_predictions(preds_path, preds)
     out = tmp_path / "eos2"
     run_cli("eval", "eos", "--data", base_dir, "--out", out, "--preds", preds_path)
-    report = corpus_io.read_json(out / "report.json")
-    assert report["incorrect"] == 1
+    report = report_of(out)
+    assert report["extras"]["incorrect"] == 1
 
 
 def test_eval_overgen_profile(tmp_path):
@@ -375,16 +387,17 @@ def test_eval_overgen_profile(tmp_path):
     assert run_cli("eval", "overgen-profile", "--exceptions",
                    variant / "exceptions.json", "--preds", ckpts,
                    "--out", out) == 0
-    report = corpus_io.read_json(out / "report.json")
-    assert report["peak"]["checkpoint"] == "early"
-    assert report["peak"]["overgeneralisation_frac"] == 1.0
+    report = report_of(out)
+    assert report["extras"]["peak_checkpoint"] == "early"
+    assert report["overall"] == 1.0
+    assert report["count"] == len(entries)
+    assert report["strata"]["overgeneralisation"]["early"]["mean"] == 1.0
     # entries whose two targets coincide score as overgeneralisation even
     # when the exception target is predicted
     coinciding = sum(1 for e in entries if e.original_tgt == e.exception_tgt)
-    late = report["profile"][1]
-    assert late["memorisation_frac"] == (len(entries) - coinciding) / len(entries)
-    assert late["overgeneralisation_frac"] == coinciding / len(entries)
-    assert (out / "profile.csv").exists()
+    late = {family: rows["late"]["mean"] for family, rows in report["strata"].items()}
+    assert late["memorisation"] == (len(entries) - coinciding) / len(entries)
+    assert late["overgeneralisation"] == coinciding / len(entries)
 
 
 def test_eval_length_gen_oracle(tmp_path):
@@ -392,12 +405,37 @@ def test_eval_length_gen_oracle(tmp_path):
     assert run_cli("eval", "length-gen", "--out", out, "--seed", 4,
                    "--functions", "echo,remove_first", "--lengths", "1-3",
                    "--per-length", 3) == 0
-    report = corpus_io.read_json(out / "report.json")
-    cells = {(row["function"], row["length"]): row["accuracy"]
-             for row in report["grid"]}
+    report = report_of(out)
+    cells = {(fn, int(length)): row["mean"]
+             for fn, rows in report["strata"].items() for length, row in rows.items()}
     assert len(cells) == 6
     assert all(acc == 1.0 for acc in cells.values())
-    assert (out / "grid.csv").exists()
+    assert (report["overall"], report["count"]) == (1.0, 18)
+
+
+def test_strata_csv_keeps_checkpoint_and_length_order(tmp_path):
+    entry = ExceptionEntry(0, ("copy", "A"), ("A",), ("B",), ("copy", "copy"))
+    corpus_io.write_exceptions(tmp_path / "exceptions.json", [entry])
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    # ten checkpoints whose labels sort the other way round: 1_j, 2_i, ..., 10_a
+    labels = "jihgfedcba"
+    for ordinal, label in enumerate(labels, start=1):
+        corpus_io.write_predictions(ckpts / f"{ordinal}_{label}.pred", [("A",)])
+    assert run_cli("eval", "overgen-profile", "--exceptions", tmp_path / "exceptions.json",
+                   "--preds", ckpts, "--out", tmp_path / "profile") == 0
+    assert run_cli("eval", "length-gen", "--seed", 1, "--functions", "copy",
+                   "--lengths", "1-12", "--per-length", 1, "--out", tmp_path / "lg") == 0
+
+    def rows(out):
+        with open(out / "strata.csv", newline="", encoding="utf-8") as handle:
+            return [(row["family"], row["label"]) for row in csv.DictReader(handle)]
+
+    assert rows(tmp_path / "profile") == [
+        (family, label) for family in ("memorisation", "other", "overgeneralisation")
+        for label in labels
+    ]
+    assert rows(tmp_path / "lg") == [("copy", str(length)) for length in range(1, 13)]
 
 
 def test_eval_rejects_missing_split(base_dir, tmp_path):
@@ -523,10 +561,7 @@ def test_a_prediction_file_with_a_line_too_many_ends_in_one_line(tmp_path, mode,
     value = f"file:{preds}" if option == "--adapter" else preds
     with pytest.raises(SystemExit) as ei:
         run_cli("eval", mode, "--data", data, "--out", tmp_path / "ev", option, value)
-    assert ei.value.code == {
-        "accuracy": f"eval failed: {preds}: 2 prediction lines for 1 test samples",
-        "eos": "eval failed: 2 predictions for 1 targets",
-    }[mode]
+    assert ei.value.code == f"eval failed: {preds}: 2 prediction lines for 1 test samples"
 
 
 def test_an_output_too_long_to_build_is_a_recorded_problem(tmp_path, capsys):
@@ -684,6 +719,10 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
      "validate failed: {tmp}/rowless.json: row 0: missing 'sample_id'"),
     (["validate", "--data", "{tmp}/base", "--exceptions", "{tmp}/object.json"],
      "validate failed: {tmp}/object.json: expected a JSON list, got dict"),
+    (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/deep.json"],
+     "testbuild failed: {tmp}/deep.json: not valid JSON (nested too deeply)"),
+    (["testbuild", "--test", "substitutivity-ed", *BASE, "--synonyms", "{tmp}/spaced.json"],
+     "testbuild failed: invalid synonym name 'swap syn'"),
 ], ids=["generate-params-bad-json", "generate-params-missing", "generate-params-not-utf8",
         "naturalise-spec-bad-header", "naturalise-spec-missing", "testbuild-pairs-bad-json",
         "testbuild-pairs-unknown-function", "testbuild-synonyms-bad-json",
@@ -691,15 +730,18 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
         "oracle-synonyms-bad-json", "generate-params-missing-keys", "generate-params-not-an-object",
         "testbuild-pairs-not-a-list", "testbuild-pairs-row-missing-a-key", "testbuild-pairs-empty",
         "testbuild-synonyms-not-an-object", "validate-exceptions-row-missing-a-key",
-        "validate-exceptions-not-a-list"])
+        "validate-exceptions-not-a-list", "testbuild-pairs-nested-too-deeply",
+        "testbuild-synonyms-name-with-a-space"])
 def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.json").write_text("{bad\n", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes(b"\xff\n")
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
     unknown = [{"outer": "nope", "inner": "copy"}] if "--pairs" in argv else {"nope": "x"}
     (tmp_path / "unknown.json").write_text(json.dumps(unknown), encoding="utf-8")
     for name, document in [("short", {"p_unary": 1}), ("list", ["swap"]), ("object", {}),
-                           ("rowless", [{"inner": "copy"}]), ("empty", [])]:
+                           ("rowless", [{"inner": "copy"}]), ("empty", []),
+                           ("spaced", {"swap": "swap syn"})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
     run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
     ext = argv[-1].rpartition(".")[2]
@@ -799,14 +841,26 @@ def test_naturalise_degenerate_one_cell_spec(tmp_path):
 # --- hostile corpus directories ---------------------------------------------------
 
 # Each defect rewrites (src lines, tgt lines, raw bytes of one file) of a healthy
-# split. The unreadable ones break what reading a corpus checks: line counts,
-# UTF-8 and source structure. The others leave a corpus that reads but breaks a
-# rule only validation checks.
+# split, or the raw bytes of one JSON sidecar. The unreadable ones break what
+# reading a corpus checks: line counts, UTF-8 and source structure. The others
+# leave a corpus that reads but breaks a rule only validation checks.
 _UNREADABLE = {"truncated", "misaligned", "bad bytes", "unknown token", "unclosed nesting"}
-_DEFECTS = sorted(_UNREADABLE | {"deep nesting", "repeat chain"})
+_SIDECARS = ("pairs.json", "synonyms.json", "exceptions.json")
+_SIDECAR_DEFECTS = {f"{kind} {name}" for kind in ("truncated", "garbled") for name in _SIDECARS}
+_DEFECTS = sorted(_UNREADABLE | {"deep nesting", "repeat chain"} | _SIDECAR_DEFECTS)
+# what a garbled sidecar gets in place of one of its bytes: JSON structure, a
+# digit, a letter, a space or a byte that is not UTF-8
+_GARBLE = b'{}[]",:0 aZ\xff'
 
 
 def _damage(directory, split, defect, row, cut):
+    kind, _, sidecar = defect.partition(" ")
+    if sidecar in _SIDECARS:
+        data = (directory / sidecar).read_bytes()
+        cut %= len(data)
+        garbled = data[:cut] + _GARBLE[row % len(_GARBLE):][:1] + data[cut + 1:]
+        (directory / sidecar).write_bytes(data[:cut] if kind == "truncated" else garbled)
+        return
     src_path, tgt_path = directory / f"{split}.src", directory / f"{split}.tgt"
     lines = src_path.read_bytes().splitlines(keepends=True)
     row %= len(lines)
@@ -842,10 +896,19 @@ def _outcome(argv):
     return code, out.getvalue()
 
 
+def _one_line(code):
+    return isinstance(code, str) and "\n" not in code
+
+
 @pytest.fixture(scope="module")
 def small_corpus():
     corpus = generation.generate_corpus(GrammarParams.default(), 40, seed=4)
     return generation.split_corpus(corpus, rng=random.Random(4))
+
+
+@pytest.fixture(scope="module")
+def small_exceptions(small_corpus):
+    return exceptions_apply(small_corpus.split("train"), percentage=0.5, rng=random.Random(4))[1]
 
 
 @given(
@@ -855,35 +918,67 @@ def small_corpus():
     cut=st.integers(min_value=0, max_value=10**6),
     keep_manifest=st.booleans(),
     test=st.sampled_from(["systematicity", "productivity", "substitutivity-ed", "overgen"]),
-    mode=st.sampled_from(["accuracy", "localism", "eos"]),
+    mode=st.sampled_from(["accuracy", "consistency", "localism", "eos"]),
 )
 @example(defect="repeat chain", split="train", row=0, cut=0, keep_manifest=False,
          test="substitutivity-ed", mode="localism")
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# "swap_syn" becomes "swap syn", a synonym no corpus file can hold
+@example(defect="garbled synonyms.json", split="train", row=_GARBLE.index(b" "), cut=109,
+         keep_manifest=True, test="substitutivity-ed", mode="consistency")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_hostile_corpus_directory_ends_in_a_report_or_one_line(
-    small_corpus, defect, split, row, cut, keep_manifest, test, mode
+    small_corpus, small_exceptions, defect, split, row, cut, keep_manifest, test, mode
 ):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "data"
         corpus_io.write_corpus(data, small_corpus)
+        corpus_io.write_pairs(data / "pairs.json", DEFAULT_HELD_OUT_PAIRS)
+        corpus_io.write_synonyms(data / "synonyms.json", SynonymMap.default())
+        corpus_io.write_exceptions(data / "exceptions.json", small_exceptions)
+        checkpoints = tmp / "checkpoints"
+        checkpoints.mkdir()
+        corpus_io.write_predictions(checkpoints / "1_rule.pred",
+                                    [e.original_tgt for e in small_exceptions])
         _damage(data, split, defect, row, cut)
         if not keep_manifest:
             (data / "manifest.json").unlink()
 
-        code, out = _outcome(["validate", "--data", data])
+        # the manifest covers the split files but no sidecar
+        code, out = _outcome(["validate", "--data", data, "--exceptions", data / "exceptions.json"])
         lines = out.splitlines()
-        assert code == 1
-        assert lines[-1] == f"FAIL: {len(lines) - 1} problems"
+        if defect in _SIDECAR_DEFECTS:
+            assert code == 0 or _one_line(code), code
+        else:
+            assert code == 1
+            assert lines[-1] == f"FAIL: {len(lines) - 1} problems"
 
-        # the manifest covers every split; each command reads only the splits it uses
+        code, _ = _outcome(["eval", "overgen-profile", "--exceptions", data / "exceptions.json",
+                            "--preds", checkpoints, "--out", tmp / "og"])
+        if defect.endswith("exceptions.json"):
+            assert code == 0 or _one_line(code), code
+        else:
+            assert code == 0, code
+
+        # each command reads only the splits it uses, and the sidecars it is given
         testbuild = ["testbuild", "--test", test, "--base", data, "--out", tmp / "tb",
                      "--seed", 1, "--test-size", 2, "--threshold", 2]
+        if test == "systematicity":
+            testbuild += ["--pairs", data / "pairs.json"]
+        if test == "substitutivity-ed":
+            testbuild += ["--synonyms", data / "synonyms.json"]
         evaluate = ["eval", mode, "--data", data, "--split", "test", "--out", tmp / "ev"]
+        built = None
         for argv, reads in ((testbuild, ["train"] if test == "overgen" else ["train", "test"]),
                             (evaluate, ["test"])):
             code, _ = _outcome(argv)
-            if keep_manifest or (defect in _UNREADABLE and split in reads):
-                assert isinstance(code, str) and "\n" not in code, code
+            built = code if built is None else built
+            if defect in _SIDECAR_DEFECTS:
+                assert code == 0 or _one_line(code), code
+            elif keep_manifest or (defect in _UNREADABLE and split in reads):
+                assert _one_line(code), code
             else:
-                assert code == 0 or (isinstance(code, str) and "\n" not in code), code
+                assert code == 0 or _one_line(code), code
+        # a build from healthy splits with the sidecars it could read validates
+        if defect in _SIDECAR_DEFECTS and test != "overgen" and built == 0:
+            assert _outcome(["validate", "--data", tmp / "tb"])[0] == 0

@@ -28,12 +28,9 @@ from pcfgset.corpus_io import (
     verify_manifest,
     write_corpus,
     write_exceptions,
-    write_grid_csv,
-    write_kv_csv,
     write_pairs,
     write_params,
     write_predictions,
-    write_profile_csv,
     write_report,
     write_strata_csv,
     write_synonyms,
@@ -46,7 +43,7 @@ from pcfgset.generation import (
     generate_corpus,
     split_corpus,
 )
-from pcfgset.harness import EvaluationReport, OverallProfilePoint
+from pcfgset.harness import EvaluationReport
 from pcfgset.language import DEFAULT_REGISTRY
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
@@ -245,47 +242,62 @@ def test_checkpoint_predictions_reject_bad_names(tmp_path):
 # --- reports --------------------------------------------------------------------
 
 
-def report_fixture():
+def report_fixture(metric="accuracy", strata=None, extras=None):
     return EvaluationReport(
-        metric="accuracy",
+        metric=metric,
         overall=0.5,
         count=4,
-        strata={"length": {3: (1.0, 2), 5: (0.0, 2)}},
+        strata=strata or {"length": {3: (1.0, 2), 5: (0.0, 2)}},
         errors={"Timeout": 1},
         metadata={"adapter": "oracle"},
+        extras=extras or {},
     )
 
 
 def test_report_json_has_schema_version(tmp_path):
-    write_report(tmp_path / "report.json", report_fixture())
+    extras = {"incorrect": 7, "strict_prefix_frac": None}
+    write_report(tmp_path / "report.json", report_fixture("eos", extras=extras))
     payload = read_json(tmp_path / "report.json")
     assert payload["schema_version"] == 1
+    assert payload["metric"] == "eos"
     assert payload["overall"] == 0.5
     assert payload["strata"]["length"]["3"] == {"mean": 1.0, "count": 2}
+    assert payload["extras"] == extras
+
+
+def strata_csv_lines(tmp_path, strata):
+    write_strata_csv(tmp_path / "strata.csv", report_fixture(strata=strata))
+    data = (tmp_path / "strata.csv").read_bytes()
+    return data.decode("utf-8").split("\r\n")
 
 
 def test_strata_csv_rows(tmp_path):
-    write_strata_csv(tmp_path / "strata.csv", report_fixture())
-    lines = (tmp_path / "strata.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "family,label,mean,count"
-    assert lines[1] == "length,3,1.000000000,2"
-    assert lines[2] == "length,5,0.000000000,2"
+    assert strata_csv_lines(tmp_path, {"length": {3: (1.0, 2), 5: (0.0, 2)}}) == [
+        "family,label,mean,count", "length,3,1.000000000,2", "length,5,0.000000000,2", ""]
 
 
 def test_profile_csv_rows(tmp_path):
-    profile = [OverallProfilePoint("early", 0.8, 0.1, 0.1)]
-    write_profile_csv(tmp_path / "profile.csv", profile)
-    lines = (tmp_path / "profile.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[1] == "early,0.800000000,0.100000000,0.100000000"
+    # an overgeneralisation profile: three families, rows in checkpoint order
+    strata = {"overgeneralisation": {"late": (0.1, 10), "early": (0.8, 10)},
+              "memorisation": {"late": (0.9, 10), "early": (0.1, 10)},
+              "other": {"late": (0.0, 10), "early": (0.1, 10)}}
+    assert strata_csv_lines(tmp_path, strata) == [
+        "family,label,mean,count",
+        "memorisation,late,0.900000000,10", "memorisation,early,0.100000000,10",
+        "other,late,0.000000000,10", "other,early,0.100000000,10",
+        "overgeneralisation,late,0.100000000,10", "overgeneralisation,early,0.800000000,10", ""]
 
 
 def test_grid_and_kv_csv(tmp_path):
-    write_grid_csv(tmp_path / "grid.csv", {("echo", 5): (1.0, 20)})
-    assert "echo,5,1.000000000,20" in (tmp_path / "grid.csv").read_text(encoding="utf-8")
-    write_kv_csv(tmp_path / "kv.csv", {"strict_prefix_frac": None, "total": 7})
-    lines = (tmp_path / "kv.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[1] == "strict_prefix_frac,"
-    assert lines[2] == "total,7"
+    # a length generalisation grid: one family per function, lengths in numeric order
+    strata = {"echo": {5: (1.0, 20), 12: (0.25, 20)}, "copy": {2: (1.0, 20)}}
+    assert strata_csv_lines(tmp_path, strata) == [
+        "family,label,mean,count", "copy,2,1.000000000,20",
+        "echo,5,1.000000000,20", "echo,12,0.250000000,20", ""]
+    # the eos figures that once went to a key-value table now ride in report.json extras
+    extras = {"strict_prefix_frac": None, "incorrect": 7}
+    write_report(tmp_path / "report.json", report_fixture("eos", extras=extras))
+    assert read_json(tmp_path / "report.json")["extras"] == extras
 
 
 def test_params_round_trip(tmp_path):

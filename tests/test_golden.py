@@ -53,20 +53,20 @@ GOLDEN = {
         "valid.tgt": "bbb79dc5b9be641ce9de95aca3bc31ed573327326a22a3419d4f4d927ed67a4a",
     },
     "eos": {
-        "eos.csv": "df6f22c85b94ed42c47a2f27b534393ef2d8fc71432c6da1fb9cf800a88da67e",
-        "report.json": "42b3c9bafb4dda1436aae94fce7169a1ac7d9460cd44088e3831997b89bdaada",
+        "report.json": "fe2be5f8f3d5e982d4321a36718ddd81f6b89e28c8b0f3c79f0a758c32d8d217",
+        "strata.csv": "0135f0817419023f5df722014c6d61d77b21da24c1ca03617b7b7d56753562b5",
     },
     "eos-preds": {
-        "eos.csv": "122a1191ab98386dc9a9076c64a8c3ec1d158183ef50360f20bd29b3427138fd",
-        "report.json": "5dc569e1403a0262b35107d9c5b66ffc4326a797e9c45d83a418e8d13fdaaa79",
+        "report.json": "a2ca8533bcda8e52e7e7c6beda4f5ef53484c6e4b4498de162ce7486cb853199",
+        "strata.csv": "8b8703a8f0b1d3f45292820dde3c9a65f7fa25d40614b3792ac4396af577398a",
     },
     "length-gen": {
-        "grid.csv": "d849800d7a020671093c3d1a25ea5b9701c22d7ea89f9e64aa3ffc6bc17faa55",
-        "report.json": "6fa732ad42a18b694e079b1ee8a1056556dec152335c79ecfa662351d7b9a63a",
+        "report.json": "06bc232cf55149baed40db8d5cf6257da1dc8932eef8a84820d89e8487ddfaca",
+        "strata.csv": "ee9f8f6a0fcf27c951df4e63a6ebc81d740c5639aa435733caa5fdbb8beedfce",
     },
     "overgen-profile": {
-        "profile.csv": "cc11dc824f92ff831c73ce40c1242966535dca37f3da40b9a16f8f8072608660",
-        "report.json": "4173b4cc08f0dff9b82097a3ccb898e4bc7dbae216d60556e1fdc58e42e1e90d",
+        "report.json": "55cf4bb578291b3d7fe44b4913c6a8f75f0a3e7b8f1d78e4ffdcfb63786c54da",
+        "strata.csv": "c3169347266d34a609c012ffd2b9c83ff66b9061aad45d9953bd8a1067013a50",
     },
     "overgen": {
         "pct-0.5/exceptions.json": "a83470ed9a0c88183bfcbd87ba2c9635a5b50c39df79282a4fd372eee0cf1270",
@@ -121,10 +121,13 @@ def outputs(tmp_path_factory):
         elif i % 5 == 0:
             del pred[:1]
     corpus_io.write_predictions(root / "model.pred", preds)
-    assert cli.main([
-        "eval", "eos", "--data", str(base), "--preds", str(root / "model.pred"),
-        "--out", str(root / "eos-preds"),
-    ]) == 0
+    # the report names its adapter file:<path as given>, so a relative path
+    # keeps the digest free of the temporary directory
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert cli.main([
+            "eval", "eos", "--data", "base", "--preds", "model.pred", "--out", "eos-preds",
+        ]) == 0
     assert cli.main([
         "eval", "length-gen", "--adapter", "oracle", "--seed", "0",
         "--functions", "echo,append,remove_first", "--lengths", "1-4", "--per-length", "3",

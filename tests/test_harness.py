@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from pcfgset.harness import (
     OracleAdapter,
     Prediction,
     MAX_REPLY_CHARS,
+    STRATA_FAMILIES,
     ProtocolViolation,
     SubprocessAdapter,
     Timeout,
@@ -709,57 +711,65 @@ class TestOvergeneralisation:
             ("step-200", self.predictions(entries, 4, 5)),
             ("step-300", self.predictions(entries, 1, 9)),
         ]
-        profile, peak = run_overgeneralisation(checkpoints, entries)
-        assert [p.overgeneralisation_frac for p in profile] == [0.8, 0.4, 0.1]
-        assert [p.memorisation_frac for p in profile] == [0.1, 0.5, 0.9]
-        assert [p.other_frac for p in profile] == pytest.approx([0.1, 0.1, 0.0])
-        assert peak is profile[0]
-        assert peak.checkpoint == "step-100"
-        for point in profile:
-            total = (
-                point.overgeneralisation_frac
-                + point.memorisation_frac
-                + point.other_frac
-            )
+        report = run_overgeneralisation(checkpoints, entries)
+        overgen, memo, other = (
+            report.strata[f] for f in ("overgeneralisation", "memorisation", "other")
+        )
+        assert list(overgen) == ["step-100", "step-200", "step-300"]
+        assert [mean for mean, _ in overgen.values()] == [0.8, 0.4, 0.1]
+        assert [mean for mean, _ in memo.values()] == [0.1, 0.5, 0.9]
+        assert [mean for mean, _ in other.values()] == pytest.approx([0.1, 0.1, 0.0])
+        assert report.overall == 0.8
+        assert report.extras == {"peak_checkpoint": "step-100"}
+        assert report.count == 10
+        for label in overgen:
+            assert all(rows[label][1] == 10 for rows in (overgen, memo, other))
+            total = overgen[label][0] + memo[label][0] + other[label][0]
             assert abs(total - 1.0) <= 1e-9
 
     def test_all_original_predictions(self):
         entries = self.entries(4)
-        profile, peak = run_overgeneralisation(
+        report = run_overgeneralisation(
             [("only", self.predictions(entries, 4, 0))], entries
         )
-        assert profile[0].overgeneralisation_frac == 1.0
-        assert profile[0].memorisation_frac == 0.0
-        assert peak.overgeneralisation_frac == 1.0
+        assert report.strata["overgeneralisation"]["only"][0] == 1.0
+        assert report.strata["memorisation"]["only"][0] == 0.0
+        assert report.overall == 1.0
 
     def test_all_exception_predictions(self):
         entries = self.entries(4)
-        profile, _ = run_overgeneralisation(
+        report = run_overgeneralisation(
             [("only", self.predictions(entries, 0, 4))], entries
         )
-        assert profile[0].overgeneralisation_frac == 0.0
-        assert profile[0].memorisation_frac == 1.0
+        assert report.strata["overgeneralisation"]["only"][0] == 0.0
+        assert report.strata["memorisation"]["only"][0] == 1.0
 
     def test_tie_keeps_earliest_checkpoint(self):
         entries = self.entries(4)
         checkpoints = [
-            ("a", self.predictions(entries, 2, 2)),
-            ("b", self.predictions(entries, 2, 0)),
+            ("b", self.predictions(entries, 2, 2)),
+            ("a", self.predictions(entries, 2, 0)),
         ]
-        _, peak = run_overgeneralisation(checkpoints, entries)
-        assert peak.checkpoint == "a"
+        report = run_overgeneralisation(checkpoints, entries)
+        assert report.extras["peak_checkpoint"] == "b"
+        assert report.overall == 0.5
 
     def test_none_prediction_counts_as_other(self):
         entries = self.entries(2)
         preds = [list(entries[0].original_tgt), None]
-        profile, _ = run_overgeneralisation([("c", preds)], entries)
-        assert profile[0].overgeneralisation_frac == 0.5
-        assert profile[0].other_frac == 0.5
+        report = run_overgeneralisation([("c", preds)], entries)
+        assert report.strata["overgeneralisation"]["c"][0] == 0.5
+        assert report.strata["other"]["c"][0] == 0.5
 
     def test_misaligned_predictions_rejected(self):
         entries = self.entries(3)
         with pytest.raises(LineCountMismatch):
             run_overgeneralisation([("c", [["A"]])], entries)
+
+    def test_a_checkpoint_label_used_twice_is_rejected(self):
+        entries = self.entries(1)
+        with pytest.raises(ValueError, match="checkpoint 'c' appears twice"):
+            run_overgeneralisation([("c", [["A"]]), ("c", [["B"]])], entries)
 
     def test_empty_inputs_rejected(self):
         entries = self.entries(1)
@@ -781,29 +791,47 @@ class TestLengthGeneralisation:
             for L in lengths
         }
 
+    @staticmethod
+    def grid(report):
+        return {
+            (name, length): row for name, rows in report.strata.items() for length, row in rows.items()
+        }
+
     def test_oracle_everywhere_perfect(self):
         cells = self.cells("reverse", [2, 4, 6, 8])
-        grid = run_length_generalisation(OracleAdapter(), cells)
+        report = run_length_generalisation(OracleAdapter(), cells)
+        grid = self.grid(report)
         assert set(grid) == set(cells)
         assert all(mean == 1.0 for mean, _ in grid.values())
+        assert (report.metric, report.overall, report.count) == ("length_generalisation", 1.0, 24)
 
     def test_capped_oracle_drops_past_cap(self):
         for fn in ("reverse", "echo"):
-            cells = self.cells(fn, [2, 4, 5, 6, 8])
-            grid = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
-            for (name, L), (mean, count) in grid.items():
+            cells = self.cells(fn, [8, 2, 5, 4, 6])
+            report = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
+            assert list(report.strata[fn]) == [2, 4, 5, 6, 8]
+            for (name, L), (mean, count) in self.grid(report).items():
                 assert count == 6
                 assert mean == (1.0 if L <= 5 else 0.0), (name, L)
+            assert report.overall == 3 / 5
 
     def test_capped_oracle_ignores_discarded_first_argument(self):
         cells = self.cells("remove_first", [3, 9, 12], vary_arg=0)
-        grid = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
-        assert all(mean == 1.0 for mean, _ in grid.values())
+        report = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
+        assert all(mean == 1.0 for mean, _ in self.grid(report).values())
 
     def test_capped_oracle_fails_on_long_kept_argument(self):
         cells = self.cells("remove_first", [9], vary_arg=1)
-        grid = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
-        assert grid[("remove_first", 9)][0] == 0.0
+        report = run_length_generalisation(LengthCappedOracleAdapter(5), cells)
+        assert report.strata["remove_first"][9][0] == 0.0
+
+    def test_adapter_errors_score_zero_and_are_tagged(self):
+        cells = self.cells("copy", [1, 2])
+        failing = {s.src_text() for s in cells[("copy", 2)]}
+        table = {s.src_text(): s.tgt_text() for cell in cells.values() for s in cell}
+        report = run_length_generalisation(FailingAdapter(table, failing), cells)
+        assert report.strata == {"copy": {1: (1.0, 6), 2: (0.0, 6)}}
+        assert report.errors == {"AdapterError": 6}
 
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -811,46 +839,66 @@ class TestLengthGeneralisation:
 
 
 class TestEosAnalysis:
+    @staticmethod
+    def analyse(predictions, targets):
+        """The eos report of a test set with these targets, answered with
+        these predictions; None is an adapter error."""
+        symbols = Alphabet.default().symbols
+        samples = [
+            replace(Sample.from_src(i, ["copy", symbols[i]]), tgt=tuple(target))
+            for i, target in enumerate(targets)
+        ]
+        table = {s.src_text(): " ".join(p or ()) for s, p in zip(samples, predictions)}
+        failing = {s.src_text() for s, p in zip(samples, predictions) if p is None}
+        return run_eos_analysis(FailingAdapter(table, failing), samples)
+
     def test_strict_prefix_counted(self):
-        result = run_eos_analysis([["A", "B"]], [["A", "B", "C"]])
-        assert result["incorrect"] == 1
-        assert result["strict_prefix_frac"] == 1.0
-        assert result["substring_frac"] == 1.0
+        report = self.analyse([["A", "B"]], [["A", "B", "C"]])
+        assert report.extras["incorrect"] == 1
+        assert report.extras["strict_prefix_frac"] == 1.0
+        assert report.extras["substring_frac"] == 1.0
 
     def test_substring_only_in_secondary_column(self):
-        result = run_eos_analysis([["B", "C"]], [["A", "B", "C"]])
-        assert result["strict_prefix_frac"] == 0.0
-        assert result["substring_frac"] == 1.0
+        report = self.analyse([["B", "C"]], [["A", "B", "C"]])
+        assert report.extras["strict_prefix_frac"] == 0.0
+        assert report.extras["substring_frac"] == 1.0
 
     def test_unrelated_wrong_answer_in_neither(self):
-        result = run_eos_analysis([["A", "C"]], [["A", "B", "C"]])
-        assert result["strict_prefix_frac"] == 0.0
-        assert result["substring_frac"] == 0.0
+        report = self.analyse([["A", "C"]], [["A", "B", "C"]])
+        assert report.extras["strict_prefix_frac"] == 0.0
+        assert report.extras["substring_frac"] == 0.0
 
     def test_correct_predictions_excluded(self):
-        result = run_eos_analysis(
+        report = self.analyse(
             [["A", "B", "C"], ["A", "B"]],
             [["A", "B", "C"], ["A", "B", "C"]],
         )
-        assert result["total"] == 2
-        assert result["incorrect"] == 1
-        assert result["strict_prefix_frac"] == 1.0
+        assert (report.metric, report.overall, report.count) == ("eos", 0.5, 2)
+        assert report.extras["incorrect"] == 1
+        assert report.extras["strict_prefix_frac"] == 1.0
+        assert tuple(report.strata) == STRATA_FAMILIES
+        assert report.strata["function"] == {"copy": (0.5, 2)}
 
     def test_all_correct_gives_null_fractions(self):
-        result = run_eos_analysis([["A"]], [["A"]])
-        assert result["incorrect"] == 0
-        assert result["strict_prefix_frac"] is None
-        assert result["substring_frac"] is None
+        report = self.analyse([["A"]], [["A"]])
+        assert report.overall == 1.0
+        assert report.extras["incorrect"] == 0
+        assert report.extras["strict_prefix_frac"] is None
+        assert report.extras["substring_frac"] is None
 
     def test_none_prediction_is_incorrect_but_not_contained(self):
-        result = run_eos_analysis([None], [["A"]])
-        assert result["incorrect"] == 1
-        assert result["strict_prefix_frac"] == 0.0
-        assert result["substring_frac"] == 0.0
+        report = self.analyse([None], [["A"]])
+        assert report.extras["incorrect"] == 1
+        assert report.extras["strict_prefix_frac"] == 0.0
+        assert report.extras["substring_frac"] == 0.0
+        assert report.errors == {"AdapterError": 1}
 
-    def test_misalignment_rejected(self):
+    def test_misalignment_rejected(self, tmp_path):
+        path = tmp_path / "model.pred"
+        path.write_text("A\n", encoding="utf-8")
+        samples = corpus_of("copy A", "copy B")
         with pytest.raises(LineCountMismatch):
-            run_eos_analysis([["A"]], [["A"], ["B"]])
+            run_eos_analysis(build_adapter(f"file:{path}", testset=samples), samples)
 
     @given(
         st.lists(
@@ -866,9 +914,9 @@ class TestEosAnalysis:
     def test_substring_fraction_dominates_prefix_fraction(self, rows):
         predictions = [list(p) for p, _ in rows]
         targets = [list(t) for _, t in rows]
-        result = run_eos_analysis(predictions, targets)
-        if result["incorrect"]:
-            assert result["substring_frac"] >= result["strict_prefix_frac"]
+        extras = self.analyse(predictions, targets).extras
+        if extras["incorrect"]:
+            assert extras["substring_frac"] >= extras["strict_prefix_frac"]
 
 
 class TestSubstitutivityIntegration:

@@ -281,6 +281,10 @@ def test_synonym_name_collisions_rejected():
         DEFAULT_REGISTRY.with_synonyms({"swap": "copy"})
     with pytest.raises(ValueError):
         DEFAULT_REGISTRY.with_synonyms({"swap": "A1"})
+    # a name that is not one token could not be written to a corpus file
+    for name in ("swap syn", "", " swap_syn"):
+        with pytest.raises(ValueError):
+            DEFAULT_REGISTRY.with_synonyms({"swap": name})
     with pytest.raises(KeyError):
         DEFAULT_REGISTRY.with_synonyms({"nope": "nope_syn"})
 

@@ -43,6 +43,16 @@ def numpy_loaded_after(code: str) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
+MODULES = ["cli", "corpus_io", "generation", "harness", "language", "metrics",
+           "naturalise", "seeding", "suite"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone_without_numpy(module):
+    # a module imported first, alone, would fail here on an import cycle
+    assert numpy_loaded_after(f"import pcfgset.{module}") is False
+
+
 @pytest.mark.parametrize("code, loaded", [
     (IMPORT_ONLY, False),
     (GENERATE, False),
