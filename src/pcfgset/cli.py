@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -121,17 +120,11 @@ def _require_splits(corpus: Corpus, names: tuple[str, ...], what: str) -> None:
 
 
 def _combine(parts: dict[str, Corpus], seed, params) -> Corpus:
-    # reindex so ids stay unique when constructors appended fresh samples
     samples = []
     splits = {}
-    next_id = 0
     for name, part in parts.items():
-        ids = []
-        for sample in part.samples:
-            samples.append(replace(sample, id=next_id))
-            ids.append(next_id)
-            next_id += 1
-        splits[name] = tuple(ids)
+        splits[name] = tuple(range(len(samples), len(samples) + len(part)))
+        samples += part.samples
     return Corpus(samples=samples, seed=seed, params=params, splits=splits)
 
 
@@ -214,11 +207,7 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
     gets shipped as corpus files must be filtered to pass validation.
     """
     ledger = UniquenessLedger()
-    kept = []
-    for sample in corpus:
-        if ledger.violation(sample.src) is None:
-            ledger.add(sample.src, f"sample {sample.id}")
-            kept.append(sample)
+    kept = [s for pos, s in enumerate(corpus) if ledger.admit(s.src, f"sample {pos}")]
     return Corpus(samples=kept, seed=corpus.seed, params=corpus.params)
 
 
@@ -242,7 +231,7 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
 
 def cmd_testbuild(args) -> int:
     seed = _resolve_seed(args, required=True)
-    # overgen builds on train alone; train is read first, so ids agree
+    # overgen builds on train alone, so only train is read
     overgen_train = args.test == "overgen" and "train" in corpus_io.discover_splits(args.base)
     base = _load_base(args.base, ["train"] if overgen_train else None)
     out = Path(args.out)
@@ -306,12 +295,7 @@ def cmd_testbuild(args) -> int:
             variant_dir = out / f"pct-{pct:g}"
             corpus_io.write_corpus(
                 variant_dir,
-                Corpus(
-                    samples=list(variant.samples),
-                    seed=base.seed,
-                    params=base.params,
-                    splits={"train": tuple(s.id for s in variant.samples)},
-                ),
+                _combine({"train": variant}, base.seed, base.params),
                 extra={"test": "overgen", "exception_pct": pct},
             )
             corpus_io.write_exceptions(variant_dir / "exceptions.json", entries)

@@ -87,11 +87,10 @@ def write_corpus(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if corpus.splits:
-        table = corpus.by_id()
-        split_items = sorted(corpus.splits.items(), key=lambda kv: _split_sort_key(kv[0]))
-        splits = [(name, [table[i] for i in ids]) for name, ids in split_items]
+        names = sorted(corpus.splits, key=_split_sort_key)
+        splits = [(name, corpus.split(name)) for name in names]
     else:
-        splits = [("all", list(corpus))]
+        splits = [("all", corpus)]
     hashes = {}
     sizes = {}
     for name, samples in splits:
@@ -211,7 +210,7 @@ def read_corpus(
         if raw_params is not None:
             params = _params(manifest_path, raw_params)
     samples: list[Sample] = []
-    split_ids: dict[str, tuple[int, ...]] = {}
+    positions: dict[str, tuple[int, ...]] = {}
     for name in names:
         srcs = read_token_file(directory / f"{name}.src")
         tgts = read_token_file(directory / f"{name}.tgt")
@@ -225,9 +224,9 @@ def read_corpus(
                 seq_stats = stats(src, registry)
             except LanguageError as exc:
                 raise MalformedLine(f"{name}.src:{lineno}: does not parse ({exc})") from None
-            samples.append(Sample(len(samples), tuple(src), tuple(tgt), seq_stats))
-        split_ids[name] = tuple(range(first, len(samples)))
-    return Corpus(samples=samples, seed=seed, params=params, splits=split_ids)
+            samples.append(Sample(tuple(src), tuple(tgt), seq_stats))
+        positions[name] = tuple(range(first, len(samples)))
+    return Corpus(samples=samples, seed=seed, params=params, splits=positions)
 
 
 def registry_for_directory(

@@ -14,7 +14,7 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .language import (
@@ -153,18 +153,17 @@ class GrammarParams:
 class Sample:
     """One (source sequence, target string) pair; the source is the program."""
 
-    id: int
     src: tuple[str, ...]
     tgt: tuple[str, ...]
     stats: SequenceStats
 
     @classmethod
-    def from_src(cls, sample_id: int, src: Sequence[str],
+    def from_src(cls, src: Sequence[str],
                  registry: FunctionRegistry = DEFAULT_REGISTRY) -> "Sample":
         """The sample of a source, its target evaluated and its stats
         taken in one fold."""
         seq_stats, tgt = fold(src, registry, interpret)
-        return cls(sample_id, tuple(src), tgt, seq_stats)
+        return cls(tuple(src), tgt, seq_stats)
 
     def src_text(self) -> str:
         return " ".join(self.src)
@@ -175,6 +174,9 @@ class Sample:
 
 @dataclass
 class Corpus:
+    """Samples in order, with the seed and grammar parameters they came
+    from.  ``splits`` names each split's positions in ``samples``."""
+
     samples: list[Sample]
     seed: int | None = None
     params: GrammarParams | None = None
@@ -186,15 +188,9 @@ class Corpus:
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def by_id(self) -> dict[int, Sample]:
-        return {s.id: s for s in self.samples}
-
-    def subset(self, ids: Iterable[int]) -> "Corpus":
-        table = self.by_id()
-        return Corpus([table[i] for i in ids], seed=self.seed, params=self.params)
-
     def split(self, name: str) -> "Corpus":
-        return self.subset(self.splits[name])
+        return Corpus([self.samples[i] for i in self.splits[name]],
+                      seed=self.seed, params=self.params)
 
 
 def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:
@@ -364,15 +360,16 @@ class UniquenessLedger:
     Sources are pairwise distinct, no literal occurs twice within one
     sample, and every string argument of two or more symbols occurs in at
     most one sample of the corpus.  ``violation`` says whether a source may
-    join the samples recorded so far; ``add`` records an accepted one.
-    Constructing the ledger from samples records them unchecked.
+    join the samples recorded so far; ``add`` records an accepted one, and
+    ``admit`` does both.  Constructing the ledger from samples records
+    them unchecked.
     """
 
     def __init__(self, samples: Iterable[Sample] = ()):
         self.seen_src: dict[tuple[str, ...], str] = {}
         self.used_args: dict[tuple[str, ...], str] = {}
-        for s in samples:
-            self.add(s.src, f"sample {s.id}")
+        for pos, s in enumerate(samples):
+            self.add(s.src, f"sample {pos}")
 
     def violation(self, src: Sequence[str]) -> str | None:
         """The first constraint the source breaks, in words, or None."""
@@ -395,6 +392,31 @@ class UniquenessLedger:
         for arg in leaf_tuples(src):
             if len(arg) >= 2:
                 self.used_args[arg] = where
+
+    def admit(self, src: Sequence[str], where: str) -> bool:
+        """Record the source if it breaks no constraint; whether it did."""
+        if self.violation(src) is not None:
+            return False
+        self.add(src, where)
+        return True
+
+
+def fresh_source(
+    head: Sequence[str],
+    lengths: Sequence[int],
+    rng: random.Random,
+    alphabet: Alphabet | None = None,
+) -> list[str]:
+    """``head`` followed by one string argument per length, separators
+    between them.  All symbols come from one ``rng.sample``, so no literal
+    repeats within the source."""
+    syms = iter(rng.sample((alphabet or Alphabet.default()).symbols, sum(lengths)))
+    src = list(head)
+    for k, n in enumerate(lengths):
+        if k:
+            src.append(SEPARATOR)
+        src += islice(syms, n)
+    return src
 
 
 def _output_length(fn: FunctionSymbol, position: int, args: Sequence) -> int:
@@ -455,7 +477,7 @@ def generate_corpus(
     while len(samples) < n:
         src = sample_tree(params, rng, alphabet=alphabet, max_recursion=max_recursion,
                           tables=tables)
-        if ledger.violation(src) is not None or _too_long(src):
+        if _too_long(src) or not ledger.admit(src, f"sample {len(samples)}"):
             rejects += 1
             if rejects > max_rejects:
                 raise ExhaustedUniqueArguments(
@@ -463,8 +485,7 @@ def generate_corpus(
                 )
             continue
         rejects = 0
-        ledger.add(src, f"sample {len(samples)}")
-        samples.append(Sample.from_src(len(samples), src))
+        samples.append(Sample.from_src(src))
     return Corpus(samples, seed=seed, params=params)
 
 
@@ -488,9 +509,8 @@ def split_corpus(
     f_train, f_valid, f_test = fractions
     if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be non-negative and sum to 1")
-    ids = [s.id for s in corpus.samples]
-    shuffled = rng.sample(ids, len(ids))
-    n = len(ids)
+    n = len(corpus)
+    shuffled = rng.sample(range(n), n)
     n_valid = int(n * f_valid)
     n_test = int(n * f_test)
     n_train = n - n_valid - n_test
@@ -510,16 +530,14 @@ def make_primitive_length_corpus(
     rng: random.Random | None = None,
     *,
     vary_arg: int = 0,
-    fixed_len_range: tuple[int, int] = (1, 5),
     registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> Corpus:
     """Single-function samples whose argument length sweeps ``arg_lengths``.
 
     For binary functions only the argument selected by ``vary_arg`` takes
     the probed length; the other argument keeps an ordinary length drawn
-    from ``fixed_len_range``.  Literals never repeat within a sample.
+    from 1..5.  Literals never repeat within a sample.
     """
-    alphabet = alphabet or Alphabet.default()
     rng = rng or random.Random(0)
     fn = registry.lookup(fn_name)
     if fn.arity == 2 and vary_arg not in (0, 1):
@@ -529,14 +547,11 @@ def make_primitive_length_corpus(
         if length < 1:
             raise ValueError("argument lengths must be at least 1")
         for _ in range(per_length):
-            if fn.arity == 1:
-                src = [fn_name, *rng.sample(alphabet.symbols, length)]
-            else:
-                other = rng.randint(*fixed_len_range)
-                lens = [length, other] if vary_arg == 0 else [other, length]
-                syms = rng.sample(alphabet.symbols, sum(lens))
-                src = [fn_name, *syms[: lens[0]], SEPARATOR, *syms[lens[0]:]]
-            samples.append(Sample.from_src(len(samples), src, registry))
+            lengths = [length]
+            if fn.arity == 2:
+                lengths.insert(1 - vary_arg, rng.randint(1, 5))
+            samples.append(Sample.from_src(fresh_source([fn_name], lengths, rng, alphabet),
+                                           registry))
     return Corpus(samples)
 
 

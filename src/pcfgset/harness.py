@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import queue
 import shlex
 import subprocess
@@ -188,6 +189,7 @@ class _Worker:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 text=True,
+                encoding="utf-8",
                 bufsize=1,
             )
         except OSError as exc:
@@ -202,10 +204,17 @@ class _Worker:
         """Queue the child's output lines, then None at EOF.  A line longer
         than MAX_REPLY_CHARS, so a child cannot grow this process's memory,
         or one the child ended by exiting instead of a newline, so it may
-        be cut short, is queued as a ProtocolViolation instead and ends the
-        reading."""
+        be cut short, or one that is not UTF-8, is queued as a
+        ProtocolViolation instead and ends the reading."""
         assert proc.stdout is not None
-        while line := proc.stdout.readline(MAX_REPLY_CHARS + 1):
+        while True:
+            try:
+                line = proc.stdout.readline(MAX_REPLY_CHARS + 1)
+            except UnicodeDecodeError:
+                lines.put(ProtocolViolation("reply line is not UTF-8"))
+                return
+            if not line:
+                break
             if len(line) > MAX_REPLY_CHARS:
                 lines.put(ProtocolViolation(f"reply line longer than {MAX_REPLY_CHARS} characters"))
                 return
@@ -366,8 +375,10 @@ class FileAdapter(ModelAdapter):
     """Adapter serving predictions from a line-aligned file.
 
     Line i of the file is the prediction for sample i of the test set, so
-    the file must have exactly one line per test sample.  A line that is
-    not UTF-8 raises ``corpus_io.MalformedLine``.
+    the file must have exactly one line per test sample.  A source that
+    occurs more than once is served its lines in file order: the k-th
+    request for it gets its k-th line, cycling round.  A line that is not
+    UTF-8 raises ``corpus_io.MalformedLine``.
     """
 
     def __init__(self, path, testset: Corpus | Sequence[Sample]):
@@ -377,15 +388,16 @@ class FileAdapter(ModelAdapter):
             raise LineCountMismatch(
                 f"{path}: {len(lines)} prediction lines for {len(samples)} test samples"
             )
-        self.by_src: dict[str, tuple[str, ...]] = {}
+        by_src: dict[str, list[tuple[str, ...]]] = {}
         for sample, line in zip(samples, lines):
-            self.by_src[sample.src_text()] = tuple(line)
+            by_src.setdefault(sample.src_text(), []).append(tuple(line))
+        self.replies = {text: itertools.cycle(rows) for text, rows in by_src.items()}
         self.name = f"file:{path}"
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
         text = " ".join(_coerce_src(src))
         try:
-            return list(self.by_src[text])
+            return list(next(self.replies[text]))
         except KeyError:
             raise ProtocolViolation(f"no stored prediction for source: {text!r}") from None
 
@@ -420,7 +432,7 @@ def build_adapter(
 
 
 def dataset_hash(samples: Iterable[Sample]) -> str:
-    """Content hash over (src, tgt) pairs, independent of ids."""
+    """Content hash over the (src, tgt) pairs in order."""
     digest = hashlib.sha256()
     for sample in samples:
         digest.update(sample.src_text().encode("utf-8"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -179,8 +179,8 @@ def random_probability_sample(
     function weights stay uniform.  No uniqueness constraints apply here:
     the sample only exists to cover feature space.  A draw longer or
     deeper than ``support_bound(spec, candidate_configs)`` stops as soon as
-    it passes the bound, and the corpus holds only the kept trees, each
-    with its draw index as id.
+    it passes the bound, and the corpus holds only the kept trees, in draw
+    order.
 
     ``rng`` gives one 64-bit base; instance ``i`` draws its probabilities
     and its tree from ``substream(base, "pool", i)``, so no instance
@@ -215,7 +215,7 @@ def random_probability_sample(
             bound=bound,
         )
         if src is not None:
-            samples.append(Sample.from_src(i, src))
+            samples.append(Sample.from_src(src))
     return Corpus(samples)
 
 
@@ -578,11 +578,7 @@ def naturalised_corpus(
         matched = subsample_to_match(pool, d_n, config, rng)
         if len(matched.samples) >= size:
             keep = sorted(rng.sample(range(len(matched.samples)), size))
-            samples = [
-                replace(matched.samples[i], id=new_id)
-                for new_id, i in enumerate(keep)
-            ]
-            return Corpus(samples, params=params)
+            return Corpus([matched.samples[i] for i in keep], params=params)
         pool_size = int(pool_size * 1.6)
     raise ValueError(
         f"matched subsample stayed below {size} after {max_attempts} attempts"

@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .generation import Alphabet, Corpus, Sample, UniquenessLedger, round_half_up
+from .generation import Alphabet, Corpus, Sample, UniquenessLedger, fresh_source, round_half_up
 from .language import (
     DEFAULT_REGISTRY,
-    SEPARATOR,
     FunctionRegistry,
     FunctionSymbol,
     apply_function,
@@ -182,7 +181,7 @@ def substitutivity_equal(
             rewritten.append(s)
             continue
         src = tuple(subs.get(i, tok) for i, tok in enumerate(s.src))
-        new = Sample.from_src(s.id, src, registry)
+        new = Sample.from_src(src, registry)
         assert new.tgt == s.tgt, "synonym rewriting must not change the target"
         rewritten.append(new)
     return Corpus(rewritten, seed=train.seed, params=train.params), audit
@@ -195,47 +194,36 @@ def substitutivity_primitive(
     alphabet: Alphabet | None = None,
     rng: random.Random | None = None,
     *,
-    arg_len_range: tuple[int, int] = (1, 5),
     max_attempts: int = 10_000,
 ) -> tuple[Corpus, dict[str, int]]:
     """Add primitive synonym samples instead of rewriting.
 
     Per base function, round(fraction * |train|) fresh one-function
-    samples ``F_syn <args>`` are appended, with arguments respecting the
-    corpus constraints (no literal repeats inside a sample, no reuse of a
-    multi-symbol argument seen anywhere in train or among the additions).
+    samples ``F_syn <args>`` are appended, each argument of length 1..5,
+    with arguments respecting the corpus constraints (no literal repeats
+    inside a sample, no reuse of a multi-symbol argument seen anywhere in
+    train or among the additions).
     """
     synonyms = synonyms or SynonymMap.default()
-    alphabet = alphabet or Alphabet.default()
     rng = rng or random.Random(0)
     registry = synonyms.registry()
     per_base = round_half_up(fraction * len(train))
     ledger = UniquenessLedger(train)
-    next_id = max((s.id for s in train), default=-1) + 1
     added: list[Sample] = []
     counts: dict[str, int] = {}
     for base, syn in synonyms.mapping:
-        fn = registry.lookup(syn)
+        arity = registry.lookup(syn).arity
         made = 0
         attempts = 0
         while made < per_base:
             attempts += 1
             if attempts > max_attempts:
                 raise RuntimeError(f"could not place fresh arguments for {syn}")
-            if fn.arity == 1:
-                n = rng.randint(*arg_len_range)
-                src = [syn, *rng.sample(alphabet.symbols, n)]
-            else:
-                n1 = rng.randint(*arg_len_range)
-                n2 = rng.randint(*arg_len_range)
-                syms = rng.sample(alphabet.symbols, n1 + n2)
-                src = [syn, *syms[:n1], SEPARATOR, *syms[n1:]]
-            sample = Sample.from_src(next_id, src, registry)
-            if ledger.violation(sample.src) is not None:
+            lengths = [rng.randint(1, 5) for _ in range(arity)]
+            src = fresh_source([syn], lengths, rng, alphabet)
+            if not ledger.admit(src, f"sample {len(train) + len(added)}"):
                 continue
-            ledger.add(sample.src, f"sample {next_id}")
-            next_id += 1
-            added.append(sample)
+            added.append(Sample.from_src(src, registry))
             made += 1
             attempts = 0
         counts[base] = made
@@ -249,7 +237,6 @@ def substitutivity_primitive(
 class ConsistencyPair:
     """One test item rendered both with base functions and with synonyms."""
 
-    id: int
     src_base: tuple[str, ...]
     src_syn: tuple[str, ...]
     tgt: tuple[str, ...]
@@ -272,7 +259,7 @@ def make_consistency_pairs(
         if syn_src == s.src:
             skipped += 1
             continue
-        pairs.append(ConsistencyPair(s.id, s.src, syn_src, s.tgt))
+        pairs.append(ConsistencyPair(s.src, syn_src, s.tgt))
     return pairs, skipped
 
 
@@ -330,34 +317,15 @@ def exception_evaluate(
 
 @dataclass(frozen=True)
 class ExceptionEntry:
+    """One planted exception.  ``sample_id`` is the sample's position in
+    the train side the exception was planted in, the 0-based line of that
+    variant's ``train.src``."""
+
     sample_id: int
     src: tuple[str, ...]
     original_tgt: tuple[str, ...]
     exception_tgt: tuple[str, ...]
     pair: tuple[str, str]
-
-
-def _synthesise_pair_sample(
-    outer: str,
-    inner: str,
-    alphabet: Alphabet,
-    rng: random.Random,
-    arg_len_range: tuple[int, int] = (1, 5),
-) -> list[str]:
-    """A minimal source that contains ``outer inner`` adjacently."""
-    outer_arity = DEFAULT_REGISTRY.lookup(outer).arity
-    inner_arity = DEFAULT_REGISTRY.lookup(inner).arity
-    lens = [rng.randint(*arg_len_range) for _ in range(inner_arity + outer_arity - 1)]
-    syms = rng.sample(alphabet.symbols, sum(lens))
-    # the string arguments in source order, a separator between each two
-    src = [outer, inner]
-    start = 0
-    for n in lens:
-        if start:
-            src.append(SEPARATOR)
-        src += syms[start:start + n]
-        start += n
-    return src
 
 
 def exceptions_apply(
@@ -372,13 +340,13 @@ def exceptions_apply(
     Per pair, the exception count is round(percentage * occurrences of the
     rarer member function, counted token-wise over train).  That many
     pair-containing samples get their target rewritten to the exception
-    interpretation; if too few exist, fresh pair-containing samples are
-    synthesised and appended.  A sample serves at most one pair.
+    interpretation; if too few exist, fresh minimal sources ``outer inner
+    <args>``, each argument of length 1..5, are synthesised and appended.
+    A sample serves at most one pair.
     """
     remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
     _check_remap(remap)
     rng = rng or random.Random(0)
-    alphabet = alphabet or Alphabet.default()
     fn_counts: dict[str, int] = {}
     for s in train:
         for tok in s.src:
@@ -397,7 +365,6 @@ def exceptions_apply(
     for pos, s in enumerate(samples):
         index(pos, s.src)
     ledger = UniquenessLedger(train)
-    next_id = max((s.id for s in train), default=-1) + 1
     taken: set[int] = set()
     entries: list[ExceptionEntry] = []
 
@@ -412,16 +379,14 @@ def exceptions_apply(
             chosen = sorted(rng.sample(candidates, k))
         else:
             chosen = list(candidates)
+            n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
             while len(chosen) < k:
-                sample = Sample.from_src(
-                    next_id, _synthesise_pair_sample(outer, inner, alphabet, rng)
-                )
-                if ledger.violation(sample.src) is not None:
+                lengths = [rng.randint(1, 5) for _ in range(n_args)]
+                src = fresh_source([outer, inner], lengths, rng, alphabet)
+                if not ledger.admit(src, f"sample {len(samples)}"):
                     continue
-                ledger.add(sample.src, f"sample {next_id}")
-                next_id += 1
-                samples.append(sample)
-                index(len(samples) - 1, sample.src)
+                samples.append(Sample.from_src(src))
+                index(len(samples) - 1, src)
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]
@@ -430,7 +395,7 @@ def exceptions_apply(
             taken.add(pos)
             entries.append(
                 ExceptionEntry(
-                    sample_id=s.id,
+                    sample_id=pos,
                     src=s.src,
                     original_tgt=evaluate(s.src),
                     exception_tgt=exc,

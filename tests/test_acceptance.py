@@ -266,8 +266,9 @@ def test_criterion_5_substitutivity():
         train, synonyms, fraction=0.001, rng=substream(DEFAULT_SEED, "prim")
     )
     want_added = math.floor(0.001 * len(train.samples) + 0.5)
-    base_ids = {s.id for s in train}
-    added = [s for s in prim_train if s.id not in base_ids]
+    if prim_train.samples[:len(train)] != train.samples:
+        issues.append("primitive samples are not appended after train")
+    added = prim_train.samples[len(train):]
     for syn in synonyms.as_dict().values():
         mine = [s for s in added if s.src[0] == syn]
         if len(mine) != want_added:
@@ -383,10 +384,10 @@ def test_criterion_8_metric_validation(raw_base):
     from pcfgset.suite import ConsistencyPair
 
     pairs = [
-        ConsistencyPair(0, ("copy", "A"), ("copy_syn", "A"), ("A",)),
-        ConsistencyPair(1, ("copy", "B"), ("copy_syn", "B"), ("B",)),
-        ConsistencyPair(2, ("copy", "C"), ("copy_syn", "C"), ("C",)),
-        ConsistencyPair(3, ("copy", "D"), ("copy_syn", "D"), ("D",)),
+        ConsistencyPair(("copy", "A"), ("copy_syn", "A"), ("A",)),
+        ConsistencyPair(("copy", "B"), ("copy_syn", "B"), ("B",)),
+        ConsistencyPair(("copy", "C"), ("copy_syn", "C"), ("C",)),
+        ConsistencyPair(("copy", "D"), ("copy_syn", "D"), ("D",)),
     ]
     table = {
         "copy A": "A", "copy_syn A": "A",          # consistent and correct
@@ -476,8 +477,8 @@ def test_criterion_9_naturalisation():
     true = GrammarParams.default()
     tree_rng = random.Random(subseed(DEFAULT_SEED, "mle"))
     samples = [
-        Sample.from_src(i, sample_tree(true, tree_rng, force_function=False))
-        for i in range(100_000)
+        Sample.from_src(sample_tree(true, tree_rng, force_function=False))
+        for _ in range(100_000)
     ]
     est = mle_estimate(Corpus(samples))
     tv = 0.5 * (

@@ -143,7 +143,7 @@ def test_validate_passes_then_fails_after_corruption(base_dir, capsys):
 
 def test_validate_fails_a_literal_repeated_across_arguments(tmp_path, capsys):
     texts = ["swap D E", "append A B , C A"]
-    samples = [Sample.from_src(i, t.split()) for i, t in enumerate(texts)]
+    samples = [Sample.from_src(t.split()) for t in texts]
     corpus_io.write_corpus(tmp_path, Corpus(samples))
     assert run_cli("validate", "--data", tmp_path) == 1
     out = capsys.readouterr().out
@@ -153,7 +153,7 @@ def test_validate_fails_a_literal_repeated_across_arguments(tmp_path, capsys):
 
 def test_degenerate_naturalise_filter_drops_repeated_literals():
     texts = ["swap D E", "append A B , C A", "copy D E", "swap D E", "reverse F G"]
-    corpus = Corpus([Sample.from_src(i, t.split()) for i, t in enumerate(texts)])
+    corpus = Corpus([Sample.from_src(t.split()) for t in texts])
     kept = cli._drop_constraint_violations(corpus)
     assert [s.src_text() for s in kept] == ["swap D E", "reverse F G"]
 
@@ -259,7 +259,7 @@ def test_testbuild_overgen_reads_only_train_but_checks_every_hash(base_dir, tmp_
 def test_testbuild_substitutivity_needs_splits(tmp_path):
     from pcfgset.generation import Corpus, Sample
 
-    unsplit = Corpus([Sample.from_src(0, "swap A B".split())])
+    unsplit = Corpus([Sample.from_src("swap A B".split())])
     corpus_io.write_corpus(tmp_path / "flat", unsplit)
     with pytest.raises(SystemExit):
         run_cli("testbuild", "--test", "substitutivity-ed", "--base", tmp_path / "flat",
@@ -562,6 +562,22 @@ def test_a_prediction_file_with_a_line_too_many_ends_in_one_line(tmp_path, mode,
     with pytest.raises(SystemExit) as ei:
         run_cli("eval", mode, "--data", data, "--out", tmp_path / "ev", option, value)
     assert ei.value.code == f"eval failed: {preds}: 2 prediction lines for 1 test samples"
+
+
+@pytest.mark.parametrize("mode, option", [("accuracy", "--adapter"), ("eos", "--preds")])
+def test_a_repeated_source_is_scored_against_each_of_its_lines(tmp_path, mode, option):
+    data = tmp_path / "d"
+    data.mkdir()
+    corpus_io.write_token_file(data / "test.src", [["swap", "A", "B"]] * 2)
+    corpus_io.write_token_file(data / "test.tgt", [["B", "A"]] * 2)
+    preds = tmp_path / "m.pred"
+    corpus_io.write_token_file(preds, [["B", "A"], ["X"]])
+    value = f"file:{preds}" if option == "--adapter" else preds
+    assert run_cli("eval", mode, "--data", data, "--out", tmp_path / "ev", option, value) == 0
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert report["overall"] == 0.5
+    if mode == "eos":
+        assert report["extras"]["incorrect"] == 1
 
 
 def test_an_output_too_long_to_build_is_a_recorded_problem(tmp_path, capsys):

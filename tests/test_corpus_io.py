@@ -54,10 +54,10 @@ from pcfgset.suite import (
 
 
 def corpus_of(texts, splits=None):
-    samples = [Sample.from_src(i, t.split()) for i, t in enumerate(texts)]
+    samples = [Sample.from_src(t.split()) for t in texts]
     corpus = Corpus(samples)
     if splits:
-        corpus.splits = {name: tuple(ids) for name, ids in splits.items()}
+        corpus.splits = {name: tuple(positions) for name, positions in splits.items()}
     return corpus
 
 

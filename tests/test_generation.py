@@ -260,7 +260,7 @@ def test_generate_corpus_constraints_hold(tmp_path):
         for t in leaf_tuples(s.src):
             if len(t) >= 2:
                 assert t not in used_args, "string argument reused across corpus"
-                used_args[t] = s.id
+                used_args[t] = s.src
     write_corpus(tmp_path, corpus)
     assert validate_corpus_files(tmp_path) == []
 
@@ -328,8 +328,7 @@ def test_audit_reports_a_parse_fault_before_a_value_too_long(tmp_path, src, prob
 def test_validate_corpus_flags_planted_errors(tmp_path):
     corpus = generate_corpus(uniform_params(), 50, rng=random.Random(2))
     good = corpus.samples[0]
-    bad = Sample(id=good.id + 1000, src=good.src,
-                 tgt=good.tgt + ("Z19",), stats=good.stats)
+    bad = Sample(src=good.src, tgt=good.tgt + ("Z19",), stats=good.stats)
     write_corpus(tmp_path, Corpus(corpus.samples + [bad]))
     assert validate_corpus_files(tmp_path) == [
         "all.tgt:51: target does not match evaluation",
@@ -350,9 +349,7 @@ def test_validate_corpus_flags_planted_errors(tmp_path):
     ],
 )
 def test_ledger_reports_the_first_violation(recorded, candidate, expected):
-    ledger = UniquenessLedger(
-        Sample.from_src(i, t.split()) for i, t in enumerate(recorded)
-    )
+    ledger = UniquenessLedger(Sample.from_src(t.split()) for t in recorded)
     assert ledger.violation(candidate.split()) == expected
 
 
@@ -396,7 +393,7 @@ def test_ledger_records_only_what_is_added():
     ],
 )
 def test_split_sizes(n, expected):
-    samples = [Sample.from_src(i, ["copy", "A"]) for i in range(n)]
+    samples = [Sample.from_src(["copy", "A"]) for _ in range(n)]
     corpus = Corpus(samples)
     split_corpus(corpus, rng=random.Random(1))
     sizes = tuple(len(corpus.splits[k]) for k in ("train", "valid", "test"))
@@ -406,8 +403,8 @@ def test_split_sizes(n, expected):
 def test_split_partition_is_disjoint_and_covering(tmp_path):
     corpus = generate_corpus(uniform_params(), 200, rng=random.Random(9))
     split_corpus(corpus, rng=random.Random(5))
-    ids = [i for k in ("train", "valid", "test") for i in corpus.splits[k]]
-    assert sorted(ids) == [s.id for s in corpus.samples]
+    positions = [i for k in ("train", "valid", "test") for i in corpus.splits[k]]
+    assert sorted(positions) == list(range(len(corpus)))
     write_corpus(tmp_path, corpus)
     assert validate_corpus_files(tmp_path) == []
 
@@ -415,7 +412,7 @@ def test_split_partition_is_disjoint_and_covering(tmp_path):
 @given(st.integers(min_value=1, max_value=5000))
 @settings(max_examples=30, deadline=None)
 def test_split_size_arithmetic(n):
-    samples = [Sample.from_src(i, ["copy", "A"]) for i in range(n)]
+    samples = [Sample.from_src(["copy", "A"]) for _ in range(n)]
     corpus = split_corpus(Corpus(samples), rng=random.Random(n))
     assert len(corpus.splits["valid"]) == int(n * 0.05)
     assert len(corpus.splits["test"]) == int(n * 0.10)

@@ -33,6 +33,31 @@ GOLDEN = {
         "valid.src": "67dc82b3d033bd8d2b4e82cb39e42e745f9b623c241046bb24accf6076f2f446",
         "valid.tgt": "74944f3dd78f00c2c40cdc154ff9433f4aca96f3eb078f88a938069d917a31d4",
     },
+    "systematicity": {
+        "manifest.json": "37ecaad9f63c1874ad8d65cc47d68269d9b587f03c0e4163a214f192f3b4879c",
+        "pairs.json": "5e7a6fba72c186fe5986850db140346c1321b2c88ab4add79c4d227e70f6d330",
+        "test.src": "2309f79da747f23bc2b77f86b43c4e2b612725d7956c0d5da10b2d3d46f7a307",
+        "test.tgt": "6d89a35dcf9acfef07c91c24cf2c40eafabad38431981ebe1ad64874f688dcfc",
+        "train.src": "6d8929fc1aa3d719e7c7853b3c37e050d447254b15cce10f60e605e189690357",
+        "train.tgt": "52bf6ba17bd591ea5f81173c15cc3f0af789bd5f70c8f0f70b5d4d9c38a5c9f0",
+    },
+    "productivity": {
+        "manifest.json": "25f5b3325f9dc4b2015f1e975d27c6a8c77060f668f7b4bfe13afc4330e0ec07",
+        "test.src": "7ee59bef958c572de41e8aa69ff975f75bea7671dff1dbc113ca53f08e3b53a5",
+        "test.tgt": "74ce21346d5b261652017ae59fad0b6ae162edf946ee099b7fecdabf5a5f398c",
+        "train.src": "5e334b8d54df868c326b94620a958fceb9d780f35e2f9c8b1f892d843e484719",
+        "train.tgt": "5245ad184f01f1c83ff736990b8de31fe2e5b9b9f6406594ececbf691bcb9c66",
+    },
+    "substitutivity-ed": {
+        "manifest.json": "bb8acd55d2cdae702a2cf8528938271013ebfc4017726d8bc8b38c38e29fd4c2",
+        "synonyms.json": "0249f38a8c1886fbe7f70d34907ec37c7fe089e6a22e5843b566a2302b68f02f",
+        "test.src": "8ac285c4eac43fb82d10f29bc74a7123f7d5434781b71e37b823505213593969",
+        "test.tgt": "20ca65bbaf26c74436821358310cca1cf21ff6676d705da82905d4408a609d73",
+        "train.src": "cd158b73e1aebc19f6a2774ac938f9201884e0ff49161ab7a45c622fb82fe97b",
+        "train.tgt": "8815a5c32922f7105c11e64629d1146d337f336a8a0d88a77a5415529a1569b5",
+        "valid.src": "67dc82b3d033bd8d2b4e82cb39e42e745f9b623c241046bb24accf6076f2f446",
+        "valid.tgt": "74944f3dd78f00c2c40cdc154ff9433f4aca96f3eb078f88a938069d917a31d4",
+    },
     "localism": {
         "report.json": "826ad4f4db0429d772e6813f40741e3c2247f9d89b78772168344742f9d761c5",
         "strata.csv": "f46ceccb96edf3e74fda5ccf51b734ff0588e80615a16e4e2d08b3b2ace31379",
@@ -90,6 +115,13 @@ def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     base = root / "base"
     assert cli.main(["generate", "--seed", "0", "--size", "1000", "--out", str(base)]) == 0
+    # 50 of the 136 pair-containing samples make the systematicity test side
+    for test, extra in (("systematicity", ["--test-size", "50"]), ("productivity", []),
+                        ("substitutivity-ed", [])):
+        assert cli.main([
+            "testbuild", "--test", test, "--base", str(base), "--out", str(root / test),
+            "--seed", "0", *extra,
+        ]) == 0
     # fraction 0.01 adds round(0.01 * 850) = 9 primitive samples per synonym
     assert cli.main([
         "testbuild", "--test", "substitutivity-prim", "--base", str(base),

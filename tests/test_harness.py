@@ -55,10 +55,7 @@ from pcfgset.generation import Sample
 
 
 def corpus_of(*texts):
-    samples = []
-    for i, text in enumerate(texts):
-        samples.append(Sample.from_src(i, text.split()))
-    return samples
+    return [Sample.from_src(text.split()) for text in texts]
 
 
 
@@ -267,7 +264,8 @@ class TestRunAccuracy:
 class TestDatasetHash:
     def test_depends_on_content_not_ids(self):
         a = corpus_of("copy A", "reverse B C")
-        b = [Sample.from_src(s.id + 40, s.src) for s in a]
+        # the stats are not content: samples with others hash the same
+        b = [Sample(s.src, s.tgt, a[0].stats) for s in a]
         assert dataset_hash(a) == dataset_hash(b)
 
     def test_changes_with_content(self):
@@ -276,10 +274,10 @@ class TestDatasetHash:
 
 def four_pair_fixture():
     pairs = [
-        ConsistencyPair(0, ("copy", "A"), ("copy_syn", "A"), ("A",)),
-        ConsistencyPair(1, ("copy", "B"), ("copy_syn", "B"), ("Z",)),
-        ConsistencyPair(2, ("copy", "C"), ("copy_syn", "C"), ("C",)),
-        ConsistencyPair(3, ("copy", "D"), ("copy_syn", "D"), ("T",)),
+        ConsistencyPair(("copy", "A"), ("copy_syn", "A"), ("A",)),
+        ConsistencyPair(("copy", "B"), ("copy_syn", "B"), ("Z",)),
+        ConsistencyPair(("copy", "C"), ("copy_syn", "C"), ("C",)),
+        ConsistencyPair(("copy", "D"), ("copy_syn", "D"), ("T",)),
     ]
     adapter = StubAdapter(
         {
@@ -315,7 +313,7 @@ class TestRunConsistency:
         assert abs(total - report.overall) <= 1e-9
 
     def test_all_correct_gives_none_across_incorrect(self):
-        pairs = [ConsistencyPair(0, ("copy", "A"), ("copy_syn", "A"), ("A",))]
+        pairs = [ConsistencyPair(("copy", "A"), ("copy_syn", "A"), ("A",))]
         adapter = StubAdapter({"copy A": "A", "copy_syn A": "A"})
         report = run_consistency(adapter, pairs)
         assert report.overall == 1.0
@@ -324,8 +322,8 @@ class TestRunConsistency:
 
     def test_error_side_counts_as_inconsistent_and_incorrect(self):
         pairs = [
-            ConsistencyPair(0, ("copy", "A"), ("copy_syn", "A"), ("A",)),
-            ConsistencyPair(1, ("copy", "B"), ("copy_syn", "B"), ("B",)),
+            ConsistencyPair(("copy", "A"), ("copy_syn", "A"), ("A",)),
+            ConsistencyPair(("copy", "B"), ("copy_syn", "B"), ("B",)),
         ]
         adapter = FailingAdapter(
             {"copy A": "A", "copy_syn A": "A", "copy B": "B"},
@@ -514,6 +512,10 @@ MISBEHAVING_CHILDREN = {
         "    sys.stdout.write(line.strip() + '\\n' + extra)\n"
         "    sys.stdout.flush()\n",
         [None, "ProtocolViolation", None, "ProtocolViolation", None], 3),
+    "reply-not-utf8": (
+        "    sys.stdout.buffer.write(b'A \\xff\\n')\n"
+        "    sys.stdout.flush()\n",
+        ["ProtocolViolation"] * 5, 5),
 }
 
 
@@ -666,7 +668,7 @@ class TestLocalism:
 
     def test_synonym_sources_parse_with_the_given_registry(self):
         registry = SynonymMap.default().registry()
-        samples = [Sample.from_src(0, "swap_syn append_syn A , B C".split(), registry)]
+        samples = [Sample.from_src("swap_syn append_syn A , B C".split(), registry)]
         report = run_localism(OracleAdapter(registry), samples, registry=registry)
         assert report.overall == 1.0
         assert report.extras["mean_unroll_steps"] == 2.0
@@ -845,7 +847,7 @@ class TestEosAnalysis:
         these predictions; None is an adapter error."""
         symbols = Alphabet.default().symbols
         samples = [
-            replace(Sample.from_src(i, ["copy", symbols[i]]), tgt=tuple(target))
+            replace(Sample.from_src(["copy", symbols[i]]), tgt=tuple(target))
             for i, target in enumerate(targets)
         ]
         table = {s.src_text(): " ".join(p or ()) for s, p in zip(samples, predictions)}

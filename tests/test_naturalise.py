@@ -35,13 +35,15 @@ from pcfgset.naturalise import (
     select_increments,
     subsample_to_match,
     support_bound,
+    _dirichlet,
 )
+from pcfgset.seeding import substream
 
 
-def fake_sample(i, length, depth):
+def fake_sample(length, depth):
     """A sample whose stats are set directly; the source is a placeholder."""
     return Sample(
-        id=i, src=("copy", "A"), tgt=("A",),
+        src=("copy", "A"), tgt=("A",),
         stats=SequenceStats(length=length, depth=depth, num_functions=1),
     )
 
@@ -50,7 +52,7 @@ def fake_corpus(cells: dict[tuple[int, int], int]) -> Corpus:
     samples = []
     for (length, depth), count in sorted(cells.items()):
         for _ in range(count):
-            samples.append(fake_sample(len(samples), length, depth))
+            samples.append(fake_sample(length, depth))
     return Corpus(samples)
 
 
@@ -262,10 +264,10 @@ def test_subsample_is_subset_preserving_samples():
     d_n = DistributionSpec.from_rows([(1, 1, 3), (2, 1, 2), (3, 1, 1)])
     d_r = fake_corpus({(1, 1): 30, (2, 1): 30, (3, 1): 30})
     out = subsample_to_match(d_r, d_n, PartitionConfig(1, 1), random.Random(7))
-    ids = [s.id for s in out]
-    assert len(set(ids)) == len(ids)
-    table = d_r.by_id()
-    assert all(table[i] is s for i, s in zip(ids, out.samples))
+    # the fake samples of a cell are equal, so they are told apart by identity
+    position = {id(s): i for i, s in enumerate(d_r.samples)}
+    picked = [position[id(s)] for s in out]
+    assert picked == sorted(set(picked))
 
 
 # --- increment selection --------------------------------------------------------
@@ -281,8 +283,7 @@ def test_select_increments_returns_grid_member_and_consistent_kl():
     assert config in DEFAULT_INCREMENT_GRID
     refit = kl_gaussian(fit_gaussian(extract_features(subset)), fit_gaussian_spec(d_n))
     assert math.isclose(kl, refit, rel_tol=0, abs_tol=1e-12)
-    ids = {s.id for s in subset}
-    assert ids <= {s.id for s in d_r}
+    assert {id(s) for s in subset} <= {id(s) for s in d_r}
 
 
 def test_select_increments_tie_prefers_first_candidate():
@@ -316,6 +317,26 @@ def bundled_spec() -> DistributionSpec:
     return DistributionSpec.from_csv(reference_spec_path())
 
 
+def pool_draws(n, seed, bound):
+    """The samples of ``random_probability_sample(n, ..., rng=random.Random(seed))``
+    under a support bound, rebuilt draw by draw: instance ``i`` draws its
+    Dirichlet(1) probabilities and its tree from ``substream(base, "pool", i)``."""
+    base = random.Random(seed).getrandbits(64)
+    kept = []
+    for i in range(n):
+        instance = substream(base, "pool", i)
+        p_unary, p_binary, p_leaf = _dirichlet(instance, 3)
+        params = GrammarParams(
+            p_unary=p_unary, p_binary=p_binary, p_leaf=p_leaf,
+            fn_weights={name: 1.0 for name in DEFAULT_REGISTRY.names()},
+            arg_len_dist=dict(enumerate(_dirichlet(instance, 5), start=1)),
+        )
+        tree = sample_tree(params, instance, max_nodes=2_000, bound=bound)
+        if tree is not None:
+            kept.append(Sample.from_src(tree))
+    return kept
+
+
 def test_support_bound_of_the_bundled_reference_over_the_default_grid():
     # lengths 57-59 share cell 19 under i_length 3; depths 15-17 share cell 5 under i_depth 3
     assert support_bound(bundled_spec(), DEFAULT_INCREMENT_GRID) == (59, 17)
@@ -331,8 +352,7 @@ def test_support_bound_of_unit_increments_is_the_reference_maximum():
 def test_random_probability_sample_shape():
     corpus = random_probability_sample(60, bundled_spec(), rng=random.Random(11))
     assert 0 < len(corpus) <= 60
-    ids = [s.id for s in corpus]
-    assert ids == sorted(set(ids)) and set(ids) <= set(range(60))
+    assert corpus.samples == pool_draws(60, 11, (59, 17))
     for s in corpus:
         assert s.stats.num_functions >= 1  # root is forced to be a function
         assert s.tgt  # evaluates to something non-empty
@@ -345,7 +365,7 @@ def test_random_probability_sample_keeps_exactly_the_draws_in_bound():
         200, DistributionSpec.from_rows([(100_000, 1_000, 1)]), [PartitionConfig(1, 1)],
         rng=random.Random(7),
     )
-    assert [s.id for s in everything] == list(range(200))
+    assert everything.samples == pool_draws(200, 7, None)
     kept = random_probability_sample(200, bundled_spec(), rng=random.Random(7))
     assert kept.samples == [
         s for s in everything if s.stats.length <= 59 and s.stats.depth <= 17
@@ -357,8 +377,9 @@ def test_a_random_probability_pool_is_the_prefix_of_a_larger_one():
     # each instance draws from its own substream of the one base rng gives
     small = random_probability_sample(60, bundled_spec(), rng=random.Random(5))
     large = random_probability_sample(120, bundled_spec(), rng=random.Random(5))
-    assert small.samples == [s for s in large if s.id < 60]
-    assert 0 < len(small) < len(large)
+    assert small.samples == large.samples[:len(small)]
+    # 32 of the first 60 draws and 73 of 120 fall within the bundled bound
+    assert (len(small), len(large)) == (32, 73)
 
 
 def test_random_probability_sample_deterministic():
@@ -379,8 +400,8 @@ def test_random_probability_sample_respects_node_budget():
 def test_mle_hand_counts():
     # "copy A B" and "append A , B": expansions = 1 unary, 1 binary, 3 leaves
     samples = [
-        Sample.from_src(0, "copy A B".split()),
-        Sample.from_src(1, "append A , B".split()),
+        Sample.from_src("copy A B".split()),
+        Sample.from_src("append A , B".split()),
     ]
     params = mle_estimate(Corpus(samples))
     # add-one over three categories: (1+1, 1+1, 3+1) / 8
@@ -430,7 +451,7 @@ def test_mle_counts_equal_a_walk_over_the_parsed_trees():
 
 
 def test_mle_unseen_categories_get_smoothing_mass_only():
-    samples = [Sample.from_src(0, "copy A".split())]
+    samples = [Sample.from_src("copy A".split())]
     params = mle_estimate(Corpus(samples))
     assert 0 < params.p_binary < params.p_unary
     assert params.fn_weights["append"] == params.fn_weights["remove_first"]
@@ -449,8 +470,8 @@ def test_mle_recovers_known_params():
     )
     rng = random.Random(17)
     samples = [
-        Sample.from_src(i, sample_tree(true, rng, force_function=False))
-        for i in range(30_000)
+        Sample.from_src(sample_tree(true, rng, force_function=False))
+        for _ in range(30_000)
     ]
     est = mle_estimate(Corpus(samples), max_arg_len=5)
     tv_expansion = 0.5 * (

@@ -32,7 +32,7 @@ from pcfgset.suite import (
 
 
 def corpus_of(*texts: str) -> Corpus:
-    return Corpus([Sample.from_src(i, t.split()) for i, t in enumerate(texts)])
+    return Corpus([Sample.from_src(t.split()) for t in texts])
 
 
 # --- pair containment --------------------------------------------------------
@@ -132,8 +132,10 @@ def test_substitutivity_equal_rewrites_floor_half():
     syn_count = sum(tok == "swap_syn" for s in out for tok in s.src)
     base_count = sum(tok == "swap" for s in out for tok in s.src)
     assert syn_count == 2 and base_count == 2
-    # ids and targets preserved
-    assert [s.id for s in out] == [s.id for s in corpus]
+    # positions and targets preserved
+    assert [tuple("swap" if tok == "swap_syn" else tok for tok in s.src) for s in out] == [
+        s.src for s in corpus
+    ]
     assert [s.tgt for s in out] == [s.tgt for s in corpus]
 
 
@@ -183,10 +185,10 @@ def test_make_consistency_pairs():
     corpus = corpus_of("swap repeat A B", "copy A B", "append C , D")
     pairs, skipped = make_consistency_pairs(corpus)
     assert skipped == 1  # "copy A B" holds no mapped function
-    by_id = {p.id: p for p in pairs}
-    assert by_id[0].src_syn == ("swap_syn", "repeat_syn", "A", "B")
-    assert by_id[2].src_syn == ("append_syn", "C", ",", "D")
-    assert by_id[0].tgt == evaluate(parse_text("swap repeat A B"))
+    assert [p.src_base for p in pairs] == [corpus.samples[0].src, corpus.samples[2].src]
+    assert pairs[0].src_syn == ("swap_syn", "repeat_syn", "A", "B")
+    assert pairs[1].src_syn == ("append_syn", "C", ",", "D")
+    assert pairs[0].tgt == evaluate(parse_text("swap repeat A B"))
 
 
 def test_synonym_map_validation():
@@ -270,9 +272,10 @@ def test_exceptions_apply_counts_and_rewrites():
     assert len(entries) == 2
     assert all(e.pair == ("reverse", "echo") for e in entries)
     rewritten = {e.sample_id for e in entries}
-    for s in out:
+    assert all(out.samples[e.sample_id].src == e.src for e in entries)
+    for pos, s in enumerate(out):
         program = parse(s.src)
-        if s.id in rewritten:
+        if pos in rewritten:
             assert s.tgt == exception_evaluate(program)
             assert s.tgt != evaluate(program)
         else:
@@ -299,8 +302,9 @@ def test_exceptions_apply_synthesises_when_short():
     assert len(out) == 8  # four synthesised samples appended
     for e in entries:
         assert contains_pair(e.src, [HeldOutPair("prepend", "remove_first")])
-    new_ids = [s.id for s in out.samples[4:]]
-    assert new_ids == [4, 5, 6, 7]
+    # the entries name the appended samples by position
+    assert [e.sample_id for e in entries] == [4, 5, 6, 7]
+    assert [e.src for e in entries] == [s.src for s in out.samples[4:]]
     for s in out.samples[4:]:
         literals = [sym for t in leaf_tuples(s.src) for sym in t]
         assert len(set(literals)) == len(literals)
