@@ -436,17 +436,14 @@ def _eval_split(args, out: Path) -> EvaluationReport:
 
 def cmd_validate(args) -> int:
     exceptions = corpus_io.read_exceptions(args.exceptions) if args.exceptions else None
-    problems = corpus_io.validate_corpus_files(args.data, exceptions=exceptions)
+    counts: dict[str, int] = {}
+    problems = corpus_io.validate_corpus_files(args.data, exceptions=exceptions, counts=counts)
     if problems:
         for problem in problems:
             print(problem)
         print(f"FAIL: {len(problems)} problems")
         return 1
-    names = corpus_io.discover_splits(args.data)
-    total = sum(
-        len(corpus_io.read_token_file(Path(args.data) / f"{n}.src")) for n in names
-    )
-    print(f"PASS: {total} samples across {len(names)} splits")
+    print(f"PASS: {sum(counts.values())} samples across {len(counts)} splits")
     return 0
 
 

@@ -410,6 +410,7 @@ def validate_corpus_files(
     *,
     registry: FunctionRegistry | None = None,
     exceptions: Sequence[ExceptionEntry] | None = None,
+    counts: dict[str, int] | None = None,
 ) -> list[str]:
     """The corpus validator; returns line-addressed violation strings.
 
@@ -420,6 +421,7 @@ def validate_corpus_files(
     is a problem of its own, reported only when the source parses), and
     the corpus constraints must hold; a row that breaks none is recorded.
     A file that is not UTF-8 is reported, and its split skipped.
+    ``counts``, when given, receives each read split's number of sources.
     """
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
@@ -438,6 +440,8 @@ def validate_corpus_files(
         except MalformedLine as exc:
             problems.append(str(exc))
             continue
+        if counts is not None:
+            counts[name] = len(src_rows)
         if len(src_rows) != len(tgt_rows):
             problems.append(
                 f"{name}: {len(src_rows)} src lines vs {len(tgt_rows)} tgt lines"

@@ -13,7 +13,6 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -38,7 +37,6 @@ class ExhaustedUniqueArguments(Exception):
     """Could not satisfy the corpus uniqueness constraints by resampling."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """The literal symbol inventory.
 
@@ -46,13 +44,12 @@ class Alphabet:
     up to A19..Z19, 520 symbols in total.
     """
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if not self.symbols:
+        if not symbols:
             raise ValueError("alphabet must not be empty")
+        self.symbols = symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -66,8 +63,10 @@ class Alphabet:
 _DEFAULT_ALPHABET = Alphabet(LITERALS)
 
 
-@dataclass(frozen=True)
-class GrammarParams:
+class GrammarParams(NamedTuple("GrammarParams", [
+    ("p_unary", float), ("p_binary", float), ("p_leaf", float),
+    ("fn_weights", dict[str, float]), ("arg_len_dist", dict[int, float]), ("max_arg_len", int),
+])):
     """Production probabilities for tree sampling.
 
     ``p_unary`` / ``p_binary`` / ``p_leaf`` govern the expansion of every
@@ -76,14 +75,13 @@ class GrammarParams:
     leaf length to probability.
     """
 
-    p_unary: float
-    p_binary: float
-    p_leaf: float
-    fn_weights: dict[str, float]
-    arg_len_dist: dict[int, float]
-    max_arg_len: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p_unary: float, p_binary: float, p_leaf: float,
+                fn_weights: dict[str, float], arg_len_dist: dict[int, float],
+                max_arg_len: int = 5):
+        self = super().__new__(cls, p_unary, p_binary, p_leaf, fn_weights, arg_len_dist,
+                               max_arg_len)
         # written so that NaN, which fails every comparison, fails each check
         triple = (self.p_unary, self.p_binary, self.p_leaf)
         if not all(p >= 0 for p in triple):
@@ -104,6 +102,7 @@ class GrammarParams:
             raise ValueError("leaf length probabilities must be non-negative")
         if not abs(sum(self.arg_len_dist.values()) - 1.0) <= 1e-9:
             raise ValueError("arg_len_dist must sum to 1")
+        return self
 
     @classmethod
     def default(cls) -> "GrammarParams":
@@ -149,8 +148,7 @@ class GrammarParams:
             raise ValueError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One (source sequence, target string) pair; the source is the program."""
 
     src: tuple[str, ...]
@@ -172,15 +170,21 @@ class Sample:
         return " ".join(self.tgt)
 
 
-@dataclass
 class Corpus:
     """Samples in order, with the seed and grammar parameters they came
     from.  ``splits`` names each split's positions in ``samples``."""
 
-    samples: list[Sample]
-    seed: int | None = None
-    params: GrammarParams | None = None
-    splits: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        samples: list[Sample],
+        seed: int | None = None,
+        params: GrammarParams | None = None,
+        splits: dict[str, tuple[int, ...]] | None = None,
+    ):
+        self.samples = samples
+        self.seed = seed
+        self.params = params
+        self.splits = {} if splits is None else splits
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -18,8 +18,7 @@ import queue
 import shlex
 import subprocess
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import read_token_file
 from .generation import Alphabet, Corpus, Sample
@@ -67,8 +66,7 @@ RECOVERABLE_ERRORS = (AdapterError, LanguageError)
 MAX_REPLY_CHARS = 4 * MAX_OUTPUT_LENGTH
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One adapter outcome: either a token sequence or an error tag."""
 
     tokens: tuple[str, ...] | None
@@ -442,7 +440,6 @@ def dataset_hash(samples: Iterable[Sample]) -> str:
     return digest.hexdigest()
 
 
-@dataclass
 class EvaluationReport:
     """Outcome of one evaluation run, whatever the mode.
 
@@ -465,14 +462,25 @@ class EvaluationReport:
       fraction per checkpoint.
     """
 
-    metric: str
-    overall: float
-    count: int
-    strata: dict[str, dict[object, tuple[float, int]]]
-    errors: dict[str, int] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-    predictions: list[Prediction] | None = None
+    def __init__(
+        self,
+        metric: str,
+        overall: float,
+        count: int,
+        strata: dict[str, dict[object, tuple[float, int]]],
+        errors: dict[str, int] | None = None,
+        metadata: dict | None = None,
+        extras: dict | None = None,
+        predictions: list[Prediction] | None = None,
+    ):
+        self.metric = metric
+        self.overall = overall
+        self.count = count
+        self.strata = strata
+        self.errors = {} if errors is None else errors
+        self.metadata = {} if metadata is None else metadata
+        self.extras = {} if extras is None else extras
+        self.predictions = predictions
 
     def to_dict(self) -> dict:
         strata = {

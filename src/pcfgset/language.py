@@ -11,8 +11,7 @@ interpreter.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 SEPARATOR = ","
 
@@ -87,8 +86,9 @@ class OutputTooLong(LanguageError):
 Symbols = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
+class FunctionSymbol(NamedTuple("FunctionSymbol", [
+    ("name", str), ("arity", int), ("fn", Callable[..., Symbols]), ("size", Callable[..., int]),
+])):
     """A named string-edit function with fixed arity.
 
     ``size`` gives the output length from the argument lengths, so a value
@@ -97,14 +97,24 @@ class FunctionSymbol:
     still compares as a distinct symbol.
     """
 
-    name: str
-    arity: int
-    fn: Callable[..., Symbols] = field(compare=False, repr=False)
-    size: Callable[..., int] = field(compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity not in (1, 2):
-            raise ValueError(f"{self.name}: the grammar has unary and binary functions only")
+    def __new__(cls, name: str, arity: int, fn: Callable[..., Symbols],
+                size: Callable[..., int]):
+        if arity not in (1, 2):
+            raise ValueError(f"{name}: the grammar has unary and binary functions only")
+        return super().__new__(cls, name, arity, fn, size)
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionSymbol):
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    # tuple's own != would compare fn and size as well
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def __call__(self, *args: Symbols) -> Symbols:
         return self.fn(*args)
@@ -194,8 +204,7 @@ DEFAULT_REGISTRY = FunctionRegistry(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceStats:
+class SequenceStats(NamedTuple):
     length: int
     depth: int
     num_functions: int

@@ -14,9 +14,8 @@ from __future__ import annotations
 import csv
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .generation import (
     Alphabet,
@@ -49,24 +48,25 @@ class SingularCovariance(Exception):
     """KL divergence is undefined for a non positive-definite covariance."""
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(NamedTuple("DistributionSpec",
+                                  [("entries", tuple[tuple[int, int, int], ...])])):
     """Reference histogram over (length, depth) cells.
 
     CSV format: header ``length,depth,count`` then one row per cell.
     Zero-count rows are accepted on read and dropped.
     """
 
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[int, int, int], ...]):
         seen = set()
-        for length, depth, count in self.entries:
+        for length, depth, count in entries:
             if length < 1 or depth < 0 or count < 1:
                 raise ValueError(f"bad entry ({length}, {depth}, {count})")
             if (length, depth) in seen:
                 raise ValueError(f"duplicate cell ({length}, {depth})")
             seen.add((length, depth))
+        return super().__new__(cls, entries)
 
     @property
     def total(self) -> int:
@@ -102,16 +102,15 @@ class DistributionSpec:
         write_csv(path, ["length", "depth", "count"], sorted(self.entries))
 
 
-@dataclass(frozen=True)
-class PartitionConfig:
+class PartitionConfig(NamedTuple("PartitionConfig", [("i_length", int), ("i_depth", int)])):
     """Bin widths for the partitioning vector (length // i, depth // j)."""
 
-    i_length: int
-    i_depth: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i_length < 1 or self.i_depth < 1:
+    def __new__(cls, i_length: int, i_depth: int):
+        if i_length < 1 or i_depth < 1:
             raise ValueError("increments must be positive integers")
+        return super().__new__(cls, i_length, i_depth)
 
     def vector(self, length: int, depth: int) -> tuple[int, int]:
         return (length // self.i_length, depth // self.i_depth)
@@ -122,8 +121,7 @@ DEFAULT_INCREMENT_GRID = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GaussianFit:
+class GaussianFit(NamedTuple):
     """Mean vector and covariance matrix as numpy arrays.  The annotations
     are never evaluated, so this module loads without numpy."""
 
@@ -442,26 +440,33 @@ def mle_estimate(
     )
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     iteration: int
     i_length: int
     i_depth: int
     kl: float
 
 
-@dataclass
 class PipelineResult:
     """What the loop produced, and the pool it started from: ``initial_kl``
     scores the ``pool_kept`` random-probability trees within
     ``pool_bound`` (max length, max depth)."""
 
-    params: GrammarParams
-    corpus: Corpus
-    initial_kl: float
-    pool_kept: int
-    pool_bound: tuple[int, int]
-    trace: list[TraceRow] = field(default_factory=list)
+    def __init__(
+        self,
+        params: GrammarParams,
+        corpus: Corpus,
+        initial_kl: float,
+        pool_kept: int,
+        pool_bound: tuple[int, int],
+        trace: list[TraceRow] | None = None,
+    ):
+        self.params = params
+        self.corpus = corpus
+        self.initial_kl = initial_kl
+        self.pool_kept = pool_kept
+        self.pool_bound = pool_bound
+        self.trace = [] if trace is None else trace
 
     @property
     def final_kl(self) -> float:

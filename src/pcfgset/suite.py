@@ -10,8 +10,7 @@ exception targets for selected function pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .generation import Alphabet, Corpus, Sample, UniquenessLedger, fresh_source, round_half_up
 from .language import (
@@ -32,17 +31,16 @@ class EmptySide(Exception):
     """A split constructor produced an empty train or test side."""
 
 
-@dataclass(frozen=True)
-class HeldOutPair:
+class HeldOutPair(NamedTuple("HeldOutPair", [("outer", str), ("inner", str)])):
     """A function bigram: ``outer`` immediately followed by ``inner``."""
 
-    outer: str
-    inner: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in (self.outer, self.inner):
+    def __new__(cls, outer: str, inner: str):
+        for name in (outer, inner):
             if name not in DEFAULT_REGISTRY:
                 raise ValueError(f"unknown function {name!r}")
+        return super().__new__(cls, outer, inner)
 
 
 DEFAULT_HELD_OUT_PAIRS = (
@@ -109,19 +107,19 @@ def productivity_split(
     )
 
 
-@dataclass(frozen=True)
-class SynonymMap:
+class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ...])])):
     """Maps base function names to their synonym names."""
 
-    mapping: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, _ in self.mapping:
+    def __new__(cls, mapping: tuple[tuple[str, str], ...]):
+        for name, _ in mapping:
             if name not in DEFAULT_REGISTRY:
                 raise ValueError(f"unknown function {name!r}")
-        syns = [s for _, s in self.mapping]
+        syns = [s for _, s in mapping]
         if len(set(syns)) != len(syns):
             raise ValueError("synonym names must be distinct")
+        return super().__new__(cls, mapping)
 
     @classmethod
     def default(cls) -> "SynonymMap":
@@ -233,8 +231,7 @@ def substitutivity_primitive(
     return merged, counts
 
 
-@dataclass(frozen=True)
-class ConsistencyPair:
+class ConsistencyPair(NamedTuple):
     """One test item rendered both with base functions and with synonyms."""
 
     src_base: tuple[str, ...]
@@ -315,8 +312,7 @@ def exception_evaluate(
     return fold(src, DEFAULT_REGISTRY, apply)[1]
 
 
-@dataclass(frozen=True)
-class ExceptionEntry:
+class ExceptionEntry(NamedTuple):
     """One planted exception.  ``sample_id`` is the sample's position in
     the train side the exception was planted in, the 0-based line of that
     variant's ``train.src``."""
@@ -391,7 +387,7 @@ def exceptions_apply(
         for pos in chosen:
             s = samples[pos]
             exc = exception_evaluate(s.src, remap)
-            samples[pos] = replace(s, tgt=exc)
+            samples[pos] = s._replace(tgt=exc)
             taken.add(pos)
             entries.append(
                 ExceptionEntry(
@@ -407,8 +403,7 @@ def exceptions_apply(
 
 # --- localism ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnrollStep:
+class UnrollStep(NamedTuple):
     """One function application in an unrolled evaluation.
 
     ``args`` holds either ("lit", symbols) for string arguments or
@@ -419,8 +414,7 @@ class UnrollStep:
     args: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class UnrollPlan:
+class UnrollPlan(NamedTuple):
     src: tuple[str, ...]
     steps: tuple[UnrollStep, ...]
 

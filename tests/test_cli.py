@@ -128,7 +128,7 @@ def test_generate_honours_params_file(tmp_path):
 
 def test_validate_passes_then_fails_after_corruption(base_dir, capsys):
     assert run_cli("validate", "--data", base_dir) == 0
-    assert capsys.readouterr().out.startswith("PASS")
+    assert capsys.readouterr().out == "PASS: 400 samples across 3 splits\n"
     tgt = base_dir / "train.tgt"
     lines = tgt.read_text(encoding="utf-8").splitlines()
     lines[4] = "Z9 Z9"

@@ -4,7 +4,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -847,7 +846,7 @@ class TestEosAnalysis:
         these predictions; None is an adapter error."""
         symbols = Alphabet.default().symbols
         samples = [
-            replace(Sample.from_src(["copy", symbols[i]]), tgt=tuple(target))
+            Sample.from_src(["copy", symbols[i]])._replace(tgt=tuple(target))
             for i, target in enumerate(targets)
         ]
         table = {s.src_text(): " ".join(p or ()) for s, p in zip(samples, predictions)}

@@ -1,9 +1,14 @@
-"""Start-up cost: numpy is loaded only by naturalise's Gaussian fit.
+"""Start-up cost: what importing the package and running a command load.
 
 Every command runs in its own process, and the benchmark's evaluate round
-alone starts eight of them, so the import of numpy (about as long as the
-rest of the package's import) is paid only where a Gaussian is fitted.
-Each check runs in a fresh interpreter, since this one has numpy loaded.
+alone starts eight of them, so whatever an import loads is paid per
+process.  numpy (about as long as the rest of the package's import) is
+loaded only where naturalise fits a Gaussian.  ``dataclasses`` is loaded
+by no module: its import (with ``inspect``, ``ast``, ``dis`` and
+``tokenize``) and decorating the package's records took 20–30 ms of
+every process, so the records are ``NamedTuple``s and plain classes.
+Each check runs in a fresh interpreter, since this one has these modules
+loaded.
 """
 
 import os
@@ -33,14 +38,22 @@ fit_gaussian_spec(DistributionSpec.from_csv(reference_spec_path()))
 """
 
 
-def numpy_loaded_after(code: str) -> bool:
-    check = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+def loaded_after(code: str, names: set[str]) -> set[str]:
+    """Which of ``names`` a fresh interpreter has loaded after ``code``."""
+    check = code + f"\nimport sys\nprint(' '.join(sorted({names!r} & set(sys.modules))))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def numpy_loaded_after(code: str) -> bool:
+    return loaded_after(code, {"numpy"}) == {"numpy"}
+
+
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 MODULES = ["cli", "corpus_io", "generation", "harness", "language", "metrics",
@@ -60,3 +73,13 @@ def test_each_module_imports_alone_without_numpy(module):
 ], ids=["import", "generate", "gaussian-fit"])
 def test_numpy_is_loaded_only_by_the_gaussian_fit(code, loaded):
     assert numpy_loaded_after(code) is loaded
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone_without_dataclasses(module):
+    assert loaded_after(f"import pcfgset.{module}", RECORD_MACHINERY) == set()
+
+
+@pytest.mark.parametrize("code", [IMPORT_ONLY, GENERATE], ids=["import", "generate"])
+def test_no_command_path_loads_dataclasses(code):
+    assert loaded_after(code, RECORD_MACHINERY) == set()
