@@ -10,14 +10,13 @@ predictions over the line protocol, usable as a subprocess adapter).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import corpus_io
 from .generation import (
-    Alphabet,
     Corpus,
     ExhaustedUniqueArguments,
     GrammarParams,
@@ -38,7 +37,7 @@ from .harness import (
     run_localism,
     run_overgeneralisation,
 )
-from .language import DEFAULT_REGISTRY, LanguageError, evaluate_text
+from .language import DEFAULT_REGISTRY, LITERALS, LanguageError, evaluate_text
 from .naturalise import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
@@ -69,11 +68,14 @@ from .suite import (
 
 OVERGEN_PERCENTAGES = (0.0001, 0.0005, 0.001, 0.005)
 LENGTH_GEN_DEFAULT_LENGTHS = tuple(range(1, 13))
+# the longest argument length-gen can probe: a fresh source draws distinct
+# literals, and a binary function's other argument takes up to 5 of them
+MAX_PROBE_LENGTH = len(LITERALS) - 5
 
 
 def reference_spec_path() -> Path:
     """Location of the bundled (length, depth) reference histogram."""
-    return Path(resources.files("pcfgset").joinpath("data/reference_length_depth.csv"))
+    return Path(__file__).with_name("data") / "reference_length_depth.csv"
 
 
 def _resolve_seed(args, required: bool) -> int | None:
@@ -145,6 +147,18 @@ def _require_positive(args, *names: str) -> None:
             )
 
 
+def _require_finite(args, name: str, *, zero_ok: bool) -> None:
+    """Refuse an infinite or NaN value, and one below 0, or at 0 too
+    unless ``zero_ok``."""
+    value = getattr(args, name)
+    if value is None or (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        return
+    bound = "at least 0" if zero_ok else "above 0"
+    raise SystemExit(
+        f"{args.command} --{name.replace('_', '-')} must be finite and {bound}, got {value}"
+    )
+
+
 def cmd_generate(args) -> int:
     _require_positive(args, "size")
     seed = _resolve_seed(args, required=True)
@@ -161,7 +175,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_naturalise(args) -> int:
-    _require_positive(args, "size", "sample_size")
+    _require_positive(args, "size", "sample_size", "max_iters")
     seed = _resolve_seed(args, required=True)
     spec_path = Path(args.spec) if args.spec else reference_spec_path()
     spec = DistributionSpec.from_csv(spec_path)
@@ -230,6 +244,9 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
 
 
 def cmd_testbuild(args) -> int:
+    _require_positive(args, "test_size")
+    _require_finite(args, "exception_pct", zero_ok=True)
+    _require_finite(args, "fraction", zero_ok=True)
     seed = _resolve_seed(args, required=True)
     # overgen builds on train alone, so only train is read
     overgen_train = args.test == "overgen" and "train" in corpus_io.discover_splits(args.base)
@@ -264,7 +281,7 @@ def cmd_testbuild(args) -> int:
         _require_splits(base, ("train", "test"), args.test)
         train = base.split("train")
         if args.test == "substitutivity-ed":
-            new_train, audit = substitutivity_equal(train, synonyms, rng)
+            new_train, audit = substitutivity_equal(train, synonyms, rng=rng)
             for name, (chosen, total) in sorted(audit.items()):
                 print(f"{name}: rewrote {chosen} of {total} occurrences")
         else:
@@ -312,16 +329,21 @@ def cmd_testbuild(args) -> int:
 
 
 def _parse_lengths(text: str) -> list[int]:
-    lengths: list[int] = []
+    """The lengths of a ``--lengths`` value such as ``1-12`` or ``2,4,8``;
+    each range is checked against 1..MAX_PROBE_LENGTH before it is expanded."""
+    bounds: list[tuple[int, int]] = []
     try:
         for piece in text.split(","):
             lo, _, hi = piece.strip().partition("-")
-            lengths.extend(range(int(lo), int(hi or lo) + 1))
+            bounds.append((int(lo), int(hi or lo)))
     except ValueError:
-        lengths = []
-    if not lengths or any(l < 1 for l in lengths):
+        bounds = []
+    if not bounds or any(lo < 1 or hi < lo for lo, hi in bounds):
         raise SystemExit(f"bad --lengths value: {text!r}")
-    return lengths
+    longest = max(hi for _, hi in bounds)
+    if longest > MAX_PROBE_LENGTH:
+        raise SystemExit(f"eval --lengths must be at most {MAX_PROBE_LENGTH}, got {longest}")
+    return [n for lo, hi in bounds for n in range(lo, hi + 1)]
 
 
 def _default_vary_arg(fn_name: str) -> int:
@@ -336,6 +358,7 @@ def _require_options(args, *names: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    _require_finite(args, "timeout", zero_ok=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "overgen-profile":
@@ -367,18 +390,12 @@ def _eval_length_gen(args) -> EvaluationReport:
     if unknown:
         raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
     lengths = _parse_lengths(args.lengths)
-    alphabet = Alphabet.default()
     cells = {}
     for name in names:
         cell_rng = substream(seed, "length-gen", name)
         for length in lengths:
             cells[(name, length)] = make_primitive_length_corpus(
-                name,
-                [length],
-                args.per_length,
-                alphabet,
-                cell_rng,
-                vary_arg=_default_vary_arg(name),
+                name, [length], args.per_length, cell_rng, vary_arg=_default_vary_arg(name)
             )
     with build_adapter(
         args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed

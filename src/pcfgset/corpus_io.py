@@ -176,7 +176,6 @@ def discover_splits(directory: Path | str) -> list[str]:
 def read_corpus(
     directory: Path | str,
     *,
-    registry: FunctionRegistry | None = None,
     splits: Sequence[str] | None = None,
     verify: bool = True,
 ) -> Corpus:
@@ -195,8 +194,7 @@ def read_corpus(
         problems = verify_manifest(directory)
         if problems:
             raise ManifestError("; ".join(problems))
-    if registry is None:
-        registry = registry_for_directory(directory)
+    registry = registry_for_directory(directory)
     names = list(splits) if splits is not None else discover_splits(directory)
     if not names:
         raise FileNotFoundError(f"{directory}: no .src files found")
@@ -334,10 +332,6 @@ def write_predictions(path: Path | str, predictions: Iterable[Sequence[str] | No
             handle.write("\n")
 
 
-def read_predictions(path: Path | str) -> list[list[str]]:
-    return read_token_file(path)
-
-
 _CHECKPOINT_RE = re.compile(r"^(\d+)_(.+)\.pred$")
 
 
@@ -355,7 +349,7 @@ def read_checkpoint_predictions(directory: Path | str) -> list[tuple[str, list[l
     if not found:
         raise FileNotFoundError(f"{directory}: no .pred files found")
     found.sort(key=lambda item: (item[0], item[1]))
-    return [(label, read_predictions(path)) for _, label, path in found]
+    return [(label, read_token_file(path)) for _, label, path in found]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +402,6 @@ def _params(path: Path | str, document) -> GrammarParams:
 def validate_corpus_files(
     directory: Path | str,
     *,
-    registry: FunctionRegistry | None = None,
     exceptions: Sequence[ExceptionEntry] | None = None,
     counts: dict[str, int] | None = None,
 ) -> list[str]:
@@ -425,8 +418,7 @@ def validate_corpus_files(
     """
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
-    if registry is None:
-        registry = registry_for_directory(directory)
+    registry = registry_for_directory(directory)
     excused = {entry.src: entry.exception_tgt for entry in exceptions or ()}
     names = discover_splits(directory)
     if not names:

@@ -210,7 +210,7 @@ def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:
 
 
 class DrawTables(NamedTuple):
-    """What ``sample_tree`` draws with under one params and registry: the
+    """What ``sample_tree`` draws with under one params: the
     function names of each call class, the leaf lengths, and a
     ``_cumulative`` table for each weighted pick (the three-way kind, the
     forced root's call class, the function within each class and the leaf
@@ -227,11 +227,9 @@ class DrawTables(NamedTuple):
     length: tuple[list[float], float, int]
 
     @classmethod
-    def build(
-        cls, params: GrammarParams, registry: FunctionRegistry = DEFAULT_REGISTRY
-    ) -> "DrawTables":
-        unary_names = registry.unary_names()
-        binary_names = registry.binary_names()
+    def build(cls, params: GrammarParams) -> "DrawTables":
+        unary_names = DEFAULT_REGISTRY.unary_names()
+        binary_names = DEFAULT_REGISTRY.binary_names()
         lengths = sorted(params.arg_len_dist)
         return cls(
             unary_names,
@@ -254,7 +252,6 @@ def sample_tree(
     max_recursion: int = MAX_RECURSION_DEFAULT,
     force_function: bool = True,
     max_nodes: int | None = None,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
     bound: tuple[int, int] | None = None,
     tables: DrawTables | None = None,
 ) -> tuple[str, ...] | None:
@@ -279,7 +276,7 @@ def sample_tree(
     leaf symbol is ``symbols[r]`` for the first ``r = rng.getrandbits(k)``
     below ``len(symbols)``, ``k`` being that length's bit count, which is
     how ``random.Random.choice`` picks.  ``tables`` are
-    ``DrawTables.build(params, registry)``, passed by callers that draw
+    ``DrawTables.build(params)``, passed by callers that draw
     many trees from one params so they are built once.
     """
     alphabet = alphabet or Alphabet.default()
@@ -287,7 +284,7 @@ def sample_tree(
     n_symbols = len(symbols)
     bits = n_symbols.bit_length()
     random_, getrandbits = rng.random, rng.getrandbits
-    tables = tables or DrawTables.build(params, registry)
+    tables = tables or DrawTables.build(params)
     unary_names, binary_names, lengths = tables.unary_names, tables.binary_names, tables.lengths
     kind_cum, kind_total, _ = tables.kind
     root_cum, root_total, _ = tables.root
@@ -405,16 +402,11 @@ class UniquenessLedger:
         return True
 
 
-def fresh_source(
-    head: Sequence[str],
-    lengths: Sequence[int],
-    rng: random.Random,
-    alphabet: Alphabet | None = None,
-) -> list[str]:
+def fresh_source(head: Sequence[str], lengths: Sequence[int], rng: random.Random) -> list[str]:
     """``head`` followed by one string argument per length, separators
-    between them.  All symbols come from one ``rng.sample``, so no literal
-    repeats within the source."""
-    syms = iter(rng.sample((alphabet or Alphabet.default()).symbols, sum(lengths)))
+    between them.  All symbols come from one ``rng.sample`` of LITERALS,
+    so no literal repeats within the source."""
+    syms = iter(rng.sample(LITERALS, sum(lengths)))
     src = list(head)
     for k, n in enumerate(lengths):
         if k:
@@ -455,11 +447,9 @@ def _too_long(src: Sequence[str]) -> bool:
 def generate_corpus(
     params: GrammarParams,
     n: int,
-    alphabet: Alphabet | None = None,
     rng: random.Random | None = None,
     *,
     seed: int | None = None,
-    max_recursion: int = MAX_RECURSION_DEFAULT,
     max_rejects: int = 100_000,
 ) -> Corpus:
     """Sample ``n`` distinct pairs under the uniqueness constraints.
@@ -469,9 +459,9 @@ def generate_corpus(
     used at most once across the entire corpus.  Violations, and draws
     whose value would be longer than MAX_OUTPUT_LENGTH, are resolved by
     rejection; ``max_rejects`` consecutive rejections raise
-    ExhaustedUniqueArguments.
+    ExhaustedUniqueArguments.  Draws come from ``rng``, or, without one,
+    from ``random.Random(seed)``.
     """
-    alphabet = alphabet or Alphabet.default()
     if rng is None:
         rng = random.Random(seed)
     samples: list[Sample] = []
@@ -479,8 +469,7 @@ def generate_corpus(
     rejects = 0
     tables = DrawTables.build(params)
     while len(samples) < n:
-        src = sample_tree(params, rng, alphabet=alphabet, max_recursion=max_recursion,
-                          tables=tables)
+        src = sample_tree(params, rng, tables=tables)
         if _too_long(src) or not ledger.admit(src, f"sample {len(samples)}"):
             rejects += 1
             if rejects > max_rejects:
@@ -498,25 +487,16 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split_corpus(
-    corpus: Corpus,
-    fractions: tuple[float, float, float] = (0.85, 0.05, 0.10),
-    rng: random.Random | None = None,
-) -> Corpus:
+def split_corpus(corpus: Corpus, rng: random.Random) -> Corpus:
     """Partition into train/valid/test splits, recorded on the corpus.
 
-    Split sizes are floor-based on the valid and test fractions; any
-    remainder goes to train.
+    Valid and test take the floor of 5% and 10% of the samples; train
+    takes the rest.
     """
-    if rng is None:
-        rng = random.Random(0)
-    f_train, f_valid, f_test = fractions
-    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must be non-negative and sum to 1")
     n = len(corpus)
     shuffled = rng.sample(range(n), n)
-    n_valid = int(n * f_valid)
-    n_test = int(n * f_test)
+    n_valid = int(n * 0.05)
+    n_test = int(n * 0.10)
     n_train = n - n_valid - n_test
     corpus.splits = {
         "train": tuple(shuffled[:n_train]),
@@ -530,11 +510,9 @@ def make_primitive_length_corpus(
     fn_name: str,
     arg_lengths: Sequence[int],
     per_length: int,
-    alphabet: Alphabet | None = None,
-    rng: random.Random | None = None,
+    rng: random.Random,
     *,
     vary_arg: int = 0,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> Corpus:
     """Single-function samples whose argument length sweeps ``arg_lengths``.
 
@@ -542,8 +520,7 @@ def make_primitive_length_corpus(
     the probed length; the other argument keeps an ordinary length drawn
     from 1..5.  Literals never repeat within a sample.
     """
-    rng = rng or random.Random(0)
-    fn = registry.lookup(fn_name)
+    fn = DEFAULT_REGISTRY.lookup(fn_name)
     if fn.arity == 2 and vary_arg not in (0, 1):
         raise ValueError("vary_arg must be 0 or 1")
     samples: list[Sample] = []
@@ -554,8 +531,7 @@ def make_primitive_length_corpus(
             lengths = [length]
             if fn.arity == 2:
                 lengths.insert(1 - vary_arg, rng.randint(1, 5))
-            samples.append(Sample.from_src(fresh_source([fn_name], lengths, rng, alphabet),
-                                           registry))
+            samples.append(Sample.from_src(fresh_source([fn_name], lengths, rng)))
     return Corpus(samples)
 
 

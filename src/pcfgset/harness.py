@@ -21,17 +21,18 @@ import threading
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import read_token_file
-from .generation import Alphabet, Corpus, Sample
+from .generation import Corpus, Sample
 from .language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
+    LITERALS,
     MAX_OUTPUT_LENGTH,
     SEPARATOR,
     FunctionRegistry,
     LanguageError,
     evaluate,
 )
-from .metrics import aggregate, pairwise_consistency, sequence_accuracy
+from .metrics import aggregate
 from .seeding import substream
 from .suite import (
     ConsistencyPair, ExceptionEntry, HeldOutPair, UnrollPlan, UnrollStep, build_unroll_plan, contains_pair,
@@ -138,22 +139,15 @@ class FaultyOracleAdapter(OracleAdapter):
     Whether a given source is corrupted depends only on (seed, source
     text), so repeated runs agree and synonym variants of a source are
     corrupted independently.  A corrupted output has one position replaced
-    with a different alphabet symbol, so it is always wrong.
+    with a different literal, so it is always wrong.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        seed: int = 0,
-        registry: FunctionRegistry = DEFAULT_REGISTRY,
-        alphabet: Alphabet | None = None,
-    ):
+    def __init__(self, rate: float, seed: int = 0, registry: FunctionRegistry = DEFAULT_REGISTRY):
         super().__init__(registry)
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
         self.rate = rate
         self.seed = seed
-        self.alphabet = alphabet if alphabet is not None else Alphabet.default()
         self.name = f"faulty:{rate:g}"
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
@@ -163,9 +157,9 @@ class FaultyOracleAdapter(OracleAdapter):
         if rng.random() >= self.rate:
             return out
         pos = rng.randrange(len(out))
-        wrong = rng.choice(self.alphabet.symbols)
+        wrong = rng.choice(LITERALS)
         while wrong == out[pos]:
-            wrong = rng.choice(self.alphabet.symbols)
+            wrong = rng.choice(LITERALS)
         out[pos] = wrong
         return out
 
@@ -550,9 +544,10 @@ def _error_counts(predictions: Sequence[Prediction]) -> dict[str, int]:
 
 
 def _accuracy_scores(predictions: Iterable[Prediction], samples: Sequence[Sample]) -> list[float]:
-    """Exact-match score per sample; an error tag scores zero."""
+    """Exact-match score per sample; an error tag, whose tokens are None,
+    scores zero."""
     return [
-        sequence_accuracy(pred.tokens, sample.tgt) if pred.ok else 0.0
+        1.0 if pred.tokens == sample.tgt else 0.0
         for sample, pred in zip(samples, predictions)
     ]
 
@@ -706,7 +701,7 @@ def run_localism(
     plans = [build_unroll_plan(s.src, registry) for s in items]
     unrolled = execute_unroll(adapter, plans)
     scores = [
-        pairwise_consistency(direct.tokens, final.tokens) if direct.ok and final.ok else 0.0
+        1.0 if direct.ok and final.ok and direct.tokens == final.tokens else 0.0
         for direct, final in zip(direct_preds, unrolled)
     ]
     overall = sum(scores) / len(scores)

@@ -54,24 +54,6 @@ class UnexpectedToken(LanguageError):
         super().__init__(f"unexpected token {text!r} at position {position}")
 
 
-class ArityMismatch(LanguageError):
-    """A function was applied to the wrong number of arguments."""
-
-    def __init__(self, name: str, expected: int, got: int):
-        self.name = name
-        self.expected = expected
-        self.got = got
-        super().__init__(f"{name} expects {expected} argument(s), got {got}")
-
-
-class EmptyArgument(LanguageError):
-    """A function received an empty string argument."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"{name} received an empty argument")
-
-
 class OutputTooLong(LanguageError):
     """An application would build a value longer than MAX_OUTPUT_LENGTH."""
 
@@ -326,17 +308,9 @@ def parse(tokens: Sequence[str],
     return tuple(tokens)
 
 
-def parse_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
-    return parse(tokenize(text, registry), registry)
-
-
 def render(src: Sequence[str]) -> list[str]:
     """The token texts of a program."""
     return list(src)
-
-
-def render_text(src: Sequence[str]) -> str:
-    return " ".join(src)
 
 
 def stats(src: Sequence[str],
@@ -347,23 +321,6 @@ def stats(src: Sequence[str],
     A pure string has depth 0; a single function application has depth 1.
     """
     return fold(src, registry)[0]
-
-
-def apply_function(fn: FunctionSymbol, args: Sequence[Sequence[str]]) -> Symbols:
-    """Apply one function to already-evaluated string arguments.
-
-    Raises OutputTooLong, before building it, for a value longer than
-    MAX_OUTPUT_LENGTH.
-    """
-    if len(args) != fn.arity:
-        raise ArityMismatch(fn.name, fn.arity, len(args))
-    coerced = []
-    for a in args:
-        t = tuple(a)
-        if not t:
-            raise EmptyArgument(fn.name)
-        coerced.append(t)
-    return interpret(fn, None, coerced)
 
 
 def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols]) -> Symbols:

@@ -1,4 +1,4 @@
-"""Metric kernels: sequence accuracy, consistency and stratified means."""
+"""Stratified means of per-sample scores."""
 
 from __future__ import annotations
 
@@ -6,23 +6,7 @@ from typing import Hashable, Sequence
 
 
 class LengthMismatch(Exception):
-    """Scores and stratum labels (or gold and predictions) differ in length."""
-
-
-def _tokens(x: str | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(x, str):
-        return tuple(x.split())
-    return tuple(x)
-
-
-def sequence_accuracy(pred: str | Sequence[str], tgt: str | Sequence[str]) -> float:
-    """1.0 iff the token sequences match exactly (length included)."""
-    return 1.0 if _tokens(pred) == _tokens(tgt) else 0.0
-
-
-def pairwise_consistency(a: str | Sequence[str], b: str | Sequence[str]) -> float:
-    """1.0 iff two outputs are identical as token sequences."""
-    return 1.0 if _tokens(a) == _tokens(b) else 0.0
+    """Scores and stratum labels differ in length."""
 
 
 def aggregate(

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .generation import (
-    Alphabet,
     Corpus,
     GrammarParams,
     Sample,
@@ -34,6 +33,8 @@ from .seeding import substream
 DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_ITERS = 5
 RANDOM_SAMPLE_NODE_BUDGET = 2_000
+# the longest leaf a pool draws and a refit allows
+MAX_ARG_LEN = 5
 
 
 class EmptyAnchorCell(Exception):
@@ -163,18 +164,16 @@ def random_probability_sample(
     spec: DistributionSpec,
     candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
     *,
-    alphabet: Alphabet | None = None,
-    rng: random.Random | None = None,
-    max_arg_len: int = 5,
-    max_recursion: int = 25,
+    rng: random.Random,
     max_nodes: int = RANDOM_SAMPLE_NODE_BUDGET,
 ) -> Corpus:
     """The trees of ``n`` draws, each under freshly randomised
     probabilities, that some candidate can match to the reference.
 
     Per instance the production triple and the leaf-length distribution
-    are drawn from symmetric Dirichlet(1) priors (uniform on the simplex);
-    function weights stay uniform.  No uniqueness constraints apply here:
+    are drawn from symmetric Dirichlet(1) priors (uniform on the simplex),
+    leaves being 1 to MAX_ARG_LEN symbols long; function weights stay
+    uniform.  No uniqueness constraints apply here:
     the sample only exists to cover feature space.  A draw longer or
     deeper than ``support_bound(spec, candidate_configs)`` stops as soon as
     it passes the bound, and the corpus holds only the kept trees, in draw
@@ -185,8 +184,6 @@ def random_probability_sample(
     depends on how far an earlier draw went, and a pool of ``n`` is the
     first ``n`` instances of any larger pool from the same ``rng``.
     """
-    alphabet = alphabet or Alphabet.default()
-    rng = rng or random.Random(0)
     base = rng.getrandbits(64)
     uniform_weights = {name: 1.0 for name in DEFAULT_REGISTRY.names()}
     bound = support_bound(spec, candidate_configs)
@@ -195,23 +192,16 @@ def random_probability_sample(
     for i in range(n):
         instance = substream(base, "pool", i)
         p_unary, p_binary, p_leaf = _dirichlet(instance, 3)
-        len_probs = _dirichlet(instance, max_arg_len)
+        len_probs = _dirichlet(instance, MAX_ARG_LEN)
         params = GrammarParams(
             p_unary=p_unary,
             p_binary=p_binary,
             p_leaf=p_leaf,
             fn_weights=uniform_weights,
             arg_len_dist={k + 1: p for k, p in enumerate(len_probs)},
-            max_arg_len=max_arg_len,
+            max_arg_len=MAX_ARG_LEN,
         )
-        src = sample_tree(
-            params,
-            instance,
-            alphabet=alphabet,
-            max_recursion=max_recursion,
-            max_nodes=max_nodes,
-            bound=bound,
-        )
+        src = sample_tree(params, instance, max_nodes=max_nodes, bound=bound)
         if src is not None:
             samples.append(Sample.from_src(src))
     return Corpus(samples)
@@ -351,7 +341,8 @@ def select_increments(
     d_r: Corpus,
     d_n: DistributionSpec,
     candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> tuple[PartitionConfig, Corpus, float]:
     """Try every candidate bin width and keep the subsample with least KL.
 
@@ -361,7 +352,6 @@ def select_increments(
     candidate is skipped, EmptyAnchorCell is raised.
     Returns (config, subsampled corpus, kl).
     """
-    rng = rng or random.Random(0)
     base = rng.getrandbits(64)
     reference = fit_gaussian_spec(d_n)
     best: tuple[PartitionConfig, Corpus, float] | None = None
@@ -477,18 +467,15 @@ def naturalise_pipeline(
     d_n: DistributionSpec,
     *,
     rng: random.Random,
-    alphabet: Alphabet | None = None,
-    candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
     random_sample_size: int = 20_000,
     regenerate_size: int = 20_000,
     epsilon: float = DEFAULT_EPSILON,
     max_iters: int = DEFAULT_MAX_ITERS,
-    max_arg_len: int = 5,
 ) -> PipelineResult:
     """Full distribution-matching loop.
 
     Each iteration subsamples the current corpus toward the reference
-    (searching the increment grid anew), refits grammar parameters on the
+    (searching DEFAULT_INCREMENT_GRID anew), refits grammar parameters on the
     survivors, and regenerates.  A candidate state is adopted only if its
     recorded KL improves on the incumbent, so the trace is monotone
     non-increasing; the loop stops once the improvement drops below
@@ -500,15 +487,9 @@ def naturalise_pipeline(
     (see ``random_probability_sample``); ``initial_kl`` is the KL of that
     kept pool.
     """
-    alphabet = alphabet or Alphabet.default()
     base = rng.getrandbits(64)
     current = random_probability_sample(
-        random_sample_size,
-        d_n,
-        candidate_configs,
-        alphabet=alphabet,
-        rng=substream(base, "random-sample"),
-        max_arg_len=max_arg_len,
+        random_sample_size, d_n, rng=substream(base, "random-sample")
     )
     pool_kept = len(current)
     reference = fit_gaussian_spec(d_n)
@@ -518,7 +499,7 @@ def naturalise_pipeline(
     trace: list[TraceRow] = []
     for iteration in range(1, max_iters + 1):
         config, subset, kl = select_increments(
-            current, d_n, candidate_configs, substream(base, "select", iteration)
+            current, d_n, rng=substream(base, "select", iteration)
         )
         if params is None:
             # the pool fits once a subset of it did, so a pool too small
@@ -527,13 +508,8 @@ def naturalise_pipeline(
                 fit_gaussian(extract_features(current)), reference
             )
         if params is None or kl < best_kl:
-            params = mle_estimate(subset, max_arg_len=max_arg_len)
-            corpus = generate_corpus(
-                params,
-                regenerate_size,
-                alphabet,
-                substream(base, "regen", iteration),
-            )
+            params = mle_estimate(subset, max_arg_len=MAX_ARG_LEN)
+            corpus = generate_corpus(params, regenerate_size, substream(base, "regen", iteration))
             improvement = best_kl - kl
             best_kl = kl
             trace.append(TraceRow(iteration, config.i_length, config.i_depth, best_kl))
@@ -550,7 +526,7 @@ def naturalise_pipeline(
         corpus=corpus,
         initial_kl=initial_kl,
         pool_kept=pool_kept,
-        pool_bound=support_bound(d_n, candidate_configs),
+        pool_bound=support_bound(d_n, DEFAULT_INCREMENT_GRID),
         trace=trace,
     )
 
@@ -561,26 +537,21 @@ def naturalised_corpus(
     size: int,
     *,
     rng: random.Random,
-    config: PartitionConfig | None = None,
-    alphabet: Alphabet | None = None,
-    pool_factor: float = 2.4,
-    max_attempts: int = 4,
 ) -> Corpus:
     """A ``size``-sample corpus whose (length, depth) histogram tracks ``d_n``.
 
-    Draws a pool from ``params``, keeps the histogram-matched subsample and
-    thins it uniformly down to ``size``.  Each retry regrows the pool from
-    scratch at a larger size so the argument-uniqueness constraints stay
-    global.
+    Draws a pool of 2.4 ``size`` from ``params``, keeps the subsample
+    matched at unit increments and thins it uniformly down to ``size``.
+    Each of up to three retries regrows the pool from scratch at 1.6 times
+    the size, so the argument-uniqueness constraints stay global.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    config = config or PartitionConfig(1, 1)
-    alphabet = alphabet or Alphabet.default()
-    pool_size = int(size * pool_factor)
+    max_attempts = 4
+    pool_size = int(size * 2.4)
     for _ in range(max_attempts):
-        pool = generate_corpus(params, pool_size, alphabet, rng)
-        matched = subsample_to_match(pool, d_n, config, rng)
+        pool = generate_corpus(params, pool_size, rng)
+        matched = subsample_to_match(pool, d_n, PartitionConfig(1, 1), rng)
         if len(matched.samples) >= size:
             keep = sorted(rng.sample(range(len(matched.samples)), size))
             return Corpus([matched.samples[i] for i in keep], params=params)

@@ -12,15 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .generation import Alphabet, Corpus, Sample, UniquenessLedger, fresh_source, round_half_up
-from .language import (
-    DEFAULT_REGISTRY,
-    FunctionRegistry,
-    FunctionSymbol,
-    apply_function,
-    evaluate,
-    fold,
-)
+from .generation import Corpus, Sample, UniquenessLedger, fresh_source, round_half_up
+from .language import DEFAULT_REGISTRY, FunctionRegistry, FunctionSymbol, evaluate, fold, interpret
 
 
 class InsufficientPositives(Exception):
@@ -66,7 +59,8 @@ def systematicity_split(
     corpus: Corpus,
     pairs: Sequence[HeldOutPair] = DEFAULT_HELD_OUT_PAIRS,
     test_size: int = 10_000,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> tuple[Corpus, Corpus]:
     """Hold out every sample containing a listed pair; draw the test set.
 
@@ -74,7 +68,6 @@ def systematicity_split(
     ``test_size`` pair-containing samples; fewer available positives raise
     InsufficientPositives.
     """
-    rng = rng or random.Random(0)
     positives = [s for s in corpus if contains_pair(s.src, pairs)]
     negatives = [s for s in corpus if not contains_pair(s.src, pairs)]
     if not pairs:
@@ -146,7 +139,8 @@ class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ..
 def substitutivity_equal(
     train: Corpus,
     synonyms: SynonymMap | None = None,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> tuple[Corpus, dict[str, tuple[int, int]]]:
     """Rewrite exactly half of each base function's occurrences (floor).
 
@@ -156,7 +150,6 @@ def substitutivity_equal(
     and an audit mapping base -> (rewritten, total).
     """
     synonyms = synonyms or SynonymMap.default()
-    rng = rng or random.Random(0)
     registry = synonyms.registry()
     replacements: dict[int, dict[int, str]] = {}
     audit: dict[str, tuple[int, int]] = {}
@@ -185,14 +178,17 @@ def substitutivity_equal(
     return Corpus(rewritten, seed=train.seed, params=train.params), audit
 
 
+# how many fresh sources in a row substitutivity_primitive may draw before
+# giving up on placing one
+PLACEMENT_ATTEMPTS = 10_000
+
+
 def substitutivity_primitive(
     train: Corpus,
     synonyms: SynonymMap | None = None,
     fraction: float = 0.001,
-    alphabet: Alphabet | None = None,
-    rng: random.Random | None = None,
     *,
-    max_attempts: int = 10_000,
+    rng: random.Random,
 ) -> tuple[Corpus, dict[str, int]]:
     """Add primitive synonym samples instead of rewriting.
 
@@ -200,10 +196,11 @@ def substitutivity_primitive(
     samples ``F_syn <args>`` are appended, each argument of length 1..5,
     with arguments respecting the corpus constraints (no literal repeats
     inside a sample, no reuse of a multi-symbol argument seen anywhere in
-    train or among the additions).
+    train or among the additions).  A synonym whose next
+    PLACEMENT_ATTEMPTS drawn sources all break a constraint raises
+    RuntimeError.
     """
     synonyms = synonyms or SynonymMap.default()
-    rng = rng or random.Random(0)
     registry = synonyms.registry()
     per_base = round_half_up(fraction * len(train))
     ledger = UniquenessLedger(train)
@@ -215,10 +212,10 @@ def substitutivity_primitive(
         attempts = 0
         while made < per_base:
             attempts += 1
-            if attempts > max_attempts:
+            if attempts > PLACEMENT_ATTEMPTS:
                 raise RuntimeError(f"could not place fresh arguments for {syn}")
             lengths = [rng.randint(1, 5) for _ in range(arity)]
-            src = fresh_source([syn], lengths, rng, alphabet)
+            src = fresh_source([syn], lengths, rng)
             if not ledger.admit(src, f"sample {len(train) + len(added)}"):
                 continue
             added.append(Sample.from_src(src, registry))
@@ -307,7 +304,7 @@ def exception_evaluate(
                 f"conflicting exception remaps for {fn.name!r}: {given!r} vs {mine!r}"
             )
         meaning = mine or given
-        return apply_function(DEFAULT_REGISTRY.lookup(meaning) if meaning else fn, args)
+        return interpret(DEFAULT_REGISTRY.lookup(meaning) if meaning else fn, position, args)
 
     return fold(src, DEFAULT_REGISTRY, apply)[1]
 
@@ -328,8 +325,8 @@ def exceptions_apply(
     train: Corpus,
     remap: ExceptionRemap | None = None,
     percentage: float = 0.001,
-    rng: random.Random | None = None,
-    alphabet: Alphabet | None = None,
+    *,
+    rng: random.Random,
 ) -> tuple[Corpus, list[ExceptionEntry]]:
     """Plant exception targets in the train side.
 
@@ -342,7 +339,6 @@ def exceptions_apply(
     """
     remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
     _check_remap(remap)
-    rng = rng or random.Random(0)
     fn_counts: dict[str, int] = {}
     for s in train:
         for tok in s.src:
@@ -378,7 +374,7 @@ def exceptions_apply(
             n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
             while len(chosen) < k:
                 lengths = [rng.randint(1, 5) for _ in range(n_args)]
-                src = fresh_source([outer, inner], lengths, rng, alphabet)
+                src = fresh_source([outer, inner], lengths, rng)
                 if not ledger.admit(src, f"sample {len(samples)}"):
                     continue
                 samples.append(Sample.from_src(src))

@@ -36,11 +36,10 @@ from pcfgset.harness import (
 )
 from pcfgset.language import (
     DEFAULT_REGISTRY,
-    apply_function,
     evaluate,
     evaluate_text,
+    interpret,
     parse,
-    parse_text,
     render,
 )
 from pcfgset.naturalise import (
@@ -123,7 +122,7 @@ def test_criterion_1_oracle_semantics():
         if got != want:
             bad.append(f"{src!r} -> {got!r} (want {want!r})")
     for src, original, exception in EXCEPTION_TABLE:
-        program = parse_text(src)
+        program = parse(src.split())
         got_original = " ".join(evaluate(program))
         got_exception = " ".join(exception_evaluate(program))
         if got_original != original:
@@ -189,7 +188,7 @@ def test_criterion_3_interpreter_properties():
         m = rng.randint(1, 5)
         y = tuple(rng.sample(alphabet.symbols, m))
         for name, expect_len in unary_lengths.items():
-            out = apply_function(registry.lookup(name), [x])
+            out = interpret(registry.lookup(name), None, [x])
             checked += 1
             if len(out) != expect_len(len(x)):
                 failures += 1
@@ -197,18 +196,18 @@ def test_criterion_3_interpreter_properties():
             ("append", len(x) + len(y)), ("prepend", len(x) + len(y)),
             ("remove_first", len(y)), ("remove_second", len(x)),
         ):
-            out = apply_function(registry.lookup(name), [x, y])
+            out = interpret(registry.lookup(name), None, [x, y])
             checked += 1
             if len(out) != expect_len:
                 failures += 1
         for name in ("reverse", "swap"):
             fn = registry.lookup(name)
             checked += 1
-            if apply_function(fn, [apply_function(fn, [x])]) != x:
+            if interpret(fn, None, [interpret(fn, None, [x])]) != x:
                 failures += 1
         for name in ("copy", "reverse", "shift", "swap"):
             checked += 1
-            if sorted(apply_function(registry.lookup(name), [x])) != sorted(x):
+            if sorted(interpret(registry.lookup(name), None, [x])) != sorted(x):
                 failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0
@@ -250,7 +249,7 @@ def test_criterion_5_substitutivity():
     issues = []
 
     ed_train, audit = substitutivity_equal(
-        train, synonyms, substream(DEFAULT_SEED, "ed")
+        train, synonyms, rng=substream(DEFAULT_SEED, "ed")
     )
     for fn, syn in synonyms.as_dict().items():
         k = sum(s.src.count(fn) for s in train)
@@ -344,7 +343,7 @@ def test_criterion_7_exception_counts(raw_base):
             if len(got) != want:
                 issues.append(f"pct {pct} {pair}: {len(got)} want {want}")
         for entry in entries:
-            program = parse_text(" ".join(entry.src))
+            program = parse(entry.src)
             if evaluate(program) != entry.original_tgt:
                 issues.append(f"original target wrong for {' '.join(entry.src)}")
             if exception_evaluate(program) != entry.exception_tgt:

@@ -277,7 +277,7 @@ def test_eval_accuracy_oracle(base_dir, tmp_path, capsys):
     assert report["overall"] == 1.0
     assert report["count"] == 40
     assert (out / "strata.csv").exists()
-    preds = corpus_io.read_predictions(out / "predictions.pred")
+    preds = corpus_io.read_token_file(out / "predictions.pred")
     test = corpus_io.read_corpus(base_dir).split("test")
     assert preds == [list(s.tgt) for s in test]
     assert "accuracy: 1.000000" in capsys.readouterr().out
@@ -411,6 +411,16 @@ def test_eval_length_gen_oracle(tmp_path):
     assert len(cells) == 6
     assert all(acc == 1.0 for acc in cells.values())
     assert (report["overall"], report["count"]) == (1.0, 18)
+
+
+def test_eval_length_gen_fills_the_longest_allowed_argument(tmp_path):
+    # 515 symbols plus a binary function's other argument of up to 5 never
+    # exceed the 520 literals
+    out = tmp_path / "lg"
+    assert run_cli("eval", "length-gen", "--out", out, "--seed", 4,
+                   "--functions", "append,reverse", "--lengths", "515",
+                   "--per-length", 20) == 0
+    assert (report_of(out)["overall"], report_of(out)["count"]) == (1.0, 40)
 
 
 def test_strata_csv_keeps_checkpoint_and_length_order(tmp_path):
@@ -677,17 +687,42 @@ DATA = ["--data", "{tmp}/d"]
     (["accuracy"], "eval accuracy needs --data"),
     (["overgen-profile", "--preds", "{tmp}"], "eval overgen-profile needs --exceptions"),
     (["length-gen", "--seed", "1", "--lengths", "x"], "bad --lengths value: 'x'"),
+    (["length-gen", "--seed", "1", "--lengths", "9-3,4"], "bad --lengths value: '9-3,4'"),
     (["length-gen", "--seed", "1", "--functions", "copy,nope"], "unknown --functions: nope"),
+    (["accuracy", *DATA, "--adapter", "cmd:cat", "--timeout", "inf"],
+     "eval --timeout must be finite and above 0, got inf"),
+    (["length-gen", "--seed", "1", "--lengths", "600", "--functions", "copy"],
+     "eval --lengths must be at most 515, got 600"),
+    (["length-gen", "--seed", "1", "--lengths", "518", "--functions", "append"],
+     "eval --lengths must be at most 515, got 518"),
 ], ids=["faulty-rate-not-a-number", "faulty-rate-out-of-range", "unknown-adapter",
         "empty-command", "no-jobs", "missing-file-adapter", "missing-preds",
         "command-cannot-start", "command-cannot-start-2-jobs", "no-data", "no-exceptions",
-        "bad-lengths", "unknown-function"])
+        "bad-lengths", "reversed-lengths", "unknown-function", "infinite-timeout", "length-beyond-the-literals",
+        "binary-length-beyond-the-literals"])
 def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, message):
     one_sample_directory(tmp_path / "d")
     with pytest.raises(SystemExit) as ei:
         run_cli("eval", *(a.format(tmp=tmp_path) for a in argv), "--out", tmp_path / "ev")
     assert ei.value.code == message.format(tmp=tmp_path)
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--test", "overgen", "--exception-pct", "inf"],
+     "testbuild --exception-pct must be finite and at least 0, got inf"),
+    (["--test", "substitutivity-prim", "--fraction", "inf"],
+     "testbuild --fraction must be finite and at least 0, got inf"),
+], ids=["infinite-exception-pct", "infinite-fraction"])
+def test_a_malformed_testbuild_argument_ends_in_one_line(tmp_path, capsys, argv, message):
+    run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as ei:
+        run_cli("testbuild", *argv, "--base", tmp_path / "base", "--out", tmp_path / "tb",
+                "--seed", 1)
+    assert ei.value.code == message
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "tb").exists()
 
 
 BAD_JSON = ("{tmp}/bad.json: not valid JSON "
@@ -771,6 +806,8 @@ def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     ["generate", "--size", "0"],
     ["naturalise", "--sample-size", "0"],
     ["naturalise", "--size", "-1"],
+    ["naturalise", "--max-iters", "0"],
+    ["testbuild", "--test-size", "-1", "--test", "systematicity", "--base", "no-such-base"],
 ])
 def test_a_size_below_one_ends_in_one_line(tmp_path, argv):
     with pytest.raises(SystemExit) as ei:

@@ -20,7 +20,6 @@ from pcfgset.corpus_io import (
     read_json,
     read_pairs,
     read_params,
-    read_predictions,
     read_synonyms,
     read_token_file,
     registry_for_directory,
@@ -219,7 +218,7 @@ def test_predictions_round_trip_with_failures(tmp_path):
     path = tmp_path / "out.pred"
     write_predictions(path, [["A", "B"], None, ["C"]])
     assert path.read_text(encoding="utf-8") == "A B\n\nC\n"
-    assert read_predictions(path) == [["A", "B"], [], ["C"]]
+    assert read_token_file(path) == [["A", "B"], [], ["C"]]
 
 
 def test_checkpoint_predictions_ordered_by_ordinal(tmp_path):

@@ -274,14 +274,13 @@ def test_generate_corpus_deterministic_by_seed():
 
 
 def test_generate_corpus_exhaustion():
-    # Two symbols and forced two-symbol leaves admit only two distinct
-    # string arguments in the whole corpus, so a third sample cannot exist.
-    tiny = Alphabet(("A", "B"))
+    # Every draw is 25 nested copies of a one-symbol leaf, the recursion
+    # cap forcing the leaf, so the 520 literals admit at most 520 distinct
+    # sources and a corpus of 521 cannot exist.
     params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0,
-                            arg_len_dist={2: 1.0})
-    with pytest.raises(ExhaustedUniqueArguments):
-        generate_corpus(params, 5, alphabet=tiny, rng=random.Random(0),
-                        max_recursion=1, max_rejects=500)
+                            fn_weights={"copy": 1.0, "append": 1.0}, arg_len_dist={1: 1.0})
+    with pytest.raises(ExhaustedUniqueArguments, match="500 consecutive rejections"):
+        generate_corpus(params, 521, rng=random.Random(0), max_rejects=500)
 
 
 def test_a_draw_too_long_to_evaluate_is_a_rejection():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfgset.generation import (
-    Alphabet,
     GrammarParams,
     generate_corpus,
     make_primitive_length_corpus,
@@ -41,7 +40,7 @@ from pcfgset.harness import (
     run_localism,
     run_overgeneralisation,
 )
-from pcfgset.language import MAX_OUTPUT_LENGTH, apply_function, evaluate, fold, parse_text
+from pcfgset.language import LITERALS, MAX_OUTPUT_LENGTH, evaluate, fold, interpret, parse
 from pcfgset.suite import (
     ConsistencyPair,
     ExceptionEntry,
@@ -96,7 +95,7 @@ class LengthCappedOracleAdapter(OracleAdapter):
             nonlocal overloaded
             if any(len(values[i]) > self.cap for i in _transformed_positions(function)):
                 overloaded = True
-            return apply_function(function, values)
+            return interpret(function, position, values)
 
         tokens = src.split() if isinstance(src, str) else list(src)
         value = fold(tokens, self.registry, apply)[1]
@@ -175,7 +174,7 @@ class TestFaultyOracle:
     def test_rate_one_is_always_wrong(self):
         broken = FaultyOracleAdapter(1.0, seed=5)
         for text in ("copy A", "reverse A B C", "echo D E"):
-            want = list(evaluate(parse_text(text)))
+            want = list(evaluate(parse(text.split())))
             got = broken.predict(text)
             assert got != want
             assert len(got) == len(want)
@@ -253,6 +252,18 @@ class TestRunAccuracy:
         assert loaded["metric"] == "accuracy"
         assert loaded["overall"] == 1.0
         assert loaded["strata"]["length"]
+
+    @pytest.mark.parametrize("prediction, score", [
+        ("C B", 1.0),
+        ("C", 0.0),  # a strict prefix still counts as wrong
+        ("C B B", 0.0),
+        ("B C", 0.0),
+        ("", 0.0),
+    ], ids=["equal", "strict-prefix", "longer", "reordered", "empty"])
+    def test_exact_match_compares_whole_token_sequences(self, prediction, score):
+        samples = corpus_of("reverse B C")
+        report = run_accuracy(StubAdapter({"reverse B C": prediction}), samples)
+        assert report.overall == score
 
     def test_keep_predictions(self):
         samples = corpus_of("copy A")
@@ -784,11 +795,8 @@ class TestLengthGeneralisation:
     @staticmethod
     def cells(fn, lengths, vary_arg=0):
         rng = random.Random(5)
-        alphabet = Alphabet.default()
         return {
-            (fn, L): make_primitive_length_corpus(
-                fn, [L], 6, alphabet, rng, vary_arg=vary_arg
-            )
+            (fn, L): make_primitive_length_corpus(fn, [L], 6, rng, vary_arg=vary_arg)
             for L in lengths
         }
 
@@ -844,9 +852,8 @@ class TestEosAnalysis:
     def analyse(predictions, targets):
         """The eos report of a test set with these targets, answered with
         these predictions; None is an adapter error."""
-        symbols = Alphabet.default().symbols
         samples = [
-            Sample.from_src(["copy", symbols[i]])._replace(tgt=tuple(target))
+            Sample.from_src(["copy", LITERALS[i]])._replace(tgt=tuple(target))
             for i, target in enumerate(targets)
         ]
         table = {s.src_text(): " ".join(p or ()) for s, p in zip(samples, predictions)}
@@ -924,7 +931,7 @@ class TestSubstitutivityIntegration:
     def test_equal_distribution_rewrites_stay_consistent(self):
         corpus = generate_corpus(GrammarParams.default(), 80, seed=55)
         synonyms = SynonymMap.default()
-        rewritten, audit = substitutivity_equal(corpus, synonyms, random.Random(0))
+        rewritten, audit = substitutivity_equal(corpus, synonyms, rng=random.Random(0))
         oracle = OracleAdapter(synonyms.registry())
         report = run_accuracy(oracle, rewritten)
         assert report.overall == 1.0

@@ -10,8 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
-    ArityMismatch,
-    EmptyArgument,
     FunctionSymbol,
     LITERALS,
     LanguageError,
@@ -20,14 +18,12 @@ from pcfgset.language import (
     UnexpectedEnd,
     UnexpectedToken,
     UnknownToken,
-    apply_function,
     evaluate,
     evaluate_text,
     fold,
+    interpret,
     parse,
-    parse_text,
     render,
-    render_text,
     stats,
     tokenize,
 )
@@ -128,7 +124,7 @@ def _nested(fn, position, args):
 
 
 def test_parse_greedy_literal_run():
-    assert parse_text("copy A B C") == ("copy", "A", "B", "C")
+    assert parse("copy A B C".split()) == ("copy", "A", "B", "C")
     assert fold("copy A B C".split(), apply=_nested)[1] == ("copy", 0, ("A", "B", "C"))
 
 
@@ -149,7 +145,7 @@ def test_parse_binary_structure():
 
 
 def test_parse_accepts_plain_strings():
-    assert parse(["copy", "A"]) == parse_text("copy A") == ("copy", "A")
+    assert parse(["copy", "A"]) == parse("copy A".split()) == ("copy", "A")
 
 
 @pytest.mark.parametrize(
@@ -167,16 +163,16 @@ def test_parse_accepts_plain_strings():
 )
 def test_parse_errors(src, exc):
     with pytest.raises(exc):
-        parse_text(src)
+        parse(src.split())
 
 
 def test_parse_error_positions():
     with pytest.raises(UnexpectedToken) as ei:
-        parse_text("A , B")
+        parse("A , B".split())
     assert (ei.value.text, ei.value.position) == (",", 1)
     assert str(ei.value) == "unexpected token ',' at position 1"
     with pytest.raises(UnexpectedEnd) as ei2:
-        parse_text("append A")
+        parse("append A".split())
     assert ei2.value.position == 2
 
 
@@ -184,7 +180,7 @@ def test_parse_error_positions():
 
 def test_render_text_round_trip_examples():
     for src in ["copy A", "append swap F G H , repeat I J", "A B C"]:
-        assert render_text(parse_text(src)) == src
+        assert " ".join(parse(src.split())) == src
 
 
 @pytest.mark.parametrize(
@@ -200,31 +196,16 @@ def test_render_text_round_trip_examples():
     ],
 )
 def test_stats(src, length, depth, nfn):
-    s = stats(parse_text(src))
+    s = stats(parse(src.split()))
     assert s == SequenceStats(length=length, depth=depth, num_functions=nfn)
     assert s.length == len(tokenize(src))
 
 
-# --- apply_function validation --------------------------------------------
-
-def test_apply_function_arity():
-    app = DEFAULT_REGISTRY.lookup("append")
-    with pytest.raises(ArityMismatch):
-        apply_function(app, [("A",)])
-    cp = DEFAULT_REGISTRY.lookup("copy")
-    with pytest.raises(ArityMismatch):
-        apply_function(cp, [("A",), ("B",)])
-
+# --- function symbols ------------------------------------------------------
 
 def test_functions_are_unary_or_binary():
     with pytest.raises(ValueError, match="unary and binary functions only"):
         FunctionSymbol("triple", 3, lambda x, y, z: x + y + z, lambda n, m, k: n + m + k)
-
-
-def test_apply_function_empty_argument():
-    cp = DEFAULT_REGISTRY.lookup("copy")
-    with pytest.raises(EmptyArgument):
-        apply_function(cp, [()])
 
 
 # --- output length bound ---------------------------------------------------
@@ -260,9 +241,9 @@ def test_the_limit_admits_a_value_of_exactly_its_length(monkeypatch):
     with pytest.raises(OutputTooLong, match="echo would output 9 symbols, over the limit of 8"):
         evaluate_text("echo repeat append A B , C D")
     repeat = DEFAULT_REGISTRY.lookup("repeat")
-    assert apply_function(repeat, [tuple("ABCD")]) == tuple("ABCDABCD")
+    assert interpret(repeat, None, [tuple("ABCD")]) == tuple("ABCDABCD")
     with pytest.raises(OutputTooLong, match="repeat would output 10 symbols"):
-        apply_function(repeat, [tuple("ABCDE")])
+        interpret(repeat, None, [tuple("ABCDE")])
 
 
 # --- synonym registry ------------------------------------------------------
@@ -327,8 +308,8 @@ def test_parse_render_round_trip(src):
 @given(_programs)
 def test_render_as_text_round_trip(src):
     text = " ".join(src)
-    assert parse_text(text) == tuple(src)
-    assert render_text(parse_text(text)) == text
+    assert parse(text.split()) == tuple(src)
+    assert " ".join(parse(text.split())) == text
 
 
 @given(_programs)

@@ -1,38 +1,10 @@
-"""Metric kernels, with hand-computed expectations."""
+"""Stratified means, with hand-computed expectations."""
 
 import math
 
 import pytest
 
-from pcfgset.metrics import (
-    LengthMismatch,
-    aggregate,
-    pairwise_consistency,
-    sequence_accuracy,
-)
-
-
-# --- accuracy and consistency ------------------------------------------------
-
-@pytest.mark.parametrize(
-    "pred,tgt,expected",
-    [
-        ("A B C", "A B C", 1.0),
-        ("A B", "A B C", 0.0),          # strict prefix still counts as wrong
-        ("A B C", "A B", 0.0),
-        ("", "", 1.0),
-        ("A  B", "A B", 1.0),           # canonical tokenisation collapses spaces
-        (["A", "B"], "A B", 1.0),
-        (("A", "B"), ["A", "C"], 0.0),
-    ],
-)
-def test_sequence_accuracy(pred, tgt, expected):
-    assert sequence_accuracy(pred, tgt) == expected
-
-
-def test_pairwise_consistency():
-    assert pairwise_consistency("A B", ["A", "B"]) == 1.0
-    assert pairwise_consistency("A B", "B A") == 0.0
+from pcfgset.metrics import LengthMismatch, aggregate
 
 
 # --- aggregation ---------------------------------------------------------------

@@ -279,7 +279,7 @@ def test_select_increments_returns_grid_member_and_consistent_kl():
     rng = random.Random(3)
     d_r = random_probability_sample(1200, d_n, rng=rng)
     config, subset, kl = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID,
-                                           random.Random(5))
+                                           rng=random.Random(5))
     assert config in DEFAULT_INCREMENT_GRID
     refit = kl_gaussian(fit_gaussian(extract_features(subset)), fit_gaussian_spec(d_n))
     assert math.isclose(kl, refit, rel_tol=0, abs_tol=1e-12)
@@ -292,7 +292,7 @@ def test_select_increments_tie_prefers_first_candidate():
     d_n = DistributionSpec.from_rows([(2, 1, 10), (4, 2, 10), (6, 3, 10), (9, 4, 10)])
     d_r = fake_corpus({(2, 1): 7, (4, 2): 7, (6, 3): 7, (9, 4): 7})
     config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID,
-                                          random.Random(0))
+                                          rng=random.Random(0))
     assert config == DEFAULT_INCREMENT_GRID[0]
     assert len(subset) == 28
 
@@ -303,12 +303,12 @@ def test_select_increments_skips_candidates_with_an_empty_anchor_cell():
     d_r = fake_corpus({(4, 1): 6, (3, 1): 5, (7, 2): 5, (9, 3): 5})
     with pytest.raises(EmptyAnchorCell):
         subsample_to_match(d_r, d_n, PartitionConfig(1, 1), random.Random(0))
-    config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID, random.Random(0))
+    config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID, rng=random.Random(0))
     assert config != PartitionConfig(1, 1)
     assert len(subset) > 0
     with pytest.raises(EmptyAnchorCell):
         select_increments(fake_corpus({(20, 5): 10}), d_n, DEFAULT_INCREMENT_GRID,
-                          random.Random(0))
+                          rng=random.Random(0))
 
 
 # --- random probability sample ----------------------------------------------------

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from pcfgset.generation import Corpus, Sample, leaf_tuples
-from pcfgset.language import evaluate, parse, parse_text, UnknownToken
+from pcfgset.language import evaluate, parse
 from pcfgset.suite import (
     DEFAULT_EXCEPTION_REMAP,
     DEFAULT_HELD_OUT_PAIRS,
@@ -96,7 +96,7 @@ def test_systematicity_insufficient_positives():
 
 def test_systematicity_no_pairs_keeps_everything_in_train():
     corpus = corpus_of("swap repeat A B", "copy A")
-    train, test = systematicity_split(corpus, pairs=(), test_size=0)
+    train, test = systematicity_split(corpus, pairs=(), test_size=0, rng=random.Random(0))
     assert len(train) == 2 and len(test) == 0
 
 
@@ -177,7 +177,7 @@ def test_substitutivity_primitive_adds_single_function_samples():
 
 def test_substitutivity_primitive_zero_fraction_adds_nothing():
     corpus = corpus_of("copy A", "echo B")
-    out, counts = substitutivity_primitive(corpus, fraction=0.0)
+    out, counts = substitutivity_primitive(corpus, fraction=0.0, rng=random.Random(0))
     assert len(out) == 2 and all(v == 0 for v in counts.values())
 
 
@@ -188,7 +188,7 @@ def test_make_consistency_pairs():
     assert [p.src_base for p in pairs] == [corpus.samples[0].src, corpus.samples[2].src]
     assert pairs[0].src_syn == ("swap_syn", "repeat_syn", "A", "B")
     assert pairs[1].src_syn == ("append_syn", "C", ",", "D")
-    assert pairs[0].tgt == evaluate(parse_text("swap repeat A B"))
+    assert pairs[0].tgt == evaluate(parse("swap repeat A B".split()))
 
 
 def test_synonym_map_validation():
@@ -212,28 +212,28 @@ def test_synonym_map_validation():
     ],
 )
 def test_exception_table_rows(src, original, exception):
-    program = parse_text(src)
+    program = parse(src.split())
     assert " ".join(evaluate(program)) == original
     assert " ".join(exception_evaluate(program)) == exception
 
 
 def test_exception_evaluate_leaves_other_trees_alone():
     for src in ("reverse copy A B", "prepend A , reverse B C", "echo A B"):
-        program = parse_text(src)
+        program = parse(src.split())
         assert exception_evaluate(program) == evaluate(program)
 
 
 def test_exception_evaluate_chained_pairs():
     # (prepend, reverse) and (reverse, echo) overlap on the middle token;
     # both substitutions agree that reverse acts as echo here
-    program = parse_text("prepend reverse echo A B , C")
+    program = parse("prepend reverse echo A B , C".split())
     assert " ".join(evaluate(program)) == "C B B A"
     assert " ".join(exception_evaluate(program)) == "A B B"
 
 
 def test_exception_evaluate_5000_deep():
     # every (reverse, echo) pair turns into (echo, copy): each adds one B
-    program = parse_text("reverse echo " * 2500 + "A B")
+    program = parse(("reverse echo " * 2500 + "A B").split())
     assert exception_evaluate(program) == ("A",) + ("B",) * 2501
 
 
@@ -249,7 +249,7 @@ def test_exception_remaps_that_disagree_on_an_overlap_are_rejected():
 
 def test_exception_remap_arity_checked():
     with pytest.raises(ValueError):
-        exception_evaluate(parse_text("copy A"), {("copy", "echo"): ("append", "copy")})
+        exception_evaluate(parse("copy A".split()), {("copy", "echo"): ("append", "copy")})
 
 
 def test_exceptions_apply_counts_and_rewrites():
@@ -312,7 +312,7 @@ def test_exceptions_apply_synthesises_when_short():
 
 def test_exceptions_apply_zero_percentage():
     corpus = corpus_of("reverse echo A B C", "copy D")
-    out, entries = exceptions_apply(corpus, percentage=0.0)
+    out, entries = exceptions_apply(corpus, percentage=0.0, rng=random.Random(0))
     assert entries == []
     assert [s.tgt for s in out] == [s.tgt for s in corpus]
 
@@ -320,7 +320,7 @@ def test_exceptions_apply_zero_percentage():
 # --- localism -------------------------------------------------------------------
 
 def test_unroll_plan_example():
-    plan = build_unroll_plan(parse_text("echo append C , prepend B , A"))
+    plan = build_unroll_plan(parse("echo append C , prepend B , A".split()))
     assert plan.num_steps == 3
     s0, s1, s2 = plan.steps
     assert s0.fn_name == "prepend"
@@ -332,7 +332,7 @@ def test_unroll_plan_example():
 
 
 def test_unroll_plan_sibling_order():
-    plan = build_unroll_plan(parse_text("append swap A B , repeat C D"))
+    plan = build_unroll_plan(parse("append swap A B , repeat C D".split()))
     assert [s.fn_name for s in plan.steps] == ["swap", "repeat", "append"]
     assert plan.steps[2].args == (("step", 0), ("step", 1))
 
@@ -340,16 +340,16 @@ def test_unroll_plan_sibling_order():
 def test_unroll_plan_counts_every_application():
     for src, n in [("copy A", 1), ("copy copy copy A", 3),
                    ("append copy A , copy B", 3)]:
-        assert build_unroll_plan(parse_text(src)).num_steps == n
+        assert build_unroll_plan(parse(src.split())).num_steps == n
 
 
 def test_unroll_plan_rejects_bare_string():
     with pytest.raises(ValueError):
-        build_unroll_plan(parse_text("A B"))
+        build_unroll_plan(parse("A B".split()))
 
 
 def test_unroll_plan_5000_deep():
-    plan = build_unroll_plan(parse_text("reverse echo " * 2500 + "A B"))
+    plan = build_unroll_plan(parse(("reverse echo " * 2500 + "A B").split()))
     assert plan.num_steps == 5000
     assert plan.steps[0].args == (("lit", ("A", "B")),)
     assert all(step.args == (("step", k),) for k, step in enumerate(plan.steps[1:]))
