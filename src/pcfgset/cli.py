@@ -37,7 +37,7 @@ from .harness import (
     run_localism,
     run_overgeneralisation,
 )
-from .language import DEFAULT_REGISTRY, LITERALS, LanguageError, evaluate_text
+from .language import DEFAULT_REGISTRY, LITERALS, LanguageError, serve
 from .naturalise import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
@@ -468,14 +468,7 @@ def cmd_oracle(args) -> int:
     registry = DEFAULT_REGISTRY
     if args.synonyms:
         registry = corpus_io.read_synonyms(args.synonyms).registry()
-    for line in sys.stdin:
-        line = line.strip()
-        try:
-            answer = evaluate_text(line, registry) if line else ""
-        except LanguageError:
-            answer = ""
-        print(answer, flush=True)
-    return 0
+    return serve(registry, sys.stdin, sys.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,11 @@ class GrammarParams(NamedTuple("GrammarParams", [
             raise ValueError("leaf length probabilities must be non-negative")
         if not abs(sum(self.arg_len_dist.values()) - 1.0) <= 1e-9:
             raise ValueError("arg_len_dist must sum to 1")
+        # a sample never repeats a literal, so a longer leaf can never be drawn
+        too_long = [k for k, p in self.arg_len_dist.items() if p > 0 and k > len(LITERALS)]
+        if too_long:
+            raise ValueError(f"leaf length {max(too_long)} is over the {len(LITERALS)} "
+                             "literals a sample can hold")
         return self
 
     @classmethod

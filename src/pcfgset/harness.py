@@ -14,10 +14,12 @@ import contextlib
 import functools
 import hashlib
 import itertools
-import queue
+import os
+import selectors
 import shlex
 import subprocess
 import threading
+import time
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import read_token_file
@@ -164,14 +166,30 @@ class FaultyOracleAdapter(OracleAdapter):
         return out
 
 
+# What _Worker._read_line returns when no whole line came in time.
+_NO_LINE = object()
+
+# The most one read of a child's stdout takes: a pipe's default capacity.
+READ_SIZE = 65536
+
+
 class _Worker:
-    """One child process speaking the line protocol."""
+    """One child process speaking the line protocol.
+
+    Replies are read on the calling thread: a selector waits on the
+    child's stdout, whose bytes are cut into lines as text mode would cut
+    them (at LF, CR LF or a lone CR), and each line is decoded when it is
+    taken.
+    """
 
     def __init__(self, argv: list[str], timeout_s: float):
         self.argv = argv
         self.timeout_s = timeout_s
         self.proc: subprocess.Popen | None = None
-        self.lines: queue.Queue = queue.Queue()
+        self.selector: selectors.BaseSelector | None = None
+        self.fd = -1
+        self.buffer = b""
+        self.eof = False
 
     def _spawn(self) -> None:
         try:
@@ -187,34 +205,56 @@ class _Worker:
         except OSError as exc:
             # not recoverable: no later request could start it either
             raise OSError(f"cannot start {shlex.join(self.argv)}: {exc.strerror or exc}") from exc
-        self.lines = queue.Queue()
-        thread = threading.Thread(target=self._pump, args=(self.proc, self.lines), daemon=True)
-        thread.start()
+        assert self.proc.stdout is not None
+        # read at its descriptor, never through its text wrapper
+        self.fd = self.proc.stdout.fileno()
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.fd, selectors.EVENT_READ)
+        self.buffer = b""
+        self.eof = False
 
-    @staticmethod
-    def _pump(proc: subprocess.Popen, lines: queue.Queue) -> None:
-        """Queue the child's output lines, then None at EOF.  A line longer
-        than MAX_REPLY_CHARS, so a child cannot grow this process's memory,
-        or one the child ended by exiting instead of a newline, so it may
-        be cut short, or one that is not UTF-8, is queued as a
-        ProtocolViolation instead and ends the reading."""
-        assert proc.stdout is not None
-        while True:
-            try:
-                line = proc.stdout.readline(MAX_REPLY_CHARS + 1)
-            except UnicodeDecodeError:
-                lines.put(ProtocolViolation("reply line is not UTF-8"))
-                return
-            if not line:
-                break
-            if len(line) > MAX_REPLY_CHARS:
-                lines.put(ProtocolViolation(f"reply line longer than {MAX_REPLY_CHARS} characters"))
-                return
-            if not line.endswith("\n"):
-                lines.put(ProtocolViolation("reply line ended without a newline"))
-                return
-            lines.put(line)
-        lines.put(None)  # EOF marker
+    def _cut(self):
+        """Cut the next whole line off the buffer: its text without its
+        end, None at EOF with nothing left, or _NO_LINE while no line is
+        whole.  A line longer than MAX_REPLY_CHARS with its end, so a
+        child cannot grow this process's memory, or one the child ended by
+        exiting instead of a newline, so it may be cut short, or one that
+        is not UTF-8 raises ProtocolViolation.  The limit counts bytes,
+        which are characters in every valid reply."""
+        buf = self.buffer
+        end = buf.find(b"\n", 0, MAX_REPLY_CHARS)
+        cr = buf.find(b"\r", 0, MAX_REPLY_CHARS if end < 0 else end)
+        if cr >= 0:
+            if cr + 1 == len(buf) and not self.eof:
+                return _NO_LINE  # a CR LF split across two reads
+            end, after = cr, cr + 2 if buf[cr + 1 : cr + 2] == b"\n" else cr + 1
+        elif end >= 0:
+            after = end + 1
+        elif len(buf) > MAX_REPLY_CHARS:
+            raise ProtocolViolation(f"reply line longer than {MAX_REPLY_CHARS} characters")
+        elif not self.eof:
+            return _NO_LINE
+        elif buf:
+            raise ProtocolViolation("reply line ended without a newline")
+        else:
+            return None
+        line, self.buffer = buf[:end], buf[after:]
+        try:
+            return line.decode()
+        except UnicodeDecodeError:
+            raise ProtocolViolation("reply line is not UTF-8") from None
+
+    def _read_line(self, timeout_s: float):
+        """The child's next line as _cut gives it, waiting up to timeout_s
+        seconds for it to be whole."""
+        deadline = time.monotonic() + timeout_s
+        while (line := self._cut()) is _NO_LINE:
+            if not self.selector.select(max(deadline - time.monotonic(), 0.0)):
+                return _NO_LINE
+            chunk = os.read(self.fd, READ_SIZE)
+            self.eof = not chunk
+            self.buffer += chunk
+        return line
 
     def alive(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
@@ -224,6 +264,7 @@ class _Worker:
             if self.proc.poll() is None:
                 self.proc.kill()
             self.proc.wait()
+            self.selector.close()
             if self.proc.stdin is not None:
                 # a request still buffered for a dead child cannot be flushed
                 with contextlib.suppress(BrokenPipeError):
@@ -233,53 +274,42 @@ class _Worker:
             self.proc = None
 
     def ask(self, line: str) -> str:
-        """Send one request line and wait for exactly one reply line."""
+        """Send one request line and wait for exactly one reply line.  A
+        child that fails the request is stopped."""
         if not self.alive():
             self.stop()
             self._spawn()
-        # A reply queued before we even asked means the child emitted an
-        # extra line for some earlier request.
         try:
-            stale = self.lines.get_nowait()
-        except queue.Empty:
-            pass
-        else:
+            return self._exchange(line)
+        except AdapterError:
             self.stop()
-            if isinstance(stale, ProtocolViolation):
-                raise stale
-            if stale is not None:
-                raise ProtocolViolation(f"unsolicited output line: {stale.rstrip()!r}")
+            raise
+
+    def _exchange(self, line: str) -> str:
+        # a line waiting before we even asked is an extra one for some
+        # earlier request
+        stale = self._read_line(0.0)
+        if stale is None:
             raise ChildExited("child closed its output stream")
+        if stale is not _NO_LINE:
+            raise ProtocolViolation(f"unsolicited output line: {stale.rstrip()!r}")
         assert self.proc is not None and self.proc.stdin is not None
         try:
             self.proc.stdin.write(line + "\n")
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            self.stop()
             raise ChildExited(f"child pipe closed: {exc}") from exc
-        try:
-            reply = self.lines.get(timeout=self.timeout_s)
-        except queue.Empty:
-            self.stop()
-            raise Timeout(f"no reply within {self.timeout_s} seconds") from None
-        if isinstance(reply, ProtocolViolation):
-            self.stop()
-            raise reply
+        reply = self._read_line(self.timeout_s)
+        if reply is _NO_LINE:
+            raise Timeout(f"no reply within {self.timeout_s} seconds")
         if reply is None:
-            self.stop()
             raise ChildExited("child exited before answering")
-        # an immediately queued second line means the child answered with
-        # more than one line; an EOF marker just means it exited after
-        # answering and will be respawned on the next request
-        try:
-            extra = self.lines.get_nowait()
-        except queue.Empty:
-            return reply.rstrip("\n")
-        self.stop()
-        if extra is None:
-            return reply.rstrip("\n")
-        if isinstance(extra, ProtocolViolation):
-            raise extra
+        # a second line already waiting means the child answered with more
+        # than one line; EOF just means it exited after answering and will
+        # be respawned on the next request
+        extra = self._read_line(0.0)
+        if extra is _NO_LINE or extra is None:
+            return reply
         raise ProtocolViolation(f"extra output line: {extra.rstrip()!r}")
 
 

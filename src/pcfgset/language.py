@@ -5,13 +5,14 @@ uppercase literal symbols, e.g. ``append swap F G H , repeat I J``.  A
 program is its list of token strings.  This module owns tokenisation, the
 one structural fold over a program's tokens (``fold``: parsing,
 per-sequence statistics and any bottom-up value), and the ground-truth
-interpreter.
+interpreter; ``serve`` answers programs over the line protocol for the
+``oracle`` command.
 """
 
 from __future__ import annotations
 
 import string
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 SEPARATOR = ","
 
@@ -351,3 +352,18 @@ def evaluate(src: Sequence[str],
 
 def evaluate_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> str:
     return " ".join(evaluate(text.split(), registry))
+
+
+def serve(registry: FunctionRegistry, lines: Iterable[str], out: TextIO) -> int:
+    """The oracle's side of the line protocol: answer each program line
+    with its value, and a line that does not evaluate (or is blank) with
+    an empty one, flushed at once."""
+    for line in lines:
+        line = line.strip()
+        try:
+            answer = evaluate_text(line, registry) if line else ""
+        except LanguageError:
+            answer = ""
+        out.write(answer + "\n")
+        out.flush()
+    return 0

@@ -490,6 +490,20 @@ def test_oracle_with_synonyms(tmp_path):
     assert proc.stdout == "B A\n"
 
 
+def test_oracle_with_a_missing_synonyms_file_ends_in_one_line(tmp_path):
+    # every oracle command line but the bare one goes through cli.main
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcfgset", "oracle", "--synonyms", str(tmp_path / "nope.json")],
+        input="swap A B\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"oracle failed: [Errno 2] No such file or directory: '{tmp_path / 'nope.json'}'\n")
+
+
 def test_oracle_answers_requests_nested_5000_deep():
     # the deep requests of the benchmark's evaluate workload, 5,000 levels down
     depth = 5000
@@ -774,6 +788,8 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
      "testbuild failed: {tmp}/deep.json: not valid JSON (nested too deeply)"),
     (["testbuild", "--test", "substitutivity-ed", *BASE, "--synonyms", "{tmp}/spaced.json"],
      "testbuild failed: invalid synonym name 'swap syn'"),
+    (["generate", "--seed", "0", "--size", "50", "--out", "{tmp}/g", "--params", "{tmp}/wide.json"],
+     "generate failed: {tmp}/wide.json: leaf length 600 is over the 520 literals a sample can hold"),
 ], ids=["generate-params-bad-json", "generate-params-missing", "generate-params-not-utf8",
         "naturalise-spec-bad-header", "naturalise-spec-missing", "testbuild-pairs-bad-json",
         "testbuild-pairs-unknown-function", "testbuild-synonyms-bad-json",
@@ -782,7 +798,7 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
         "testbuild-pairs-not-a-list", "testbuild-pairs-row-missing-a-key", "testbuild-pairs-empty",
         "testbuild-synonyms-not-an-object", "validate-exceptions-row-missing-a-key",
         "validate-exceptions-not-a-list", "testbuild-pairs-nested-too-deeply",
-        "testbuild-synonyms-name-with-a-space"])
+        "testbuild-synonyms-name-with-a-space", "generate-params-leaf-longer-than-the-literals"])
 def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.json").write_text("{bad\n", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes(b"\xff\n")
@@ -792,7 +808,9 @@ def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     (tmp_path / "unknown.json").write_text(json.dumps(unknown), encoding="utf-8")
     for name, document in [("short", {"p_unary": 1}), ("list", ["swap"]), ("object", {}),
                            ("rowless", [{"inner": "copy"}]), ("empty", []),
-                           ("spaced", {"swap": "swap syn"})]:
+                           ("spaced", {"swap": "swap syn"}),
+                           ("wide", {**GrammarParams.default().to_dict(),
+                                     "arg_len_dist": {"600": 1}, "max_arg_len": 600})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
     run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
     ext = argv[-1].rpartition(".")[2]

@@ -46,7 +46,6 @@ from pcfgset.harness import EvaluationReport
 from pcfgset.language import DEFAULT_REGISTRY
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
-    HeldOutPair,
     SynonymMap,
     exceptions_apply,
 )

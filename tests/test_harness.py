@@ -17,7 +17,6 @@ from pcfgset.generation import (
 from pcfgset.harness import (
     AdapterError,
     ChildExited,
-    EvaluationReport,
     FaultyOracleAdapter,
     FileAdapter,
     LineCountMismatch,
@@ -542,6 +541,69 @@ def test_misbehaving_child_is_recorded_per_sample(name, tmp_path):
         assert result.tokens == (None if result.error else tuple(src.split()))
     # the first process plus one restart per process that died or was stopped
     assert len(starts.read_text()) == started
+
+
+def test_a_child_that_exits_mid_share_fails_only_its_own_request(tmp_path):
+    # worker 0 serves A, C and E; its child exits on C however often it is
+    # restarted, and a fresh child then serves E
+    starts = tmp_path / "starts"
+    body = ("    if 'C' in line:\n"
+            "        sys.exit(1)\n"
+            "    print(line.strip(), flush=True)\n")
+    argv = [sys.executable, "-c", MISBEHAVING_PRELUDE + body, str(starts)]
+    srcs = [f"copy {letter}" for letter in "ABCDE"]
+    with SubprocessAdapter(argv, timeout_s=5.0, jobs=2, max_restarts=2) as adapter:
+        results = adapter.predict_batch(srcs)
+    assert [r.error for r in results] == [None, None, "ChildExited", None, None]
+    assert [r.tokens for r in results] == [
+        ("copy", "A"), ("copy", "B"), None, ("copy", "D"), ("copy", "E")]
+    # worker 0: its first child, two restarts for C and one for E; worker 1: one
+    assert len(starts.read_text()) == 5
+
+
+# Children that answer every request with the bytes given, written in the
+# parts given, with a pause between parts.
+def replying(*parts: bytes) -> list[str]:
+    return child(
+        "import sys, time\n"
+        "for line in sys.stdin:\n"
+        f"    for part in {parts!r}:\n"
+        "        sys.stdout.buffer.write(part)\n"
+        "        sys.stdout.flush()\n"
+        "        time.sleep(0.1)\n"
+    )
+
+
+@pytest.mark.parametrize("parts, tokens", [
+    # a two-byte character split across two reads
+    ((b"A \xc3", b"\xa9 B\n"), ["A", "\u00e9", "B"]),
+    # text mode's line ends: CR LF, also split across two reads
+    ((b"B A\r\n",), ["B", "A"]),
+    ((b"B A\r", b"\n"), ["B", "A"]),
+], ids=["utf8-split", "crlf", "crlf-split"])
+def test_a_reply_is_read_whole_whatever_its_parts(parts, tokens):
+    with SubprocessAdapter(replying(*parts), timeout_s=5.0, max_restarts=0) as adapter:
+        assert [adapter.predict("copy A"), adapter.predict("copy B")] == [tokens, tokens]
+        assert adapter.workers[0].proc is not None  # neither reply stopped the child
+
+
+def test_a_lone_carriage_return_ends_a_line_as_in_text_mode():
+    with SubprocessAdapter(replying(b"B\rA\n"), timeout_s=5.0, max_restarts=0) as adapter:
+        with pytest.raises(ProtocolViolation, match="extra output line: 'A'"):
+            adapter.predict("copy A")
+
+
+@pytest.mark.parametrize("length, error", [
+    (MAX_REPLY_CHARS, None),
+    (MAX_REPLY_CHARS + 1, "ProtocolViolation"),
+])
+def test_the_reply_limit_counts_the_line_with_its_end(length, error):
+    body = f"sys.stdin.readline(); sys.stdout.write('A' * {length - 1} + '\\n'); sys.stdout.flush()"
+    with SubprocessAdapter(child("import sys; " + body), timeout_s=30.0,
+                           max_restarts=0) as adapter:
+        (result,) = adapter.predict_batch(["copy A"])
+    assert result.error == error
+    assert result.tokens == (None if error else ("A" * (length - 1),))
 
 
 class TestFileAdapter:

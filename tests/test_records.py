@@ -113,6 +113,8 @@ def test_grammar_params_compare_by_value_and_stay_unhashable():
     (lambda: params(arg_len_dist={1: 1.5, 2: -0.5}),
      "leaf length probabilities must be non-negative"),
     (lambda: params(arg_len_dist={1: 0.5}), "arg_len_dist must sum to 1"),
+    (lambda: params(arg_len_dist={1: 0.5, 520: 0.25, 600: 0.25, 700: 0.0}, max_arg_len=700),
+     "leaf length 600 is over the 520 literals a sample can hold"),
     (lambda: Alphabet(("A", "A")), "alphabet symbols must be distinct"),
     (lambda: Alphabet(()), "alphabet must not be empty"),
     (lambda: DistributionSpec(((0, 1, 1),)), "bad entry (0, 1, 1)"),

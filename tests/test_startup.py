@@ -9,8 +9,10 @@ by no module: its import (with ``inspect``, ``ast``, ``dis`` and
 every process, so the records are ``NamedTuple``s and plain classes.
 Nor does the package load ``importlib.resources``, which brings
 ``zipfile`` and ``tempfile`` (14–21 ms): the bundled reference
-histogram is found next to ``cli.py``.  Each check runs in a fresh
-interpreter, since this one has these modules loaded.
+histogram is found next to ``cli.py``.  A bare ``python -m pcfgset
+oracle``, the child a ``cmd:`` adapter starts and restarts, loads only
+``language`` of the package.  Each check runs in a fresh interpreter,
+since this one has these modules loaded.
 """
 
 import os
@@ -40,14 +42,17 @@ fit_gaussian_spec(DistributionSpec.from_csv(reference_spec_path()))
 """
 
 
+def child_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 def loaded_after(code: str, names: set[str], flags: tuple[str, ...] = ()) -> set[str]:
     """Which of ``names`` a fresh interpreter, started with ``flags``, has
     loaded after ``code``."""
     check = code + f"\nimport sys\nprint(' '.join(sorted({names!r} & set(sys.modules))))\n"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *flags, "-c", check], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -92,3 +97,15 @@ def test_the_command_line_module_loads_no_resource_machinery():
     # -S: no site module, so no .pth file of an installed package loads
     # importlib.resources ahead of the package
     assert loaded_after(IMPORT_ONLY, {"importlib.resources", "tempfile"}, ("-S",)) == set()
+
+
+def test_a_bare_oracle_child_loads_only_the_interpreter():
+    # -X importtime names on stderr every module the command imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pcfgset", "oracle"],
+                          input="swap A B\n", capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "B A\n")
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    package = {name for name in imported if name.startswith("pcfgset")}
+    assert package == {"pcfgset", "pcfgset.language"}

@@ -11,11 +11,8 @@ import pytest
 from pcfgset.generation import Corpus, Sample, leaf_tuples
 from pcfgset.language import evaluate, parse
 from pcfgset.suite import (
-    DEFAULT_EXCEPTION_REMAP,
     DEFAULT_HELD_OUT_PAIRS,
-    ConsistencyPair,
     EmptySide,
-    ExceptionEntry,
     HeldOutPair,
     InsufficientPositives,
     SynonymMap,
