@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import corpus_io
 from .generation import (
@@ -25,19 +26,11 @@ from .generation import (
     make_primitive_length_corpus,
     split_corpus,
 )
-from .harness import (
-    STRATA_FAMILIES,
-    EvaluationReport,
-    LineCountMismatch,
-    build_adapter,
-    run_accuracy,
-    run_consistency,
-    run_eos_analysis,
-    run_length_generalisation,
-    run_localism,
-    run_overgeneralisation,
-)
 from .language import DEFAULT_REGISTRY, LITERALS, LanguageError, serve
+# naturalise is needed by one command but stays eager: the benchmark's
+# tracer (perfbench/tracing.py, install) imports pcfgset.cli and then
+# wraps the functions of every module it finds loaded, naturalise's among
+# them
 from .naturalise import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
@@ -65,6 +58,11 @@ from .suite import (
     substitutivity_primitive,
     systematicity_split,
 )
+
+# the adapter harness, with subprocess, selectors and shlex, is imported
+# by eval alone, the one command that runs an adapter
+if TYPE_CHECKING:
+    from .harness import EvaluationReport
 
 OVERGEN_PERCENTAGES = (0.0001, 0.0005, 0.001, 0.005)
 LENGTH_GEN_DEFAULT_LENGTHS = tuple(range(1, 13))
@@ -358,6 +356,8 @@ def _require_options(args, *names: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .harness import run_overgeneralisation
+
     _require_finite(args, "timeout", zero_ok=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -380,6 +380,8 @@ def cmd_eval(args) -> int:
 
 
 def _eval_length_gen(args) -> EvaluationReport:
+    from .harness import build_adapter, run_length_generalisation
+
     seed = _resolve_seed(args, required=True)
     names = (
         [n.strip() for n in args.functions.split(",")]
@@ -405,6 +407,9 @@ def _eval_length_gen(args) -> EvaluationReport:
 
 def _eval_split(args, out: Path) -> EvaluationReport:
     """The modes that score the one split they read of a corpus directory."""
+    from .harness import (STRATA_FAMILIES, build_adapter, run_accuracy, run_consistency,
+                          run_eos_analysis, run_localism)
+
     _require_options(args, "data")
     split = _pick_split(args.data, args.split)
     testset = _load_base(args.data, [split]).split(split)
@@ -558,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
 # What a command raises on bad input, which main turns into one line: an
 # OSError is a file or command that cannot be opened, a ValueError a
 # malformed file or argument value (bad JSON or CSV, an unknown name, an
-# adapter descriptor), and the rest input a command cannot build from.
+# adapter descriptor, predictions that do not line up with the test), and
+# the rest input a command cannot build from.
 _FAILURES = (
     OSError,
     ValueError,
     corpus_io.MalformedLine,
-    LineCountMismatch,
     LanguageError,
     ExhaustedUniqueArguments,
     InsufficientPositives,

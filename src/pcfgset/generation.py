@@ -220,7 +220,8 @@ class DrawTables(NamedTuple):
     ``_cumulative`` table for each weighted pick (the three-way kind, the
     forced root's call class, the function within each class and the leaf
     length).  A caller that draws many trees from the same params builds
-    them once."""
+    them once; one that varies only the kind and leaf-length weights
+    reweights one set with ``reweighted``."""
 
     unary_names: tuple[str, ...]
     binary_names: tuple[str, ...]
@@ -240,17 +241,29 @@ class DrawTables(NamedTuple):
             unary_names,
             binary_names,
             lengths,
-            # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
-            _cumulative([params.p_unary, params.p_binary, params.p_leaf]),
-            _cumulative([params.p_unary, params.p_binary]),
+            None,
+            None,
             _cumulative([params.fn_weights.get(n, 0.0) for n in unary_names]),
             _cumulative([params.fn_weights.get(n, 0.0) for n in binary_names]),
-            _cumulative([params.arg_len_dist[k] for k in lengths]),
+            None,
+        ).reweighted((params.p_unary, params.p_binary, params.p_leaf),
+                     [params.arg_len_dist[k] for k in lengths])
+
+    def reweighted(self, kind_weights: Sequence[float],
+                   length_weights: Sequence[float]) -> "DrawTables":
+        """These tables with the kind tables drawn from ``kind_weights``
+        (unary call, binary call, leaf) and the leaf-length table from
+        ``length_weights``, one per ``lengths``."""
+        return self._replace(
+            # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
+            kind=_cumulative(kind_weights),
+            root=_cumulative(kind_weights[:2]),
+            length=_cumulative(length_weights),
         )
 
 
 def sample_tree(
-    params: GrammarParams,
+    params: GrammarParams | None,
     rng: random.Random,
     *,
     alphabet: Alphabet | None = None,
@@ -282,7 +295,8 @@ def sample_tree(
     below ``len(symbols)``, ``k`` being that length's bit count, which is
     how ``random.Random.choice`` picks.  ``tables`` are
     ``DrawTables.build(params)``, passed by callers that draw
-    many trees from one params so they are built once.
+    many trees from one params so they are built once; given tables,
+    ``params`` is not read.
     """
     alphabet = alphabet or Alphabet.default()
     symbols = alphabet.symbols

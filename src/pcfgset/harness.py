@@ -57,7 +57,7 @@ class ProtocolViolation(AdapterError):
     """The child broke the one-line-in, one-line-out contract."""
 
 
-class LineCountMismatch(Exception):
+class LineCountMismatch(ValueError):
     """A prediction source does not line up with the test material."""
 
 

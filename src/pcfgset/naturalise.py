@@ -12,6 +12,7 @@ until the improvement falls below a tolerance.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .generation import (
     Corpus,
+    DrawTables,
     GrammarParams,
     Sample,
     generate_corpus,
@@ -153,8 +155,11 @@ def support_bound(
 
 
 def _dirichlet(rng: random.Random, k: int) -> list[float]:
-    """One draw from the symmetric Dirichlet(1) over ``k`` categories."""
-    draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
+    """One draw from the symmetric Dirichlet(1) over ``k`` categories.
+    Each Exp(1) is ``-log(1.0 - rng.random())``, the expression
+    ``rng.gammavariate(1.0, 1.0)`` evaluates, from the same one call."""
+    random_, log = rng.random, math.log
+    draws = [-log(1.0 - random_()) for _ in range(k)]
     total = sum(draws)
     return [d / total for d in draws]
 
@@ -185,23 +190,28 @@ def random_probability_sample(
     first ``n`` instances of any larger pool from the same ``rng``.
     """
     base = rng.getrandbits(64)
-    uniform_weights = {name: 1.0 for name in DEFAULT_REGISTRY.names()}
     bound = support_bound(spec, candidate_configs)
+    # the uniform function tables and the leaf lengths 1..MAX_ARG_LEN are
+    # built once; each instance reweights only the kind and length tables.
+    # No GrammarParams is built per instance, since none of its checks
+    # could fail: a Dirichlet(1) draw is non-negative and sums to 1, the
+    # lengths lie in 1..MAX_ARG_LEN and the function weights are uniform.
+    uniform = DrawTables.build(GrammarParams(
+        p_unary=1 / 3,
+        p_binary=1 / 3,
+        p_leaf=1 / 3,
+        fn_weights={name: 1.0 for name in DEFAULT_REGISTRY.names()},
+        arg_len_dist={k: 1 / MAX_ARG_LEN for k in range(1, MAX_ARG_LEN + 1)},
+        max_arg_len=MAX_ARG_LEN,
+    ))
 
     samples = []
     for i in range(n):
         instance = substream(base, "pool", i)
-        p_unary, p_binary, p_leaf = _dirichlet(instance, 3)
+        kind_probs = _dirichlet(instance, 3)
         len_probs = _dirichlet(instance, MAX_ARG_LEN)
-        params = GrammarParams(
-            p_unary=p_unary,
-            p_binary=p_binary,
-            p_leaf=p_leaf,
-            fn_weights=uniform_weights,
-            arg_len_dist={k + 1: p for k, p in enumerate(len_probs)},
-            max_arg_len=MAX_ARG_LEN,
-        )
-        src = sample_tree(params, instance, max_nodes=max_nodes, bound=bound)
+        src = sample_tree(None, instance, max_nodes=max_nodes, bound=bound,
+                          tables=uniform.reweighted(kind_probs, len_probs))
         if src is not None:
             samples.append(Sample.from_src(src))
     return Corpus(samples)

@@ -588,6 +588,20 @@ def test_a_prediction_file_with_a_line_too_many_ends_in_one_line(tmp_path, mode,
     assert ei.value.code == f"eval failed: {preds}: 2 prediction lines for 1 test samples"
 
 
+def test_a_checkpoint_with_a_line_too_few_ends_in_one_line(tmp_path):
+    entries = [ExceptionEntry(0, ("copy", "A"), ("A",), ("B",), ("copy", "copy")),
+               ExceptionEntry(1, ("copy", "C"), ("C",), ("D",), ("copy", "copy"))]
+    corpus_io.write_exceptions(tmp_path / "exceptions.json", entries)
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    corpus_io.write_predictions(ckpts / "1_early.pred", [("A",)])
+    with pytest.raises(SystemExit) as ei:
+        run_cli("eval", "overgen-profile", "--exceptions", tmp_path / "exceptions.json",
+                "--preds", ckpts, "--out", tmp_path / "profile")
+    assert ei.value.code == ("eval failed: checkpoint 'early': "
+                             "1 predictions for 2 exception entries")
+
+
 @pytest.mark.parametrize("mode, option", [("accuracy", "--adapter"), ("eos", "--preds")])
 def test_a_repeated_source_is_scored_against_each_of_its_lines(tmp_path, mode, option):
     data = tmp_path / "d"

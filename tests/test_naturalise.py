@@ -317,19 +317,33 @@ def bundled_spec() -> DistributionSpec:
     return DistributionSpec.from_csv(reference_spec_path())
 
 
+def reference_dirichlet(rng, k):
+    draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
+    total = sum(draws)
+    return [d / total for d in draws]
+
+
+def test_dirichlet_draws_what_gammavariate_draws():
+    fast, reference = random.Random(4), random.Random(4)
+    for k in (3, 5) * 500:
+        assert _dirichlet(fast, k) == reference_dirichlet(reference, k)
+    assert fast.random() == reference.random()
+
+
 def pool_draws(n, seed, bound):
     """The samples of ``random_probability_sample(n, ..., rng=random.Random(seed))``
     under a support bound, rebuilt draw by draw: instance ``i`` draws its
-    Dirichlet(1) probabilities and its tree from ``substream(base, "pool", i)``."""
+    Dirichlet(1) probabilities and its tree from ``substream(base, "pool", i)``,
+    through a GrammarParams of its own and the tables ``sample_tree`` builds."""
     base = random.Random(seed).getrandbits(64)
     kept = []
     for i in range(n):
         instance = substream(base, "pool", i)
-        p_unary, p_binary, p_leaf = _dirichlet(instance, 3)
+        p_unary, p_binary, p_leaf = reference_dirichlet(instance, 3)
         params = GrammarParams(
             p_unary=p_unary, p_binary=p_binary, p_leaf=p_leaf,
             fn_weights={name: 1.0 for name in DEFAULT_REGISTRY.names()},
-            arg_len_dist=dict(enumerate(_dirichlet(instance, 5), start=1)),
+            arg_len_dist=dict(enumerate(reference_dirichlet(instance, 5), start=1)),
         )
         tree = sample_tree(params, instance, max_nodes=2_000, bound=bound)
         if tree is not None:
@@ -371,6 +385,17 @@ def test_random_probability_sample_keeps_exactly_the_draws_in_bound():
         s for s in everything if s.stats.length <= 59 and s.stats.depth <= 17
     ]
     assert 0 < len(kept) < 200
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["bundled-bound", "no-bound"])
+def test_a_benchmark_scale_pool_matches_the_draw_by_draw_reference(bounded):
+    # 2,000 draws, as the benchmark's naturalise pool; a one-cell reference
+    # far beyond any tree bounds nothing, so every draw is kept
+    spec = bundled_spec() if bounded else DistributionSpec.from_rows([(100_000, 1_000, 1)])
+    configs = DEFAULT_INCREMENT_GRID if bounded else [PartitionConfig(1, 1)]
+    pool = random_probability_sample(2_000, spec, configs, rng=random.Random(1))
+    assert pool.samples == pool_draws(2_000, 1, support_bound(spec, configs))
+    assert (len(pool) < 2_000) is bounded
 
 
 def test_a_random_probability_pool_is_the_prefix_of_a_larger_one():

@@ -11,8 +11,13 @@ Nor does the package load ``importlib.resources``, which brings
 ``zipfile`` and ``tempfile`` (14–21 ms): the bundled reference
 histogram is found next to ``cli.py``.  A bare ``python -m pcfgset
 oracle``, the child a ``cmd:`` adapter starts and restarts, loads only
-``language`` of the package.  Each check runs in a fresh interpreter,
-since this one has these modules loaded.
+``language`` of the package.  The adapter harness, with ``subprocess``,
+``selectors`` and ``shlex`` (15–22 ms of ``-X importtime`` cumulative),
+and the ``metrics`` it imports, load only for ``eval``, the one command
+that runs an adapter; ``naturalise`` stays an eager import of ``cli``
+because the benchmark's ``tracing.install`` finds it in ``sys.modules``
+after importing ``pcfgset.cli``.  Each check runs in a fresh
+interpreter, since this one has these modules loaded.
 """
 
 import os
@@ -33,6 +38,24 @@ import tempfile
 from pcfgset import cli
 with tempfile.TemporaryDirectory() as tmp:
     cli.main(["generate", "--seed", "1", "--size", "20", "--out", tmp + "/base"])
+"""
+
+VALIDATE_AND_TESTBUILD = """
+import tempfile
+from pcfgset import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cli.main(["generate", "--seed", "1", "--size", "200", "--out", tmp + "/base"])
+    assert cli.main(["validate", "--data", tmp + "/base"]) == 0
+    cli.main(["testbuild", "--test", "productivity", "--base", tmp + "/base",
+              "--out", tmp + "/prod", "--seed", "1", "--threshold", "3"])
+"""
+
+EVAL = """
+import tempfile
+from pcfgset import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cli.main(["generate", "--seed", "1", "--size", "20", "--out", tmp + "/base"])
+    cli.main(["eval", "accuracy", "--data", tmp + "/base", "--out", tmp + "/eval"])
 """
 
 GAUSSIAN_FIT = """
@@ -109,3 +132,23 @@ def test_a_bare_oracle_child_loads_only_the_interpreter():
                 if line.startswith("import time:")}
     package = {name for name in imported if name.startswith("pcfgset")}
     assert package == {"pcfgset", "pcfgset.language"}
+
+
+ADAPTER_HARNESS = {"pcfgset.harness", "pcfgset.metrics", "subprocess", "selectors"}
+
+
+@pytest.mark.parametrize("code", [IMPORT_ONLY, GENERATE, VALIDATE_AND_TESTBUILD],
+                         ids=["import", "generate", "validate-testbuild"])
+def test_only_eval_loads_the_adapter_harness(code):
+    assert loaded_after(code, ADAPTER_HARNESS) == set()
+
+
+def test_eval_loads_the_adapter_harness():
+    # so that a misspelt name cannot make the test above pass
+    assert loaded_after(EVAL, ADAPTER_HARNESS) == ADAPTER_HARNESS
+
+
+def test_the_command_line_module_still_loads_naturalise():
+    # tracing.install imports pcfgset.cli, then wraps the functions of the
+    # pcfgset.naturalise it reads from sys.modules
+    assert loaded_after(IMPORT_ONLY, {"pcfgset.naturalise"}) == {"pcfgset.naturalise"}
