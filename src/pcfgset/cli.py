@@ -46,21 +46,10 @@ from .naturalise import (
     write_kl_trace,
 )
 from .seeding import subseed, substream
-from .suite import (
-    DEFAULT_HELD_OUT_PAIRS,
-    EmptySide,
-    InsufficientPositives,
-    SynonymMap,
-    exceptions_apply,
-    make_consistency_pairs,
-    productivity_split,
-    substitutivity_equal,
-    substitutivity_primitive,
-    systematicity_split,
-)
 
 # the adapter harness, with subprocess, selectors and shlex, is imported
-# by eval alone, the one command that runs an adapter
+# by eval alone, the one command that runs an adapter, and the test
+# constructors of suite by testbuild and eval alone
 if TYPE_CHECKING:
     from .harness import EvaluationReport
 
@@ -219,7 +208,7 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
     gets shipped as corpus files must be filtered to pass validation.
     """
     ledger = UniquenessLedger()
-    kept = [s for pos, s in enumerate(corpus) if ledger.admit(s.src, f"sample {pos}")]
+    kept = [s for pos, s in enumerate(corpus) if ledger.admit(s.src, f"sample {pos}") is None]
     return Corpus(samples=kept, seed=corpus.seed, params=corpus.params)
 
 
@@ -242,6 +231,9 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
 
 
 def cmd_testbuild(args) -> int:
+    from .suite import (DEFAULT_HELD_OUT_PAIRS, SynonymMap, exceptions_apply, productivity_split,
+                        substitutivity_equal, substitutivity_primitive, systematicity_split)
+
     _require_positive(args, "test_size")
     _require_finite(args, "exception_pct", zero_ok=True)
     _require_finite(args, "fraction", zero_ok=True)
@@ -409,6 +401,7 @@ def _eval_split(args, out: Path) -> EvaluationReport:
     """The modes that score the one split they read of a corpus directory."""
     from .harness import (STRATA_FAMILIES, build_adapter, run_accuracy, run_consistency,
                           run_eos_analysis, run_localism)
+    from .suite import make_consistency_pairs
 
     _require_options(args, "data")
     split = _pick_split(args.data, args.split)
@@ -563,16 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
 # What a command raises on bad input, which main turns into one line: an
 # OSError is a file or command that cannot be opened, a ValueError a
 # malformed file or argument value (bad JSON or CSV, an unknown name, an
-# adapter descriptor, predictions that do not line up with the test), and
-# the rest input a command cannot build from.
+# adapter descriptor, predictions that do not line up with the test, a
+# test the base corpus cannot fill), and the rest input a command cannot
+# build from.
 _FAILURES = (
     OSError,
     ValueError,
     corpus_io.MalformedLine,
     LanguageError,
     ExhaustedUniqueArguments,
-    InsufficientPositives,
-    EmptySide,
 )
 
 

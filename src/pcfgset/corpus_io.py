@@ -27,10 +27,12 @@ from .language import (
     interpret,
     stats,
 )
-from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
+# the suite's records are imported where a sidecar is read, so commands
+# that read no sidecar do not load the test constructors
 if TYPE_CHECKING:
     from .harness import EvaluationReport
+    from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
 
@@ -266,6 +268,7 @@ def _rows(path: Path | str, fields: Mapping[str, type]) -> list[dict]:
 
 
 def read_pairs(path: Path | str) -> list[HeldOutPair]:
+    from .suite import HeldOutPair
     rows = _rows(path, {"outer": str, "inner": str})
     if not rows:  # no pair to hold out would leave the test split empty
         raise ValueError(f"{path}: holds no pairs")
@@ -277,6 +280,7 @@ def write_synonyms(path: Path | str, synonyms: SynonymMap) -> None:
 
 
 def read_synonyms(path: Path | str) -> SynonymMap:
+    from .suite import SynonymMap
     synonyms = read_json(path)
     if not isinstance(synonyms, dict) or not all(
         isinstance(name, str) for name in synonyms.values()
@@ -302,6 +306,7 @@ def write_exceptions(path: Path | str, entries: Sequence[ExceptionEntry]) -> Non
 
 
 def read_exceptions(path: Path | str) -> list[ExceptionEntry]:
+    from .suite import ExceptionEntry
     rows = _rows(path, {"sample_id": int, "src": str, "original_tgt": str,
                         "exception_tgt": str, "pair": list})
     entries = []
@@ -451,9 +456,7 @@ def validate_corpus_files(
                 tgt = tuple(tgt)
                 if value != tgt and excused.get(tuple(src)) != tgt:
                     problems.append(f"{name}.tgt:{lineno}: target does not match evaluation")
-            violation = ledger.violation(src)
-            if violation is None:
-                ledger.add(src, where)
-            else:
+            violation = ledger.admit(src, where)
+            if violation is not None:
                 problems.append(f"{where}: {violation}")
     return problems

@@ -254,12 +254,10 @@ class DrawTables(NamedTuple):
         """These tables with the kind tables drawn from ``kind_weights``
         (unary call, binary call, leaf) and the leaf-length table from
         ``length_weights``, one per ``lengths``."""
-        return self._replace(
-            # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
-            kind=_cumulative(kind_weights),
-            root=_cumulative(kind_weights[:2]),
-            length=_cumulative(length_weights),
-        )
+        # kinds are drawn as indices: 0 unary call, 1 binary call, 2 leaf
+        return DrawTables(self.unary_names, self.binary_names, self.lengths,
+                          _cumulative(kind_weights), _cumulative(kind_weights[:2]),
+                          self.unary, self.binary, _cumulative(length_weights))
 
 
 def sample_tree(
@@ -379,20 +377,27 @@ class UniquenessLedger:
 
     Sources are pairwise distinct, no literal occurs twice within one
     sample, and every string argument of two or more symbols occurs in at
-    most one sample of the corpus.  ``violation`` says whether a source may
-    join the samples recorded so far; ``add`` records an accepted one, and
-    ``admit`` does both.  Constructing the ledger from samples records
-    them unchecked.
+    most one sample of the corpus.  ``admit`` checks a source against the
+    samples recorded so far and records it if it breaks none.
+    Constructing the ledger from samples records them unchecked.
     """
 
     def __init__(self, samples: Iterable[Sample] = ()):
         self.seen_src: dict[tuple[str, ...], str] = {}
         self.used_args: dict[tuple[str, ...], str] = {}
         for pos, s in enumerate(samples):
-            self.add(s.src, f"sample {pos}")
+            self._record(tuple(s.src), leaf_tuples(s.src), f"sample {pos}")
 
-    def violation(self, src: Sequence[str]) -> str | None:
-        """The first constraint the source breaks, in words, or None."""
+    def _record(self, src: tuple[str, ...], args: list[tuple[str, ...]], where: str) -> None:
+        self.seen_src[src] = where
+        for arg in args:
+            if len(arg) >= 2:
+                self.used_args[arg] = where
+
+    def admit(self, src: Sequence[str], where: str) -> str | None:
+        """The first constraint the source breaks, in words, or None; a
+        source that breaks none is recorded, in the same walk of its
+        leaves, and ``where`` names it in later violations."""
         src = tuple(src)
         if src in self.seen_src:
             return f"duplicate source (also at {self.seen_src[src]})"
@@ -404,21 +409,8 @@ class UniquenessLedger:
         for arg in args:
             if len(arg) >= 2 and arg in self.used_args:
                 return f"argument {' '.join(arg)!r} reused (also at {self.used_args[arg]})"
+        self._record(src, args, where)
         return None
-
-    def add(self, src: Sequence[str], where: str) -> None:
-        """Record a sample; ``where`` names it in later violations."""
-        self.seen_src[tuple(src)] = where
-        for arg in leaf_tuples(src):
-            if len(arg) >= 2:
-                self.used_args[arg] = where
-
-    def admit(self, src: Sequence[str], where: str) -> bool:
-        """Record the source if it breaks no constraint; whether it did."""
-        if self.violation(src) is not None:
-            return False
-        self.add(src, where)
-        return True
 
 
 def fresh_source(head: Sequence[str], lengths: Sequence[int], rng: random.Random) -> list[str]:
@@ -489,7 +481,7 @@ def generate_corpus(
     tables = DrawTables.build(params)
     while len(samples) < n:
         src = sample_tree(params, rng, tables=tables)
-        if _too_long(src) or not ledger.admit(src, f"sample {len(samples)}"):
+        if _too_long(src) or ledger.admit(src, f"sample {len(samples)}") is not None:
             rejects += 1
             if rejects > max_rejects:
                 raise ExhaustedUniqueArguments(

@@ -131,11 +131,18 @@ _SEMANTICS: dict[str, tuple[int, Callable[..., Symbols], Callable[..., int]]] = 
 MAX_OUTPUT_LENGTH = 1_000_000
 
 
+# what a registry's token table gives a token that is not a function, and
+# what fold reads past the last token
+_LITERAL, _SEPARATOR, _END = object(), object(), object()
+
+
 class FunctionRegistry:
     """Closed set of function symbols known to the tokeniser and parser.
 
     Immutable; ``with_synonyms`` returns an extended copy so concurrent
-    users of the default registry never observe mutation.
+    users of the default registry never observe mutation.  ``kinds`` maps
+    every token the language knows to what it is: the separator, a
+    function symbol, or a literal, in that precedence.
     """
 
     def __init__(self, symbols: Iterable[FunctionSymbol]):
@@ -144,6 +151,7 @@ class FunctionRegistry:
             if sym.name in self._by_name:
                 raise ValueError(f"duplicate function name {sym.name!r}")
             self._by_name[sym.name] = sym
+        self.kinds = dict.fromkeys(LITERALS, _LITERAL) | self._by_name | {SEPARATOR: _SEPARATOR}
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -176,7 +184,7 @@ class FunctionRegistry:
         extra = []
         for base, syn in synonym_map.items():
             original = self.lookup(base)
-            if syn.split() != [syn] or syn in self or syn in LITERAL_SET or syn == SEPARATOR:
+            if syn.split() != [syn] or syn in self.kinds:
                 raise ValueError(f"invalid synonym name {syn!r}")
             extra.append(FunctionSymbol(syn, original.arity, original.fn, original.size))
         return FunctionRegistry(list(self._by_name.values()) + extra)
@@ -195,6 +203,17 @@ class SequenceStats(NamedTuple):
 
 # --- tokenisation and the structural fold ----------------------------------
 
+def _classify(tokens: Sequence[str], registry: FunctionRegistry) -> list:
+    """Each token's entry in the registry's token table; UnknownToken names
+    the first piece that has none, and its position."""
+    table = registry.kinds
+    try:
+        return [table[text] for text in tokens]
+    except KeyError:
+        i = next(i for i, text in enumerate(tokens) if text not in table)
+        raise UnknownToken(tokens[i], i) from None
+
+
 def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[str]:
     """Split on whitespace; every piece must be a function, the separator
     or a literal, else UnknownToken names it and its position.
@@ -203,14 +222,8 @@ def tokenize(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> list[s
     ['append', 'A', 'B', ',', 'C']
     """
     tokens = text.split()
-    for i, piece in enumerate(tokens):
-        if piece != SEPARATOR and piece not in registry and piece not in LITERAL_SET:
-            raise UnknownToken(piece, i)
+    _classify(tokens, registry)
     return tokens
-
-
-# what fold records for a token that is not a function
-_LITERAL, _SEPARATOR = object(), object()
 
 
 def fold(
@@ -241,36 +254,26 @@ def fold(
     held until the whole structure has been checked, so a structural fault
     anywhere takes precedence over it.
     """
-    literal, separator = _LITERAL, _SEPARATOR
-    functions = registry._by_name
-    kinds: list = []
-    for i, text in enumerate(tokens):
-        if text == SEPARATOR:
-            kinds.append(separator)
-        elif text in functions:
-            kinds.append(functions[text])
-        elif text in LITERAL_SET:
-            kinds.append(literal)
-        else:
-            raise UnknownToken(text, i)
-    end = len(tokens)
+    literal, separator, end = _LITERAL, _SEPARATOR, _END
+    kinds = _classify(tokens, registry)
+    kinds.append(end)
     pos = depth = count = 0
     waiting: list[tuple[FunctionSymbol, int, list]] = []
     held: LanguageError | None = None
     while True:
-        if pos == end:
-            raise UnexpectedEnd(pos)
         kind = kinds[pos]
-        if kind is separator:
-            raise UnexpectedToken(tokens[pos], pos)
         if kind is not literal:
+            if kind is separator or kind is end:
+                raise _fault(tokens, pos)
             waiting.append((kind, pos, []))
             count += 1
-            depth = max(depth, len(waiting))
+            if len(waiting) > depth:
+                depth = len(waiting)
             pos += 1
             continue
         start = pos
-        while pos < end and kinds[pos] is literal:
+        pos += 1
+        while kinds[pos] is literal:
             pos += 1
         value = tuple(tokens[start:pos]) if apply is not None else None
         # close every call this constituent completes
@@ -287,16 +290,21 @@ def fold(
                 except LanguageError as exc:
                     held, apply = exc, None
         else:
-            if pos != end:
-                raise UnexpectedToken(tokens[pos], pos)
+            if kinds[pos] is not end:
+                raise _fault(tokens, pos)
             if held is not None:
                 raise held
-            return SequenceStats(end, depth, count), value
-        if pos == end:
-            raise UnexpectedEnd(pos)
+            return SequenceStats(pos, depth, count), value
         if kinds[pos] is not separator:
-            raise UnexpectedToken(tokens[pos], pos)
+            raise _fault(tokens, pos)
         pos += 1
+
+
+def _fault(tokens: Sequence[str], pos: int) -> LanguageError:
+    """The structural error of a program that cannot go on at ``pos``."""
+    if pos == len(tokens):
+        return UnexpectedEnd(pos)
+    return UnexpectedToken(tokens[pos], pos)
 
 
 def parse(tokens: Sequence[str],

@@ -30,7 +30,7 @@ from .generation import (
 )
 from .corpus_io import write_csv
 from .language import DEFAULT_REGISTRY
-from .seeding import substream
+from .seeding import subseed, substream
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_ITERS = 5
@@ -206,8 +206,11 @@ def random_probability_sample(
     ))
 
     samples = []
+    # re-seeding one generator gives it the state substream(base, "pool", i)
+    # would start in
+    instance = random.Random()
     for i in range(n):
-        instance = substream(base, "pool", i)
+        instance.seed(subseed(base, "pool", i))
         kind_probs = _dirichlet(instance, 3)
         len_probs = _dirichlet(instance, MAX_ARG_LEN)
         src = sample_tree(None, instance, max_nodes=max_nodes, bound=bound,

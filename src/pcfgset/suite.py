@@ -16,11 +16,11 @@ from .generation import Corpus, Sample, UniquenessLedger, fresh_source, round_ha
 from .language import DEFAULT_REGISTRY, FunctionRegistry, FunctionSymbol, evaluate, fold, interpret
 
 
-class InsufficientPositives(Exception):
+class InsufficientPositives(ValueError):
     """Not enough pair-containing samples to fill the requested test set."""
 
 
-class EmptySide(Exception):
+class EmptySide(ValueError):
     """A split constructor produced an empty train or test side."""
 
 
@@ -216,7 +216,7 @@ def substitutivity_primitive(
                 raise RuntimeError(f"could not place fresh arguments for {syn}")
             lengths = [rng.randint(1, 5) for _ in range(arity)]
             src = fresh_source([syn], lengths, rng)
-            if not ledger.admit(src, f"sample {len(train) + len(added)}"):
+            if ledger.admit(src, f"sample {len(train) + len(added)}") is not None:
                 continue
             added.append(Sample.from_src(src, registry))
             made += 1
@@ -375,7 +375,7 @@ def exceptions_apply(
             while len(chosen) < k:
                 lengths = [rng.randint(1, 5) for _ in range(n_args)]
                 src = fresh_source([outer, inner], lengths, rng)
-                if not ledger.admit(src, f"sample {len(samples)}"):
+                if ledger.admit(src, f"sample {len(samples)}") is not None:
                     continue
                 samples.append(Sample.from_src(src))
                 index(len(samples) - 1, src)

@@ -602,6 +602,21 @@ def test_a_checkpoint_with_a_line_too_few_ends_in_one_line(tmp_path):
                              "1 predictions for 2 exception entries")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--test", "systematicity", "--test-size", "100000"],
+     "testbuild failed: need 100000 pair-containing samples, found 401"),
+    (["--test", "productivity", "--threshold", "200"],
+     "testbuild failed: threshold 200 leaves train=3000 test=0"),
+], ids=["too-few-positives", "empty-test-side"])
+def test_a_test_the_base_cannot_fill_ends_in_one_line(tmp_path, capsys, argv, message):
+    run_cli("generate", "--seed", 3, "--size", 3000, "--out", tmp_path / "base")
+    with pytest.raises(SystemExit) as ei:
+        run_cli("testbuild", *argv, "--base", tmp_path / "base", "--out", tmp_path / "tb",
+                "--seed", 1)
+    assert ei.value.code == message
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("mode, option", [("accuracy", "--adapter"), ("eos", "--preds")])
 def test_a_repeated_source_is_scored_against_each_of_its_lines(tmp_path, mode, option):
     data = tmp_path / "d"

@@ -349,7 +349,7 @@ def test_validate_corpus_flags_planted_errors(tmp_path):
 )
 def test_ledger_reports_the_first_violation(recorded, candidate, expected):
     ledger = UniquenessLedger(Sample.from_src(t.split()) for t in recorded)
-    assert ledger.violation(candidate.split()) == expected
+    assert ledger.admit(candidate.split(), "row 9") == expected
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -373,10 +373,14 @@ def test_leaf_tuples_skip_functions_synonyms_and_separators():
 
 def test_ledger_records_only_what_is_added():
     ledger = UniquenessLedger()
-    assert ledger.violation(("swap", "A", "B")) is None
-    assert ledger.violation(("swap", "A", "B")) is None
-    ledger.add(("swap", "A", "B"), "row 7")
-    assert ledger.violation(("swap", "A", "B")) == "duplicate source (also at row 7)"
+    # a refused source is not recorded, so it is refused again for itself
+    assert ledger.admit(("append", "A", "B", ",", "A"), "row 6") == (
+        "repeated literal 'A' within sample")
+    assert ledger.admit(("append", "A", "B", ",", "A"), "row 7") == (
+        "repeated literal 'A' within sample")
+    assert ledger.admit(("swap", "A", "B"), "row 8") is None
+    assert ledger.admit(("swap", "A", "B"), "row 9") == "duplicate source (also at row 8)"
+    assert ledger.admit(("copy", "A", "B"), "row 10") == "argument 'A B' reused (also at row 8)"
 
 
 # --- splits -------------------------------------------------------------------

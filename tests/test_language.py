@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
+    FunctionRegistry,
     FunctionSymbol,
     LITERALS,
     LanguageError,
@@ -268,6 +269,26 @@ def test_synonym_name_collisions_rejected():
             DEFAULT_REGISTRY.with_synonyms({"swap": name})
     with pytest.raises(KeyError):
         DEFAULT_REGISTRY.with_synonyms({"nope": "nope_syn"})
+    with pytest.raises(ValueError):
+        DEFAULT_REGISTRY.with_synonyms({"swap": ","})
+
+
+def test_a_name_is_the_separator_then_a_function_then_a_literal():
+    # a registry built directly may name a function like the separator or a
+    # literal: the separator still separates, and the literal's name calls
+    same = lambda n: n  # noqa: E731
+    registry = FunctionRegistry([
+        FunctionSymbol(",", 1, lambda x: x, same), FunctionSymbol("A", 1, lambda x: x[::-1], same),
+        FunctionSymbol("join", 2, lambda x, y: x + y, lambda n, m: n + m),
+    ])
+    assert evaluate("join A B C , D".split(), registry) == ("C", "B", "D")
+    assert tokenize(", A Z19", registry) == [",", "A", "Z19"]
+    with pytest.raises(UnexpectedToken) as ei:
+        fold([",", "B"], registry)
+    assert ei.value.position == 0
+    with pytest.raises(UnknownToken) as ei:
+        fold(["join", "B", ",", "copy"], registry)
+    assert (ei.value.piece, ei.value.position) == ("copy", 3)
 
 
 # --- properties ------------------------------------------------------------

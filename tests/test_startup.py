@@ -14,10 +14,15 @@ oracle``, the child a ``cmd:`` adapter starts and restarts, loads only
 ``language`` of the package.  The adapter harness, with ``subprocess``,
 ``selectors`` and ``shlex`` (15–22 ms of ``-X importtime`` cumulative),
 and the ``metrics`` it imports, load only for ``eval``, the one command
-that runs an adapter; ``naturalise`` stays an eager import of ``cli``
-because the benchmark's ``tracing.install`` finds it in ``sys.modules``
-after importing ``pcfgset.cli``.  Each check runs in a fresh
-interpreter, since this one has these modules loaded.
+that runs an adapter.  The test constructors of ``suite`` (5–7 ms) load
+only for ``testbuild`` and ``eval``: ``corpus_io`` imports the suite's
+records where it reads a sidecar, so ``generate``, ``naturalise`` and
+a ``validate`` that reads no sidecar never load it.  ``naturalise``
+stays an eager import of ``cli`` because the benchmark's
+``tracing.install`` finds it in ``sys.modules`` after importing
+``pcfgset.cli`` and then ``generation`` and ``harness``; ``harness``
+brings ``suite`` in.  Each check runs in a fresh interpreter, since this
+one has these modules loaded.
 """
 
 import os
@@ -49,6 +54,24 @@ with tempfile.TemporaryDirectory() as tmp:
     cli.main(["testbuild", "--test", "productivity", "--base", tmp + "/base",
               "--out", tmp + "/prod", "--seed", "1", "--threshold", "3"])
 """
+
+VALIDATE = """
+import tempfile
+from pcfgset import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cli.main(["generate", "--seed", "1", "--size", "200", "--out", tmp + "/base"])
+    assert cli.main(["validate", "--data", tmp + "/base"]) == 0
+"""
+
+NATURALISE = """
+import tempfile
+from pcfgset import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cli.main(["naturalise", "--seed", "0", "--sample-size", "500", "--out", tmp + "/n"])
+"""
+
+# what the benchmark's tracing.install imports before it wraps functions
+TRACER = "import pcfgset.cli\nfrom pcfgset import generation, harness"
 
 EVAL = """
 import tempfile
@@ -152,3 +175,21 @@ def test_the_command_line_module_still_loads_naturalise():
     # tracing.install imports pcfgset.cli, then wraps the functions of the
     # pcfgset.naturalise it reads from sys.modules
     assert loaded_after(IMPORT_ONLY, {"pcfgset.naturalise"}) == {"pcfgset.naturalise"}
+
+
+@pytest.mark.parametrize("code", [IMPORT_ONLY, GENERATE, VALIDATE, NATURALISE],
+                         ids=["import", "generate", "validate", "naturalise"])
+def test_only_testbuild_and_eval_load_the_suite(code):
+    assert loaded_after(code, {"pcfgset.suite"}) == set()
+
+
+@pytest.mark.parametrize("code", [VALIDATE_AND_TESTBUILD, EVAL], ids=["testbuild", "eval"])
+def test_testbuild_and_eval_load_the_suite(code):
+    # so that a misspelt name cannot make the test above pass
+    assert loaded_after(code, {"pcfgset.suite"}) == {"pcfgset.suite"}
+
+
+def test_the_tracer_imports_load_every_module_it_wraps():
+    wrapped = {f"pcfgset.{name}" for name in
+               ("generation", "corpus_io", "suite", "harness", "metrics", "naturalise")}
+    assert loaded_after(TRACER, wrapped) == wrapped
