@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import corpus_io
 from .generation import (
+    MAX_ARG_LEN,
     Corpus,
     ExhaustedUniqueArguments,
     GrammarParams,
@@ -54,10 +55,10 @@ if TYPE_CHECKING:
     from .harness import EvaluationReport
 
 OVERGEN_PERCENTAGES = (0.0001, 0.0005, 0.001, 0.005)
-LENGTH_GEN_DEFAULT_LENGTHS = tuple(range(1, 13))
 # the longest argument length-gen can probe: a fresh source draws distinct
-# literals, and a binary function's other argument takes up to 5 of them
-MAX_PROBE_LENGTH = len(LITERALS) - 5
+# literals, and a binary function's other argument takes up to MAX_ARG_LEN
+# of them
+MAX_PROBE_LENGTH = len(LITERALS) - MAX_ARG_LEN
 
 
 def reference_spec_path() -> Path:
@@ -221,7 +222,7 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
     )
     subset = subsample_to_match(pool, spec, unit, substream(seed, "degenerate-match"))
     subset = _drop_constraint_violations(subset)
-    params = mle_estimate(subset, max_arg_len=5)
+    params = mle_estimate(subset)
     corpus_io.write_params(out / "params.json", params)
     write_kl_trace(out / "kl_trace.csv", ())
     corpus_io.write_corpus(out, subset)

@@ -151,10 +151,16 @@ def verify_manifest(directory: Path | str) -> list[str]:
         manifest = _manifest(manifest_path)
     except ValueError as exc:
         return [str(exc)]
+    return _hash_problems(directory, manifest)
+
+
+def _hash_problems(directory: Path, manifest: dict) -> list[str]:
+    """The files of ``directory`` whose hashes disagree with the parsed
+    manifest, or are missing, in words."""
     problems = []
     hashes = manifest.get("hashes")
     if not isinstance(hashes, dict):
-        return [f"{manifest_path}: no hash table"]
+        return [f"{directory / 'manifest.json'}: no hash table"]
     for name, want in sorted(hashes.items()):
         path = directory / name
         if not path.exists():
@@ -179,32 +185,36 @@ def read_corpus(
     directory: Path | str,
     *,
     splits: Sequence[str] | None = None,
-    verify: bool = True,
 ) -> Corpus:
     """Load a corpus directory back into memory.
 
     Sources are folded to check them and compute their stats, but not
     evaluated; targets are taken verbatim from the .tgt files (they may
     deliberately disagree with the evaluator, as in exception training
-    sets).  When a
+    sets).  When a manifest.json is present the files must match its
+    hashes, or ManifestError is raised.  When a
     synonyms.json sidecar is present the registry is extended with it
     automatically.  A line that is not UTF-8 or a source line that does
     not parse raises MalformedLine naming the file and line.
     """
     directory = Path(directory)
-    if verify and (directory / "manifest.json").exists():
-        problems = verify_manifest(directory)
+    manifest_path = directory / "manifest.json"
+    manifest = None
+    if manifest_path.exists():
+        try:
+            manifest = _manifest(manifest_path)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
+        problems = _hash_problems(directory, manifest)
         if problems:
             raise ManifestError("; ".join(problems))
     registry = registry_for_directory(directory)
     names = list(splits) if splits is not None else discover_splits(directory)
     if not names:
         raise FileNotFoundError(f"{directory}: no .src files found")
-    manifest_path = directory / "manifest.json"
     seed = None
     params = None
-    if manifest_path.exists():
-        manifest = _manifest(manifest_path)
+    if manifest is not None:
         seed = manifest.get("seed")
         raw_params = manifest.get("params")
         if raw_params is not None:
@@ -229,15 +239,12 @@ def read_corpus(
     return Corpus(samples=samples, seed=seed, params=params, splits=positions)
 
 
-def registry_for_directory(
-    directory: Path | str,
-    base: FunctionRegistry = DEFAULT_REGISTRY,
-) -> FunctionRegistry:
+def registry_for_directory(directory: Path | str) -> FunctionRegistry:
     """Extend the registry with the directory's synonym sidecar if present."""
     sidecar = Path(directory) / "synonyms.json"
     if sidecar.exists():
-        return read_synonyms(sidecar).registry(base)
-    return base
+        return read_synonyms(sidecar).registry()
+    return DEFAULT_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +338,8 @@ def read_exceptions(path: Path | str) -> list[ExceptionEntry]:
 
 
 def write_predictions(path: Path | str, predictions: Iterable[Sequence[str] | None]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for prediction in predictions:
-            handle.write("" if prediction is None else " ".join(prediction))
-            handle.write("\n")
+    """One token line per prediction; a failed prediction (None) is an empty line."""
+    write_token_file(path, (() if p is None else p for p in predictions))
 
 
 _CHECKPOINT_RE = re.compile(r"^(\d+)_(.+)\.pred$")

@@ -31,6 +31,10 @@ from .language import (
 )
 
 MAX_RECURSION_DEFAULT = 25
+# an ordinary string argument is 1 to MAX_ARG_LEN symbols long
+MAX_ARG_LEN = 5
+# consecutive rejected draws after which generate_corpus gives up
+MAX_REJECTS = 100_000
 
 
 class ExhaustedUniqueArguments(Exception):
@@ -79,7 +83,7 @@ class GrammarParams(NamedTuple("GrammarParams", [
 
     def __new__(cls, p_unary: float, p_binary: float, p_leaf: float,
                 fn_weights: dict[str, float], arg_len_dist: dict[int, float],
-                max_arg_len: int = 5):
+                max_arg_len: int = MAX_ARG_LEN):
         self = super().__new__(cls, p_unary, p_binary, p_leaf, fn_weights, arg_len_dist,
                                max_arg_len)
         # written so that NaN, which fails every comparison, fails each check
@@ -147,7 +151,7 @@ class GrammarParams(NamedTuple("GrammarParams", [
                 p_leaf=float(d["p_leaf"]),
                 fn_weights={k: float(v) for k, v in d["fn_weights"].items()},
                 arg_len_dist={int(k): float(v) for k, v in d["arg_len_dist"].items()},
-                max_arg_len=int(d.get("max_arg_len", 5)),
+                max_arg_len=int(d.get("max_arg_len", MAX_ARG_LEN)),
             )
         except TypeError as exc:  # a value such as null or a list
             raise ValueError(str(exc)) from None
@@ -461,7 +465,6 @@ def generate_corpus(
     rng: random.Random | None = None,
     *,
     seed: int | None = None,
-    max_rejects: int = 100_000,
 ) -> Corpus:
     """Sample ``n`` distinct pairs under the uniqueness constraints.
 
@@ -469,7 +472,7 @@ def generate_corpus(
     within one sample, and every string argument of two or more symbols is
     used at most once across the entire corpus.  Violations, and draws
     whose value would be longer than MAX_OUTPUT_LENGTH, are resolved by
-    rejection; ``max_rejects`` consecutive rejections raise
+    rejection; MAX_REJECTS consecutive rejections raise
     ExhaustedUniqueArguments.  Draws come from ``rng``, or, without one,
     from ``random.Random(seed)``.
     """
@@ -483,9 +486,9 @@ def generate_corpus(
         src = sample_tree(params, rng, tables=tables)
         if _too_long(src) or ledger.admit(src, f"sample {len(samples)}") is not None:
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise ExhaustedUniqueArguments(
-                    f"{max_rejects} consecutive rejections at {len(samples)} samples"
+                    f"{MAX_REJECTS} consecutive rejections at {len(samples)} samples"
                 )
             continue
         rejects = 0
@@ -529,7 +532,7 @@ def make_primitive_length_corpus(
 
     For binary functions only the argument selected by ``vary_arg`` takes
     the probed length; the other argument keeps an ordinary length drawn
-    from 1..5.  Literals never repeat within a sample.
+    from 1..MAX_ARG_LEN.  Literals never repeat within a sample.
     """
     fn = DEFAULT_REGISTRY.lookup(fn_name)
     if fn.arity == 2 and vary_arg not in (0, 1):
@@ -541,7 +544,7 @@ def make_primitive_length_corpus(
         for _ in range(per_length):
             lengths = [length]
             if fn.arity == 2:
-                lengths.insert(1 - vary_arg, rng.randint(1, 5))
+                lengths.insert(1 - vary_arg, rng.randint(1, MAX_ARG_LEN))
             samples.append(Sample.from_src(fresh_source([fn_name], lengths, rng)))
     return Corpus(samples)
 
@@ -567,5 +570,4 @@ _DEFAULT_PARAMS = GrammarParams(
         "remove_second": 0.30,
     },
     arg_len_dist={1: 0.2, 2: 0.2, 3: 0.2, 4: 0.2, 5: 0.2},
-    max_arg_len=5,
 )

@@ -172,6 +172,10 @@ _NO_LINE = object()
 # The most one read of a child's stdout takes: a pipe's default capacity.
 READ_SIZE = 65536
 
+# How often a request is retried, each time in a restarted child, after
+# its child exited.
+MAX_RESTARTS = 3
+
 
 class _Worker:
     """One child process speaking the line protocol.
@@ -318,7 +322,7 @@ class SubprocessAdapter(ModelAdapter):
 
     The child reads one source line from stdin and must answer with exactly
     one prediction line on stdout, flushed.  A crashed child is restarted
-    and the request retried up to max_restarts times.  A batch is served
+    and the request retried up to MAX_RESTARTS times.  A batch is served
     by a fixed pool of jobs children, each on its own thread, with sources
     assigned round-robin by index, so results do not depend on thread
     timing.
@@ -329,7 +333,6 @@ class SubprocessAdapter(ModelAdapter):
         command: str | Sequence[str],
         timeout_s: float = 30.0,
         jobs: int = 1,
-        max_restarts: int = 3,
     ):
         if isinstance(command, str):
             argv = shlex.split(command)
@@ -339,25 +342,18 @@ class SubprocessAdapter(ModelAdapter):
             raise ValueError("command must not be empty")
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
         self.argv = argv
         self.timeout_s = timeout_s
         self.jobs = jobs
-        self.max_restarts = max_restarts
         self.workers = [_Worker(argv, timeout_s) for _ in range(jobs)]
         self.name = f"cmd:{' '.join(argv)}"
 
     def _ask(self, worker: _Worker, src: Sequence[str] | str) -> list[str]:
         text = " ".join(_coerce_src(src))
-        attempts = self.max_restarts + 1
-        for attempt in range(attempts):
-            try:
+        for _ in range(MAX_RESTARTS):
+            with contextlib.suppress(ChildExited):
                 return worker.ask(text).split()
-            except ChildExited:
-                if attempt == attempts - 1:
-                    raise
-        raise AssertionError("unreachable")
+        return worker.ask(text).split()
 
     def predict(self, src: Sequence[str] | str) -> list[str]:
         return self._ask(self.workers[0], src)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .generation import (
+    MAX_ARG_LEN,
     Corpus,
     DrawTables,
     GrammarParams,
@@ -34,9 +35,8 @@ from .seeding import subseed, substream
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_ITERS = 5
+# the most positions one random-probability draw expands
 RANDOM_SAMPLE_NODE_BUDGET = 2_000
-# the longest leaf a pool draws and a refit allows
-MAX_ARG_LEN = 5
 
 
 class EmptyAnchorCell(Exception):
@@ -56,12 +56,15 @@ class DistributionSpec(NamedTuple("DistributionSpec",
     """Reference histogram over (length, depth) cells.
 
     CSV format: header ``length,depth,count`` then one row per cell.
-    Zero-count rows are accepted on read and dropped.
+    Zero-count rows are accepted on read and dropped; a histogram needs at
+    least one cell.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries: tuple[tuple[int, int, int], ...]):
+        if not entries:
+            raise ValueError("no cell with a positive count")
         seen = set()
         for length, depth, count in entries:
             if length < 1 or depth < 0 or count < 1:
@@ -99,7 +102,10 @@ class DistributionSpec(NamedTuple("DistributionSpec",
                 if min(l, d, c) < 0:
                     raise ValueError(f"{path}:{lineno}: negative value")
                 rows.append((l, d, c))
-        return cls.from_rows(rows)
+        try:
+            return cls.from_rows(rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, ["length", "depth", "count"], sorted(self.entries))
@@ -170,7 +176,6 @@ def random_probability_sample(
     candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
     *,
     rng: random.Random,
-    max_nodes: int = RANDOM_SAMPLE_NODE_BUDGET,
 ) -> Corpus:
     """The trees of ``n`` draws, each under freshly randomised
     probabilities, that some candidate can match to the reference.
@@ -178,7 +183,8 @@ def random_probability_sample(
     Per instance the production triple and the leaf-length distribution
     are drawn from symmetric Dirichlet(1) priors (uniform on the simplex),
     leaves being 1 to MAX_ARG_LEN symbols long; function weights stay
-    uniform.  No uniqueness constraints apply here:
+    uniform, and a draw expands at most RANDOM_SAMPLE_NODE_BUDGET
+    positions.  No uniqueness constraints apply here:
     the sample only exists to cover feature space.  A draw longer or
     deeper than ``support_bound(spec, candidate_configs)`` stops as soon as
     it passes the bound, and the corpus holds only the kept trees, in draw
@@ -202,7 +208,6 @@ def random_probability_sample(
         p_leaf=1 / 3,
         fn_weights={name: 1.0 for name in DEFAULT_REGISTRY.names()},
         arg_len_dist={k: 1 / MAX_ARG_LEN for k in range(1, MAX_ARG_LEN + 1)},
-        max_arg_len=MAX_ARG_LEN,
     ))
 
     samples = []
@@ -213,8 +218,8 @@ def random_probability_sample(
         instance.seed(subseed(base, "pool", i))
         kind_probs = _dirichlet(instance, 3)
         len_probs = _dirichlet(instance, MAX_ARG_LEN)
-        src = sample_tree(None, instance, max_nodes=max_nodes, bound=bound,
-                          tables=uniform.reweighted(kind_probs, len_probs))
+        src = sample_tree(None, instance, max_nodes=RANDOM_SAMPLE_NODE_BUDGET,
+                          bound=bound, tables=uniform.reweighted(kind_probs, len_probs))
         if src is not None:
             samples.append(Sample.from_src(src))
     return Corpus(samples)
@@ -353,11 +358,11 @@ def kl_gaussian(p: GaussianFit, q: GaussianFit) -> float:
 def select_increments(
     d_r: Corpus,
     d_n: DistributionSpec,
-    candidate_configs: Sequence[PartitionConfig] = DEFAULT_INCREMENT_GRID,
     *,
     rng: random.Random,
 ) -> tuple[PartitionConfig, Corpus, float]:
-    """Try every candidate bin width and keep the subsample with least KL.
+    """Try every bin width of DEFAULT_INCREMENT_GRID and keep the subsample
+    with least KL.
 
     Each candidate runs on its own derived substream, so the winner does
     not depend on evaluation order.  Ties go to the earliest candidate.
@@ -368,7 +373,7 @@ def select_increments(
     base = rng.getrandbits(64)
     reference = fit_gaussian_spec(d_n)
     best: tuple[PartitionConfig, Corpus, float] | None = None
-    for config in candidate_configs:
+    for config in DEFAULT_INCREMENT_GRID:
         sub_rng = substream(base, "increments", config.i_length, config.i_depth)
         try:
             subset = subsample_to_match(d_r, d_n, config, sub_rng)
@@ -380,21 +385,19 @@ def select_increments(
             best = (config, subset, kl)
     if best is None:
         raise EmptyAnchorCell(f"no sample in the largest reference cell under any of "
-                              f"{len(candidate_configs)} candidate increments")
+                              f"{len(DEFAULT_INCREMENT_GRID)} candidate increments")
     return best
 
 
-def mle_estimate(
-    corpus: Corpus,
-    *,
-    max_arg_len: int | None = None,
-) -> GrammarParams:
+def mle_estimate(corpus: Corpus) -> GrammarParams:
     """Maximum-likelihood grammar parameters from observed sources.
 
     Counts every tree position (including roots) as one expansion of the
     three-way choice; function identities and leaf lengths are counted
     within their own distributions.  Every category receives add-one
-    smoothing, so choices never observed keep a small positive mass.
+    smoothing, so choices never observed keep a small positive mass;
+    leaf lengths range over 1..MAX_ARG_LEN, and a longer observed leaf
+    raises ValueError.
     The positions are read off the tokens: each function token heads one
     application and each maximal literal run is one leaf.
     """
@@ -425,13 +428,12 @@ def mle_estimate(
     for name in binary_names:
         fn_weights[name] = (fn_counts.get(name, 0) + 1) / b_total
 
-    observed_max = max(len_counts) if len_counts else 1
-    support = max_arg_len or observed_max
-    if observed_max > support:
-        raise ValueError(f"leaf of length {observed_max} exceeds max_arg_len {support}")
-    l_total = sum(len_counts.values()) + support
+    observed_max = max(len_counts, default=1)
+    if observed_max > MAX_ARG_LEN:
+        raise ValueError(f"leaf of length {observed_max} exceeds max_arg_len {MAX_ARG_LEN}")
+    l_total = sum(len_counts.values()) + MAX_ARG_LEN
     arg_len_dist = {
-        k: (len_counts.get(k, 0) + 1) / l_total for k in range(1, support + 1)
+        k: (len_counts.get(k, 0) + 1) / l_total for k in range(1, MAX_ARG_LEN + 1)
     }
     return GrammarParams(
         p_unary=p_unary,
@@ -439,7 +441,6 @@ def mle_estimate(
         p_leaf=p_leaf,
         fn_weights=fn_weights,
         arg_len_dist=arg_len_dist,
-        max_arg_len=support,
     )
 
 
@@ -521,7 +522,7 @@ def naturalise_pipeline(
                 fit_gaussian(extract_features(current)), reference
             )
         if params is None or kl < best_kl:
-            params = mle_estimate(subset, max_arg_len=MAX_ARG_LEN)
+            params = mle_estimate(subset)
             corpus = generate_corpus(params, regenerate_size, substream(base, "regen", iteration))
             improvement = best_kl - kl
             best_kl = kl

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .generation import Corpus, Sample, UniquenessLedger, fresh_source, round_half_up
+from .generation import (MAX_ARG_LEN, Corpus, Sample, UniquenessLedger, fresh_source,
+                         round_half_up)
 from .language import DEFAULT_REGISTRY, FunctionRegistry, FunctionSymbol, evaluate, fold, interpret
 
 
@@ -132,8 +133,8 @@ class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ..
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
 
-    def registry(self, base: FunctionRegistry = DEFAULT_REGISTRY) -> FunctionRegistry:
-        return base.with_synonyms(self.as_dict())
+    def registry(self) -> FunctionRegistry:
+        return DEFAULT_REGISTRY.with_synonyms(self.as_dict())
 
 
 def substitutivity_equal(
@@ -193,10 +194,10 @@ def substitutivity_primitive(
     """Add primitive synonym samples instead of rewriting.
 
     Per base function, round(fraction * |train|) fresh one-function
-    samples ``F_syn <args>`` are appended, each argument of length 1..5,
-    with arguments respecting the corpus constraints (no literal repeats
-    inside a sample, no reuse of a multi-symbol argument seen anywhere in
-    train or among the additions).  A synonym whose next
+    samples ``F_syn <args>`` are appended, each argument of length
+    1..MAX_ARG_LEN, with arguments respecting the corpus constraints (no
+    literal repeats inside a sample, no reuse of a multi-symbol argument
+    seen anywhere in train or among the additions).  A synonym whose next
     PLACEMENT_ATTEMPTS drawn sources all break a constraint raises
     RuntimeError.
     """
@@ -214,7 +215,7 @@ def substitutivity_primitive(
             attempts += 1
             if attempts > PLACEMENT_ATTEMPTS:
                 raise RuntimeError(f"could not place fresh arguments for {syn}")
-            lengths = [rng.randint(1, 5) for _ in range(arity)]
+            lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(arity)]
             src = fresh_source([syn], lengths, rng)
             if ledger.admit(src, f"sample {len(train) + len(added)}") is not None:
                 continue
@@ -259,9 +260,9 @@ def make_consistency_pairs(
 
 # --- overgeneralisation ------------------------------------------------------
 
-ExceptionRemap = dict[tuple[str, str], tuple[str, str]]
-
-DEFAULT_EXCEPTION_REMAP: ExceptionRemap = {
+# Each row keeps its members' arities, and a function that two rows remap
+# (reverse, echo, prepend, remove_first) takes the same meaning in both.
+DEFAULT_EXCEPTION_REMAP = {
     ("reverse", "echo"): ("echo", "copy"),
     ("prepend", "remove_first"): ("remove_second", "append"),
     ("echo", "remove_first"): ("copy", "append"),
@@ -269,41 +270,23 @@ DEFAULT_EXCEPTION_REMAP: ExceptionRemap = {
 }
 
 
-def _check_remap(remap: ExceptionRemap) -> None:
-    for (outer, inner), (outer_new, inner_new) in remap.items():
-        for a, b in ((outer, outer_new), (inner, inner_new)):
-            if DEFAULT_REGISTRY.lookup(a).arity != DEFAULT_REGISTRY.lookup(b).arity:
-                raise ValueError(f"remap {a}->{b} changes arity")
-
-
-def exception_evaluate(
-    src: Sequence[str], remap: ExceptionRemap | None = None
-) -> tuple[str, ...]:
+def exception_evaluate(src: Sequence[str]) -> tuple[str, ...]:
     """Evaluate with pair exceptions applied.
 
-    Wherever a remapped pair occurs as a function immediately followed by
-    another function (parent and first child), both members take their
-    replacement meanings for that occurrence.  Matching is decided on the
-    original source, so overlapping pairs each contribute a substitution;
-    a custom table whose overlaps disagree on some member is rejected.
+    Wherever a pair of DEFAULT_EXCEPTION_REMAP occurs as a function
+    immediately followed by another function (parent and first child),
+    both members take their replacement meanings for that occurrence.
+    Matching is decided on the original source, so overlapping pairs each
+    contribute a substitution, and they agree on the function they share.
     """
-    remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
-    _check_remap(remap)
-    # per function position: the meaning its pair as outer member (own)
-    # and as inner member (forced) gives it
-    own: dict[int, str] = {}
-    forced: dict[int, str] = {}
+    # per function position, the meaning a remapped pair gives it
+    meanings: dict[int, str] = {}
     for i, pair in enumerate(zip(src, src[1:])):
-        if pair in remap:
-            own[i], forced[i + 1] = remap[pair]
+        if pair in DEFAULT_EXCEPTION_REMAP:
+            meanings[i], meanings[i + 1] = DEFAULT_EXCEPTION_REMAP[pair]
 
     def apply(fn: FunctionSymbol, position: int, args: list) -> tuple[str, ...]:
-        mine, given = own.get(position), forced.get(position)
-        if mine is not None and given is not None and mine != given:
-            raise ValueError(
-                f"conflicting exception remaps for {fn.name!r}: {given!r} vs {mine!r}"
-            )
-        meaning = mine or given
+        meaning = meanings.get(position)
         return interpret(DEFAULT_REGISTRY.lookup(meaning) if meaning else fn, position, args)
 
     return fold(src, DEFAULT_REGISTRY, apply)[1]
@@ -323,22 +306,20 @@ class ExceptionEntry(NamedTuple):
 
 def exceptions_apply(
     train: Corpus,
-    remap: ExceptionRemap | None = None,
     percentage: float = 0.001,
     *,
     rng: random.Random,
 ) -> tuple[Corpus, list[ExceptionEntry]]:
     """Plant exception targets in the train side.
 
-    Per pair, the exception count is round(percentage * occurrences of the
-    rarer member function, counted token-wise over train).  That many
-    pair-containing samples get their target rewritten to the exception
-    interpretation; if too few exist, fresh minimal sources ``outer inner
-    <args>``, each argument of length 1..5, are synthesised and appended.
-    A sample serves at most one pair.
+    Per pair of DEFAULT_EXCEPTION_REMAP, the exception count is
+    round(percentage * occurrences of the rarer member function, counted
+    token-wise over train).  That many pair-containing samples get their
+    target rewritten to the exception interpretation; if too few exist,
+    fresh minimal sources ``outer inner <args>``, each argument of length
+    1..MAX_ARG_LEN, are synthesised and appended.  A sample serves at most
+    one pair.
     """
-    remap = DEFAULT_EXCEPTION_REMAP if remap is None else remap
-    _check_remap(remap)
     fn_counts: dict[str, int] = {}
     for s in train:
         for tok in s.src:
@@ -346,7 +327,7 @@ def exceptions_apply(
                 fn_counts[tok] = fn_counts.get(tok, 0) + 1
     samples = list(train.samples)
     # per remapped pair, the ascending positions of the samples holding it
-    holders: dict[tuple[str, str], list[int]] = {pair: [] for pair in remap}
+    holders: dict[tuple[str, str], list[int]] = {p: [] for p in DEFAULT_EXCEPTION_REMAP}
 
     def index(pos: int, src: Sequence[str]) -> None:
         for pair in zip(src, src[1:]):
@@ -360,7 +341,7 @@ def exceptions_apply(
     taken: set[int] = set()
     entries: list[ExceptionEntry] = []
 
-    for (outer, inner) in remap:
+    for (outer, inner) in DEFAULT_EXCEPTION_REMAP:
         k = round_half_up(
             percentage * min(fn_counts.get(outer, 0), fn_counts.get(inner, 0))
         )
@@ -373,7 +354,7 @@ def exceptions_apply(
             chosen = list(candidates)
             n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
             while len(chosen) < k:
-                lengths = [rng.randint(1, 5) for _ in range(n_args)]
+                lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(n_args)]
                 src = fresh_source([outer, inner], lengths, rng)
                 if ledger.admit(src, f"sample {len(samples)}") is not None:
                     continue
@@ -382,7 +363,7 @@ def exceptions_apply(
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]
-            exc = exception_evaluate(s.src, remap)
+            exc = exception_evaluate(s.src)
             samples[pos] = s._replace(tgt=exc)
             taken.add(pos)
             entries.append(

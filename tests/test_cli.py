@@ -7,7 +7,6 @@ rewrites, round(pct * occurrences) exception counts).
 
 import contextlib
 import csv
-import functools
 import io
 import json
 import random
@@ -79,8 +78,7 @@ def test_generate_exhausted_ends_in_one_line(tmp_path, monkeypatch):
     params = {"p_unary": 1.0, "p_binary": 0.0, "p_leaf": 0.0,
               "fn_weights": {"repeat": 1.0, "append": 1.0}, "arg_len_dist": {"1": 1.0}}
     (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
-    monkeypatch.setattr(cli, "generate_corpus",
-                        functools.partial(generation.generate_corpus, max_rejects=20))
+    monkeypatch.setattr(generation, "MAX_REJECTS", 20)
     with pytest.raises(SystemExit) as ei:
         run_cli("generate", "--seed", 0, "--size", 5, "--out", tmp_path / "c",
                 "--params", tmp_path / "p.json")
@@ -786,6 +784,10 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
      "naturalise failed: {tmp}/bad.csv: expected header 'length,depth,count'"),
     (["naturalise", "--seed", "0", "--out", "{tmp}/n", "--spec", "{tmp}/nope.csv"],
      "naturalise failed: " + MISSING),
+    (["naturalise", "--seed", "0", "--out", "{tmp}/n", "--spec", "{tmp}/header.csv"],
+     "naturalise failed: {tmp}/header.csv: no cell with a positive count"),
+    (["naturalise", "--seed", "0", "--out", "{tmp}/n", "--spec", "{tmp}/zeros.csv"],
+     "naturalise failed: {tmp}/zeros.csv: no cell with a positive count"),
     (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/bad.json"],
      "testbuild failed: " + BAD_JSON),
     (["testbuild", "--test", "systematicity", *BASE, "--pairs", "{tmp}/unknown.json"],
@@ -820,7 +822,8 @@ BASE = ["--base", "{tmp}/base", "--out", "{tmp}/tb", "--seed", "1"]
     (["generate", "--seed", "0", "--size", "50", "--out", "{tmp}/g", "--params", "{tmp}/wide.json"],
      "generate failed: {tmp}/wide.json: leaf length 600 is over the 520 literals a sample can hold"),
 ], ids=["generate-params-bad-json", "generate-params-missing", "generate-params-not-utf8",
-        "naturalise-spec-bad-header", "naturalise-spec-missing", "testbuild-pairs-bad-json",
+        "naturalise-spec-bad-header", "naturalise-spec-missing", "naturalise-spec-header-only",
+        "naturalise-spec-zero-counts", "testbuild-pairs-bad-json",
         "testbuild-pairs-unknown-function", "testbuild-synonyms-bad-json",
         "testbuild-synonyms-unknown-function", "validate-exceptions-bad-json",
         "oracle-synonyms-bad-json", "generate-params-missing-keys", "generate-params-not-an-object",
@@ -832,6 +835,8 @@ def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     (tmp_path / "bad.json").write_text("{bad\n", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes(b"\xff\n")
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    (tmp_path / "header.csv").write_text("length,depth,count\n", encoding="utf-8")
+    (tmp_path / "zeros.csv").write_text("length,depth,count\n3,1,0\n7,2,0\n", encoding="utf-8")
     (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
     unknown = [{"outer": "nope", "inner": "copy"}] if "--pairs" in argv else {"nope": "x"}
     (tmp_path / "unknown.json").write_text(json.dumps(unknown), encoding="utf-8")
@@ -846,6 +851,8 @@ def test_a_bad_file_argument_ends_in_one_line(tmp_path, argv, message):
     with pytest.raises(SystemExit) as ei:
         run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert ei.value.code == message.format(tmp=tmp_path, ext=ext)
+    # the command failed before it made its output directory
+    assert not any((tmp_path / out).exists() for out in ("g", "n", "tb"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -124,7 +124,9 @@ def test_corrupted_file_fails_verification(tmp_path):
     assert len(problems) == 1 and "hash mismatch" in problems[0]
     with pytest.raises(ManifestError):
         read_corpus(tmp_path)
-    relaxed = read_corpus(tmp_path, verify=False)
+    # without a manifest nothing is verified
+    (tmp_path / "manifest.json").unlink()
+    relaxed = read_corpus(tmp_path)
     assert relaxed.samples[1].src == ("copy", "D")
 
 
@@ -139,19 +141,24 @@ def test_a_manifest_of_the_wrong_shape_is_named(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[]\n", encoding="utf-8")
     assert verify_manifest(tmp_path) == [f"{manifest}: expected a JSON object, got list"]
-    with pytest.raises(ValueError, match="expected a JSON object, got list"):
-        read_corpus(tmp_path, verify=False)
-    manifest.write_text(json.dumps({"params": {"p_unary": 1}}), encoding="utf-8")
+    with pytest.raises(ManifestError) as ei:
+        read_corpus(tmp_path)
+    assert str(ei.value) == f"{manifest}: expected a JSON object, got list"
+    # hashes that match and params of the wrong shape
+    hashes = {name: file_sha256(tmp_path / name) for name in ("all.src", "all.tgt")}
+    manifest.write_text(json.dumps({"hashes": hashes, "params": {"p_unary": 1}}),
+                        encoding="utf-8")
     with pytest.raises(ValueError) as ei:
-        read_corpus(tmp_path, verify=False)
+        read_corpus(tmp_path)
     assert str(ei.value) == f"{manifest}: missing p_binary, p_leaf, fn_weights, arg_len_dist"
 
 
 def test_read_corpus_line_count_mismatch(tmp_path):
     write_corpus(tmp_path, corpus_of(["swap A B", "copy C"]))
     (tmp_path / "all.tgt").write_text("B A\n", encoding="utf-8")
-    with pytest.raises(ManifestError):
-        read_corpus(tmp_path, verify=False)
+    (tmp_path / "manifest.json").unlink()
+    with pytest.raises(ManifestError, match="2 src lines vs 1 tgt lines"):
+        read_corpus(tmp_path)
 
 
 def test_read_corpus_names_a_line_that_does_not_parse(tmp_path):

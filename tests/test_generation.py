@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcfgset import generation
 from pcfgset.generation import (
     Alphabet,
     Corpus,
@@ -273,22 +274,24 @@ def test_generate_corpus_deterministic_by_seed():
     assert [s.src for s in a] != [s.src for s in c]
 
 
-def test_generate_corpus_exhaustion():
+def test_generate_corpus_exhaustion(monkeypatch):
     # Every draw is 25 nested copies of a one-symbol leaf, the recursion
     # cap forcing the leaf, so the 520 literals admit at most 520 distinct
     # sources and a corpus of 521 cannot exist.
     params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0,
                             fn_weights={"copy": 1.0, "append": 1.0}, arg_len_dist={1: 1.0})
+    monkeypatch.setattr(generation, "MAX_REJECTS", 500)
     with pytest.raises(ExhaustedUniqueArguments, match="500 consecutive rejections"):
-        generate_corpus(params, 521, rng=random.Random(0), max_rejects=500)
+        generate_corpus(params, 521, rng=random.Random(0))
 
 
-def test_a_draw_too_long_to_evaluate_is_a_rejection():
+def test_a_draw_too_long_to_evaluate_is_a_rejection(monkeypatch):
     # every draw is 25 nested repeats: a value of at least 2**25 symbols
     params = uniform_params(p_unary=1.0, p_binary=0.0, p_leaf=0.0,
                             fn_weights={"repeat": 1.0, "append": 1.0})
+    monkeypatch.setattr(generation, "MAX_REJECTS", 20)
     with pytest.raises(ExhaustedUniqueArguments, match="20 consecutive rejections at 0"):
-        generate_corpus(params, 1, rng=random.Random(0), max_rejects=20)
+        generate_corpus(params, 1, rng=random.Random(0))
 
 
 def test_a_draw_is_too_long_exactly_when_its_value_fold_says_so():

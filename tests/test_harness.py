@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfgset import harness
 from pcfgset.generation import (
     GrammarParams,
     generate_corpus,
@@ -414,8 +415,9 @@ class TestSubprocessAdapter:
             with pytest.raises(Timeout):
                 adapter.predict("copy A")
 
-    def test_dead_child_raises_child_exited(self):
-        with SubprocessAdapter(child(DIE_CHILD), timeout_s=5.0, max_restarts=2) as adapter:
+    def test_dead_child_raises_child_exited(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_RESTARTS", 2)
+        with SubprocessAdapter(child(DIE_CHILD), timeout_s=5.0) as adapter:
             with pytest.raises(ChildExited):
                 adapter.predict("copy A")
 
@@ -441,12 +443,12 @@ class TestSubprocessAdapter:
                 time.sleep(0.3)
                 adapter.predict("copy B")
 
-    def test_a_reply_line_without_end_stops_at_the_limit(self):
+    def test_a_reply_line_without_end_stops_at_the_limit(self, monkeypatch):
         # 6,000,000 characters and no newline: more than the longest valid reply
         endless = ("import sys; sys.stdin.readline(); "
                    "sys.stdout.write('A' * 6_000_000); sys.stdout.flush(); sys.stdin.read()")
-        with SubprocessAdapter([sys.executable, "-c", endless], timeout_s=30.0,
-                               max_restarts=0) as adapter:
+        monkeypatch.setattr(harness, "MAX_RESTARTS", 0)
+        with SubprocessAdapter([sys.executable, "-c", endless], timeout_s=30.0) as adapter:
             (result,) = adapter.predict_batch(["copy A"])
             assert adapter.workers[0].proc is None  # the child was stopped
         assert result.error == "ProtocolViolation"
@@ -529,12 +531,13 @@ MISBEHAVING_CHILDREN = {
 
 
 @pytest.mark.parametrize("name", sorted(MISBEHAVING_CHILDREN))
-def test_misbehaving_child_is_recorded_per_sample(name, tmp_path):
+def test_misbehaving_child_is_recorded_per_sample(name, tmp_path, monkeypatch):
     body, tags, started = MISBEHAVING_CHILDREN[name]
     starts = tmp_path / "starts"
     argv = [sys.executable, "-c", MISBEHAVING_PRELUDE + body, str(starts)]
     srcs = [f"copy {letter}" for letter in "ABCDE"]
-    with SubprocessAdapter(argv, timeout_s=2.0, jobs=1, max_restarts=2) as adapter:
+    monkeypatch.setattr(harness, "MAX_RESTARTS", 2)
+    with SubprocessAdapter(argv, timeout_s=2.0, jobs=1) as adapter:
         results = adapter.predict_batch(srcs)
     assert [r.error for r in results] == tags
     for src, result in zip(srcs, results):
@@ -543,7 +546,7 @@ def test_misbehaving_child_is_recorded_per_sample(name, tmp_path):
     assert len(starts.read_text()) == started
 
 
-def test_a_child_that_exits_mid_share_fails_only_its_own_request(tmp_path):
+def test_a_child_that_exits_mid_share_fails_only_its_own_request(tmp_path, monkeypatch):
     # worker 0 serves A, C and E; its child exits on C however often it is
     # restarted, and a fresh child then serves E
     starts = tmp_path / "starts"
@@ -552,7 +555,8 @@ def test_a_child_that_exits_mid_share_fails_only_its_own_request(tmp_path):
             "    print(line.strip(), flush=True)\n")
     argv = [sys.executable, "-c", MISBEHAVING_PRELUDE + body, str(starts)]
     srcs = [f"copy {letter}" for letter in "ABCDE"]
-    with SubprocessAdapter(argv, timeout_s=5.0, jobs=2, max_restarts=2) as adapter:
+    monkeypatch.setattr(harness, "MAX_RESTARTS", 2)
+    with SubprocessAdapter(argv, timeout_s=5.0, jobs=2) as adapter:
         results = adapter.predict_batch(srcs)
     assert [r.error for r in results] == [None, None, "ChildExited", None, None]
     assert [r.tokens for r in results] == [
@@ -581,14 +585,16 @@ def replying(*parts: bytes) -> list[str]:
     ((b"B A\r\n",), ["B", "A"]),
     ((b"B A\r", b"\n"), ["B", "A"]),
 ], ids=["utf8-split", "crlf", "crlf-split"])
-def test_a_reply_is_read_whole_whatever_its_parts(parts, tokens):
-    with SubprocessAdapter(replying(*parts), timeout_s=5.0, max_restarts=0) as adapter:
+def test_a_reply_is_read_whole_whatever_its_parts(parts, tokens, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_RESTARTS", 0)
+    with SubprocessAdapter(replying(*parts), timeout_s=5.0) as adapter:
         assert [adapter.predict("copy A"), adapter.predict("copy B")] == [tokens, tokens]
         assert adapter.workers[0].proc is not None  # neither reply stopped the child
 
 
-def test_a_lone_carriage_return_ends_a_line_as_in_text_mode():
-    with SubprocessAdapter(replying(b"B\rA\n"), timeout_s=5.0, max_restarts=0) as adapter:
+def test_a_lone_carriage_return_ends_a_line_as_in_text_mode(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_RESTARTS", 0)
+    with SubprocessAdapter(replying(b"B\rA\n"), timeout_s=5.0) as adapter:
         with pytest.raises(ProtocolViolation, match="extra output line: 'A'"):
             adapter.predict("copy A")
 
@@ -597,10 +603,10 @@ def test_a_lone_carriage_return_ends_a_line_as_in_text_mode():
     (MAX_REPLY_CHARS, None),
     (MAX_REPLY_CHARS + 1, "ProtocolViolation"),
 ])
-def test_the_reply_limit_counts_the_line_with_its_end(length, error):
+def test_the_reply_limit_counts_the_line_with_its_end(length, error, monkeypatch):
     body = f"sys.stdin.readline(); sys.stdout.write('A' * {length - 1} + '\\n'); sys.stdout.flush()"
-    with SubprocessAdapter(child("import sys; " + body), timeout_s=30.0,
-                           max_restarts=0) as adapter:
+    monkeypatch.setattr(harness, "MAX_RESTARTS", 0)
+    with SubprocessAdapter(child("import sys; " + body), timeout_s=30.0) as adapter:
         (result,) = adapter.predict_batch(["copy A"])
     assert result.error == error
     assert result.tokens == (None if error else ("A" * (length - 1),))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcfgset import naturalise
 from pcfgset.cli import reference_spec_path
 from pcfgset.generation import Corpus, GrammarParams, Sample, sample_tree
 from pcfgset.language import DEFAULT_REGISTRY, SequenceStats, fold
@@ -278,8 +279,7 @@ def test_select_increments_returns_grid_member_and_consistent_kl():
     )
     rng = random.Random(3)
     d_r = random_probability_sample(1200, d_n, rng=rng)
-    config, subset, kl = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID,
-                                           rng=random.Random(5))
+    config, subset, kl = select_increments(d_r, d_n, rng=random.Random(5))
     assert config in DEFAULT_INCREMENT_GRID
     refit = kl_gaussian(fit_gaussian(extract_features(subset)), fit_gaussian_spec(d_n))
     assert math.isclose(kl, refit, rel_tol=0, abs_tol=1e-12)
@@ -291,8 +291,7 @@ def test_select_increments_tie_prefers_first_candidate():
     # whole cells under any increments, so every candidate ties
     d_n = DistributionSpec.from_rows([(2, 1, 10), (4, 2, 10), (6, 3, 10), (9, 4, 10)])
     d_r = fake_corpus({(2, 1): 7, (4, 2): 7, (6, 3): 7, (9, 4): 7})
-    config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID,
-                                          rng=random.Random(0))
+    config, subset, _ = select_increments(d_r, d_n, rng=random.Random(0))
     assert config == DEFAULT_INCREMENT_GRID[0]
     assert len(subset) == 28
 
@@ -303,12 +302,11 @@ def test_select_increments_skips_candidates_with_an_empty_anchor_cell():
     d_r = fake_corpus({(4, 1): 6, (3, 1): 5, (7, 2): 5, (9, 3): 5})
     with pytest.raises(EmptyAnchorCell):
         subsample_to_match(d_r, d_n, PartitionConfig(1, 1), random.Random(0))
-    config, subset, _ = select_increments(d_r, d_n, DEFAULT_INCREMENT_GRID, rng=random.Random(0))
+    config, subset, _ = select_increments(d_r, d_n, rng=random.Random(0))
     assert config != PartitionConfig(1, 1)
     assert len(subset) > 0
     with pytest.raises(EmptyAnchorCell):
-        select_increments(fake_corpus({(20, 5): 10}), d_n, DEFAULT_INCREMENT_GRID,
-                          rng=random.Random(0))
+        select_increments(fake_corpus({(20, 5): 10}), d_n, rng=random.Random(0))
 
 
 # --- random probability sample ----------------------------------------------------
@@ -413,8 +411,9 @@ def test_random_probability_sample_deterministic():
     assert [s.src for s in a] == [s.src for s in b]
 
 
-def test_random_probability_sample_respects_node_budget():
-    corpus = random_probability_sample(40, bundled_spec(), rng=random.Random(9), max_nodes=50)
+def test_random_probability_sample_respects_node_budget(monkeypatch):
+    monkeypatch.setattr(naturalise, "RANDOM_SAMPLE_NODE_BUDGET", 50)
+    corpus = random_probability_sample(40, bundled_spec(), rng=random.Random(9))
     for s in corpus:
         n_leaves = len(s.tgt)  # not exact, but leaves <= symbols emitted
         assert s.stats.num_functions <= 50
@@ -439,10 +438,10 @@ def test_mle_hand_counts():
     # binary weights: append seen once -> (2, 1x3) / 5
     assert math.isclose(params.fn_weights["append"], 2 / 5)
     assert math.isclose(params.fn_weights["prepend"], 1 / 5)
-    # leaf lengths observed: one of length 2, two of length 1
-    assert params.max_arg_len == 2
-    assert math.isclose(params.arg_len_dist[1], 3 / 5)
-    assert math.isclose(params.arg_len_dist[2], 2 / 5)
+    # leaf lengths 1..5: two of length 1 and one of length 2 observed,
+    # add-one over five lengths -> (2+1, 1+1, 1, 1, 1) / 8
+    assert params.max_arg_len == 5
+    assert params.arg_len_dist == pytest.approx({1: 3 / 8, 2: 2 / 8, 3: 1 / 8, 4: 1 / 8, 5: 1 / 8})
 
 
 def test_mle_counts_equal_a_walk_over_the_parsed_trees():
@@ -463,7 +462,7 @@ def test_mle_counts_equal_a_walk_over_the_parsed_trees():
     for s in pool:
         fold(s.src, apply=count)
     total = n_unary + n_binary + sum(len_counts.values())
-    params = mle_estimate(pool, max_arg_len=5)
+    params = mle_estimate(pool)
     assert params.p_unary == (n_unary + 1) / (total + 3)
     assert params.p_binary == (n_binary + 1) / (total + 3)
     unary_total = sum(fn_counts.get(n, 0) for n in DEFAULT_REGISTRY.unary_names()) + 6
@@ -498,7 +497,7 @@ def test_mle_recovers_known_params():
         Sample.from_src(sample_tree(true, rng, force_function=False))
         for _ in range(30_000)
     ]
-    est = mle_estimate(Corpus(samples), max_arg_len=5)
+    est = mle_estimate(Corpus(samples))
     tv_expansion = 0.5 * (
         abs(est.p_unary - true.p_unary)
         + abs(est.p_binary - true.p_binary)
@@ -514,6 +513,12 @@ def test_mle_recovers_known_params():
 def test_mle_rejects_empty():
     with pytest.raises(ValueError):
         mle_estimate(Corpus([]))
+
+
+def test_mle_refuses_a_leaf_longer_than_max_arg_len():
+    samples = [Sample.from_src("copy A B C D E F".split())]
+    with pytest.raises(ValueError, match="^leaf of length 6 exceeds max_arg_len 5$"):
+        mle_estimate(Corpus(samples))
 
 
 # --- pipeline -----------------------------------------------------------------------

@@ -119,6 +119,7 @@ def test_grammar_params_compare_by_value_and_stay_unhashable():
     (lambda: Alphabet(()), "alphabet must not be empty"),
     (lambda: DistributionSpec(((0, 1, 1),)), "bad entry (0, 1, 1)"),
     (lambda: DistributionSpec(((1, 0, 1), (1, 0, 2))), "duplicate cell (1, 0)"),
+    (lambda: DistributionSpec(()), "no cell with a positive count"),
     (lambda: PartitionConfig(0, 1), "increments must be positive integers"),
     (lambda: HeldOutPair("swap", "nope"), "unknown function 'nope'"),
     (lambda: SynonymMap((("nope", "x"),)), "unknown function 'nope'"),

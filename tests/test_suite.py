@@ -9,8 +9,9 @@ import random
 import pytest
 
 from pcfgset.generation import Corpus, Sample, leaf_tuples
-from pcfgset.language import evaluate, parse
+from pcfgset.language import DEFAULT_REGISTRY, evaluate, parse
 from pcfgset.suite import (
+    DEFAULT_EXCEPTION_REMAP,
     DEFAULT_HELD_OUT_PAIRS,
     EmptySide,
     HeldOutPair,
@@ -234,19 +235,17 @@ def test_exception_evaluate_5000_deep():
     assert exception_evaluate(program) == ("A",) + ("B",) * 2501
 
 
-def test_exception_remaps_that_disagree_on_an_overlap_are_rejected():
-    # reverse heads (reverse, echo), which says echo, and closes
-    # (prepend, reverse), which says copy
-    remap = {("reverse", "echo"): ("echo", "copy"), ("prepend", "reverse"): ("remove_second", "copy")}
-    with pytest.raises(ValueError, match="conflicting exception remaps for 'reverse': 'copy' vs 'echo'"):
-        exception_evaluate("prepend reverse echo A B , C".split(), remap)
-    # apart, each pair applies
-    assert exception_evaluate("prepend reverse A , C".split(), remap) == ("A",)
-
-
-def test_exception_remap_arity_checked():
-    with pytest.raises(ValueError):
-        exception_evaluate(parse("copy A".split()), {("copy", "echo"): ("append", "copy")})
+def test_the_exception_table_keeps_arities_and_agrees_on_overlaps():
+    # a position two remapped pairs cover, as the inner member of one and
+    # the outer member of the next, takes one meaning only because every
+    # row gives a function the same replacement
+    meanings: dict[str, set[str]] = {}
+    for pair, replacements in DEFAULT_EXCEPTION_REMAP.items():
+        for name, meaning in zip(pair, replacements):
+            assert DEFAULT_REGISTRY.lookup(name).arity == DEFAULT_REGISTRY.lookup(meaning).arity
+            meanings.setdefault(name, set()).add(meaning)
+    assert meanings == {"reverse": {"echo"}, "echo": {"copy"},
+                        "prepend": {"remove_second"}, "remove_first": {"append"}}
 
 
 def test_exceptions_apply_counts_and_rewrites():
@@ -262,7 +261,6 @@ def test_exceptions_apply_counts_and_rewrites():
     )
     out, entries = exceptions_apply(
         corpus,
-        remap={("reverse", "echo"): ("echo", "copy")},
         percentage=0.5,
         rng=random.Random(2),
     )
@@ -291,7 +289,6 @@ def test_exceptions_apply_synthesises_when_short():
     # prepend x2, remove_first x2 -> k = round(2.0 * 2) = 4, none adjacent
     out, entries = exceptions_apply(
         corpus,
-        remap={("prepend", "remove_first"): ("remove_second", "append")},
         percentage=2.0,
         rng=random.Random(8),
     )
