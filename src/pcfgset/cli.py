@@ -168,7 +168,6 @@ def cmd_naturalise(args) -> int:
     spec_path = Path(args.spec) if args.spec else reference_spec_path()
     spec = DistributionSpec.from_csv(spec_path)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         fit_gaussian_spec(spec)
     except DegenerateCovariance:
@@ -184,6 +183,7 @@ def cmd_naturalise(args) -> int:
         )
     except (EmptyAnchorCell, DegenerateCovariance) as exc:
         raise SystemExit(f"naturalise failed: {exc}; try a larger --sample-size")
+    out.mkdir(parents=True, exist_ok=True)
     corpus_io.write_params(out / "params.json", result.params)
     write_kl_trace(out / "kl_trace.csv", result.trace)
     if args.size is not None:
@@ -223,6 +223,7 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
     subset = subsample_to_match(pool, spec, unit, substream(seed, "degenerate-match"))
     subset = _drop_constraint_violations(subset)
     params = mle_estimate(subset)
+    out.mkdir(parents=True, exist_ok=True)
     corpus_io.write_params(out / "params.json", params)
     write_kl_trace(out / "kl_trace.csv", ())
     corpus_io.write_corpus(out, subset)
@@ -352,8 +353,6 @@ def cmd_eval(args) -> int:
     from .harness import run_overgeneralisation
 
     _require_finite(args, "timeout", zero_ok=False)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "overgen-profile":
         _require_options(args, "exceptions", "preds")
         entries = corpus_io.read_exceptions(args.exceptions)
@@ -362,7 +361,12 @@ def cmd_eval(args) -> int:
     elif args.mode == "length-gen":
         report = _eval_length_gen(args)
     else:
-        report = _eval_split(args, out)
+        report = _eval_split(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.save_preds and args.mode == "accuracy":
+        corpus_io.write_predictions(out / "predictions.pred",
+                                    [p.tokens for p in report.predictions])
     corpus_io.write_report(out / "report.json", report)
     corpus_io.write_strata_csv(out / "strata.csv", report)
     print(f"{report.metric}: {report.overall:.6f} over {report.count} samples")
@@ -398,7 +402,7 @@ def _eval_length_gen(args) -> EvaluationReport:
         return run_length_generalisation(adapter, cells)
 
 
-def _eval_split(args, out: Path) -> EvaluationReport:
+def _eval_split(args) -> EvaluationReport:
     """The modes that score the one split they read of a corpus directory."""
     from .harness import (STRATA_FAMILIES, build_adapter, run_accuracy, run_consistency,
                           run_eos_analysis, run_localism)
@@ -426,13 +430,7 @@ def _eval_split(args, out: Path) -> EvaluationReport:
             strata = list(STRATA_FAMILIES)
             if pairs:
                 strata.append("pair")
-            report = run_accuracy(adapter, testset, strata=strata, pairs=pairs)
-            if args.save_preds:
-                corpus_io.write_predictions(
-                    out / "predictions.pred",
-                    [p.tokens for p in report.predictions],
-                )
-            return report
+            return run_accuracy(adapter, testset, strata=strata, pairs=pairs)
         if args.mode == "consistency":
             synonyms = (
                 corpus_io.read_synonyms(args.synonyms)

@@ -260,44 +260,48 @@ def fold(
     pos = depth = count = 0
     waiting: list[tuple[FunctionSymbol, int, list]] = []
     held: LanguageError | None = None
-    while True:
-        kind = kinds[pos]
-        if kind is not literal:
-            if kind is separator or kind is end:
-                raise _fault(tokens, pos)
-            waiting.append((kind, pos, []))
-            count += 1
-            if len(waiting) > depth:
-                depth = len(waiting)
+    try:
+        while True:
+            kind = kinds[pos]
+            if kind is not literal:
+                if kind is separator or kind is end:
+                    raise _fault(tokens, pos)
+                waiting.append((kind, pos, []))
+                count += 1
+                if len(waiting) > depth:
+                    depth = len(waiting)
+                pos += 1
+                continue
+            start = pos
             pos += 1
-            continue
-        start = pos
-        pos += 1
-        while kinds[pos] is literal:
-            pos += 1
-        value = tuple(tokens[start:pos]) if apply is not None else None
-        # close every call this constituent completes
-        while waiting:
-            fn, at, args = waiting[-1]
-            args.append(value)
-            if fn.arity == 2 and len(args) < 2:
-                break
-            waiting.pop()
-            value = None
-            if apply is not None:
-                try:
-                    value = apply(fn, at, args)
-                except LanguageError as exc:
-                    held, apply = exc, None
-        else:
-            if kinds[pos] is not end:
+            while kinds[pos] is literal:
+                pos += 1
+            value = tuple(tokens[start:pos]) if apply is not None else None
+            # close every call this constituent completes
+            while waiting:
+                fn, at, args = waiting[-1]
+                args.append(value)
+                if fn.arity == 2 and len(args) < 2:
+                    break
+                waiting.pop()
+                value = None
+                if apply is not None:
+                    try:
+                        value = apply(fn, at, args)
+                    except LanguageError as exc:
+                        held, apply = exc, None
+            else:
+                if kinds[pos] is not end:
+                    raise _fault(tokens, pos)
+                if held is not None:
+                    raise held
+                return SequenceStats(pos, depth, count), value
+            if kinds[pos] is not separator:
                 raise _fault(tokens, pos)
-            if held is not None:
-                raise held
-            return SequenceStats(pos, depth, count), value
-        if kinds[pos] is not separator:
-            raise _fault(tokens, pos)
-        pos += 1
+            pos += 1
+    finally:
+        # a raised error's traceback keeps this frame, so drop the held error: no cycle
+        held = None
 
 
 def _fault(tokens: Sequence[str], pos: int) -> LanguageError:

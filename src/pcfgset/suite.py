@@ -10,6 +10,7 @@ exception targets for selected function pairs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .generation import (MAX_ARG_LEN, Corpus, Sample, UniquenessLedger, fresh_source,
@@ -69,8 +70,9 @@ def systematicity_split(
     ``test_size`` pair-containing samples; fewer available positives raise
     InsufficientPositives.
     """
-    positives = [s for s in corpus if contains_pair(s.src, pairs)]
-    negatives = [s for s in corpus if not contains_pair(s.src, pairs)]
+    positives, negatives = [], []
+    for s in corpus:
+        (positives if contains_pair(s.src, pairs) else negatives).append(s)
     if not pairs:
         return Corpus(negatives, seed=corpus.seed, params=corpus.params), Corpus([])
     if len(positives) < test_size:
@@ -320,11 +322,8 @@ def exceptions_apply(
     1..MAX_ARG_LEN, are synthesised and appended.  A sample serves at most
     one pair.
     """
-    fn_counts: dict[str, int] = {}
-    for s in train:
-        for tok in s.src:
-            if tok in DEFAULT_REGISTRY:
-                fn_counts[tok] = fn_counts.get(tok, 0) + 1
+    # every token is counted, but only function names are looked up
+    fn_counts = Counter(tok for s in train for tok in s.src)
     samples = list(train.samples)
     # per remapped pair, the ascending positions of the samples holding it
     holders: dict[tuple[str, str], list[int]] = {p: [] for p in DEFAULT_EXCEPTION_REMAP}
@@ -337,7 +336,8 @@ def exceptions_apply(
 
     for pos, s in enumerate(samples):
         index(pos, s.src)
-    ledger = UniquenessLedger(train)
+    # built when a first source is synthesised, which few runs need
+    ledger: UniquenessLedger | None = None
     taken: set[int] = set()
     entries: list[ExceptionEntry] = []
 
@@ -353,6 +353,7 @@ def exceptions_apply(
         else:
             chosen = list(candidates)
             n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
+            ledger = ledger or UniquenessLedger(train)
             while len(chosen) < k:
                 lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(n_args)]
                 src = fresh_source([outer, inner], lengths, rng)

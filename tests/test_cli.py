@@ -928,6 +928,19 @@ def test_naturalise_with_a_pool_too_small_to_fit_ends_in_one_line(tmp_path):
                              "try a larger --sample-size")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["naturalise", "--seed", "0", "--sample-size", "5"],
+     "naturalise failed: no sample in the largest reference cell"),
+    (["eval", "accuracy", "--adapter", "oracle"], "eval accuracy needs --data"),
+], ids=["naturalise-pool-too-small", "eval-without-data"])
+def test_a_failed_command_leaves_no_output_directory(tmp_path, argv, message):
+    proc = subprocess.run([sys.executable, "-m", "pcfgset", *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_naturalise_degenerate_one_cell_spec(tmp_path):
     (tmp_path / "one.csv").write_text(
         "length,depth,count\n5,1,30\n", encoding="utf-8"

@@ -99,6 +99,24 @@ GOLDEN = {
         "pct-0.5/train.src": "0965d2eaac76b55f8c5ab55e627f3e805e1ff62cf0fc3d9ad6fd899073b84698",
         "pct-0.5/train.tgt": "c6e870a96b35e2510f7942c6a3ffe9b681b20079d96e66b754cd28a7766a9cdc",
     },
+    "overgen-grid": {
+        "pct-0.0001/exceptions.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "pct-0.0001/manifest.json": "20de9125d7ccb598845dd2a7d6b1f8cff13fd7798b4b2d88a85b2865ba655dc7",
+        "pct-0.0001/train.src": "bc57b8d741a700abbef81fceb3314c0e2d1f1f697e8678dab8079a92e3ef8d4d",
+        "pct-0.0001/train.tgt": "8815a5c32922f7105c11e64629d1146d337f336a8a0d88a77a5415529a1569b5",
+        "pct-0.0005/exceptions.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "pct-0.0005/manifest.json": "ffb282967bedaa9e7c311c7d2c2de9075b4327cb82fbda40e0a7e9964f9252dc",
+        "pct-0.0005/train.src": "bc57b8d741a700abbef81fceb3314c0e2d1f1f697e8678dab8079a92e3ef8d4d",
+        "pct-0.0005/train.tgt": "8815a5c32922f7105c11e64629d1146d337f336a8a0d88a77a5415529a1569b5",
+        "pct-0.001/exceptions.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "pct-0.001/manifest.json": "27a719060e5df8b48d79fb55a01c0586ebab3f17c357c2500199b1ca5a613ae4",
+        "pct-0.001/train.src": "bc57b8d741a700abbef81fceb3314c0e2d1f1f697e8678dab8079a92e3ef8d4d",
+        "pct-0.001/train.tgt": "8815a5c32922f7105c11e64629d1146d337f336a8a0d88a77a5415529a1569b5",
+        "pct-0.005/exceptions.json": "51a54c76dcea44b823ffaaef732b6729b747f131f0fcbad0364e2527eed23df5",
+        "pct-0.005/manifest.json": "bfe44e53228ee3cf03cf1d1fe3952fd6efa1bc8070d6a7f2aed0fe7da11105a7",
+        "pct-0.005/train.src": "bc57b8d741a700abbef81fceb3314c0e2d1f1f697e8678dab8079a92e3ef8d4d",
+        "pct-0.005/train.tgt": "a6c33a74130d8b61f4cfee2a089805999a6aedb3c01c6a123b420ffb0258f6f4",
+    },
 }
 
 
@@ -132,6 +150,12 @@ def outputs(tmp_path_factory):
     assert cli.main([
         "testbuild", "--test", "overgen", "--base", str(base),
         "--out", str(root / "overgen"), "--seed", "0", "--exception-pct", "0.5",
+    ]) == 0
+    # the default grid selects only existing samples (5 at 0.005) and
+    # synthesises none
+    assert cli.main([
+        "testbuild", "--test", "overgen", "--base", str(base),
+        "--out", str(root / "overgen-grid"), "--seed", "0",
     ]) == 0
     for mode in ("localism", "accuracy"):
         assert cli.main([

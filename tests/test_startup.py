@@ -21,10 +21,15 @@ a ``validate`` that reads no sidecar never load it.  ``naturalise``
 stays an eager import of ``cli`` because the benchmark's
 ``tracing.install`` finds it in ``sys.modules`` after importing
 ``pcfgset.cli`` and then ``generation`` and ``harness``; ``harness``
-brings ``suite`` in.  Each check runs in a fresh interpreter, since this
-one has these modules loaded.
+brings ``suite`` in.  A command process runs without the cyclic garbage
+collector (``__main__.main`` turns it off; ``cli.main`` leaves a library
+caller's on), since the package's records form no cycles and a command
+leaves the same few hundred cyclic objects at any corpus size.  Each
+check runs in a fresh interpreter, since this one has these modules
+loaded.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -193,3 +198,71 @@ def test_the_tracer_imports_load_every_module_it_wraps():
     wrapped = {f"pcfgset.{name}" for name in
                ("generation", "corpus_io", "suite", "harness", "metrics", "naturalise")}
     assert loaded_after(TRACER, wrapped) == wrapped
+
+
+COLLECTOR_AFTER = """
+import gc, sys, tempfile
+from pcfgset import __main__ as entry, cli
+with tempfile.TemporaryDirectory() as tmp:
+    argv = ["generate", "--seed", "1", "--size", "20", "--out", tmp + "/base"]
+    {run}
+print(gc.isenabled())
+"""
+
+
+@pytest.mark.parametrize("run, enabled", [
+    ("sys.argv = ['pcfgset', *argv]; entry.main()", "False"),
+    ("cli.main(argv)", "True"),
+], ids=["entry-point", "cli-main"])
+def test_only_the_entry_point_turns_the_cyclic_collector_off(run, enabled):
+    proc = subprocess.run([sys.executable, "-c", COLLECTOR_AFTER.format(run=run)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == enabled
+
+
+# What each command leaves for the cyclic collector, run with it off as a
+# command process runs.  Malformed lines for the oracle: unknown token,
+# structural faults, an output too long to build, alone and before a fault.
+CYCLIC_GARBAGE = """
+import contextlib, gc, io, json, tempfile
+from pcfgset import cli, corpus_io, language
+gc.collect()
+gc.disable()
+left = {{}}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    base = tmp + "/base"
+    for name, argv in [
+        ("generate", ["generate", "--seed", "1", "--size", "{size}", "--out", base]),
+        ("validate", ["validate", "--data", base]),
+        ("overgen", ["testbuild", "--test", "overgen", "--base", base, "--out", tmp + "/og",
+                     "--seed", "1"]),
+        ("localism", ["eval", "localism", "--data", base, "--out", tmp + "/loc"]),
+    ]:
+        cli.main(argv)
+        left[name] = gc.collect()
+    bad = ["nope A", "swap A", ", A", "copy A B , C", "", "repeat " * 30 + "A",
+           "repeat " * 30 + "A ,"]
+    lines = [" ".join(src) for src in corpus_io.read_token_file(base + "/train.src")]
+    text = "".join(f"{{line}}\\n{{bad[i % len(bad)]}}\\n" for i, line in enumerate(lines))
+    language.serve(language.DEFAULT_REGISTRY, io.StringIO(text), io.StringIO())
+    left["serve"] = gc.collect()
+print(json.dumps(left))
+"""
+
+
+def cyclic_garbage(size: int) -> dict[str, int]:
+    proc = subprocess.run([sys.executable, "-c", CYCLIC_GARBAGE.format(size=size)],
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_leave_the_same_cyclic_garbage_at_any_size():
+    # a record type or error path that formed cycles would leave garbage
+    # growing with the corpus, which nothing collects in a command process
+    small, large = cyclic_garbage(200), cyclic_garbage(2000)
+    assert small.keys() == large.keys() == {"generate", "validate", "overgen", "localism",
+                                            "serve"}
+    for name, count in large.items():
+        assert abs(count - small[name]) <= 50 and count < 2000, (name, small, large)
