@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -210,7 +211,7 @@ def _drop_constraint_violations(corpus: Corpus) -> Corpus:
     """
     ledger = UniquenessLedger()
     kept = [s for pos, s in enumerate(corpus) if ledger.admit(s.src, f"sample {pos}") is None]
-    return Corpus(samples=kept, seed=corpus.seed, params=corpus.params)
+    return Corpus(kept)
 
 
 def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -> int:
@@ -290,7 +291,7 @@ def cmd_testbuild(args) -> int:
         corpus_io.write_corpus(out, combined, extra={"test": args.test})
         corpus_io.write_synonyms(out / "synonyms.json", synonyms)
         print(f"train: {len(new_train)}  test: {len(parts['test'])}")
-    elif args.test == "overgen":
+    else:  # overgen, the last of the --test choices
         source = base.split("train") if "train" in base.splits else base
         grid = [args.exception_pct] if args.exception_pct is not None else list(
             OVERGEN_PERCENTAGES
@@ -308,14 +309,9 @@ def cmd_testbuild(args) -> int:
                 extra={"test": "overgen", "exception_pct": pct},
             )
             corpus_io.write_exceptions(variant_dir / "exceptions.json", entries)
-            per_pair: dict[str, int] = {}
-            for entry in entries:
-                key = f"{entry.pair[0]}+{entry.pair[1]}"
-                per_pair[key] = per_pair.get(key, 0) + 1
+            per_pair = Counter(f"{entry.pair[0]}+{entry.pair[1]}" for entry in entries)
             summary = ", ".join(f"{k}: {v}" for k, v in sorted(per_pair.items()))
             print(f"pct {pct:g}: {len(entries)} exceptions ({summary})")
-    else:
-        raise SystemExit(f"unknown test name: {args.test!r}")
     print(f"wrote {out}")
     return 0
 
@@ -353,6 +349,11 @@ def cmd_eval(args) -> int:
     from .harness import run_overgeneralisation
 
     _require_finite(args, "timeout", zero_ok=False)
+    _require_positive(args, "per_length")
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if args.save_preds and args.mode != "accuracy":
+        raise SystemExit(f"eval --save-preds keeps accuracy predictions only, not {args.mode}")
     if args.mode == "overgen-profile":
         _require_options(args, "exceptions", "preds")
         entries = corpus_io.read_exceptions(args.exceptions)
@@ -364,7 +365,7 @@ def cmd_eval(args) -> int:
         report = _eval_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.save_preds and args.mode == "accuracy":
+    if args.save_preds:
         corpus_io.write_predictions(out / "predictions.pred",
                                     [p.tokens for p in report.predictions])
     corpus_io.write_report(out / "report.json", report)
@@ -404,8 +405,8 @@ def _eval_length_gen(args) -> EvaluationReport:
 
 def _eval_split(args) -> EvaluationReport:
     """The modes that score the one split they read of a corpus directory."""
-    from .harness import (STRATA_FAMILIES, build_adapter, run_accuracy, run_consistency,
-                          run_eos_analysis, run_localism)
+    from .harness import (build_adapter, run_accuracy, run_consistency, run_eos_analysis,
+                          run_localism)
     from .suite import make_consistency_pairs
 
     _require_options(args, "data")
@@ -427,25 +428,17 @@ def _eval_split(args) -> EvaluationReport:
         if args.mode == "accuracy":
             pairs_path = Path(args.data) / "pairs.json"
             pairs = corpus_io.read_pairs(pairs_path) if pairs_path.exists() else None
-            strata = list(STRATA_FAMILIES)
-            if pairs:
-                strata.append("pair")
-            return run_accuracy(adapter, testset, strata=strata, pairs=pairs)
+            return run_accuracy(adapter, testset, pairs=pairs)
         if args.mode == "consistency":
-            synonyms = (
-                corpus_io.read_synonyms(args.synonyms)
-                if args.synonyms
-                else corpus_io.read_synonyms(Path(args.data) / "synonyms.json")
-            )
+            synonyms = corpus_io.read_synonyms(args.synonyms or Path(args.data) / "synonyms.json")
             pairs, skipped = make_consistency_pairs(testset, synonyms)
             if not pairs:
                 raise SystemExit("no test samples contain a mapped function")
             report = run_consistency(adapter, pairs)
             report.extras["skipped"] = skipped
             return report
-        if args.mode == "localism":
-            return run_localism(adapter, testset, registry=registry)
-    raise SystemExit(f"unknown eval mode: {args.mode!r}")
+        # localism, the last mode that scores a split
+        return run_localism(adapter, testset, registry=registry)
 
 
 def cmd_validate(args) -> int:

@@ -181,7 +181,9 @@ class Sample(NamedTuple):
 
 class Corpus:
     """Samples in order, with the seed and grammar parameters they came
-    from.  ``splits`` names each split's positions in ``samples``."""
+    from when generated, read or combined for writing; a corpus derived
+    from another carries neither.  ``splits`` names each split's
+    positions in ``samples``."""
 
     def __init__(
         self,
@@ -202,8 +204,7 @@ class Corpus:
         return iter(self.samples)
 
     def split(self, name: str) -> "Corpus":
-        return Corpus([self.samples[i] for i in self.splits[name]],
-                      seed=self.seed, params=self.params)
+        return Corpus([self.samples[i] for i in self.splits[name]])
 
 
 def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:
@@ -428,6 +429,26 @@ def fresh_source(head: Sequence[str], lengths: Sequence[int], rng: random.Random
             src.append(SEPARATOR)
         src += islice(syms, n)
     return src
+
+
+# how many fresh sources in a row draw_admitted may draw before giving up
+PLACEMENT_ATTEMPTS = 10_000
+
+
+def draw_admitted(head: Sequence[str], n_args: int, rng: random.Random,
+                  ledger: UniquenessLedger, where: str) -> list[str]:
+    """A ``fresh_source`` of ``head`` and ``n_args`` arguments, each of
+    length 1..MAX_ARG_LEN, that ``ledger`` admits as ``where``.  Sources
+    are drawn until one breaks no constraint; PLACEMENT_ATTEMPTS refused
+    draws in a row raise ExhaustedUniqueArguments."""
+    for _ in range(PLACEMENT_ATTEMPTS):
+        lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(n_args)]
+        src = fresh_source(head, lengths, rng)
+        if ledger.admit(src, where) is None:
+            return src
+    raise ExhaustedUniqueArguments(
+        f"could not place fresh arguments for {' '.join(head)} in {PLACEMENT_ATTEMPTS} draws"
+    )
 
 
 def _output_length(fn: FunctionSymbol, position: int, args: Sequence) -> int:

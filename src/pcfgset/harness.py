@@ -20,6 +20,7 @@ import shlex
 import subprocess
 import threading
 import time
+from collections import Counter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import read_token_file
@@ -520,25 +521,14 @@ class EvaluationReport:
         }
 
 
-STRATA_FAMILIES = ("length", "depth", "num_functions", "function")
-
-
-def _label(sample: Sample, family: str, pairs: Sequence[HeldOutPair] | None) -> object:
-    """The label of a sample in one stratum family."""
-    if family == "length":
-        return sample.stats.length
-    if family == "depth":
-        return sample.stats.depth
-    if family == "num_functions":
-        return sample.stats.num_functions
-    if family == "function":
-        return sample.src[0]
-    if family == "pair":
-        if pairs is None:
-            raise ValueError("pair stratification needs the held-out pair list")
-        containing = [p for p in pairs if contains_pair(sample.src, [p])]
-        return " ".join(f"{p.outer}+{p.inner}" for p in containing) or "none"
-    raise ValueError(f"unknown stratum family: {family}")
+# stratum family -> the label of a sample in it; accuracy given held-out
+# pairs adds a "pair" family, labelled by the pairs a sample contains
+STRATA = {
+    "length": lambda s: s.stats.length,
+    "depth": lambda s: s.stats.depth,
+    "num_functions": lambda s: s.stats.num_functions,
+    "function": lambda s: s.src[0],
+}
 
 
 def _label_rows(
@@ -549,24 +539,8 @@ def _label_rows(
     return dict(sorted(rows.items(), key=lambda kv: str(kv[0])))
 
 
-def _stratify(
-    scores: Sequence[float],
-    samples: Sequence[Sample],
-    families: Sequence[str],
-    pairs: Sequence[HeldOutPair] | None,
-) -> dict[str, dict[object, tuple[float, int]]]:
-    return {
-        family: _label_rows(scores, [_label(s, family, pairs) for s in samples])
-        for family in families
-    }
-
-
-def _error_counts(predictions: Sequence[Prediction]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for pred in predictions:
-        if pred.error is not None:
-            counts[pred.error] = counts.get(pred.error, 0) + 1
-    return counts
+def _error_counts(predictions: Sequence[Prediction]) -> Counter:
+    return Counter(pred.error for pred in predictions if pred.error is not None)
 
 
 def _accuracy_scores(predictions: Iterable[Prediction], samples: Sequence[Sample]) -> list[float]:
@@ -582,16 +556,23 @@ def _exact_match_report(
     metric: str,
     adapter: ModelAdapter,
     samples: Sequence[Sample],
-    families: Sequence[str],
     pairs: Sequence[HeldOutPair] | None,
 ) -> EvaluationReport:
     predictions = adapter.predict_batch([s.src for s in samples])
     scores = _accuracy_scores(predictions, samples)
+    strata = {family: _label_rows(scores, [label(s) for s in samples])
+              for family, label in STRATA.items()}
+    if pairs:
+        strata["pair"] = _label_rows(scores, [
+            " ".join(f"{p.outer}+{p.inner}" for p in pairs if contains_pair(s.src, [p]))
+            or "none"
+            for s in samples
+        ])
     return EvaluationReport(
         metric=metric,
         overall=sum(scores) / len(scores) if scores else 0.0,
         count=len(samples),
-        strata=_stratify(scores, samples, families, pairs),
+        strata=strata,
         errors=_error_counts(predictions),
         metadata={"adapter": adapter.name, "dataset_hash": dataset_hash(samples)},
         predictions=predictions,
@@ -602,11 +583,11 @@ def run_accuracy(
     adapter: ModelAdapter,
     testset: Corpus | Sequence[Sample],
     *,
-    strata: Sequence[str] = STRATA_FAMILIES,
     pairs: Sequence[HeldOutPair] | None = None,
 ) -> EvaluationReport:
-    """Exact-match sequence accuracy with per-stratum breakdowns."""
-    return _exact_match_report("accuracy", adapter, list(testset), strata, pairs)
+    """Exact-match sequence accuracy with a breakdown per STRATA family,
+    and per held-out pair when ``pairs`` name any."""
+    return _exact_match_report("accuracy", adapter, list(testset), pairs)
 
 
 def run_consistency(adapter: ModelAdapter, pairs: Sequence[ConsistencyPair]) -> EvaluationReport:
@@ -843,7 +824,7 @@ def run_eos_analysis(adapter: ModelAdapter, testset: Corpus | Sequence[Sample]) 
     both fractions are None.
     """
     samples = list(testset)
-    report = _exact_match_report("eos", adapter, samples, STRATA_FAMILIES, None)
+    report = _exact_match_report("eos", adapter, samples, None)
     incorrect = 0
     prefixes = 0
     substrings = 0

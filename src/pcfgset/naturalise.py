@@ -284,7 +284,7 @@ def subsample_to_match(
             continue
         chosen.extend(pool if quota == len(pool) else rng.sample(pool, quota))
     chosen.sort()
-    return Corpus([d_r.samples[i] for i in chosen], seed=d_r.seed)
+    return Corpus([d_r.samples[i] for i in chosen])
 
 
 def fit_gaussian(
@@ -568,7 +568,7 @@ def naturalised_corpus(
         matched = subsample_to_match(pool, d_n, PartitionConfig(1, 1), rng)
         if len(matched.samples) >= size:
             keep = sorted(rng.sample(range(len(matched.samples)), size))
-            return Corpus([matched.samples[i] for i in keep], params=params)
+            return Corpus([matched.samples[i] for i in keep])
         pool_size = int(pool_size * 1.6)
     raise ValueError(
         f"matched subsample stayed below {size} after {max_attempts} attempts"

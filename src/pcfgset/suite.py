@@ -13,8 +13,7 @@ import random
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .generation import (MAX_ARG_LEN, Corpus, Sample, UniquenessLedger, fresh_source,
-                         round_half_up)
+from .generation import Corpus, Sample, UniquenessLedger, draw_admitted, round_half_up
 from .language import DEFAULT_REGISTRY, FunctionRegistry, FunctionSymbol, evaluate, fold, interpret
 
 
@@ -74,17 +73,13 @@ def systematicity_split(
     for s in corpus:
         (positives if contains_pair(s.src, pairs) else negatives).append(s)
     if not pairs:
-        return Corpus(negatives, seed=corpus.seed, params=corpus.params), Corpus([])
+        return Corpus(negatives), Corpus([])
     if len(positives) < test_size:
         raise InsufficientPositives(
             f"need {test_size} pair-containing samples, found {len(positives)}"
         )
     chosen = rng.sample(range(len(positives)), test_size)
-    test = [positives[i] for i in sorted(chosen)]
-    return (
-        Corpus(negatives, seed=corpus.seed, params=corpus.params),
-        Corpus(test, seed=corpus.seed, params=corpus.params),
-    )
+    return Corpus(negatives), Corpus([positives[i] for i in sorted(chosen)])
 
 
 def productivity_split(
@@ -97,10 +92,7 @@ def productivity_split(
         raise EmptySide(
             f"threshold {threshold} leaves train={len(train)} test={len(test)}"
         )
-    return (
-        Corpus(train, seed=corpus.seed, params=corpus.params),
-        Corpus(test, seed=corpus.seed, params=corpus.params),
-    )
+    return Corpus(train), Corpus(test)
 
 
 class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ...])])):
@@ -141,7 +133,7 @@ class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ..
 
 def substitutivity_equal(
     train: Corpus,
-    synonyms: SynonymMap | None = None,
+    synonyms: SynonymMap,
     *,
     rng: random.Random,
 ) -> tuple[Corpus, dict[str, tuple[int, int]]]:
@@ -152,22 +144,22 @@ def substitutivity_equal(
     because a synonym means the same thing.  Returns the rewritten corpus
     and an audit mapping base -> (rewritten, total).
     """
-    synonyms = synonyms or SynonymMap.default()
     registry = synonyms.registry()
+    # per base function, its (sample, token) positions in one walk
+    occurrences: dict[str, list[tuple[int, int]]] = {base: [] for base, _ in synonyms.mapping}
+    for pos, s in enumerate(train.samples):
+        for t_idx, tok in enumerate(s.src):
+            found = occurrences.get(tok)
+            if found is not None:
+                found.append((pos, t_idx))
     replacements: dict[int, dict[int, str]] = {}
     audit: dict[str, tuple[int, int]] = {}
     for base, syn in synonyms.mapping:
-        occurrences = [
-            (pos, t_idx)
-            for pos, s in enumerate(train.samples)
-            for t_idx, tok in enumerate(s.src)
-            if tok == base
-        ]
-        k = len(occurrences) // 2
-        chosen = rng.sample(occurrences, k) if k else []
+        k = len(occurrences[base]) // 2
+        chosen = rng.sample(occurrences[base], k) if k else []
         for pos, t_idx in chosen:
             replacements.setdefault(pos, {})[t_idx] = syn
-        audit[base] = (k, len(occurrences))
+        audit[base] = (k, len(occurrences[base]))
     rewritten: list[Sample] = []
     for pos, s in enumerate(train.samples):
         subs = replacements.get(pos)
@@ -178,17 +170,12 @@ def substitutivity_equal(
         new = Sample.from_src(src, registry)
         assert new.tgt == s.tgt, "synonym rewriting must not change the target"
         rewritten.append(new)
-    return Corpus(rewritten, seed=train.seed, params=train.params), audit
-
-
-# how many fresh sources in a row substitutivity_primitive may draw before
-# giving up on placing one
-PLACEMENT_ATTEMPTS = 10_000
+    return Corpus(rewritten), audit
 
 
 def substitutivity_primitive(
     train: Corpus,
-    synonyms: SynonymMap | None = None,
+    synonyms: SynonymMap,
     fraction: float = 0.001,
     *,
     rng: random.Random,
@@ -196,14 +183,11 @@ def substitutivity_primitive(
     """Add primitive synonym samples instead of rewriting.
 
     Per base function, round(fraction * |train|) fresh one-function
-    samples ``F_syn <args>`` are appended, each argument of length
-    1..MAX_ARG_LEN, with arguments respecting the corpus constraints (no
-    literal repeats inside a sample, no reuse of a multi-symbol argument
-    seen anywhere in train or among the additions).  A synonym whose next
-    PLACEMENT_ATTEMPTS drawn sources all break a constraint raises
-    RuntimeError.
+    samples ``F_syn <args>`` from ``draw_admitted`` are appended, with
+    arguments respecting the corpus constraints (no literal repeats
+    inside a sample, no reuse of a multi-symbol argument seen anywhere
+    in train or among the additions).
     """
-    synonyms = synonyms or SynonymMap.default()
     registry = synonyms.registry()
     per_base = round_half_up(fraction * len(train))
     ledger = UniquenessLedger(train)
@@ -211,24 +195,11 @@ def substitutivity_primitive(
     counts: dict[str, int] = {}
     for base, syn in synonyms.mapping:
         arity = registry.lookup(syn).arity
-        made = 0
-        attempts = 0
-        while made < per_base:
-            attempts += 1
-            if attempts > PLACEMENT_ATTEMPTS:
-                raise RuntimeError(f"could not place fresh arguments for {syn}")
-            lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(arity)]
-            src = fresh_source([syn], lengths, rng)
-            if ledger.admit(src, f"sample {len(train) + len(added)}") is not None:
-                continue
+        for _ in range(per_base):
+            src = draw_admitted([syn], arity, rng, ledger, f"sample {len(train) + len(added)}")
             added.append(Sample.from_src(src, registry))
-            made += 1
-            attempts = 0
-        counts[base] = made
-    merged = Corpus(
-        list(train.samples) + added, seed=train.seed, params=train.params
-    )
-    return merged, counts
+        counts[base] = per_base
+    return Corpus(list(train.samples) + added), counts
 
 
 class ConsistencyPair(NamedTuple):
@@ -240,14 +211,13 @@ class ConsistencyPair(NamedTuple):
 
 
 def make_consistency_pairs(
-    testset: Corpus, synonyms: SynonymMap | None = None
+    testset: Corpus, synonyms: SynonymMap
 ) -> tuple[list[ConsistencyPair], int]:
     """Pair each test source with its fully synonym-substituted variant.
 
     Samples containing none of the mapped functions are skipped; the skip
     count is returned alongside the pairs.
     """
-    synonyms = synonyms or SynonymMap.default()
     table = synonyms.as_dict()
     pairs: list[ConsistencyPair] = []
     skipped = 0
@@ -318,24 +288,20 @@ def exceptions_apply(
     round(percentage * occurrences of the rarer member function, counted
     token-wise over train).  That many pair-containing samples get their
     target rewritten to the exception interpretation; if too few exist,
-    fresh minimal sources ``outer inner <args>``, each argument of length
-    1..MAX_ARG_LEN, are synthesised and appended.  A sample serves at most
-    one pair.
+    fresh minimal sources ``outer inner <args>`` from ``draw_admitted``
+    are synthesised and appended.  A sample serves at most one pair.
     """
     # every token is counted, but only function names are looked up
     fn_counts = Counter(tok for s in train for tok in s.src)
     samples = list(train.samples)
-    # per remapped pair, the ascending positions of the samples holding it
+    # per remapped pair, the ascending positions of the train samples
+    # holding it; a synthesised sample is taken as it is made
     holders: dict[tuple[str, str], list[int]] = {p: [] for p in DEFAULT_EXCEPTION_REMAP}
-
-    def index(pos: int, src: Sequence[str]) -> None:
-        for pair in zip(src, src[1:]):
+    for pos, s in enumerate(samples):
+        for pair in zip(s.src, s.src[1:]):
             positions = holders.get(pair)
             if positions is not None and (not positions or positions[-1] != pos):
                 positions.append(pos)
-
-    for pos, s in enumerate(samples):
-        index(pos, s.src)
     # built when a first source is synthesised, which few runs need
     ledger: UniquenessLedger | None = None
     taken: set[int] = set()
@@ -355,12 +321,8 @@ def exceptions_apply(
             n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
             ledger = ledger or UniquenessLedger(train)
             while len(chosen) < k:
-                lengths = [rng.randint(1, MAX_ARG_LEN) for _ in range(n_args)]
-                src = fresh_source([outer, inner], lengths, rng)
-                if ledger.admit(src, f"sample {len(samples)}") is not None:
-                    continue
+                src = draw_admitted([outer, inner], n_args, rng, ledger, f"sample {len(samples)}")
                 samples.append(Sample.from_src(src))
-                index(len(samples) - 1, src)
                 chosen.append(len(samples) - 1)
         for pos in chosen:
             s = samples[pos]
@@ -376,7 +338,7 @@ def exceptions_apply(
                     pair=(outer, inner),
                 )
             )
-    return Corpus(samples, seed=train.seed, params=train.params), entries
+    return Corpus(samples), entries
 
 
 # --- localism ------------------------------------------------------------------

@@ -736,17 +736,25 @@ DATA = ["--data", "{tmp}/d"]
      "eval --lengths must be at most 515, got 600"),
     (["length-gen", "--seed", "1", "--lengths", "518", "--functions", "append"],
      "eval --lengths must be at most 515, got 518"),
+    (["accuracy", *DATA, "--adapter", "oracle", "--jobs", "0"], "eval failed: jobs must be at least 1"),
+    (["length-gen", "--seed", "1", "--per-length", "0"], "eval --per-length must be at least 1, got 0"),
+    (["localism", *DATA, "--save-preds"],
+     "eval --save-preds keeps accuracy predictions only, not localism"),
+    (["length-gen", "--seed", "1", "--functions", "copy", "--save-preds"],
+     "eval --save-preds keeps accuracy predictions only, not length-gen"),
 ], ids=["faulty-rate-not-a-number", "faulty-rate-out-of-range", "unknown-adapter",
         "empty-command", "no-jobs", "missing-file-adapter", "missing-preds",
         "command-cannot-start", "command-cannot-start-2-jobs", "no-data", "no-exceptions",
         "bad-lengths", "reversed-lengths", "unknown-function", "infinite-timeout", "length-beyond-the-literals",
-        "binary-length-beyond-the-literals"])
+        "binary-length-beyond-the-literals", "no-jobs-in-process", "no-samples-per-length",
+        "save-preds-localism", "save-preds-length-gen"])
 def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, message):
     one_sample_directory(tmp_path / "d")
     with pytest.raises(SystemExit) as ei:
         run_cli("eval", *(a.format(tmp=tmp_path) for a in argv), "--out", tmp_path / "ev")
     assert ei.value.code == message.format(tmp=tmp_path)
     assert capsys.readouterr().err == ""
+    assert not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -758,6 +766,26 @@ def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, mess
 def test_a_malformed_testbuild_argument_ends_in_one_line(tmp_path, capsys, argv, message):
     run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
     capsys.readouterr()
+    with pytest.raises(SystemExit) as ei:
+        run_cli("testbuild", *argv, "--base", tmp_path / "base", "--out", tmp_path / "tb",
+                "--seed", 1)
+    assert ei.value.code == message
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "tb").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--test", "substitutivity-prim", "--fraction", "0.1"],
+     "testbuild failed: could not place fresh arguments for swap_syn in 0 draws"),
+    (["--test", "overgen", "--exception-pct", "2"],
+     "testbuild failed: could not place fresh arguments for reverse echo in 0 draws"),
+], ids=["substitutivity-prim", "overgen"])
+def test_running_out_of_fresh_placements_ends_testbuild_in_one_line(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
+    capsys.readouterr()
+    monkeypatch.setattr(generation, "PLACEMENT_ATTEMPTS", 0)
     with pytest.raises(SystemExit) as ei:
         run_cli("testbuild", *argv, "--base", tmp_path / "base", "--out", tmp_path / "tb",
                 "--seed", 1)

@@ -21,6 +21,7 @@ from pcfgset.generation import (
     Sample,
     UniquenessLedger,
     _too_long,
+    draw_admitted,
     generate_corpus,
     leaf_tuples,
     make_primitive_length_corpus,
@@ -384,6 +385,27 @@ def test_ledger_records_only_what_is_added():
     assert ledger.admit(("swap", "A", "B"), "row 8") is None
     assert ledger.admit(("swap", "A", "B"), "row 9") == "duplicate source (also at row 8)"
     assert ledger.admit(("copy", "A", "B"), "row 10") == "argument 'A B' reused (also at row 8)"
+
+
+class RefusingLedger:
+    """A ledger that refuses every source and notes where each would go."""
+
+    def __init__(self):
+        self.asked = []
+
+    def admit(self, src, where):
+        self.asked.append(where)
+        return "refused"
+
+
+@pytest.mark.parametrize("attempts", [0, 1, 7])
+def test_draw_admitted_gives_up_after_placement_attempts_refusals(monkeypatch, attempts):
+    monkeypatch.setattr(generation, "PLACEMENT_ATTEMPTS", attempts)
+    ledger = RefusingLedger()
+    with pytest.raises(ExhaustedUniqueArguments,
+                       match=f"for prepend remove_first in {attempts} draws"):
+        draw_admitted(["prepend", "remove_first"], 3, random.Random(0), ledger, "sample 9")
+    assert ledger.asked == ["sample 9"] * attempts
 
 
 # --- splits -------------------------------------------------------------------

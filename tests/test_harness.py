@@ -25,7 +25,7 @@ from pcfgset.harness import (
     OracleAdapter,
     Prediction,
     MAX_REPLY_CHARS,
-    STRATA_FAMILIES,
+    STRATA,
     ProtocolViolation,
     SubprocessAdapter,
     Timeout,
@@ -952,7 +952,7 @@ class TestEosAnalysis:
         assert (report.metric, report.overall, report.count) == ("eos", 0.5, 2)
         assert report.extras["incorrect"] == 1
         assert report.extras["strict_prefix_frac"] == 1.0
-        assert tuple(report.strata) == STRATA_FAMILIES
+        assert list(report.strata) == list(STRATA)
         assert report.strata["function"] == {"copy": (0.5, 2)}
 
     def test_all_correct_gives_null_fractions(self):

@@ -143,7 +143,7 @@ def test_substitutivity_equal_default_map_targets_hold():
         "remove_second E F , G",
         "swap repeat H I J",
     )
-    out, audit = substitutivity_equal(corpus, rng=random.Random(9))
+    out, audit = substitutivity_equal(corpus, SynonymMap.default(), rng=random.Random(9))
     reg = SynonymMap.default().registry()
     for s in out:
         assert evaluate(s.src, reg) == s.tgt
@@ -155,7 +155,7 @@ def test_substitutivity_primitive_adds_single_function_samples():
     texts = [f"append A{i} , B{i}" for i in range(1, 11)]
     corpus = corpus_of(*texts)
     out, counts = substitutivity_primitive(
-        corpus, fraction=0.2, rng=random.Random(5)
+        corpus, SynonymMap.default(), fraction=0.2, rng=random.Random(5)
     )
     # round(0.2 * 10) = 2 per synonym, four synonyms
     assert counts == {"swap": 2, "repeat": 2, "append": 2, "remove_second": 2}
@@ -175,13 +175,14 @@ def test_substitutivity_primitive_adds_single_function_samples():
 
 def test_substitutivity_primitive_zero_fraction_adds_nothing():
     corpus = corpus_of("copy A", "echo B")
-    out, counts = substitutivity_primitive(corpus, fraction=0.0, rng=random.Random(0))
+    out, counts = substitutivity_primitive(corpus, SynonymMap.default(), fraction=0.0,
+                                           rng=random.Random(0))
     assert len(out) == 2 and all(v == 0 for v in counts.values())
 
 
 def test_make_consistency_pairs():
     corpus = corpus_of("swap repeat A B", "copy A B", "append C , D")
-    pairs, skipped = make_consistency_pairs(corpus)
+    pairs, skipped = make_consistency_pairs(corpus, SynonymMap.default())
     assert skipped == 1  # "copy A B" holds no mapped function
     assert [p.src_base for p in pairs] == [corpus.samples[0].src, corpus.samples[2].src]
     assert pairs[0].src_syn == ("swap_syn", "repeat_syn", "A", "B")
