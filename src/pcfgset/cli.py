@@ -34,8 +34,6 @@ from .language import DEFAULT_REGISTRY, LITERALS, LanguageError, serve
 # wraps the functions of every module it finds loaded, naturalise's among
 # them
 from .naturalise import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_ITERS,
     DegenerateCovariance,
     DistributionSpec,
     EmptyAnchorCell,
@@ -104,23 +102,24 @@ def _pick_split(path: str, requested: str | None) -> str:
     raise SystemExit("ambiguous corpus splits: pass --split")
 
 
-def _require_splits(corpus: Corpus, names: tuple[str, ...], what: str) -> None:
-    missing = [n for n in names if n not in corpus.splits]
-    if missing:
-        raise SystemExit(f"{what} needs splits {missing} in the base corpus")
-
-
-def _combine(parts: dict[str, Corpus], seed, params) -> Corpus:
-    samples = []
-    splits = {}
+def _write_test(args, out: Path, parts: dict[str, Corpus], base: Corpus, **extra) -> None:
+    """Write ``parts`` as the splits of one corpus of the chosen test, under
+    the base's seed and params; print the sizes of train and test, if any."""
+    samples, splits = [], {}
     for name, part in parts.items():
         splits[name] = tuple(range(len(samples), len(samples) + len(part)))
         samples += part.samples
-    return Corpus(samples=samples, seed=seed, params=params, splits=splits)
+    corpus = Corpus(samples=samples, seed=base.seed, params=base.params, splits=splits)
+    corpus_io.write_corpus(out, corpus, extra={"test": args.test, **extra})
+    if "test" in parts:
+        print(f"train: {len(parts['train'])}  test: {len(parts['test'])}")
 
 
-def _mean_functions(corpus: Corpus) -> float:
-    return sum(s.stats.num_functions for s in corpus) / len(corpus)
+def _given(args, *names: str, **renamed: str) -> dict:
+    """The options given among ``names`` and ``renamed``'s keys, as keyword
+    arguments (under ``renamed``'s values); library defaults fill the rest."""
+    pairs = [*zip(names, names), *renamed.items()]
+    return {keyword: getattr(args, name) for name, keyword in pairs if name in args}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def _mean_functions(corpus: Corpus) -> float:
 
 def _require_positive(args, *names: str) -> None:
     for name in names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and value < 1:
             raise SystemExit(
                 f"{args.command} --{name.replace('_', '-')} must be at least 1, got {value}"
@@ -139,7 +138,7 @@ def _require_positive(args, *names: str) -> None:
 def _require_finite(args, name: str, *, zero_ok: bool) -> None:
     """Refuse an infinite or NaN value, and one below 0, or at 0 too
     unless ``zero_ok``."""
-    value = getattr(args, name)
+    value = getattr(args, name, None)
     if value is None or (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
         return
     bound = "at least 0" if zero_ok else "above 0"
@@ -174,14 +173,10 @@ def cmd_naturalise(args) -> int:
     except DegenerateCovariance:
         return _naturalise_degenerate(args, seed, spec, out)
     try:
-        result = naturalise_pipeline(
-            spec,
-            rng=substream(seed, "pipeline"),
-            random_sample_size=args.sample_size,
-            regenerate_size=args.sample_size,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-        )
+        result = naturalise_pipeline(spec, rng=substream(seed, "pipeline"),
+                                     random_sample_size=args.sample_size,
+                                     regenerate_size=args.sample_size,
+                                     **_given(args, "epsilon", "max_iters"))
     except (EmptyAnchorCell, DegenerateCovariance) as exc:
         raise SystemExit(f"naturalise failed: {exc}; try a larger --sample-size")
     out.mkdir(parents=True, exist_ok=True)
@@ -233,85 +228,86 @@ def _naturalise_degenerate(args, seed: int, spec: DistributionSpec, out: Path) -
     return 0
 
 
-def cmd_testbuild(args) -> int:
-    from .suite import (DEFAULT_HELD_OUT_PAIRS, SynonymMap, exceptions_apply, productivity_split,
-                        substitutivity_equal, substitutivity_primitive, systematicity_split)
-
+def _systematicity(args, rng, out: Path) -> None:
+    from .suite import DEFAULT_HELD_OUT_PAIRS, systematicity_split
     _require_positive(args, "test_size")
-    _require_finite(args, "exception_pct", zero_ok=True)
+    base = _load_base(args.base)
+    pairs = corpus_io.read_pairs(args.pairs) if "pairs" in args else DEFAULT_HELD_OUT_PAIRS
+    train, test = systematicity_split(base, pairs, rng=rng, **_given(args, "test_size"))
+    _write_test(args, out, {"train": train, "test": test}, base)
+    corpus_io.write_pairs(out / "pairs.json", pairs)
+    print(f"held-out pairs: {', '.join(f'{p.outer}+{p.inner}' for p in pairs)}")
+
+
+def _productivity(args, rng, out: Path) -> None:
+    from .suite import productivity_split
+    base = _load_base(args.base)
+    train, test = productivity_split(base, **_given(args, "threshold"))
+    _write_test(args, out, {"train": train, "test": test}, base)
+    ins, outs = ([s.stats.num_functions for s in side] for side in (train, test))
+    print(f"functions per sample: train avg {sum(ins) / len(ins):.2f} max {max(ins)}, "
+          f"test avg {sum(outs) / len(outs):.2f} min {min(outs)}")
+
+
+def _synonym_base(args):
+    """The base corpus of a substitutivity test, its train, valid and test
+    splits, which the test writes with a new train side, and the synonyms."""
+    from .suite import SynonymMap
+    base = _load_base(args.base)
+    synonyms = (corpus_io.read_synonyms(args.synonyms) if "synonyms" in args
+                else SynonymMap.default())
+    missing = [name for name in ("train", "test") if name not in base.splits]
+    if missing:
+        raise SystemExit(f"{args.test} needs splits {missing} in the base corpus")
+    parts = {name: base.split(name) for name in ("train", "valid", "test") if name in base.splits}
+    return base, parts, synonyms
+
+
+def _substitutivity_ed(args, rng, out: Path) -> None:
+    from .suite import substitutivity_equal
+    base, parts, synonyms = _synonym_base(args)
+    parts["train"], audit = substitutivity_equal(parts["train"], synonyms, rng=rng)
+    for name, (chosen, total) in sorted(audit.items()):
+        print(f"{name}: rewrote {chosen} of {total} occurrences")
+    _write_test(args, out, parts, base)
+    corpus_io.write_synonyms(out / "synonyms.json", synonyms)
+
+
+def _substitutivity_prim(args, rng, out: Path) -> None:
+    from .suite import substitutivity_primitive
     _require_finite(args, "fraction", zero_ok=True)
-    seed = _resolve_seed(args, required=True)
+    base, parts, synonyms = _synonym_base(args)
+    parts["train"], counts = substitutivity_primitive(parts["train"], synonyms, rng=rng,
+                                                      written=base, **_given(args, "fraction"))
+    for name, added in sorted(counts.items()):
+        print(f"{name}: added {added} primitive samples")
+    _write_test(args, out, parts, base)
+    corpus_io.write_synonyms(out / "synonyms.json", synonyms)
+
+
+def _overgen(args, rng, out: Path) -> None:
+    from .suite import exceptions_apply
+    _require_finite(args, "exception_pct", zero_ok=True)
     # overgen builds on train alone, so only train is read
-    overgen_train = args.test == "overgen" and "train" in corpus_io.discover_splits(args.base)
-    base = _load_base(args.base, ["train"] if overgen_train else None)
+    with_train = "train" in corpus_io.discover_splits(args.base)
+    base = _load_base(args.base, ["train"] if with_train else None)
+    source = base.split("train") if with_train else base
+    for pct in [args.exception_pct] if "exception_pct" in args else OVERGEN_PERCENTAGES:
+        variant, entries = exceptions_apply(source, percentage=pct,
+                                            rng=substream(args.seed, "overgen", repr(pct)))
+        variant_dir = out / f"pct-{pct:g}"
+        _write_test(args, variant_dir, {"train": variant}, base, exception_pct=pct)
+        corpus_io.write_exceptions(variant_dir / "exceptions.json", entries)
+        per_pair = Counter(f"{entry.pair[0]}+{entry.pair[1]}" for entry in entries)
+        summary = ", ".join(f"{k}: {v}" for k, v in sorted(per_pair.items()))
+        print(f"pct {pct:g}: {len(entries)} exceptions ({summary})")
+
+
+def cmd_testbuild(args) -> int:
+    build = row(args)
+    args.seed = _resolve_seed(args, required=True)
     out = Path(args.out)
-    rng = substream(seed, "testbuild", args.test)
-    if args.test == "systematicity":
-        pairs = (
-            corpus_io.read_pairs(args.pairs) if args.pairs else list(DEFAULT_HELD_OUT_PAIRS)
-        )
-        train, test = systematicity_split(base, pairs, test_size=args.test_size, rng=rng)
-        combined = _combine({"train": train, "test": test}, base.seed, base.params)
-        corpus_io.write_corpus(out, combined, extra={"test": "systematicity"})
-        corpus_io.write_pairs(out / "pairs.json", pairs)
-        print(f"train: {len(train)}  test: {len(test)}")
-        print(f"held-out pairs: {', '.join(f'{p.outer}+{p.inner}' for p in pairs)}")
-    elif args.test == "productivity":
-        train, test = productivity_split(base, args.threshold)
-        combined = _combine({"train": train, "test": test}, base.seed, base.params)
-        corpus_io.write_corpus(out, combined, extra={"test": "productivity"})
-        print(f"train: {len(train)}  test: {len(test)}")
-        print(
-            f"functions per sample: train avg {_mean_functions(train):.2f} "
-            f"max {max(s.stats.num_functions for s in train)}, "
-            f"test avg {_mean_functions(test):.2f} "
-            f"min {min(s.stats.num_functions for s in test)}"
-        )
-    elif args.test in ("substitutivity-ed", "substitutivity-prim"):
-        synonyms = (
-            corpus_io.read_synonyms(args.synonyms) if args.synonyms else SynonymMap.default()
-        )
-        _require_splits(base, ("train", "test"), args.test)
-        train = base.split("train")
-        if args.test == "substitutivity-ed":
-            new_train, audit = substitutivity_equal(train, synonyms, rng=rng)
-            for name, (chosen, total) in sorted(audit.items()):
-                print(f"{name}: rewrote {chosen} of {total} occurrences")
-        else:
-            new_train, counts = substitutivity_primitive(
-                train, synonyms, fraction=args.fraction, rng=rng
-            )
-            for name, added in sorted(counts.items()):
-                print(f"{name}: added {added} primitive samples")
-        parts = {"train": new_train}
-        for name in ("valid", "test"):
-            if name in base.splits:
-                parts[name] = base.split(name)
-        combined = _combine(parts, base.seed, base.params)
-        corpus_io.write_corpus(out, combined, extra={"test": args.test})
-        corpus_io.write_synonyms(out / "synonyms.json", synonyms)
-        print(f"train: {len(new_train)}  test: {len(parts['test'])}")
-    else:  # overgen, the last of the --test choices
-        source = base.split("train") if "train" in base.splits else base
-        grid = [args.exception_pct] if args.exception_pct is not None else list(
-            OVERGEN_PERCENTAGES
-        )
-        for pct in grid:
-            variant, entries = exceptions_apply(
-                source,
-                percentage=pct,
-                rng=substream(seed, "overgen", repr(pct)),
-            )
-            variant_dir = out / f"pct-{pct:g}"
-            corpus_io.write_corpus(
-                variant_dir,
-                _combine({"train": variant}, base.seed, base.params),
-                extra={"test": "overgen", "exception_pct": pct},
-            )
-            corpus_io.write_exceptions(variant_dir / "exceptions.json", entries)
-            per_pair = Counter(f"{entry.pair[0]}+{entry.pair[1]}" for entry in entries)
-            summary = ", ".join(f"{k}: {v}" for k, v in sorted(per_pair.items()))
-            print(f"pct {pct:g}: {len(entries)} exceptions ({summary})")
+    build(args, substream(args.seed, "testbuild", args.test), out)
     print(f"wrote {out}")
     return 0
 
@@ -334,38 +330,96 @@ def _parse_lengths(text: str) -> list[int]:
     return [n for lo, hi in bounds for n in range(lo, hi + 1)]
 
 
-def _default_vary_arg(fn_name: str) -> int:
-    # probe the argument whose content survives into the output
-    return 1 if fn_name == "remove_first" else 0
+def _adapter(args, **context):
+    """The adapter --adapter names, the oracle by default, or a file adapter
+    serving --preds, built with the --timeout and --jobs given."""
+    from .harness import build_adapter
+    _require_finite(args, "timeout", zero_ok=False)
+    if "jobs" in args and args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if "preds" in args and "adapter" in args:
+        raise SystemExit(f"eval {args.mode} takes --preds or --adapter, not both")
+    description = f"file:{args.preds}" if "preds" in args else getattr(args, "adapter", "oracle")
+    return build_adapter(description, **context, **_given(args, "jobs", timeout="timeout_s"))
 
 
-def _require_options(args, *names: str) -> None:
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise SystemExit(f"eval {args.mode} needs {' and '.join(missing)}")
+def _on_split(score):
+    """The mode that scores the split of --data: ``score(args, adapter,
+    testset, registry)`` runs with the adapter open."""
+    def run(args) -> EvaluationReport:
+        split = _pick_split(args.data, getattr(args, "split", None))
+        testset = _load_base(args.data, [split]).split(split)
+        registry = corpus_io.registry_for_directory(args.data)
+        seed = _resolve_seed(args, required=False) or 0
+        with _adapter(args, testset=testset, registry=registry, seed=seed) as adapter:
+            return score(args, adapter, testset, registry)
+    return run
+
+
+def _accuracy(args, adapter, testset, registry) -> EvaluationReport:
+    from .harness import run_accuracy
+    pairs_path = Path(args.data) / "pairs.json"
+    pairs = corpus_io.read_pairs(pairs_path) if pairs_path.exists() else None
+    return run_accuracy(adapter, testset, pairs=pairs)
+
+
+def _consistency(args, adapter, testset, registry) -> EvaluationReport:
+    from .harness import run_consistency
+    from .suite import make_consistency_pairs
+    synonyms = corpus_io.read_synonyms(args.synonyms if "synonyms" in args
+                                       else Path(args.data) / "synonyms.json")
+    pairs, skipped = make_consistency_pairs(testset, synonyms)
+    if not pairs:
+        raise SystemExit("no test samples contain a mapped function")
+    report = run_consistency(adapter, pairs)
+    report.extras["skipped"] = skipped
+    return report
+
+
+def _localism(args, adapter, testset, registry) -> EvaluationReport:
+    from .harness import run_localism
+    return run_localism(adapter, testset, registry=registry)
+
+
+def _eos(args, adapter, testset, registry) -> EvaluationReport:
+    from .harness import run_eos_analysis
+    return run_eos_analysis(adapter, testset)
+
+
+def _overgen_profile(args) -> EvaluationReport:
+    from .harness import run_overgeneralisation
+    entries = corpus_io.read_exceptions(args.exceptions)
+    return run_overgeneralisation(corpus_io.read_checkpoint_predictions(args.preds), entries)
+
+
+def _length_gen(args) -> EvaluationReport:
+    from .harness import run_length_generalisation
+    _require_positive(args, "per_length")
+    seed = _resolve_seed(args, required=True)
+    names = ([n.strip() for n in args.functions.split(",")] if "functions" in args
+             else list(DEFAULT_REGISTRY.names()))
+    unknown = [n for n in names if n not in DEFAULT_REGISTRY.names()]
+    if unknown:
+        raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
+    lengths = _parse_lengths(getattr(args, "lengths", "1-12"))
+    cells = {}
+    for name in names:
+        cell_rng = substream(seed, "length-gen", name)
+        for length in lengths:
+            # probe the argument whose content survives into the output
+            cells[(name, length)] = make_primitive_length_corpus(
+                name, [length], getattr(args, "per_length", 50), cell_rng,
+                vary_arg=1 if name == "remove_first" else 0,
+            )
+    with _adapter(args, seed=seed) as adapter:
+        return run_length_generalisation(adapter, cells)
 
 
 def cmd_eval(args) -> int:
-    from .harness import run_overgeneralisation
-
-    _require_finite(args, "timeout", zero_ok=False)
-    _require_positive(args, "per_length")
-    if args.jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if args.save_preds and args.mode != "accuracy":
-        raise SystemExit(f"eval --save-preds keeps accuracy predictions only, not {args.mode}")
-    if args.mode == "overgen-profile":
-        _require_options(args, "exceptions", "preds")
-        entries = corpus_io.read_exceptions(args.exceptions)
-        checkpoints = corpus_io.read_checkpoint_predictions(args.preds)
-        report = run_overgeneralisation(checkpoints, entries)
-    elif args.mode == "length-gen":
-        report = _eval_length_gen(args)
-    else:
-        report = _eval_split(args)
+    report = row(args)(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.save_preds:
+    if "save_preds" in args:
         corpus_io.write_predictions(out / "predictions.pred",
                                     [p.tokens for p in report.predictions])
     corpus_io.write_report(out / "report.json", report)
@@ -375,70 +429,6 @@ def cmd_eval(args) -> int:
         tags = ", ".join(f"{k}: {v}" for k, v in sorted(report.errors.items()))
         print(f"adapter errors: {tags}")
     return 0
-
-
-def _eval_length_gen(args) -> EvaluationReport:
-    from .harness import build_adapter, run_length_generalisation
-
-    seed = _resolve_seed(args, required=True)
-    names = (
-        [n.strip() for n in args.functions.split(",")]
-        if args.functions
-        else list(DEFAULT_REGISTRY.names())
-    )
-    unknown = [n for n in names if n not in DEFAULT_REGISTRY.names()]
-    if unknown:
-        raise SystemExit(f"unknown --functions: {', '.join(unknown)}")
-    lengths = _parse_lengths(args.lengths)
-    cells = {}
-    for name in names:
-        cell_rng = substream(seed, "length-gen", name)
-        for length in lengths:
-            cells[(name, length)] = make_primitive_length_corpus(
-                name, [length], args.per_length, cell_rng, vary_arg=_default_vary_arg(name)
-            )
-    with build_adapter(
-        args.adapter, timeout_s=args.timeout, jobs=args.jobs, seed=seed
-    ) as adapter:
-        return run_length_generalisation(adapter, cells)
-
-
-def _eval_split(args) -> EvaluationReport:
-    """The modes that score the one split they read of a corpus directory."""
-    from .harness import (build_adapter, run_accuracy, run_consistency, run_eos_analysis,
-                          run_localism)
-    from .suite import make_consistency_pairs
-
-    _require_options(args, "data")
-    split = _pick_split(args.data, args.split)
-    testset = _load_base(args.data, [split]).split(split)
-    registry = corpus_io.registry_for_directory(args.data)
-    # an eos prediction file is served as a file adapter
-    adapter = f"file:{args.preds}" if args.mode == "eos" and args.preds else args.adapter
-    with build_adapter(
-        adapter,
-        testset=testset,
-        registry=registry,
-        timeout_s=args.timeout,
-        jobs=args.jobs,
-        seed=_resolve_seed(args, required=False) or 0,
-    ) as adapter:
-        if args.mode == "eos":
-            return run_eos_analysis(adapter, testset)
-        if args.mode == "accuracy":
-            pairs_path = Path(args.data) / "pairs.json"
-            pairs = corpus_io.read_pairs(pairs_path) if pairs_path.exists() else None
-            return run_accuracy(adapter, testset, pairs=pairs)
-        if args.mode == "consistency":
-            synonyms = corpus_io.read_synonyms(args.synonyms or Path(args.data) / "synonyms.json")
-            pairs, skipped = make_consistency_pairs(testset, synonyms)
-            if not pairs:
-                raise SystemExit("no test samples contain a mapped function")
-            report = run_consistency(adapter, pairs)
-            report.extras["skipped"] = skipped
-            return report
-        # localism, the last mode that scores a split
-        return run_localism(adapter, testset, registry=registry)
 
 
 def cmd_validate(args) -> int:
@@ -464,6 +454,46 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# per testbuild test and eval mode: the function that builds or scores it,
+# every option it reads, then those of them it needs
+_BUILD = {"test", "base", "out", "seed"}
+TESTBUILD = {
+    "systematicity": (_systematicity, _BUILD | {"pairs", "test_size"}),
+    "productivity": (_productivity, _BUILD | {"threshold"}),
+    "substitutivity-ed": (_substitutivity_ed, _BUILD | {"synonyms"}),
+    "substitutivity-prim": (_substitutivity_prim, _BUILD | {"synonyms", "fraction"}),
+    "overgen": (_overgen, _BUILD | {"exception_pct"}),
+}
+_ADAPTER = {"mode", "out", "adapter", "timeout", "jobs", "seed"}
+_SPLIT = _ADAPTER | {"data", "split"}
+EVAL = {
+    "accuracy": (_on_split(_accuracy), _SPLIT | {"save_preds"}, "data"),
+    "consistency": (_on_split(_consistency), _SPLIT | {"synonyms"}, "data"),
+    "localism": (_on_split(_localism), _SPLIT, "data"),
+    "overgen-profile": (_overgen_profile, {"mode", "out", "exceptions", "preds"},
+                        "exceptions", "preds"),
+    "length-gen": (_length_gen, _ADAPTER | {"functions", "lengths", "per_length"}),
+    "eos": (_on_split(_eos), _SPLIT | {"preds"}, "data"),
+}
+
+
+def row(args):
+    """The function of the testbuild test or eval mode that ``args`` chose;
+    an option given that it does not read, or one it needs and was not
+    given, ends the command in one line."""
+    if args.command == "testbuild":
+        chosen, (run, reads, *needs) = f"--test {args.test}", TESTBUILD[args.test]
+    else:
+        chosen, (run, reads, *needs) = args.mode, EVAL[args.mode]
+    unread = [f"--{name.replace('_', '-')}" for name in vars(args)
+              if name not in reads and name not in ("command", "func")]
+    if unread:
+        raise SystemExit(f"{args.command} {chosen} does not read {', '.join(unread)}")
+    missing = [f"--{name}" for name in needs if name not in args]
+    if missing:
+        raise SystemExit(f"{args.command} {chosen} needs {' and '.join(missing)}")
+    return run
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -485,39 +515,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--size", type=int, help="regenerate a corpus of this size at the end")
     p.add_argument("--sample-size", type=int, default=20_000)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_naturalise)
 
-    p = sub.add_parser("testbuild", help="redistribute a base corpus into a test")
-    p.add_argument(
-        "--test",
-        required=True,
-        choices=[
-            "systematicity",
-            "productivity",
-            "substitutivity-ed",
-            "substitutivity-prim",
-            "overgen",
-        ],
-    )
+    p = sub.add_parser("testbuild", help="redistribute a base corpus into a test",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--test", required=True, choices=TESTBUILD)
     p.add_argument("--base", required=True, help="base corpus directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--pairs", help="held-out pair JSON (default: built-in four)")
     p.add_argument("--synonyms", help="synonym map JSON (default: built-in)")
     p.add_argument("--exception-pct", type=float, help="single percentage instead of the grid")
-    p.add_argument("--threshold", type=int, default=8)
-    p.add_argument("--fraction", type=float, default=0.001)
-    p.add_argument("--test-size", type=int, default=10_000)
+    p.add_argument("--threshold", type=int)
+    p.add_argument("--fraction", type=float)
+    p.add_argument("--test-size", type=int)
     p.set_defaults(func=cmd_testbuild)
 
-    p = sub.add_parser("eval", help="run an adapter through a test")
-    p.add_argument(
-        "mode",
-        choices=["accuracy", "consistency", "localism", "overgen-profile", "length-gen", "eos"],
-    )
-    p.add_argument("--adapter", default="oracle")
+    p = sub.add_parser("eval", help="run an adapter through a test",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("mode", choices=EVAL)
+    p.add_argument("--adapter", help="oracle (default), faulty:<rate>, file:<path> or cmd:<cmd>")
     p.add_argument("--data", help="corpus directory")
     p.add_argument("--split", help="which split to evaluate (default: test)")
     p.add_argument("--out", required=True)
@@ -525,12 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exceptions", help="exception sidecar JSON")
     p.add_argument("--synonyms", help="synonym map JSON")
     p.add_argument("--functions", help="comma-separated function names (length-gen)")
-    p.add_argument("--lengths", default="1-12", help="lengths, e.g. 1-12 or 2,4,8")
-    p.add_argument("--per-length", type=int, default=50)
+    p.add_argument("--lengths", help="lengths, e.g. 1-12 (default) or 2,4,8")
+    p.add_argument("--per-length", type=int)
     p.add_argument("--save-preds", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--jobs", type=int)
+    p.add_argument("--timeout", type=float)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("validate", help="audit corpus files")
@@ -561,8 +580,7 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _FAILURES as exc:

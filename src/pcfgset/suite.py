@@ -179,6 +179,7 @@ def substitutivity_primitive(
     fraction: float = 0.001,
     *,
     rng: random.Random,
+    written: Iterable[Sample],
 ) -> tuple[Corpus, dict[str, int]]:
     """Add primitive synonym samples instead of rewriting.
 
@@ -186,11 +187,12 @@ def substitutivity_primitive(
     samples ``F_syn <args>`` from ``draw_admitted`` are appended, with
     arguments respecting the corpus constraints (no literal repeats
     inside a sample, no reuse of a multi-symbol argument seen anywhere
-    in train or among the additions).
+    in ``written``, every sample the output is written with, train
+    included, or among the additions).
     """
     registry = synonyms.registry()
     per_base = round_half_up(fraction * len(train))
-    ledger = UniquenessLedger(train)
+    ledger = UniquenessLedger(written)
     added: list[Sample] = []
     counts: dict[str, int] = {}
     for base, syn in synonyms.mapping:

@@ -262,7 +262,7 @@ def test_criterion_5_substitutivity():
         issues.append(f"ED consistency {ed_report.overall}")
 
     prim_train, _ = substitutivity_primitive(
-        train, synonyms, fraction=0.001, rng=substream(DEFAULT_SEED, "prim")
+        train, synonyms, fraction=0.001, rng=substream(DEFAULT_SEED, "prim"), written=train
     )
     want_added = math.floor(0.001 * len(train.samples) + 0.5)
     if prim_train.samples[:len(train)] != train.samples:

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -252,6 +253,25 @@ def test_testbuild_overgen_reads_only_train_but_checks_every_hash(base_dir, tmp_
     assert "test.src: hash mismatch" in ei.value.code
     (base_dir / "manifest.json").unlink()
     assert run_cli(*argv, tmp_path / "unchecked") == 0
+
+
+def test_every_testbuild_and_naturalise_output_passes_validate(tmp_path, capsys):
+    base = tmp_path / "base"
+    run_cli("generate", "--seed", 1, "--size", 3000, "--out", base)
+    # substitutivity-prim and overgen at these values synthesise samples
+    for test, extra in [("systematicity", ["--test-size", 300]), ("productivity", []),
+                        ("substitutivity-ed", []), ("substitutivity-prim", ["--fraction", 0.5]),
+                        ("overgen", ["--exception-pct", 0.5]), ("overgen", [])]:
+        out = tmp_path / f"{test}{len(extra)}"
+        assert run_cli("testbuild", "--test", test, "--base", base, "--out", out,
+                       "--seed", 1, *extra) == 0
+        for data in sorted(out.glob("pct-*")) or [out]:
+            sidecar = ["--exceptions", data / "exceptions.json"] if test == "overgen" else []
+            assert run_cli("validate", "--data", data, *sidecar) == 0, capsys.readouterr().out
+    nat = tmp_path / "nat"
+    assert run_cli("naturalise", "--seed", 1, "--sample-size", 2000, "--size", 1000,
+                   "--out", nat) == 0
+    assert run_cli("validate", "--data", nat) == 0, capsys.readouterr().out
 
 
 def test_testbuild_substitutivity_needs_splits(tmp_path):
@@ -738,16 +758,20 @@ DATA = ["--data", "{tmp}/d"]
      "eval --lengths must be at most 515, got 518"),
     (["accuracy", *DATA, "--adapter", "oracle", "--jobs", "0"], "eval failed: jobs must be at least 1"),
     (["length-gen", "--seed", "1", "--per-length", "0"], "eval --per-length must be at least 1, got 0"),
-    (["localism", *DATA, "--save-preds"],
-     "eval --save-preds keeps accuracy predictions only, not localism"),
+    (["localism", *DATA, "--save-preds"], "eval localism does not read --save-preds"),
     (["length-gen", "--seed", "1", "--functions", "copy", "--save-preds"],
-     "eval --save-preds keeps accuracy predictions only, not length-gen"),
+     "eval length-gen does not read --save-preds"),
+    (["accuracy", *DATA, "--lengths", "bogus", "--functions", "nope", "--exceptions", "no.json"],
+     "eval accuracy does not read --lengths, --functions, --exceptions"),
+    (["eos", *DATA, "--preds", "{tmp}/nope.pred", "--adapter", "oracle"],
+     "eval eos takes --preds or --adapter, not both"),
 ], ids=["faulty-rate-not-a-number", "faulty-rate-out-of-range", "unknown-adapter",
         "empty-command", "no-jobs", "missing-file-adapter", "missing-preds",
         "command-cannot-start", "command-cannot-start-2-jobs", "no-data", "no-exceptions",
         "bad-lengths", "reversed-lengths", "unknown-function", "infinite-timeout", "length-beyond-the-literals",
         "binary-length-beyond-the-literals", "no-jobs-in-process", "no-samples-per-length",
-        "save-preds-localism", "save-preds-length-gen"])
+        "save-preds-localism", "save-preds-length-gen", "options-of-other-modes",
+        "preds-and-adapter"])
 def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, message):
     one_sample_directory(tmp_path / "d")
     with pytest.raises(SystemExit) as ei:
@@ -762,7 +786,10 @@ def test_a_malformed_eval_argument_ends_in_one_line(tmp_path, capsys, argv, mess
      "testbuild --exception-pct must be finite and at least 0, got inf"),
     (["--test", "substitutivity-prim", "--fraction", "inf"],
      "testbuild --fraction must be finite and at least 0, got inf"),
-], ids=["infinite-exception-pct", "infinite-fraction"])
+    (["--test", "productivity", "--pairs", "missing.json", "--fraction", "7",
+      "--exception-pct", "3"],
+     "testbuild --test productivity does not read --pairs, --fraction, --exception-pct"),
+], ids=["infinite-exception-pct", "infinite-fraction", "options-of-other-tests"])
 def test_a_malformed_testbuild_argument_ends_in_one_line(tmp_path, capsys, argv, message):
     run_cli("generate", "--seed", 3, "--size", 100, "--out", tmp_path / "base")
     capsys.readouterr()
@@ -896,6 +923,93 @@ def test_a_size_below_one_ends_in_one_line(tmp_path, argv):
         run_cli(*argv, "--seed", 0, "--out", tmp_path / "x")
     assert ei.value.code == f"{argv[0]} {argv[1]} must be at least 1, got {argv[2]}"
     assert not (tmp_path / "x").exists()
+
+
+# --- the options each test and mode reads -----------------------------------------
+
+# beside --test, --base, --out and --seed for testbuild, and --out for eval
+TEST_READS = {
+    "systematicity": {"--pairs", "--test-size"},
+    "productivity": {"--threshold"},
+    "substitutivity-ed": {"--synonyms"},
+    "substitutivity-prim": {"--synonyms", "--fraction"},
+    "overgen": {"--exception-pct"},
+}
+ADAPTER_READS = {"--adapter", "--timeout", "--jobs", "--seed"}
+SPLIT_READS = ADAPTER_READS | {"--data", "--split"}
+MODE_READS = {
+    "accuracy": SPLIT_READS | {"--save-preds"},
+    "consistency": SPLIT_READS | {"--synonyms"},
+    "localism": SPLIT_READS,
+    "eos": SPLIT_READS | {"--preds"},
+    "overgen-profile": {"--exceptions", "--preds"},
+    "length-gen": ADAPTER_READS | {"--functions", "--lengths", "--per-length"},
+}
+# a value for every option, the old default wherever there was one
+VALUES = {"--pairs": ["p.json"], "--synonyms": ["s.json"], "--exception-pct": ["0.001"],
+          "--threshold": ["8"], "--fraction": ["0.001"], "--test-size": ["10000"],
+          "--adapter": ["oracle"], "--data": ["d"], "--split": ["test"], "--preds": ["p"],
+          "--exceptions": ["e.json"], "--functions": ["copy"], "--lengths": ["1-12"],
+          "--per-length": ["50"], "--save-preds": [], "--seed": ["1"], "--jobs": ["1"],
+          "--timeout": ["30.0"]}
+TEST_OPTIONS = set().union(*TEST_READS.values())
+MODE_OPTIONS = set().union(*MODE_READS.values())
+
+
+def _chosen(command, chosen, options):
+    head = (["testbuild", "--test", chosen, "--base", "b", "--seed", "1"]
+            if command == "testbuild" else ["eval", chosen])
+    return head + [v for option in sorted(options) for v in [option, *VALUES[option]]]
+
+
+UNREAD = sorted([("testbuild", test, option) for test, reads in TEST_READS.items()
+                 for option in TEST_OPTIONS - reads]
+                + [("eval", mode, option) for mode, reads in MODE_READS.items()
+                   for option in MODE_OPTIONS - reads])
+
+
+@pytest.mark.parametrize("command, chosen, option", UNREAD,
+                         ids=[f"{c}-{t}{o}" for c, t, o in UNREAD])
+def test_an_option_the_test_or_mode_does_not_read_ends_in_one_line(
+    tmp_path, capsys, command, chosen, option
+):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*_chosen(command, chosen, [option]), "--out", tmp_path / "out")
+    label = f"--test {chosen}" if command == "testbuild" else chosen
+    assert ei.value.code == f"{command} {label} does not read {option}"
+    # no argparse usage line, and nothing made
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out").exists()
+
+
+# eos reads --preds in place of --adapter
+READ = ([("testbuild", t, r) for t, r in TEST_READS.items()]
+        + [("eval", m, r - {"--preds"} if m == "eos" else r) for m, r in MODE_READS.items()]
+        + [("eval", "eos", MODE_READS["eos"] - {"--adapter"})])
+
+
+@pytest.mark.parametrize("command, chosen, reads", READ,
+                         ids=[*TEST_READS, *MODE_READS, "eos-preds"])
+def test_every_option_a_test_or_mode_reads_passes_the_check(command, chosen, reads):
+    args = cli.build_parser().parse_args(_chosen(command, chosen, reads) + ["--out", "o"])
+    assert callable(cli.row(args))
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line[line.index("pcfgset "):])[1:] for line in lines
+            if "pcfgset " in line and not line.startswith("#")]
+
+
+def test_every_readme_command_parses_and_gives_only_options_it_reads():
+    commands = _readme_commands()
+    assert len(commands) > 10
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.command in ("testbuild", "eval"):
+            cli.row(args)
 
 
 # --- naturalise -----------------------------------------------------------------
@@ -1109,12 +1223,10 @@ def test_a_hostile_corpus_directory_ends_in_a_report_or_one_line(
             assert code == 0, code
 
         # each command reads only the splits it uses, and the sidecars it is given
-        testbuild = ["testbuild", "--test", test, "--base", data, "--out", tmp / "tb",
-                     "--seed", 1, "--test-size", 2, "--threshold", 2]
-        if test == "systematicity":
-            testbuild += ["--pairs", data / "pairs.json"]
-        if test == "substitutivity-ed":
-            testbuild += ["--synonyms", data / "synonyms.json"]
+        testbuild = ["testbuild", "--test", test, "--base", data, "--out", tmp / "tb", "--seed", 1,
+                     *{"systematicity": ["--test-size", 2, "--pairs", data / "pairs.json"],
+                       "productivity": ["--threshold", 2],
+                       "substitutivity-ed": ["--synonyms", data / "synonyms.json"]}.get(test, [])]
         evaluate = ["eval", mode, "--data", data, "--split", "test", "--out", tmp / "ev"]
         built = None
         for argv, reads in ((testbuild, ["train"] if test == "overgen" else ["train", "test"]),

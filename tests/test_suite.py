@@ -155,7 +155,7 @@ def test_substitutivity_primitive_adds_single_function_samples():
     texts = [f"append A{i} , B{i}" for i in range(1, 11)]
     corpus = corpus_of(*texts)
     out, counts = substitutivity_primitive(
-        corpus, SynonymMap.default(), fraction=0.2, rng=random.Random(5)
+        corpus, SynonymMap.default(), fraction=0.2, rng=random.Random(5), written=corpus
     )
     # round(0.2 * 10) = 2 per synonym, four synonyms
     assert counts == {"swap": 2, "repeat": 2, "append": 2, "remove_second": 2}
@@ -176,7 +176,7 @@ def test_substitutivity_primitive_adds_single_function_samples():
 def test_substitutivity_primitive_zero_fraction_adds_nothing():
     corpus = corpus_of("copy A", "echo B")
     out, counts = substitutivity_primitive(corpus, SynonymMap.default(), fraction=0.0,
-                                           rng=random.Random(0))
+                                           rng=random.Random(0), written=corpus)
     assert len(out) == 2 and all(v == 0 for v in counts.values())
 
 
