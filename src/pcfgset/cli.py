@@ -292,9 +292,10 @@ def _overgen(args, rng, out: Path) -> None:
     with_train = "train" in corpus_io.discover_splits(args.base)
     base = _load_base(args.base, ["train"] if with_train else None)
     source = base.split("train") if with_train else base
-    for pct in [args.exception_pct] if "exception_pct" in args else OVERGEN_PERCENTAGES:
-        variant, entries = exceptions_apply(source, percentage=pct,
-                                            rng=substream(args.seed, "overgen", repr(pct)))
+    grid = [args.exception_pct] if "exception_pct" in args else OVERGEN_PERCENTAGES
+    variants = exceptions_apply(source, {pct: substream(args.seed, "overgen", repr(pct))
+                                         for pct in grid})
+    for pct, (variant, entries) in variants.items():
         variant_dir = out / f"pct-{pct:g}"
         _write_test(args, variant_dir, {"train": variant}, base, exception_pct=pct)
         corpus_io.write_exceptions(variant_dir / "exceptions.json", entries)
@@ -305,9 +306,11 @@ def _overgen(args, rng, out: Path) -> None:
 
 def cmd_testbuild(args) -> int:
     build = row(args)
-    args.seed = _resolve_seed(args, required=True)
+    # productivity draws nothing, so it alone builds without a seed
+    args.seed = _resolve_seed(args, required=build is not _productivity)
+    rng = None if args.seed is None else substream(args.seed, "testbuild", args.test)
     out = Path(args.out)
-    build(args, substream(args.seed, "testbuild", args.test), out)
+    build(args, rng, out)
     print(f"wrote {out}")
     return 0
 

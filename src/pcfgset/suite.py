@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .generation import Corpus, Sample, UniquenessLedger, draw_admitted, round_half_up
 from .language import DEFAULT_REGISTRY, FunctionRegistry, FunctionSymbol, evaluate, fold, interpret
@@ -45,15 +45,15 @@ DEFAULT_HELD_OUT_PAIRS = (
 )
 
 
-def contains_pair(src: Sequence[str], pairs: Iterable[HeldOutPair]) -> bool:
-    """True when any pair occurs as adjacent tokens in the source.
+def contains_pair(src: Sequence[str], pairs: Collection[tuple[str, str]]) -> bool:
+    """True when any of ``pairs`` occurs as adjacent tokens in the source;
+    a caller testing many sources passes the pairs as one set.
 
     Adjacency of two function tokens in this grammar happens exactly when
     the second heads the first's (first) argument, so a bigram scan is a
     faithful containment test.
     """
-    wanted = {(p.outer, p.inner) for p in pairs}
-    return any((a, b) in wanted for a, b in zip(src, src[1:]))
+    return any(pair in pairs for pair in zip(src, src[1:]))
 
 
 def systematicity_split(
@@ -70,8 +70,9 @@ def systematicity_split(
     InsufficientPositives.
     """
     positives, negatives = [], []
+    wanted = set(pairs)
     for s in corpus:
-        (positives if contains_pair(s.src, pairs) else negatives).append(s)
+        (positives if contains_pair(s.src, wanted) else negatives).append(s)
     if not pairs:
         return Corpus(negatives), Corpus([])
     if len(positives) < test_size:
@@ -140,11 +141,14 @@ def substitutivity_equal(
     """Rewrite exactly half of each base function's occurrences (floor).
 
     Occurrences are counted token-wise across the whole train side; the
-    rewritten occurrences are a uniform draw.  Targets stay untouched
-    because a synonym means the same thing.  Returns the rewritten corpus
-    and an audit mapping base -> (rewritten, total).
+    rewritten occurrences are a uniform draw.  A rewritten sample keeps
+    its target and stats, because a synonym takes its base's arity and
+    meaning.  Returns the rewritten corpus and an audit mapping base ->
+    (rewritten, total).
     """
-    registry = synonyms.registry()
+    # refuses a synonym name that is not fresh, the one way a synonym
+    # could read differently from its base
+    synonyms.registry()
     # per base function, its (sample, token) positions in one walk
     occurrences: dict[str, list[tuple[int, int]]] = {base: [] for base, _ in synonyms.mapping}
     for pos, s in enumerate(train.samples):
@@ -166,10 +170,10 @@ def substitutivity_equal(
         if not subs:
             rewritten.append(s)
             continue
-        src = tuple(subs.get(i, tok) for i, tok in enumerate(s.src))
-        new = Sample.from_src(src, registry)
-        assert new.tgt == s.tgt, "synonym rewriting must not change the target"
-        rewritten.append(new)
+        src = list(s.src)
+        for t_idx, syn in subs.items():
+            src[t_idx] = syn
+        rewritten.append(s._replace(src=tuple(src)))
     return Corpus(rewritten), audit
 
 
@@ -280,67 +284,72 @@ class ExceptionEntry(NamedTuple):
 
 def exceptions_apply(
     train: Corpus,
-    percentage: float = 0.001,
-    *,
-    rng: random.Random,
-) -> tuple[Corpus, list[ExceptionEntry]]:
-    """Plant exception targets in the train side.
+    streams: Mapping[float, random.Random],
+) -> dict[float, tuple[Corpus, list[ExceptionEntry]]]:
+    """Plant exception targets in the train side, once per percentage.
 
-    Per pair of DEFAULT_EXCEPTION_REMAP, the exception count is
-    round(percentage * occurrences of the rarer member function, counted
-    token-wise over train).  That many pair-containing samples get their
-    target rewritten to the exception interpretation; if too few exist,
-    fresh minimal sources ``outer inner <args>`` from ``draw_admitted``
-    are synthesised and appended.  A sample serves at most one pair.
+    ``streams`` maps each percentage to the random stream it draws from;
+    each gets its own rewritten train side and entries.  Per pair of
+    DEFAULT_EXCEPTION_REMAP, the exception count is round(percentage *
+    occurrences of the rarer member function, counted token-wise over
+    train).  That many pair-containing samples get their target rewritten
+    to the exception interpretation; if too few exist, fresh minimal
+    sources ``outer inner <args>`` from ``draw_admitted`` are synthesised
+    and appended.  A sample serves at most one pair.
     """
+    # one census of train for every percentage, which each only reads:
     # every token is counted, but only function names are looked up
     fn_counts = Counter(tok for s in train for tok in s.src)
-    samples = list(train.samples)
     # per remapped pair, the ascending positions of the train samples
-    # holding it; a synthesised sample is taken as it is made
+    # holding it
     holders: dict[tuple[str, str], list[int]] = {p: [] for p in DEFAULT_EXCEPTION_REMAP}
-    for pos, s in enumerate(samples):
+    for pos, s in enumerate(train.samples):
         for pair in zip(s.src, s.src[1:]):
             positions = holders.get(pair)
             if positions is not None and (not positions or positions[-1] != pos):
                 positions.append(pos)
-    # built when a first source is synthesised, which few runs need
-    ledger: UniquenessLedger | None = None
-    taken: set[int] = set()
-    entries: list[ExceptionEntry] = []
-
-    for (outer, inner) in DEFAULT_EXCEPTION_REMAP:
-        k = round_half_up(
-            percentage * min(fn_counts.get(outer, 0), fn_counts.get(inner, 0))
-        )
-        if k == 0:
-            continue
-        candidates = [pos for pos in holders[outer, inner] if pos not in taken]
-        if len(candidates) >= k:
-            chosen = sorted(rng.sample(candidates, k))
-        else:
-            chosen = list(candidates)
-            n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
-            ledger = ledger or UniquenessLedger(train)
-            while len(chosen) < k:
-                src = draw_admitted([outer, inner], n_args, rng, ledger, f"sample {len(samples)}")
-                samples.append(Sample.from_src(src))
-                chosen.append(len(samples) - 1)
-        for pos in chosen:
-            s = samples[pos]
-            exc = exception_evaluate(s.src)
-            samples[pos] = s._replace(tgt=exc)
-            taken.add(pos)
-            entries.append(
-                ExceptionEntry(
-                    sample_id=pos,
-                    src=s.src,
-                    original_tgt=evaluate(s.src),
-                    exception_tgt=exc,
-                    pair=(outer, inner),
-                )
+    variants: dict[float, tuple[Corpus, list[ExceptionEntry]]] = {}
+    for percentage, rng in streams.items():
+        samples = list(train.samples)
+        # built when a first source is synthesised, which few runs need
+        ledger: UniquenessLedger | None = None
+        taken: set[int] = set()
+        entries: list[ExceptionEntry] = []
+        for (outer, inner) in DEFAULT_EXCEPTION_REMAP:
+            k = round_half_up(
+                percentage * min(fn_counts.get(outer, 0), fn_counts.get(inner, 0))
             )
-    return Corpus(samples), entries
+            if k == 0:
+                continue
+            candidates = [pos for pos in holders[outer, inner] if pos not in taken]
+            if len(candidates) >= k:
+                chosen = sorted(rng.sample(candidates, k))
+            else:
+                # a synthesised sample is taken as it is made
+                chosen = list(candidates)
+                n_args = sum(DEFAULT_REGISTRY.lookup(name).arity for name in (outer, inner)) - 1
+                ledger = ledger or UniquenessLedger(train)
+                while len(chosen) < k:
+                    src = draw_admitted([outer, inner], n_args, rng, ledger,
+                                        f"sample {len(samples)}")
+                    samples.append(Sample.from_src(src))
+                    chosen.append(len(samples) - 1)
+            for pos in chosen:
+                s = samples[pos]
+                exc = exception_evaluate(s.src)
+                samples[pos] = s._replace(tgt=exc)
+                taken.add(pos)
+                entries.append(
+                    ExceptionEntry(
+                        sample_id=pos,
+                        src=s.src,
+                        original_tgt=evaluate(s.src),
+                        exception_tgt=exc,
+                        pair=(outer, inner),
+                    )
+                )
+        variants[percentage] = (Corpus(samples), entries)
+    return variants
 
 
 # --- localism ------------------------------------------------------------------

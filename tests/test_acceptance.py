@@ -328,10 +328,11 @@ def test_criterion_7_exception_counts(raw_base):
     base_dir, _ = raw_base
     train = corpus_io.read_corpus(base_dir).split("train")
     issues = []
-    for pct in (0.0001, 0.0005, 0.001, 0.005):
-        variant, entries = exceptions_apply(
-            train, percentage=pct, rng=substream(DEFAULT_SEED, "exc", repr(pct))
-        )
+    grid = (0.0001, 0.0005, 0.001, 0.005)
+    variants = exceptions_apply(
+        train, {pct: substream(DEFAULT_SEED, "exc", repr(pct)) for pct in grid}
+    )
+    for pct, (variant, entries) in variants.items():
         by_pair: dict[tuple[str, str], list[ExceptionEntry]] = {}
         for entry in entries:
             by_pair.setdefault(entry.pair, []).append(entry)

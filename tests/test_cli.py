@@ -207,6 +207,37 @@ def test_testbuild_substitutivity_ed(base_dir, tmp_path, capsys):
     assert run_cli("validate", "--data", out) == 0
 
 
+def test_testbuild_substitutivity_ed_keeps_each_base_target(base_dir, tmp_path):
+    # targets the evaluator disagrees with; the manifest goes, since its hashes would refuse them
+    (base_dir / "manifest.json").unlink()
+    tgt = base_dir / "train.tgt"
+    tgt.write_text("".join(f"Z {line}" for line in tgt.read_text().splitlines(True)))
+    out = tmp_path / "ed"
+    assert run_cli("testbuild", "--test", "substitutivity-ed", "--base", base_dir,
+                   "--out", out, "--seed", 5) == 0
+    base_src = (base_dir / "train.src").read_text().splitlines()
+    built_src = (out / "train.src").read_text().splitlines()
+    assert sum(a != b for a, b in zip(base_src, built_src)) > 0
+    assert (out / "train.tgt").read_text() == tgt.read_text()
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_testbuild_productivity_needs_no_seed(base_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("PCFGSET_SEED", raising=False)
+    common = ["testbuild", "--base", base_dir, "--out"]
+    assert run_cli(*common, tmp_path / "unseeded", "--test", "productivity") == 0
+    assert run_cli(*common, tmp_path / "seeded", "--test", "productivity", "--seed", 1) == 0
+    assert _tree(tmp_path / "unseeded") == _tree(tmp_path / "seeded")
+    for test in ("systematicity", "substitutivity-ed", "substitutivity-prim", "overgen"):
+        with pytest.raises(SystemExit) as ei:
+            run_cli(*common, tmp_path / test, "--test", test)
+        assert ei.value.code == "a seed is required: pass --seed or set PCFGSET_SEED"
+        assert not (tmp_path / test).exists()
+
+
 def test_testbuild_substitutivity_prim(base_dir, tmp_path):
     out = tmp_path / "prim"
     assert run_cli("testbuild", "--test", "substitutivity-prim", "--base", base_dir,
@@ -272,6 +303,33 @@ def test_every_testbuild_and_naturalise_output_passes_validate(tmp_path, capsys)
     assert run_cli("naturalise", "--seed", 1, "--sample-size", 2000, "--size", 1000,
                    "--out", nat) == 0
     assert run_cli("validate", "--data", nat) == 0, capsys.readouterr().out
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16), size=st.integers(min_value=300, max_value=3000),
+       test_size=st.integers(min_value=1, max_value=300), threshold=st.integers(min_value=1, max_value=12),
+       fraction=st.floats(min_value=0.01, max_value=0.5), pct=st.floats(min_value=0.1, max_value=2.0))
+@settings(max_examples=4, deadline=None)
+def test_every_testbuild_output_passes_validate(seed, size, test_size, threshold, fraction, pct):
+    # substitutivity-prim and overgen synthesise samples at these values; a
+    # test the base cannot fill ends in one line instead
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        assert _outcome(["generate", "--seed", seed, "--size", size, "--out", base])[0] == 0
+        for test, extra in [("systematicity", ["--test-size", test_size]),
+                            ("productivity", ["--threshold", threshold]),
+                            ("substitutivity-ed", []), ("substitutivity-prim", ["--fraction", fraction]),
+                            ("overgen", ["--exception-pct", pct])]:
+            out = tmp / test
+            code, _ = _outcome(["testbuild", "--test", test, "--base", base, "--out", out,
+                                "--seed", seed, *extra])
+            if code != 0:
+                assert _one_line(code), code
+                continue
+            for data in sorted(out.glob("pct-*")) or [out]:
+                sidecar = ["--exceptions", data / "exceptions.json"] if test == "overgen" else []
+                code, printed = _outcome(["validate", "--data", data, *sidecar])
+                assert code == 0, (test, printed)
 
 
 def test_testbuild_substitutivity_needs_splits(tmp_path):
@@ -1170,7 +1228,7 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def small_exceptions(small_corpus):
-    return exceptions_apply(small_corpus.split("train"), percentage=0.5, rng=random.Random(4))[1]
+    return exceptions_apply(small_corpus.split("train"), {0.5: random.Random(4)})[0.5][1]
 
 
 @given(

@@ -211,7 +211,7 @@ def test_synonyms_round_trip_and_registry(tmp_path):
 
 def test_exceptions_round_trip(tmp_path):
     train = corpus_of(["reverse echo A B", "reverse echo C D", "copy E"])
-    _, entries = exceptions_apply(train, percentage=0.5, rng=random.Random(2))
+    _, entries = exceptions_apply(train, {0.5: random.Random(2)})[0.5]
     assert entries
     write_exceptions(tmp_path / "exceptions.json", entries)
     again = read_exceptions(tmp_path / "exceptions.json")
@@ -421,7 +421,7 @@ def test_validator_checks_a_source_nested_3000_deep(tmp_path):
 
 def test_validator_accepts_excused_exception_targets(tmp_path):
     train = corpus_of(["reverse echo A B", "reverse echo C D", "copy E"])
-    rewritten, entries = exceptions_apply(train, percentage=0.5, rng=random.Random(2))
+    rewritten, entries = exceptions_apply(train, {0.5: random.Random(2)})[0.5]
     write_corpus(tmp_path, rewritten)
     assert any("does not match" in p for p in validate_corpus_files(tmp_path))
     assert validate_corpus_files(tmp_path, exceptions=entries) == []

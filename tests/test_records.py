@@ -148,7 +148,7 @@ def test_mutable_containers_get_their_own_dicts_and_lists():
 
 def test_exceptions_apply_rewrites_targets_to_the_same_bytes():
     corpus = generate_corpus(GrammarParams.default(), 300, rng=random.Random(5))
-    planted, entries = exceptions_apply(corpus, percentage=0.05, rng=random.Random(6))
+    planted, entries = exceptions_apply(corpus, {0.05: random.Random(6)})[0.05]
     for entry in entries:
         sample = planted.samples[entry.sample_id]
         assert sample.src == entry.src and sample.tgt == entry.exception_tgt

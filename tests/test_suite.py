@@ -7,8 +7,9 @@ derived by hand from the definitions and frozen as oracles.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcfgset.generation import Corpus, Sample, leaf_tuples
+from pcfgset.generation import Corpus, GrammarParams, Sample, generate_corpus, leaf_tuples
 from pcfgset.language import DEFAULT_REGISTRY, evaluate, parse
 from pcfgset.suite import (
     DEFAULT_EXCEPTION_REMAP,
@@ -151,6 +152,18 @@ def test_substitutivity_equal_default_map_targets_hold():
         assert replaced == total // 2
 
 
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=10, deadline=None)
+def test_substitutivity_equal_rewrites_are_the_samples_of_their_sources(seed):
+    corpus = generate_corpus(GrammarParams.default(), 200, seed=seed)
+    synonyms = SynonymMap.default()
+    out, _ = substitutivity_equal(corpus, synonyms, rng=random.Random(seed))
+    registry = synonyms.registry()
+    assert [s for s in out if s not in corpus.samples]
+    for s in out:
+        assert s == Sample.from_src(s.src, registry)
+
+
 def test_substitutivity_primitive_adds_single_function_samples():
     texts = [f"append A{i} , B{i}" for i in range(1, 11)]
     corpus = corpus_of(*texts)
@@ -260,11 +273,7 @@ def test_exceptions_apply_counts_and_rewrites():
         "reverse N Q",
         "echo P R",
     )
-    out, entries = exceptions_apply(
-        corpus,
-        percentage=0.5,
-        rng=random.Random(2),
-    )
+    out, entries = exceptions_apply(corpus, {0.5: random.Random(2)})[0.5]
     assert len(entries) == 2
     assert all(e.pair == ("reverse", "echo") for e in entries)
     rewritten = {e.sample_id for e in entries}
@@ -288,11 +297,7 @@ def test_exceptions_apply_synthesises_when_short():
         "remove_first I , J",
     )
     # prepend x2, remove_first x2 -> k = round(2.0 * 2) = 4, none adjacent
-    out, entries = exceptions_apply(
-        corpus,
-        percentage=2.0,
-        rng=random.Random(8),
-    )
+    out, entries = exceptions_apply(corpus, {2.0: random.Random(8)})[2.0]
     assert len(entries) == 4
     assert len(out) == 8  # four synthesised samples appended
     for e in entries:
@@ -305,9 +310,24 @@ def test_exceptions_apply_synthesises_when_short():
         assert len(set(literals)) == len(literals)
 
 
+def test_exceptions_apply_shares_one_census_across_percentages():
+    # 0.5 synthesises sources; each percentage must come out as it would alone
+    train = generate_corpus(GrammarParams.default(), 2000, seed=7)
+    grid = (0.0001, 0.5, 0.0005, 0.001, 0.005)
+    before = list(train.samples)
+    together = exceptions_apply(train, {pct: random.Random(repr(pct)) for pct in grid})
+    assert train.samples == before
+    assert list(together) == list(grid)
+    assert len(together[0.5][0]) > len(train)
+    for pct in grid:
+        variant, entries = exceptions_apply(train, {pct: random.Random(repr(pct))})[pct]
+        assert together[pct][0].samples == variant.samples
+        assert together[pct][1] == entries
+
+
 def test_exceptions_apply_zero_percentage():
     corpus = corpus_of("reverse echo A B C", "copy D")
-    out, entries = exceptions_apply(corpus, percentage=0.0, rng=random.Random(0))
+    out, entries = exceptions_apply(corpus, {0.0: random.Random(0)})[0.0]
     assert entries == []
     assert [s.tgt for s in out] == [s.tgt for s in corpus]
 
