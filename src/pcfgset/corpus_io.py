@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import re
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -23,8 +24,7 @@ from .language import (
     FunctionRegistry,
     LanguageError,
     OutputTooLong,
-    fold,
-    interpret,
+    evaluate,
     stats,
 )
 
@@ -35,6 +35,9 @@ if TYPE_CHECKING:
     from .suite import ExceptionEntry, HeldOutPair, SynonymMap
 
 SCHEMA_VERSION = 1
+
+# rows write_token_file encodes at once: a few hundred KiB of a corpus file
+WRITE_BATCH = 4096
 
 # canonical split emission order; unknown names follow alphabetically
 _SPLIT_ORDER = {"train": 0, "valid": 1, "test": 2}
@@ -60,11 +63,19 @@ def file_sha256(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def write_token_file(path: Path | str, rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in rows:
-            handle.write(" ".join(row))
-            handle.write("\n")
+def write_token_file(path: Path | str, rows: Iterable[Sequence[str]]) -> str:
+    """One line per row, its tokens joined by single spaces, in UTF-8;
+    returns the SHA-256 hex digest of the bytes written, so a writer need
+    not read its file back to hash it.  Rows are encoded, hashed and
+    written WRITE_BATCH at a time."""
+    digest = hashlib.sha256()
+    rows = iter(rows)
+    with open(path, "wb") as handle:
+        while batch := list(map(" ".join, islice(rows, WRITE_BATCH))):
+            data = ("\n".join(batch) + "\n").encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+    return digest.hexdigest()
 
 
 def read_token_file(path: Path | str) -> list[list[str]]:
@@ -98,10 +109,8 @@ def write_corpus(
     for name, samples in splits:
         src_path = directory / f"{name}.src"
         tgt_path = directory / f"{name}.tgt"
-        write_token_file(src_path, [s.src for s in samples])
-        write_token_file(tgt_path, [s.tgt for s in samples])
-        hashes[src_path.name] = file_sha256(src_path)
-        hashes[tgt_path.name] = file_sha256(tgt_path)
+        hashes[src_path.name] = write_token_file(src_path, [s.src for s in samples])
+        hashes[tgt_path.name] = write_token_file(tgt_path, [s.tgt for s in samples])
         sizes[name] = len(samples)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -451,7 +460,7 @@ def validate_corpus_files(
         for lineno, (src, tgt) in enumerate(zip(src_rows, tgt_rows), start=1):
             where = f"{name}.src:{lineno}"
             try:
-                value = fold(src, registry, interpret)[1]
+                value = evaluate(src, registry)
             except OutputTooLong as exc:
                 problems.append(f"{where}: does not evaluate ({exc})")
             except LanguageError as exc:

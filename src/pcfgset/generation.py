@@ -26,8 +26,10 @@ from .language import (
     FunctionSymbol,
     OutputTooLong,
     SequenceStats,
+    build,
+    evaluator,
     fold,
-    interpret,
+    within_output_limit,
 )
 
 MAX_RECURSION_DEFAULT = 25
@@ -169,7 +171,7 @@ class Sample(NamedTuple):
                  registry: FunctionRegistry = DEFAULT_REGISTRY) -> "Sample":
         """The sample of a source, its target evaluated and its stats
         taken in one fold."""
-        seq_stats, tgt = fold(src, registry, interpret)
+        seq_stats, tgt = fold(src, registry, evaluator(src, registry))
         return cls(tuple(src), tgt, seq_stats)
 
     def src_text(self) -> str:
@@ -465,13 +467,11 @@ def _too_long(src: Sequence[str]) -> bool:
     """Whether evaluating a drawn source would build a value longer than
     MAX_OUTPUT_LENGTH, decided from lengths alone.
 
-    Every symbol of a value is a literal or the copy an ``echo`` adds, one
-    token of the source each, and each ``repeat`` at most doubles a value,
-    so no value is longer than ``len(src) * 2 ** repeats``.  The length
-    fold runs only for a source whose bound passes the limit: 115 of the
-    first 100,000 default-grammar draws at seed 0.
+    The length fold runs only for a source that ``within_output_limit``
+    does not clear: 115 of the first 100,000 default-grammar draws at
+    seed 0.
     """
-    if len(src) << src.count("repeat") <= MAX_OUTPUT_LENGTH:
+    if within_output_limit(src):
         return False
     try:
         fold(src, DEFAULT_REGISTRY, _output_length)
@@ -513,7 +513,9 @@ def generate_corpus(
                 )
             continue
         rejects = 0
-        samples.append(Sample.from_src(src))
+        # _too_long has bounded every call's output, so none is checked again
+        seq_stats, tgt = fold(src, DEFAULT_REGISTRY, build)
+        samples.append(Sample(src, tgt, seq_stats))
     return Corpus(samples, seed=seed, params=params)
 
 

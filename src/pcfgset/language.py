@@ -7,6 +7,12 @@ one structural fold over a program's tokens (``fold``: parsing,
 per-sequence statistics and any bottom-up value), and the ground-truth
 interpreter; ``serve`` answers programs over the line protocol for the
 ``oracle`` command.
+
+No evaluation builds a value longer than MAX_OUTPUT_LENGTH.  The length
+is checked once per program, from its token counts
+(``within_output_limit``); only a program that bound does not clear is
+folded with ``interpret``, which checks each call's output length before
+building it.
 """
 
 from __future__ import annotations
@@ -130,6 +136,11 @@ _SEMANTICS: dict[str, tuple[int, Callable[..., Symbols], Callable[..., int]]] = 
 # the benchmark's deepest requests answer with 5,001.
 MAX_OUTPUT_LENGTH = 1_000_000
 
+# Every function's output is at most the sum of its argument lengths plus
+# one, except repeat's, which doubles its argument.
+_DOUBLING_SIZE = _SEMANTICS["repeat"][2]
+_KNOWN_SIZES = frozenset(size for _, _, size in _SEMANTICS.values())
+
 
 # what a registry's token table gives a token that is not a function, and
 # what fold reads past the last token
@@ -142,7 +153,10 @@ class FunctionRegistry:
     Immutable; ``with_synonyms`` returns an extended copy so concurrent
     users of the default registry never observe mutation.  ``kinds`` maps
     every token the language knows to what it is: the separator, a
-    function symbol, or a literal, in that precedence.
+    function symbol, or a literal, in that precedence.  ``doubling`` names
+    the functions that double a value (``repeat`` and its synonyms), or is
+    None when some function's size is none of the built-in ones, so that
+    ``within_output_limit`` knows no bound.
     """
 
     def __init__(self, symbols: Iterable[FunctionSymbol]):
@@ -152,6 +166,11 @@ class FunctionRegistry:
                 raise ValueError(f"duplicate function name {sym.name!r}")
             self._by_name[sym.name] = sym
         self.kinds = dict.fromkeys(LITERALS, _LITERAL) | self._by_name | {SEPARATOR: _SEPARATOR}
+        symbols = self._by_name.values()
+        self.doubling = (
+            tuple(sym.name for sym in symbols if sym.size is _DOUBLING_SIZE)
+            if all(sym.size in _KNOWN_SIZES for sym in symbols) else None
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -336,8 +355,31 @@ def stats(src: Sequence[str],
     return fold(src, registry)[0]
 
 
+def within_output_limit(tokens: Sequence[str],
+                        registry: FunctionRegistry = DEFAULT_REGISTRY) -> bool:
+    """Whether no call of the program ``tokens`` can build a value longer
+    than MAX_OUTPUT_LENGTH, known from its token counts alone.
+
+    Every symbol of a value is a literal of the program or the one symbol
+    an ``echo`` call adds, one token each, and each call of ``repeat`` (or
+    of a synonym of it) at most doubles a value, so no value is longer than
+    ``len(tokens) << k``, ``k`` counting the tokens that name such a
+    function.  A registry holding a function of any other size gives no
+    bound: False.
+    """
+    doubling = registry.doubling
+    if doubling is None:
+        return False
+    k = 0
+    for name in doubling:
+        k += tokens.count(name)
+    return len(tokens) << k <= MAX_OUTPUT_LENGTH
+
+
 def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols]) -> Symbols:
-    """``fold``'s callback for ground-truth evaluation.
+    """``fold``'s callback for ground-truth evaluation with the length
+    checked at every call: for a program that ``within_output_limit``
+    does not clear.
 
     Arguments a fold passes are non-empty and match the arity, so only the
     output length is checked: OutputTooLong is raised, before building it,
@@ -347,6 +389,20 @@ def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols])
     if size > MAX_OUTPUT_LENGTH:
         raise OutputTooLong(fn.name, size)
     return fn.fn(*args)
+
+
+def build(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols]) -> Symbols:
+    """``fold``'s callback for ground-truth evaluation of a program whose
+    length is already bounded (``within_output_limit``): ``interpret``
+    without the per-call check."""
+    return fn.fn(*args)
+
+
+def evaluator(tokens: Sequence[str],
+              registry: FunctionRegistry = DEFAULT_REGISTRY) -> Callable[..., Symbols]:
+    """The ``fold`` callback that evaluates ``tokens``: ``build`` when
+    ``within_output_limit`` clears them, else ``interpret``."""
+    return build if within_output_limit(tokens, registry) else interpret
 
 
 def evaluate(src: Sequence[str],
@@ -359,7 +415,7 @@ def evaluate(src: Sequence[str],
     >>> " ".join(evaluate("repeat A B C".split()))
     'A B C A B C'
     """
-    return fold(src, registry, interpret)[1]
+    return fold(src, registry, evaluator(src, registry))[1]
 
 
 def evaluate_text(text: str, registry: FunctionRegistry = DEFAULT_REGISTRY) -> str:

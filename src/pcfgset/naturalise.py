@@ -259,8 +259,18 @@ def subsample_to_match(
     up and capped by availability.  Cells absent from the reference
     contribute nothing.
     """
-    features = extract_features(d_r)
-    sample_cells = partition(features, config)
+    return _subsample_cells(d_r, partition(extract_features(d_r), config), d_n, config, rng)
+
+
+def _subsample_cells(
+    d_r: Corpus,
+    sample_cells: dict[tuple[int, int], list[int]],
+    d_n: DistributionSpec,
+    config: PartitionConfig,
+    rng: random.Random,
+) -> Corpus:
+    """``subsample_to_match`` given the cells of ``d_r`` under ``config``
+    as ``partition`` gives them: each cell's indices ascending."""
     ref_cells = _spec_cells(d_n, config)
     anchor_vec = min(
         (vec for vec in ref_cells),
@@ -372,11 +382,19 @@ def select_increments(
     """
     base = rng.getrandbits(64)
     reference = fit_gaussian_spec(d_n)
+    # the samples grouped by (length, depth) once; each candidate's cells
+    # are unions of these groups
+    groups = partition(extract_features(d_r), PartitionConfig(1, 1))
     best: tuple[PartitionConfig, Corpus, float] | None = None
     for config in DEFAULT_INCREMENT_GRID:
         sub_rng = substream(base, "increments", config.i_length, config.i_depth)
+        cells: dict[tuple[int, int], list[int]] = {}
+        for (length, depth), members in groups.items():
+            cells.setdefault(config.vector(length, depth), []).extend(members)
+        for members in cells.values():
+            members.sort()
         try:
-            subset = subsample_to_match(d_r, d_n, config, sub_rng)
+            subset = _subsample_cells(d_r, cells, d_n, config, sub_rng)
         except EmptyAnchorCell:
             continue
         fit = fit_gaussian(extract_features(subset))

@@ -34,9 +34,9 @@ from pcfgset.generation import (  # noqa: E402
 from pcfgset.language import (  # noqa: E402
     DEFAULT_REGISTRY,
     LITERALS,
-    MAX_OUTPUT_LENGTH,
     LanguageError,
     evaluate,
+    within_output_limit,
 )
 from pcfgset.suite import SynonymMap, exception_evaluate  # noqa: E402
 
@@ -78,7 +78,7 @@ def test_evaluate_agrees_with_the_checker_on_random_pieces(tokens, registry):
 def test_evaluate_agrees_with_the_checker_on_drawn_programs(seed, synonyms):
     src = list(sample_tree(GrammarParams.default(), random.Random(seed)))
     # no value can pass the output limit, which the checker does not have
-    if len(src) << src.count("repeat") > MAX_OUTPUT_LENGTH:
+    if not within_output_limit(src):
         return
     registry, aliases = REGISTRIES["base"]
     if synonyms:
@@ -122,8 +122,8 @@ def test_the_overgen_remap_agrees_with_the_checker(seed):
     rng = random.Random(seed)
     while True:
         src = sample_tree(GrammarParams.default(), rng)
-        if (len(src) << src.count("repeat") <= MAX_OUTPUT_LENGTH
-                and any(pair in checker.EXCEPTION_REMAP for pair in zip(src, src[1:]))):
+        if within_output_limit(src) and any(
+                pair in checker.EXCEPTION_REMAP for pair in zip(src, src[1:])):
             break
     assert " ".join(exception_evaluate(src)) == checker.answer(
         " ".join(src), remap=checker.EXCEPTION_REMAP)

@@ -332,6 +332,23 @@ def test_every_testbuild_output_passes_validate(seed, size, test_size, threshold
                 assert code == 0, (test, printed)
 
 
+@given(seed=st.integers(min_value=0, max_value=2**16), size=st.integers(min_value=1, max_value=300),
+       sample_size=st.integers(min_value=60, max_value=600))
+@settings(max_examples=5, deadline=None)
+def test_every_naturalise_output_passes_validate(seed, size, sample_size):
+    # a pool too small to match the reference ends in one line instead
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "nat"
+        code, _ = _outcome(["naturalise", "--seed", seed, "--size", size,
+                            "--sample-size", sample_size, "--out", out])
+        if code != 0:
+            assert _one_line(code), code
+            return
+        code, printed = _outcome(["validate", "--data", out])
+        assert code == 0, printed
+        assert printed.splitlines()[-1] == f"PASS: {size} samples across 3 splits"
+
+
 def test_testbuild_substitutivity_needs_splits(tmp_path):
     from pcfgset.generation import Corpus, Sample
 

@@ -71,6 +71,15 @@ def test_token_file_round_trip(tmp_path):
     assert raw == b"swap A B\ncopy Q7\n\n"
 
 
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, 9000])
+def test_a_token_file_is_hashed_as_it_is_written(tmp_path, n):
+    # rows go out in batches; the digest covers every batch, and no more
+    rows = ([f"A{i % 19 + 1}", "B"] if i % 3 else [] for i in range(n))
+    path = tmp_path / "x.src"
+    assert write_token_file(path, rows) == file_sha256(path)
+    assert path.read_bytes().count(b"\n") == n
+
+
 # --- corpus directories --------------------------------------------------------
 
 

@@ -7,6 +7,8 @@ stand independent of the implementation.
 
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,16 +30,24 @@ from pcfgset.generation import (
     sample_tree,
     split_corpus,
 )
-from pcfgset.corpus_io import validate_corpus_files, write_corpus, write_token_file
+from pcfgset.corpus_io import (
+    validate_corpus_files,
+    write_corpus,
+    write_synonyms,
+    write_token_file,
+)
 from pcfgset.language import (
     DEFAULT_REGISTRY,
     LITERAL_SET,
+    MAX_OUTPUT_LENGTH,
     OutputTooLong,
     evaluate,
     fold,
+    interpret,
     parse,
     stats,
     tokenize,
+    within_output_limit,
 )
 from pcfgset.suite import SynonymMap
 
@@ -311,6 +321,75 @@ def test_a_draw_is_too_long_exactly_when_its_value_fold_says_so():
             outcomes.append(True)
         assert _too_long(src) == outcomes[-1]
     assert 10 < sum(outcomes) < 390
+
+
+# mostly repeat chains: past the cheap bound, over the output limit, and in
+# between, as above
+_REPEAT_HEAVY = uniform_params(p_unary=0.9, p_binary=0.05, p_leaf=0.05,
+                               fn_weights={"repeat": 1.0, "echo": 0.3, "append": 1.0})
+
+
+def _checked_value(src, registry):
+    """The value of ``fold(src, registry, interpret)``, checked at every
+    call, or the OutputTooLong it raises."""
+    try:
+        return fold(src, registry, interpret)
+    except OutputTooLong as exc:
+        return exc
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), synonyms=st.booleans(),
+       heavy=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_evaluation_within_the_output_bound_matches_the_per_call_check(seed, synonyms, heavy):
+    rng = random.Random(seed)
+    src = sample_tree(_REPEAT_HEAVY if heavy else GrammarParams.default(), rng)
+    registry = DEFAULT_REGISTRY
+    if synonyms:
+        # some repeats, or all, renamed to a synonym that the bound must count too
+        registry = SynonymMap.default().registry()
+        src = tuple("repeat_syn" if tok == "repeat" and rng.random() < 0.7 else tok
+                    for tok in src)
+    want = _checked_value(src, registry)
+    if within_output_limit(src, registry):
+        assert not isinstance(want, OutputTooLong)
+        assert len(want[1]) <= MAX_OUTPUT_LENGTH
+    if isinstance(want, OutputTooLong):
+        for evaluation in (evaluate, Sample.from_src):
+            with pytest.raises(OutputTooLong) as ei:
+                evaluation(src, registry)
+            assert str(ei.value) == str(want)
+    else:
+        assert evaluate(src, registry) == want[1]
+        assert Sample.from_src(src, registry) == Sample(src, want[1], want[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if synonyms:
+            write_synonyms(tmp / "synonyms.json", SynonymMap.default())
+        write_token_file(tmp / "all.src", [src])
+        write_token_file(tmp / "all.tgt", [["A"] if isinstance(want, OutputTooLong) else want[1]])
+        # a drawn program may repeat a literal, which is a problem of its own
+        problems = [p for p in validate_corpus_files(tmp) if "evaluat" in p]
+    if isinstance(want, OutputTooLong):
+        assert problems == [f"all.src:1: does not evaluate ({want})"]
+    else:
+        assert problems == []
+
+
+def test_a_synonym_repeat_chain_is_refused_before_its_value_is_built(tmp_path, monkeypatch):
+    write_synonyms(tmp_path / "synonyms.json", SynonymMap.from_dict({"repeat": "repeat_syn"}))
+    write_token_file(tmp_path / "all.src", [["repeat_syn"] * 30 + ["A"]])
+    write_token_file(tmp_path / "all.tgt", [["A"]])
+
+    def unchecked(fn, position, args):
+        raise AssertionError(f"{fn.name} built without its length checked")
+
+    # 2**30 symbols would be asked of the unchecked callback
+    monkeypatch.setattr("pcfgset.language.build", unchecked)
+    assert validate_corpus_files(tmp_path) == [
+        "all.src:1: does not evaluate "
+        "(repeat_syn would output 1048576 symbols, over the limit of 1000000)",
+    ]
 
 
 @pytest.mark.parametrize(

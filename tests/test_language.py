@@ -4,6 +4,8 @@ Expected strings in this file were derived by hand from the function
 definitions and are frozen here as the oracle for the implementation.
 """
 
+import io
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,8 +27,10 @@ from pcfgset.language import (
     interpret,
     parse,
     render,
+    serve,
     stats,
     tokenize,
+    within_output_limit,
 )
 
 
@@ -245,6 +249,46 @@ def test_the_limit_admits_a_value_of_exactly_its_length(monkeypatch):
     assert interpret(repeat, None, [tuple("ABCD")]) == tuple("ABCDABCD")
     with pytest.raises(OutputTooLong, match="repeat would output 10 symbols"):
         interpret(repeat, None, [tuple("ABCDE")])
+
+
+def test_the_output_bound_counts_repeat_and_its_synonyms(monkeypatch):
+    monkeypatch.setattr("pcfgset.language.MAX_OUTPUT_LENGTH", 16)
+    # 4 tokens << 2 repeats is 16: within; one more token or repeat is not
+    assert within_output_limit("repeat repeat echo A".split())
+    assert not within_output_limit("repeat repeat echo A B".split())
+    registry = DEFAULT_REGISTRY.with_synonyms({"repeat": "again", "echo": "echo_syn"})
+    assert within_output_limit("again repeat echo_syn A".split(), registry)
+    assert not within_output_limit("again repeat again A".split(), registry)
+    # without the synonym the default registry does not know the token; it
+    # counts no repeat, and the fold reports the unknown token first
+    assert within_output_limit("again again again A".split())
+    with pytest.raises(UnknownToken):
+        evaluate("again again again A".split())
+
+
+def test_a_registry_with_a_function_of_another_size_has_no_output_bound():
+    registry = FunctionRegistry([
+        *DEFAULT_REGISTRY,
+        FunctionSymbol("triple", 1, lambda x: x + x + x, lambda n: 3 * n),
+    ])
+    assert registry.doubling is None
+    assert not within_output_limit("triple A".split(), registry)
+    assert evaluate("triple A B".split(), registry) == tuple("ABABAB")
+    with pytest.raises(OutputTooLong, match="triple would output 1594323 symbols"):
+        evaluate(["triple"] * 13 + ["A"], registry)
+
+
+def test_the_oracle_answers_hostile_lines_as_before():
+    # the hostile lines of the start-up test, and repeat chains either side
+    # of the limit under a synonym
+    registry = DEFAULT_REGISTRY.with_synonyms({"repeat": "repeat_syn"})
+    lines = ["nope A", "swap A", ", A", "copy A B , C", "", "repeat " * 30 + "A",
+             "repeat " * 30 + "A ,", "repeat_syn " * 30 + "A", "repeat repeat_syn " * 10 + "B",
+             "repeat_syn " * 19 + "A"]
+    out = io.StringIO()
+    assert serve(registry, lines, out) == 0
+    assert out.getvalue().split("\n") == ["", "A", "", "", "", "", "", "", "",
+                                          " ".join(["A"] * 2**19), ""]
 
 
 # --- synonym registry ------------------------------------------------------

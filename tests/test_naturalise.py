@@ -286,6 +286,27 @@ def test_select_increments_returns_grid_member_and_consistent_kl():
     assert {id(s) for s in subset} <= {id(s) for s in d_r}
 
 
+def test_each_increment_candidate_sees_the_cells_partition_gives(monkeypatch):
+    # select_increments groups the samples once; every candidate's cells,
+    # and so every rng.sample, must be those partition gives it
+    d_n = DistributionSpec.from_rows(
+        [(4, 1, 6), (6, 2, 10), (8, 2, 6), (10, 3, 4), (14, 4, 2)]
+    )
+    d_r = random_probability_sample(1200, d_n, rng=random.Random(3))
+    features = extract_features(d_r)
+    subsample_cells = naturalise._subsample_cells
+    seen = []
+
+    def check(corpus, cells, spec, config, rng):
+        assert cells == partition(features, config)
+        seen.append(config)
+        return subsample_cells(corpus, cells, spec, config, rng)
+
+    monkeypatch.setattr(naturalise, "_subsample_cells", check)
+    select_increments(d_r, d_n, rng=random.Random(5))
+    assert seen == list(DEFAULT_INCREMENT_GRID)
+
+
 def test_select_increments_tie_prefers_first_candidate():
     # reference proportional to the sample in every cell: all quotas keep
     # whole cells under any increments, so every candidate ties
