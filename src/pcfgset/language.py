@@ -370,10 +370,7 @@ def within_output_limit(tokens: Sequence[str],
     doubling = registry.doubling
     if doubling is None:
         return False
-    k = 0
-    for name in doubling:
-        k += tokens.count(name)
-    return len(tokens) << k <= MAX_OUTPUT_LENGTH
+    return len(tokens) << sum(map(tokens.count, doubling)) <= MAX_OUTPUT_LENGTH
 
 
 def interpret(fn: FunctionSymbol, position: int | None, args: Sequence[Symbols]) -> Symbols:
