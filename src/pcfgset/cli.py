@@ -104,12 +104,14 @@ def _pick_split(path: str, requested: str | None) -> str:
 
 def _write_test(args, out: Path, parts: dict[str, Corpus], base: Corpus, **extra) -> None:
     """Write ``parts`` as the splits of one corpus of the chosen test, under
-    the base's seed and params; print the sizes of train and test, if any."""
+    the base's seed, params and synonyms; print the sizes of train and
+    test, if any."""
     samples, splits = [], {}
     for name, part in parts.items():
         splits[name] = tuple(range(len(samples), len(samples) + len(part)))
         samples += part.samples
-    corpus = Corpus(samples=samples, seed=base.seed, params=base.params, splits=splits)
+    corpus = Corpus(samples=samples, seed=base.seed, params=base.params, splits=splits,
+                    synonyms=base.synonyms)
     corpus_io.write_corpus(out, corpus, extra={"test": args.test, **extra})
     if "test" in parts:
         print(f"train: {len(parts['train'])}  test: {len(parts['test'])}")
@@ -251,11 +253,19 @@ def _productivity(args, rng, out: Path) -> None:
 
 def _synonym_base(args):
     """The base corpus of a substitutivity test, its train, valid and test
-    splits, which the test writes with a new train side, and the synonyms."""
-    from .suite import SynonymMap
+    splits, which the test writes with a new train side, and the synonyms.
+    The base's map takes the synonyms in, since the output holds one map:
+    a function it gives another synonym ends the command."""
+    from .suite import DEFAULT_SYNONYMS
     base = _load_base(args.base)
-    synonyms = (corpus_io.read_synonyms(args.synonyms) if "synonyms" in args
-                else SynonymMap.default())
+    synonyms = corpus_io.read_synonyms(args.synonyms) if "synonyms" in args else DEFAULT_SYNONYMS
+    for name, syn in synonyms.items():
+        if base.synonyms.get(name, syn) != syn:
+            raise SystemExit(f"{args.test}: the base's synonyms.json gives {name} the synonym "
+                             f"{base.synonyms[name]!r}, not {syn!r}")
+    base.synonyms = {**base.synonyms, **synonyms}
+    # each map is sound alone, but the two may share a synonym name
+    DEFAULT_REGISTRY.with_synonyms(base.synonyms)
     missing = [name for name in ("train", "test") if name not in base.splits]
     if missing:
         raise SystemExit(f"{args.test} needs splits {missing} in the base corpus")
@@ -270,7 +280,6 @@ def _substitutivity_ed(args, rng, out: Path) -> None:
     for name, (chosen, total) in sorted(audit.items()):
         print(f"{name}: rewrote {chosen} of {total} occurrences")
     _write_test(args, out, parts, base)
-    corpus_io.write_synonyms(out / "synonyms.json", synonyms)
 
 
 def _substitutivity_prim(args, rng, out: Path) -> None:
@@ -282,7 +291,6 @@ def _substitutivity_prim(args, rng, out: Path) -> None:
     for name, added in sorted(counts.items()):
         print(f"{name}: added {added} primitive samples")
     _write_test(args, out, parts, base)
-    corpus_io.write_synonyms(out / "synonyms.json", synonyms)
 
 
 def _overgen(args, rng, out: Path) -> None:
@@ -352,7 +360,7 @@ def _on_split(score):
     def run(args) -> EvaluationReport:
         split = _pick_split(args.data, getattr(args, "split", None))
         testset = _load_base(args.data, [split]).split(split)
-        registry = corpus_io.registry_for_directory(args.data)
+        registry = DEFAULT_REGISTRY.with_synonyms(testset.synonyms)
         seed = _resolve_seed(args, required=False) or 0
         with _adapter(args, testset=testset, registry=registry, seed=seed) as adapter:
             return score(args, adapter, testset, registry)
@@ -369,8 +377,9 @@ def _accuracy(args, adapter, testset, registry) -> EvaluationReport:
 def _consistency(args, adapter, testset, registry) -> EvaluationReport:
     from .harness import run_consistency
     from .suite import make_consistency_pairs
-    synonyms = corpus_io.read_synonyms(args.synonyms if "synonyms" in args
-                                       else Path(args.data) / "synonyms.json")
+    synonyms = corpus_io.read_synonyms(args.synonyms) if "synonyms" in args else testset.synonyms
+    if not synonyms:
+        raise SystemExit("no synonyms to score: pass --synonyms or a corpus with synonyms.json")
     pairs, skipped = make_consistency_pairs(testset, synonyms)
     if not pairs:
         raise SystemExit("no test samples contain a mapped function")
@@ -448,10 +457,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    registry = DEFAULT_REGISTRY
-    if args.synonyms:
-        registry = corpus_io.read_synonyms(args.synonyms).registry()
-    return serve(registry, sys.stdin, sys.stdout)
+    synonyms = corpus_io.read_synonyms(args.synonyms) if args.synonyms else {}
+    return serve(DEFAULT_REGISTRY.with_synonyms(synonyms), sys.stdin, sys.stdout)
 
 
 # ---------------------------------------------------------------------------

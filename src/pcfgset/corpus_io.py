@@ -3,9 +3,12 @@
 Corpora are stored as line-aligned ``<split>.src`` / ``<split>.tgt`` UTF-8
 token files (single-space separation, newline endings) plus a
 ``manifest.json`` carrying the seed, grammar parameters, split sizes and
-content hashes.  Auxiliary artefacts (held-out pairs, synonym maps,
-exception sets) are JSON sidecars.  Every evaluation mode writes one
-versioned ``report.json`` and one ``strata.csv`` breakdown for plotting.
+content hashes.  A corpus whose tokens use synonyms also has a
+``synonyms.json`` (function -> synonym), which ``write_corpus`` writes
+and ``read_corpus`` reads with it, outside the manifest's hashes.  Other
+auxiliary artefacts (held-out pairs, exception sets) are JSON sidecars.
+Every evaluation mode writes one versioned ``report.json`` and one
+``strata.csv`` breakdown for plotting.
 """
 
 from __future__ import annotations
@@ -21,18 +24,17 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .generation import Corpus, GrammarParams, Sample, UniquenessLedger
 from .language import (
     DEFAULT_REGISTRY,
-    FunctionRegistry,
     LanguageError,
     OutputTooLong,
     evaluate,
     stats,
 )
 
-# the suite's records are imported where a sidecar is read, so commands
-# that read no sidecar do not load the test constructors
+# the suite's records are imported where a pairs or exceptions sidecar is
+# read, so commands that read neither do not load the test constructors
 if TYPE_CHECKING:
     from .harness import EvaluationReport
-    from .suite import ExceptionEntry, HeldOutPair, SynonymMap
+    from .suite import ExceptionEntry, HeldOutPair
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +98,8 @@ def write_corpus(
     *,
     extra: Mapping | None = None,
 ) -> dict:
-    """Write split token files and the manifest; returns the manifest."""
+    """Write split token files, the manifest and, if the corpus has
+    synonyms, synonyms.json; returns the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if corpus.splits:
@@ -122,6 +125,8 @@ def write_corpus(
     if extra:
         manifest.update(extra)
     write_json(directory / "manifest.json", manifest)
+    if corpus.synonyms:
+        write_json(directory / "synonyms.json", corpus.synonyms)
     return manifest
 
 
@@ -143,33 +148,29 @@ def read_json(path: Path | str):
             raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
-def _manifest(path: Path) -> dict:
-    manifest = read_json(path)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
-    return manifest
-
-
 def verify_manifest(directory: Path | str) -> list[str]:
     """Check manifest hashes against the files; returns problem strings."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
+    manifest_path = Path(directory) / "manifest.json"
     if not manifest_path.exists():
         return [f"{manifest_path}: missing manifest"]
     try:
-        manifest = _manifest(manifest_path)
+        return _checked_manifest(manifest_path)[1]
     except ValueError as exc:
         return [str(exc)]
-    return _hash_problems(directory, manifest)
 
 
-def _hash_problems(directory: Path, manifest: dict) -> list[str]:
-    """The files of ``directory`` whose hashes disagree with the parsed
-    manifest, or are missing, in words."""
+def _checked_manifest(manifest_path: Path) -> tuple[dict, list[str]]:
+    """The parsed manifest, and the files beside it whose hashes disagree
+    with it, or are missing, in words; a manifest that is not a JSON
+    object raises ValueError."""
+    directory = manifest_path.parent
+    manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     problems = []
     hashes = manifest.get("hashes")
     if not isinstance(hashes, dict):
-        return [f"{directory / 'manifest.json'}: no hash table"]
+        return manifest, [f"{manifest_path}: no hash table"]
     for name, want in sorted(hashes.items()):
         path = directory / name
         if not path.exists():
@@ -178,7 +179,7 @@ def _hash_problems(directory: Path, manifest: dict) -> list[str]:
         got = file_sha256(path)
         if got != want:
             problems.append(f"{path}: hash mismatch (manifest {want[:12]}…, file {got[:12]}…)")
-    return problems
+    return manifest, problems
 
 
 def discover_splits(directory: Path | str) -> list[str]:
@@ -201,23 +202,23 @@ def read_corpus(
     evaluated; targets are taken verbatim from the .tgt files (they may
     deliberately disagree with the evaluator, as in exception training
     sets).  When a manifest.json is present the files must match its
-    hashes, or ManifestError is raised.  When a
-    synonyms.json sidecar is present the registry is extended with it
-    automatically.  A line that is not UTF-8 or a source line that does
-    not parse raises MalformedLine naming the file and line.
+    hashes, or ManifestError is raised.  When a synonyms.json sidecar is
+    present the corpus keeps its map and its sources are read with it.  A
+    line that is not UTF-8 or a source line that does not parse raises
+    MalformedLine naming the file and line.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = None
     if manifest_path.exists():
         try:
-            manifest = _manifest(manifest_path)
+            manifest, problems = _checked_manifest(manifest_path)
         except ValueError as exc:
             raise ManifestError(str(exc)) from None
-        problems = _hash_problems(directory, manifest)
         if problems:
             raise ManifestError("; ".join(problems))
-    registry = registry_for_directory(directory)
+    synonyms = directory_synonyms(directory)
+    registry = DEFAULT_REGISTRY.with_synonyms(synonyms)
     names = list(splits) if splits is not None else discover_splits(directory)
     if not names:
         raise FileNotFoundError(f"{directory}: no .src files found")
@@ -245,15 +246,14 @@ def read_corpus(
                 raise MalformedLine(f"{name}.src:{lineno}: does not parse ({exc})") from None
             samples.append(Sample(tuple(src), tuple(tgt), seq_stats))
         positions[name] = tuple(range(first, len(samples)))
-    return Corpus(samples=samples, seed=seed, params=params, splits=positions)
+    return Corpus(samples=samples, seed=seed, params=params, splits=positions,
+                  synonyms=synonyms)
 
 
-def registry_for_directory(directory: Path | str) -> FunctionRegistry:
-    """Extend the registry with the directory's synonym sidecar if present."""
+def directory_synonyms(directory: Path | str) -> dict[str, str]:
+    """The map of the directory's synonyms.json, checked, or an empty map."""
     sidecar = Path(directory) / "synonyms.json"
-    if sidecar.exists():
-        return read_synonyms(sidecar).registry()
-    return DEFAULT_REGISTRY
+    return read_synonyms(sidecar) if sidecar.exists() else {}
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +291,16 @@ def read_pairs(path: Path | str) -> list[HeldOutPair]:
     return [HeldOutPair(row["outer"], row["inner"]) for row in rows]
 
 
-def write_synonyms(path: Path | str, synonyms: SynonymMap) -> None:
-    write_json(path, synonyms.as_dict())
-
-
-def read_synonyms(path: Path | str) -> SynonymMap:
-    from .suite import SynonymMap
+def read_synonyms(path: Path | str) -> dict[str, str]:
+    """A synonym map (function -> synonym) from a JSON object, checked by
+    ``FunctionRegistry.with_synonyms``."""
     synonyms = read_json(path)
     if not isinstance(synonyms, dict) or not all(
         isinstance(name, str) for name in synonyms.values()
     ):
         raise ValueError(f"{path}: expected a JSON object of function names")
-    return SynonymMap.from_dict(synonyms)
+    DEFAULT_REGISTRY.with_synonyms(synonyms)
+    return synonyms
 
 
 def write_exceptions(path: Path | str, entries: Sequence[ExceptionEntry]) -> None:
@@ -437,7 +435,7 @@ def validate_corpus_files(
     """
     directory = Path(directory)
     problems = list(verify_manifest(directory)) if (directory / "manifest.json").exists() else []
-    registry = registry_for_directory(directory)
+    registry = DEFAULT_REGISTRY.with_synonyms(directory_synonyms(directory))
     excused = {entry.src: entry.exception_tgt for entry in exceptions or ()}
     names = discover_splits(directory)
     if not names:

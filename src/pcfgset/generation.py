@@ -185,7 +185,8 @@ class Corpus:
     """Samples in order, with the seed and grammar parameters they came
     from when generated, read or combined for writing; a corpus derived
     from another carries neither.  ``splits`` names each split's
-    positions in ``samples``."""
+    positions in ``samples``.  ``synonyms`` maps each function to the
+    synonym its tokens may use, and a split keeps it."""
 
     def __init__(
         self,
@@ -193,11 +194,13 @@ class Corpus:
         seed: int | None = None,
         params: GrammarParams | None = None,
         splits: dict[str, tuple[int, ...]] | None = None,
+        synonyms: dict[str, str] | None = None,
     ):
         self.samples = samples
         self.seed = seed
         self.params = params
         self.splits = {} if splits is None else splits
+        self.synonyms = {} if synonyms is None else synonyms
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -206,7 +209,7 @@ class Corpus:
         return iter(self.samples)
 
     def split(self, name: str) -> "Corpus":
-        return Corpus([self.samples[i] for i in self.splits[name]])
+        return Corpus([self.samples[i] for i in self.splits[name]], synonyms=self.synonyms)
 
 
 def _cumulative(weights: Sequence[float]) -> tuple[list[float], float, int]:

@@ -81,9 +81,7 @@ class FunctionSymbol(NamedTuple("FunctionSymbol", [
     """A named string-edit function with fixed arity.
 
     ``size`` gives the output length from the argument lengths, so a value
-    can be bounded before it is built.  Equality and hashing go by (name,
-    arity) so that a synonym registered with the same underlying behaviour
-    still compares as a distinct symbol.
+    can be bounded before it is built.
     """
 
     __slots__ = ()
@@ -93,20 +91,6 @@ class FunctionSymbol(NamedTuple("FunctionSymbol", [
         if arity not in (1, 2):
             raise ValueError(f"{name}: the grammar has unary and binary functions only")
         return super().__new__(cls, name, arity, fn, size)
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionSymbol):
-            return NotImplemented
-        return self[:2] == other[:2]
-
-    # tuple's own != would compare fn and size as well
-    __ne__ = object.__ne__
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-    def __call__(self, *args: Symbols) -> Symbols:
-        return self.fn(*args)
 
 
 # --- interpretation functions -------------------------------------------
@@ -196,16 +180,22 @@ class FunctionRegistry:
     def with_synonyms(self, synonym_map: dict[str, str]) -> "FunctionRegistry":
         """Extend with synonyms sharing the base function's behaviour.
 
-        ``synonym_map`` maps base name -> synonym name.  Synonym names must
-        be single tokens (a corpus file could not hold a name with a space),
-        fresh, and must not collide with literals or the separator.
+        ``synonym_map`` maps base name -> synonym name.  This is where a
+        synonym map is checked: every base must be a function of this
+        registry, and the synonym names distinct single tokens (a corpus
+        file could not hold a name with a space), fresh, and not a literal
+        or the separator; ValueError names the first fault.
         """
+        for base in synonym_map:
+            if base not in self._by_name:
+                raise ValueError(f"unknown function {base!r}")
+        if len(set(synonym_map.values())) != len(synonym_map):
+            raise ValueError("synonym names must be distinct")
         extra = []
         for base, syn in synonym_map.items():
-            original = self.lookup(base)
             if syn.split() != [syn] or syn in self.kinds:
                 raise ValueError(f"invalid synonym name {syn!r}")
-            extra.append(FunctionSymbol(syn, original.arity, original.fn, original.size))
+            extra.append(self._by_name[base]._replace(name=syn))
         return FunctionRegistry(list(self._by_name.values()) + extra)
 
 

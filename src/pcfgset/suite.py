@@ -4,7 +4,9 @@ Each constructor redistributes or rewrites a generated corpus:
 systematicity holds out function pairs, productivity holds out long
 compositions, substitutivity introduces synonyms, localism produces
 unroll plans for step-by-step evaluation, and overgeneralisation plants
-exception targets for selected function pairs.
+exception targets for selected function pairs.  A synonym map is a plain
+dict from each function to its synonym, checked where a registry is
+built from it, by ``FunctionRegistry.with_synonyms``.
 """
 
 from __future__ import annotations
@@ -96,45 +98,17 @@ def productivity_split(
     return Corpus(train), Corpus(test)
 
 
-class SynonymMap(NamedTuple("SynonymMap", [("mapping", tuple[tuple[str, str], ...])])):
-    """Maps base function names to their synonym names."""
-
-    __slots__ = ()
-
-    def __new__(cls, mapping: tuple[tuple[str, str], ...]):
-        for name, _ in mapping:
-            if name not in DEFAULT_REGISTRY:
-                raise ValueError(f"unknown function {name!r}")
-        syns = [s for _, s in mapping]
-        if len(set(syns)) != len(syns):
-            raise ValueError("synonym names must be distinct")
-        return super().__new__(cls, mapping)
-
-    @classmethod
-    def default(cls) -> "SynonymMap":
-        return cls.from_dict(
-            {
-                "swap": "swap_syn",
-                "repeat": "repeat_syn",
-                "append": "append_syn",
-                "remove_second": "remove_second_syn",
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict[str, str]) -> "SynonymMap":
-        return cls(tuple(d.items()))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-    def registry(self) -> FunctionRegistry:
-        return DEFAULT_REGISTRY.with_synonyms(self.as_dict())
+DEFAULT_SYNONYMS = {
+    "swap": "swap_syn",
+    "repeat": "repeat_syn",
+    "append": "append_syn",
+    "remove_second": "remove_second_syn",
+}
 
 
 def substitutivity_equal(
     train: Corpus,
-    synonyms: SynonymMap,
+    synonyms: dict[str, str],
     *,
     rng: random.Random,
 ) -> tuple[Corpus, dict[str, tuple[int, int]]]:
@@ -148,9 +122,9 @@ def substitutivity_equal(
     """
     # refuses a synonym name that is not fresh, the one way a synonym
     # could read differently from its base
-    synonyms.registry()
+    DEFAULT_REGISTRY.with_synonyms(synonyms)
     # per base function, its (sample, token) positions in one walk
-    occurrences: dict[str, list[tuple[int, int]]] = {base: [] for base, _ in synonyms.mapping}
+    occurrences: dict[str, list[tuple[int, int]]] = {base: [] for base in synonyms}
     for pos, s in enumerate(train.samples):
         for t_idx, tok in enumerate(s.src):
             found = occurrences.get(tok)
@@ -158,7 +132,7 @@ def substitutivity_equal(
                 found.append((pos, t_idx))
     replacements: dict[int, dict[int, str]] = {}
     audit: dict[str, tuple[int, int]] = {}
-    for base, syn in synonyms.mapping:
+    for base, syn in synonyms.items():
         k = len(occurrences[base]) // 2
         chosen = rng.sample(occurrences[base], k) if k else []
         for pos, t_idx in chosen:
@@ -179,7 +153,7 @@ def substitutivity_equal(
 
 def substitutivity_primitive(
     train: Corpus,
-    synonyms: SynonymMap,
+    synonyms: dict[str, str],
     fraction: float = 0.001,
     *,
     rng: random.Random,
@@ -194,12 +168,12 @@ def substitutivity_primitive(
     in ``written``, every sample the output is written with, train
     included, or among the additions).
     """
-    registry = synonyms.registry()
+    registry = DEFAULT_REGISTRY.with_synonyms(synonyms)
     per_base = round_half_up(fraction * len(train))
     ledger = UniquenessLedger(written)
     added: list[Sample] = []
     counts: dict[str, int] = {}
-    for base, syn in synonyms.mapping:
+    for base, syn in synonyms.items():
         arity = registry.lookup(syn).arity
         for _ in range(per_base):
             src = draw_admitted([syn], arity, rng, ledger, f"sample {len(train) + len(added)}")
@@ -217,18 +191,17 @@ class ConsistencyPair(NamedTuple):
 
 
 def make_consistency_pairs(
-    testset: Corpus, synonyms: SynonymMap
+    testset: Corpus, synonyms: dict[str, str]
 ) -> tuple[list[ConsistencyPair], int]:
     """Pair each test source with its fully synonym-substituted variant.
 
     Samples containing none of the mapped functions are skipped; the skip
     count is returned alongside the pairs.
     """
-    table = synonyms.as_dict()
     pairs: list[ConsistencyPair] = []
     skipped = 0
     for s in testset:
-        syn_src = tuple(table.get(tok, tok) for tok in s.src)
+        syn_src = tuple(synonyms.get(tok, tok) for tok in s.src)
         if syn_src == s.src:
             skipped += 1
             continue
@@ -248,8 +221,10 @@ DEFAULT_EXCEPTION_REMAP = {
 }
 
 
-def exception_evaluate(src: Sequence[str]) -> tuple[str, ...]:
-    """Evaluate with pair exceptions applied.
+def exception_evaluate(src: Sequence[str],
+                       registry: FunctionRegistry = DEFAULT_REGISTRY) -> tuple[str, ...]:
+    """Evaluate with pair exceptions applied, reading ``src`` with
+    ``registry``.
 
     Wherever a pair of DEFAULT_EXCEPTION_REMAP occurs as a function
     immediately followed by another function (parent and first child),
@@ -267,7 +242,7 @@ def exception_evaluate(src: Sequence[str]) -> tuple[str, ...]:
         meaning = meanings.get(position)
         return interpret(DEFAULT_REGISTRY.lookup(meaning) if meaning else fn, position, args)
 
-    return fold(src, DEFAULT_REGISTRY, apply)[1]
+    return fold(src, registry, apply)[1]
 
 
 class ExceptionEntry(NamedTuple):
@@ -295,8 +270,10 @@ def exceptions_apply(
     train).  That many pair-containing samples get their target rewritten
     to the exception interpretation; if too few exist, fresh minimal
     sources ``outer inner <args>`` from ``draw_admitted`` are synthesised
-    and appended.  A sample serves at most one pair.
+    and appended.  A sample serves at most one pair.  Sources are read
+    with train's synonyms, which count for no pair.
     """
+    registry = DEFAULT_REGISTRY.with_synonyms(train.synonyms)
     # one census of train for every percentage, which each only reads:
     # every token is counted, but only function names are looked up
     fn_counts = Counter(tok for s in train for tok in s.src)
@@ -336,14 +313,14 @@ def exceptions_apply(
                     chosen.append(len(samples) - 1)
             for pos in chosen:
                 s = samples[pos]
-                exc = exception_evaluate(s.src)
+                exc = exception_evaluate(s.src, registry)
                 samples[pos] = s._replace(tgt=exc)
                 taken.add(pos)
                 entries.append(
                     ExceptionEntry(
                         sample_id=pos,
                         src=s.src,
-                        original_tgt=evaluate(s.src),
+                        original_tgt=evaluate(s.src, registry),
                         exception_tgt=exc,
                         pair=(outer, inner),
                     )

@@ -54,8 +54,8 @@ from pcfgset.naturalise import (
 from pcfgset.seeding import DEFAULT_SEED, subseed, substream
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
+    DEFAULT_SYNONYMS,
     ExceptionEntry,
-    SynonymMap,
     contains_pair,
     exception_evaluate,
     exceptions_apply,
@@ -243,15 +243,15 @@ def test_criterion_5_substitutivity():
     split_corpus(base, rng=substream(DEFAULT_SEED, "subst-split"))
     train = base.split("train")
     test = base.split("test")
-    synonyms = SynonymMap.default()
-    syn_registry = synonyms.registry()
+    synonyms = DEFAULT_SYNONYMS
+    syn_registry = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
     oracle = OracleAdapter(syn_registry)
     issues = []
 
     ed_train, audit = substitutivity_equal(
         train, synonyms, rng=substream(DEFAULT_SEED, "ed")
     )
-    for fn, syn in synonyms.as_dict().items():
+    for fn, syn in synonyms.items():
         k = sum(s.src.count(fn) for s in train)
         rewritten = sum(s.src.count(syn) for s in ed_train)
         if rewritten != k // 2:
@@ -268,7 +268,7 @@ def test_criterion_5_substitutivity():
     if prim_train.samples[:len(train)] != train.samples:
         issues.append("primitive samples are not appended after train")
     added = prim_train.samples[len(train):]
-    for syn in synonyms.as_dict().values():
+    for syn in synonyms.values():
         mine = [s for s in added if s.src[0] == syn]
         if len(mine) != want_added:
             issues.append(f"{syn}: added {len(mine)}, want {want_added}")

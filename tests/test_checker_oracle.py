@@ -38,14 +38,14 @@ from pcfgset.language import (  # noqa: E402
     evaluate,
     within_output_limit,
 )
-from pcfgset.suite import SynonymMap, exception_evaluate  # noqa: E402
+from pcfgset.suite import DEFAULT_SYNONYMS, exception_evaluate  # noqa: E402
 
-SYNONYMS = SynonymMap.default()
 # the same map as the checker sees it: each synonym means its base function
 ALIASES = {syn: base for base, syn in checker.SYNONYMS.items()}
-REGISTRIES = {"base": (DEFAULT_REGISTRY, None), "synonyms": (SYNONYMS.registry(), ALIASES)}
+REGISTRIES = {"base": (DEFAULT_REGISTRY, None),
+              "synonyms": (DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS), ALIASES)}
 
-FUNCTIONS = list(DEFAULT_REGISTRY.names()) + [syn for _, syn in SYNONYMS.mapping]
+FUNCTIONS = list(DEFAULT_REGISTRY.names()) + list(DEFAULT_SYNONYMS.values())
 # a few pieces each class: functions, the separator, literals with and
 # without a suffix, and pieces neither knows
 PIECES = FUNCTIONS + [",", "A", "B", "C", "Z", "A1", "B19", "Z19", "a", "A0", "A20", "copy_syn"]
@@ -83,7 +83,7 @@ def test_evaluate_agrees_with_the_checker_on_drawn_programs(seed, synonyms):
     registry, aliases = REGISTRIES["base"]
     if synonyms:
         registry, aliases = REGISTRIES["synonyms"]
-        src = [SYNONYMS.as_dict().get(t, t) if i % 2 else t for i, t in enumerate(src)]
+        src = [DEFAULT_SYNONYMS.get(t, t) if i % 2 else t for i, t in enumerate(src)]
     answer = package_answer(src, registry)
     assert answer is not None
     assert answer == checker_answer(src, aliases)

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from pcfgset import cli, corpus_io, generation
 from pcfgset.generation import Corpus, GrammarParams, Sample
 from pcfgset.suite import (
-    DEFAULT_HELD_OUT_PAIRS, ExceptionEntry, SynonymMap, contains_pair, exceptions_apply,
+    DEFAULT_HELD_OUT_PAIRS, DEFAULT_SYNONYMS, ExceptionEntry, contains_pair, exceptions_apply,
 )
 
 
@@ -195,7 +195,7 @@ def test_testbuild_substitutivity_ed(base_dir, tmp_path, capsys):
     base = corpus_io.read_corpus(base_dir)
     built = corpus_io.read_corpus(out)
     synonyms = corpus_io.read_synonyms(out / "synonyms.json")
-    for fn, syn in synonyms.as_dict().items():
+    for fn, syn in synonyms.items():
         total = sum(s.src.count(fn) for s in base.split("train"))
         rewritten = sum(s.src.count(syn) for s in built.split("train"))
         assert rewritten == total // 2
@@ -247,7 +247,7 @@ def test_testbuild_substitutivity_prim(base_dir, tmp_path):
     synonyms = corpus_io.read_synonyms(out / "synonyms.json")
     train = built.split("train")
     per_syn = round(0.01 * len(base.split("train").samples))
-    for syn in synonyms.as_dict().values():
+    for syn in synonyms.values():
         added = [s for s in train if syn in s.src]
         assert len(added) == per_syn
         assert all(s.stats.num_functions == 1 for s in added)
@@ -307,15 +307,23 @@ def test_every_testbuild_and_naturalise_output_passes_validate(tmp_path, capsys)
 
 @given(seed=st.integers(min_value=0, max_value=2**16), size=st.integers(min_value=300, max_value=3000),
        test_size=st.integers(min_value=1, max_value=300), threshold=st.integers(min_value=1, max_value=12),
-       fraction=st.floats(min_value=0.01, max_value=0.5), pct=st.floats(min_value=0.1, max_value=2.0))
+       fraction=st.floats(min_value=0.01, max_value=0.5), pct=st.floats(min_value=0.1, max_value=2.0),
+       synonyms=st.booleans())
+@example(seed=1, size=600, test_size=5, threshold=8, fraction=0.05, pct=0.5, synonyms=True)
 @settings(max_examples=4, deadline=None)
-def test_every_testbuild_output_passes_validate(seed, size, test_size, threshold, fraction, pct):
+def test_every_testbuild_output_passes_validate(seed, size, test_size, threshold, fraction, pct,
+                                                synonyms):
     # substitutivity-prim and overgen synthesise samples at these values; a
-    # test the base cannot fill ends in one line instead
+    # test the base cannot fill ends in one line instead.  With ``synonyms``
+    # the base is a substitutivity-ed output, whose tokens use its synonyms.json
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
         assert _outcome(["generate", "--seed", seed, "--size", size, "--out", base])[0] == 0
+        if synonyms:
+            assert _outcome(["testbuild", "--test", "substitutivity-ed", "--base", base,
+                             "--out", tmp / "ed", "--seed", seed])[0] == 0
+            base = tmp / "ed"
         for test, extra in [("systematicity", ["--test-size", test_size]),
                             ("productivity", ["--threshold", threshold]),
                             ("substitutivity-ed", []), ("substitutivity-prim", ["--fraction", fraction]),
@@ -347,6 +355,55 @@ def test_every_naturalise_output_passes_validate(seed, size, sample_size):
         code, printed = _outcome(["validate", "--data", out])
         assert code == 0, printed
         assert printed.splitlines()[-1] == f"PASS: {size} samples across 3 splits"
+
+
+@pytest.fixture(scope="module")
+def synonym_base(tmp_path_factory):
+    """A substitutivity-ed output of a 600-sample base: its train side
+    uses the default synonyms."""
+    root = tmp_path_factory.mktemp("synonym-base")
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_cli("generate", "--seed", 1, "--size", 600, "--out", root / "base")
+        run_cli("testbuild", "--test", "substitutivity-ed", "--base", root / "base",
+                "--out", root / "ed", "--seed", 1)
+    return root / "ed"
+
+
+def test_every_test_built_on_a_synonym_base_keeps_its_synonyms(synonym_base, tmp_path, capsys):
+    alt = tmp_path / "alt.json"
+    corpus_io.write_json(alt, {"copy": "copy_alt"})
+    # the default overgen grid reaches samples that hold a synonym
+    for test, extra in [("systematicity", ["--test-size", 5]), ("productivity", []),
+                        ("substitutivity-ed", ["--synonyms", alt]),
+                        ("substitutivity-prim", ["--fraction", 0.05]),
+                        ("overgen", ["--exception-pct", 0.0001]), ("overgen", [])]:
+        out = tmp_path / f"{test}{len(extra)}"
+        assert run_cli("testbuild", "--test", test, "--base", synonym_base, "--out", out,
+                       "--seed", 1, *extra) == 0
+        # the new map joins the base's
+        want = {**DEFAULT_SYNONYMS, "copy": "copy_alt"} if alt in extra else DEFAULT_SYNONYMS
+        for data in sorted(out.glob("pct-*")) or [out]:
+            assert corpus_io.read_synonyms(data / "synonyms.json") == want
+            sidecar = ["--exceptions", data / "exceptions.json"] if test == "overgen" else []
+            assert run_cli("validate", "--data", data, *sidecar) == 0, capsys.readouterr().out
+    assert "copy_alt" in (tmp_path / "substitutivity-ed2" / "train.src").read_text()
+
+
+@pytest.mark.parametrize("test, synonyms, message", [
+    ("substitutivity-ed", {"swap": "swap2"},
+     "substitutivity-ed: the base's synonyms.json gives swap the synonym 'swap_syn', not 'swap2'"),
+    ("substitutivity-prim", {"copy": "swap_syn"},
+     "testbuild failed: synonym names must be distinct"),
+], ids=["another-synonym-for-a-function", "a-synonym-name-taken"])
+def test_a_map_at_odds_with_the_base_s_ends_in_one_line(synonym_base, tmp_path, capsys,
+                                                          test, synonyms, message):
+    corpus_io.write_json(tmp_path / "syn.json", synonyms)
+    with pytest.raises(SystemExit) as ei:
+        run_cli("testbuild", "--test", test, "--base", synonym_base, "--out", tmp_path / "tb",
+                "--seed", 1, "--synonyms", tmp_path / "syn.json")
+    assert ei.value.code == message
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "tb").exists()
 
 
 def test_testbuild_substitutivity_needs_splits(tmp_path):
@@ -569,9 +626,7 @@ def test_oracle_serves_lines():
 
 
 def test_oracle_with_synonyms(tmp_path):
-    from pcfgset.suite import SynonymMap
-
-    corpus_io.write_synonyms(tmp_path / "syn.json", SynonymMap.default())
+    corpus_io.write_json(tmp_path / "syn.json", DEFAULT_SYNONYMS)
     proc = subprocess.run(
         [sys.executable, "-m", "pcfgset", "oracle",
          "--synonyms", str(tmp_path / "syn.json")],
@@ -1271,7 +1326,7 @@ def test_a_hostile_corpus_directory_ends_in_a_report_or_one_line(
         data = tmp / "data"
         corpus_io.write_corpus(data, small_corpus)
         corpus_io.write_pairs(data / "pairs.json", DEFAULT_HELD_OUT_PAIRS)
-        corpus_io.write_synonyms(data / "synonyms.json", SynonymMap.default())
+        corpus_io.write_json(data / "synonyms.json", DEFAULT_SYNONYMS)
         corpus_io.write_exceptions(data / "exceptions.json", small_exceptions)
         checkpoints = tmp / "checkpoints"
         checkpoints.mkdir()

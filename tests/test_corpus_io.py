@@ -12,6 +12,7 @@ import pytest
 from pcfgset.corpus_io import (
     MalformedLine,
     ManifestError,
+    directory_synonyms,
     discover_splits,
     file_sha256,
     read_checkpoint_predictions,
@@ -22,17 +23,16 @@ from pcfgset.corpus_io import (
     read_params,
     read_synonyms,
     read_token_file,
-    registry_for_directory,
     validate_corpus_files,
     verify_manifest,
     write_corpus,
     write_exceptions,
+    write_json,
     write_pairs,
     write_params,
     write_predictions,
     write_report,
     write_strata_csv,
-    write_synonyms,
     write_token_file,
 )
 from pcfgset.generation import (
@@ -46,7 +46,7 @@ from pcfgset.harness import EvaluationReport
 from pcfgset.language import DEFAULT_REGISTRY
 from pcfgset.suite import (
     DEFAULT_HELD_OUT_PAIRS,
-    SynonymMap,
+    DEFAULT_SYNONYMS,
     exceptions_apply,
 )
 
@@ -209,13 +209,24 @@ def test_pairs_round_trip(tmp_path):
 
 
 def test_synonyms_round_trip_and_registry(tmp_path):
-    synonyms = SynonymMap.default()
-    write_synonyms(tmp_path / "synonyms.json", synonyms)
-    again = read_synonyms(tmp_path / "synonyms.json")
-    assert again.as_dict() == synonyms.as_dict()
-    registry = registry_for_directory(tmp_path)
-    assert "swap_syn" in registry.names()
-    assert registry_for_directory(tmp_path / "nowhere") is DEFAULT_REGISTRY
+    registry = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
+    corpus = Corpus([Sample.from_src("swap_syn A B".split(), registry)],
+                    synonyms=DEFAULT_SYNONYMS)
+    manifest = write_corpus(tmp_path, corpus)
+    # the sidecar is written with sorted keys and is not hashed
+    assert (tmp_path / "synonyms.json").read_text() == (
+        json.dumps(DEFAULT_SYNONYMS, indent=2, sort_keys=True) + "\n")
+    assert "synonyms.json" not in manifest["hashes"]
+    assert read_synonyms(tmp_path / "synonyms.json") == DEFAULT_SYNONYMS
+    again = read_corpus(tmp_path)
+    assert (again.samples, again.synonyms) == (corpus.samples, DEFAULT_SYNONYMS)
+    assert again.split("all").synonyms == DEFAULT_SYNONYMS
+    assert directory_synonyms(tmp_path) == DEFAULT_SYNONYMS
+    assert directory_synonyms(tmp_path / "nowhere") == {}
+    # a corpus without synonyms writes no sidecar
+    write_corpus(tmp_path / "plain", corpus_of(["copy A"]))
+    assert not (tmp_path / "plain" / "synonyms.json").exists()
+    assert read_corpus(tmp_path / "plain").synonyms == {}
 
 
 def test_exceptions_round_trip(tmp_path):
@@ -440,5 +451,5 @@ def test_validator_uses_synonym_sidecar(tmp_path):
     write_token_file(tmp_path / "all.src", [["swap_syn", "A", "B"]])
     write_token_file(tmp_path / "all.tgt", [["B", "A"]])
     assert any("does not parse" in p for p in validate_corpus_files(tmp_path))
-    write_synonyms(tmp_path / "synonyms.json", SynonymMap.default())
+    write_json(tmp_path / "synonyms.json", DEFAULT_SYNONYMS)
     assert validate_corpus_files(tmp_path) == []

@@ -33,7 +33,7 @@ from pcfgset.generation import (
 from pcfgset.corpus_io import (
     validate_corpus_files,
     write_corpus,
-    write_synonyms,
+    write_json,
     write_token_file,
 )
 from pcfgset.language import (
@@ -49,7 +49,7 @@ from pcfgset.language import (
     tokenize,
     within_output_limit,
 )
-from pcfgset.suite import SynonymMap
+from pcfgset.suite import DEFAULT_SYNONYMS
 
 
 def uniform_params(**overrides):
@@ -347,7 +347,7 @@ def test_evaluation_within_the_output_bound_matches_the_per_call_check(seed, syn
     registry = DEFAULT_REGISTRY
     if synonyms:
         # some repeats, or all, renamed to a synonym that the bound must count too
-        registry = SynonymMap.default().registry()
+        registry = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
         src = tuple("repeat_syn" if tok == "repeat" and rng.random() < 0.7 else tok
                     for tok in src)
     want = _checked_value(src, registry)
@@ -365,7 +365,7 @@ def test_evaluation_within_the_output_bound_matches_the_per_call_check(seed, syn
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if synonyms:
-            write_synonyms(tmp / "synonyms.json", SynonymMap.default())
+            write_json(tmp / "synonyms.json", DEFAULT_SYNONYMS)
         write_token_file(tmp / "all.src", [src])
         write_token_file(tmp / "all.tgt", [["A"] if isinstance(want, OutputTooLong) else want[1]])
         # a drawn program may repeat a literal, which is a problem of its own
@@ -377,7 +377,7 @@ def test_evaluation_within_the_output_bound_matches_the_per_call_check(seed, syn
 
 
 def test_a_synonym_repeat_chain_is_refused_before_its_value_is_built(tmp_path, monkeypatch):
-    write_synonyms(tmp_path / "synonyms.json", SynonymMap.from_dict({"repeat": "repeat_syn"}))
+    write_json(tmp_path / "synonyms.json", {"repeat": "repeat_syn"})
     write_token_file(tmp_path / "all.src", [["repeat_syn"] * 30 + ["A"]])
     write_token_file(tmp_path / "all.tgt", [["A"]])
 
@@ -450,7 +450,7 @@ def test_leaf_tuples_of_a_source_are_the_leaves_of_its_tree(seed):
 
 def test_leaf_tuples_skip_functions_synonyms_and_separators():
     src = "append_syn swap A B19 , C".split()
-    assert parse(src, SynonymMap.default().registry())  # a well-formed source
+    assert parse(src, DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS))  # a well-formed source
     assert leaf_tuples(src) == [("A", "B19"), ("C",)]
 
 

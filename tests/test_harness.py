@@ -40,14 +40,16 @@ from pcfgset.harness import (
     run_localism,
     run_overgeneralisation,
 )
-from pcfgset.language import LITERALS, MAX_OUTPUT_LENGTH, evaluate, fold, interpret, parse
+from pcfgset.language import (
+    DEFAULT_REGISTRY, LITERALS, MAX_OUTPUT_LENGTH, evaluate, fold, interpret, parse,
+)
 from pcfgset.suite import (
+    DEFAULT_SYNONYMS,
     ConsistencyPair,
     ExceptionEntry,
     build_unroll_plan,
     make_consistency_pairs,
     substitutivity_equal,
-    SynonymMap,
 )
 from pcfgset.generation import Sample
 
@@ -346,10 +348,9 @@ class TestRunConsistency:
 
     def test_oracle_with_synonym_registry_is_consistent(self):
         corpus = generate_corpus(GrammarParams.default(), 60, seed=21)
-        synonyms = SynonymMap.default()
-        pairs, _ = make_consistency_pairs(corpus, synonyms)
+        pairs, _ = make_consistency_pairs(corpus, DEFAULT_SYNONYMS)
         assert pairs
-        oracle = OracleAdapter(synonyms.registry())
+        oracle = OracleAdapter(DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS))
         report = run_consistency(oracle, pairs)
         assert report.overall == 1.0
         assert report.extras["consistency_across_incorrect"] is None
@@ -692,7 +693,7 @@ class TestLocalism:
         assert longest > 1 and len(adapter.batches) == 1 + longest
         assert adapter.batches[1] == sum(1 for s in corpus if s.stats.num_functions)
         adapter.batches.clear()
-        pairs, _ = make_consistency_pairs(corpus, SynonymMap.default())
+        pairs, _ = make_consistency_pairs(corpus, DEFAULT_SYNONYMS)
         run_consistency(adapter, pairs)
         assert adapter.batches == [2 * len(pairs)]
         adapter.batches.clear()
@@ -745,7 +746,7 @@ class TestLocalism:
         assert report.errors.get("UnrollFailure") == 1
 
     def test_synonym_sources_parse_with_the_given_registry(self):
-        registry = SynonymMap.default().registry()
+        registry = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
         samples = [Sample.from_src("swap_syn append_syn A , B C".split(), registry)]
         report = run_localism(OracleAdapter(registry), samples, registry=registry)
         assert report.overall == 1.0
@@ -998,9 +999,8 @@ class TestEosAnalysis:
 class TestSubstitutivityIntegration:
     def test_equal_distribution_rewrites_stay_consistent(self):
         corpus = generate_corpus(GrammarParams.default(), 80, seed=55)
-        synonyms = SynonymMap.default()
-        rewritten, audit = substitutivity_equal(corpus, synonyms, rng=random.Random(0))
-        oracle = OracleAdapter(synonyms.registry())
+        rewritten, audit = substitutivity_equal(corpus, DEFAULT_SYNONYMS, rng=random.Random(0))
+        oracle = OracleAdapter(DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS))
         report = run_accuracy(oracle, rewritten)
         assert report.overall == 1.0
         assert any(half > 0 for half, _ in audit.values())

@@ -19,7 +19,7 @@ from pcfgset.naturalise import (
     DistributionSpec, GaussianFit, PartitionConfig, PipelineResult, TraceRow,
 )
 from pcfgset.suite import (
-    ConsistencyPair, ExceptionEntry, HeldOutPair, SynonymMap, UnrollStep,
+    ConsistencyPair, ExceptionEntry, HeldOutPair, UnrollStep,
     build_unroll_plan, exceptions_apply,
 )
 
@@ -50,7 +50,6 @@ IMMUTABLE = {
     "DistributionSpec": lambda: DistributionSpec(((1, 0, 1),)),
     "PartitionConfig": lambda: PartitionConfig(1, 2),
     "HeldOutPair": lambda: HeldOutPair("swap", "repeat"),
-    "SynonymMap": SynonymMap.default,
 }
 
 
@@ -68,15 +67,6 @@ def test_a_sample_is_a_small_tuple_of_its_fields():
     sample = Sample.from_src(["reverse", "A", "B"])
     assert not hasattr(sample, "__dict__")
     assert sample == Sample(("reverse", "A", "B"), ("B", "A"), SequenceStats(3, 1, 1))
-
-
-def test_function_symbols_compare_and_hash_by_name_and_arity_only():
-    twin = FunctionSymbol("copy", 1, lambda x: x[::-1], lambda n: n)
-    assert twin == COPY and not twin != COPY
-    assert hash(twin) == hash(COPY)
-    synonym = DEFAULT_REGISTRY.with_synonyms({"copy": "copy_syn"}).lookup("copy_syn")
-    assert synonym != COPY and not synonym == COPY
-    assert len({COPY, twin, synonym}) == 2
 
 
 @pytest.mark.parametrize("make, other", [
@@ -122,8 +112,9 @@ def test_grammar_params_compare_by_value_and_stay_unhashable():
     (lambda: DistributionSpec(()), "no cell with a positive count"),
     (lambda: PartitionConfig(0, 1), "increments must be positive integers"),
     (lambda: HeldOutPair("swap", "nope"), "unknown function 'nope'"),
-    (lambda: SynonymMap((("nope", "x"),)), "unknown function 'nope'"),
-    (lambda: SynonymMap((("swap", "s"), ("copy", "s"))), "synonym names must be distinct"),
+    (lambda: DEFAULT_REGISTRY.with_synonyms({"nope": "x"}), "unknown function 'nope'"),
+    (lambda: DEFAULT_REGISTRY.with_synonyms({"swap": "s", "copy": "s"}),
+     "synonym names must be distinct"),
 ])
 def test_constructors_raise_their_checks(build, message):
     with pytest.raises(ValueError) as info:

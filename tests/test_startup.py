@@ -16,8 +16,10 @@ oracle``, the child a ``cmd:`` adapter starts and restarts, loads only
 and the ``metrics`` it imports, load only for ``eval``, the one command
 that runs an adapter.  The test constructors of ``suite`` (5–7 ms) load
 only for ``testbuild`` and ``eval``: ``corpus_io`` imports the suite's
-records where it reads a sidecar, so ``generate``, ``naturalise`` and
-a ``validate`` that reads no sidecar never load it.  ``naturalise``
+records where it reads a pairs or exceptions sidecar, so ``generate``,
+``naturalise``, a ``validate`` without ``--exceptions`` and ``oracle``
+never load it, even where they read a ``synonyms.json``, since a synonym
+map is a plain dict that the registry checks.  ``naturalise``
 stays an eager import of ``cli`` because the benchmark's
 ``tracing.install`` finds it in ``sys.modules`` after importing
 ``pcfgset.cli`` and then ``generation`` and ``harness``; ``harness``
@@ -29,6 +31,8 @@ check runs in a fresh interpreter, since this one has these modules
 loaded.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -66,6 +70,21 @@ from pcfgset import cli
 with tempfile.TemporaryDirectory() as tmp:
     cli.main(["generate", "--seed", "1", "--size", "200", "--out", tmp + "/base"])
     assert cli.main(["validate", "--data", tmp + "/base"]) == 0
+"""
+
+# the two commands that read a synonyms.json, on a substitutivity-ed output
+VALIDATE_SYNONYMS = """
+from pcfgset import cli
+assert cli.main(["validate", "--data", {ed!r}]) == 0
+"""
+
+ORACLE_SYNONYMS = """
+import contextlib, io, sys
+from pcfgset import cli
+sys.stdin, out = io.StringIO("swap_syn A B\\n"), io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["oracle", "--synonyms", {ed!r} + "/synonyms.json"]) == 0
+assert out.getvalue() == "B A\\n", out.getvalue()
 """
 
 NATURALISE = """
@@ -182,10 +201,24 @@ def test_the_command_line_module_still_loads_naturalise():
     assert loaded_after(IMPORT_ONLY, {"pcfgset.naturalise"}) == {"pcfgset.naturalise"}
 
 
-@pytest.mark.parametrize("code", [IMPORT_ONLY, GENERATE, VALIDATE, NATURALISE],
-                         ids=["import", "generate", "validate", "naturalise"])
-def test_only_testbuild_and_eval_load_the_suite(code):
-    assert loaded_after(code, {"pcfgset.suite"}) == set()
+@pytest.fixture(scope="module")
+def synonym_corpus(tmp_path_factory) -> str:
+    """A substitutivity-ed output, built in this interpreter."""
+    from pcfgset import cli
+    root = tmp_path_factory.mktemp("synonyms")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["generate", "--seed", "1", "--size", "200", "--out", str(root / "base")])
+        cli.main(["testbuild", "--test", "substitutivity-ed", "--base", str(root / "base"),
+                  "--out", str(root / "ed"), "--seed", "1"])
+    return str(root / "ed")
+
+
+@pytest.mark.parametrize("code", [IMPORT_ONLY, GENERATE, VALIDATE, NATURALISE,
+                                  VALIDATE_SYNONYMS, ORACLE_SYNONYMS],
+                         ids=["import", "generate", "validate", "naturalise",
+                              "validate-synonyms", "oracle-synonyms"])
+def test_only_testbuild_and_eval_load_the_suite(code, synonym_corpus):
+    assert loaded_after(code.format(ed=synonym_corpus), {"pcfgset.suite"}) == set()
 
 
 @pytest.mark.parametrize("code", [VALIDATE_AND_TESTBUILD, EVAL], ids=["testbuild", "eval"])

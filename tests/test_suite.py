@@ -17,7 +17,7 @@ from pcfgset.suite import (
     EmptySide,
     HeldOutPair,
     InsufficientPositives,
-    SynonymMap,
+    DEFAULT_SYNONYMS,
     build_unroll_plan,
     contains_pair,
     exception_evaluate,
@@ -125,7 +125,7 @@ def test_substitutivity_equal_rewrites_floor_half():
         "swap I J",
         "repeat K L",
     )
-    syn = SynonymMap.from_dict({"swap": "swap_syn"})
+    syn = {"swap": "swap_syn"}
     out, audit = substitutivity_equal(corpus, syn, rng=random.Random(3))
     assert audit["swap"] == (2, 4)
     syn_count = sum(tok == "swap_syn" for s in out for tok in s.src)
@@ -144,8 +144,8 @@ def test_substitutivity_equal_default_map_targets_hold():
         "remove_second E F , G",
         "swap repeat H I J",
     )
-    out, audit = substitutivity_equal(corpus, SynonymMap.default(), rng=random.Random(9))
-    reg = SynonymMap.default().registry()
+    out, audit = substitutivity_equal(corpus, DEFAULT_SYNONYMS, rng=random.Random(9))
+    reg = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
     for s in out:
         assert evaluate(s.src, reg) == s.tgt
     for base, (replaced, total) in audit.items():
@@ -156,9 +156,8 @@ def test_substitutivity_equal_default_map_targets_hold():
 @settings(max_examples=10, deadline=None)
 def test_substitutivity_equal_rewrites_are_the_samples_of_their_sources(seed):
     corpus = generate_corpus(GrammarParams.default(), 200, seed=seed)
-    synonyms = SynonymMap.default()
-    out, _ = substitutivity_equal(corpus, synonyms, rng=random.Random(seed))
-    registry = synonyms.registry()
+    out, _ = substitutivity_equal(corpus, DEFAULT_SYNONYMS, rng=random.Random(seed))
+    registry = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
     assert [s for s in out if s not in corpus.samples]
     for s in out:
         assert s == Sample.from_src(s.src, registry)
@@ -168,13 +167,13 @@ def test_substitutivity_primitive_adds_single_function_samples():
     texts = [f"append A{i} , B{i}" for i in range(1, 11)]
     corpus = corpus_of(*texts)
     out, counts = substitutivity_primitive(
-        corpus, SynonymMap.default(), fraction=0.2, rng=random.Random(5), written=corpus
+        corpus, DEFAULT_SYNONYMS, fraction=0.2, rng=random.Random(5), written=corpus
     )
     # round(0.2 * 10) = 2 per synonym, four synonyms
     assert counts == {"swap": 2, "repeat": 2, "append": 2, "remove_second": 2}
     assert len(out) == 18
     added = out.samples[10:]
-    reg = SynonymMap.default().registry()
+    reg = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
     used = {t for s in corpus for t in leaf_tuples(s.src) if len(t) >= 2}
     for s in added:
         assert s.stats.num_functions == 1
@@ -188,14 +187,14 @@ def test_substitutivity_primitive_adds_single_function_samples():
 
 def test_substitutivity_primitive_zero_fraction_adds_nothing():
     corpus = corpus_of("copy A", "echo B")
-    out, counts = substitutivity_primitive(corpus, SynonymMap.default(), fraction=0.0,
+    out, counts = substitutivity_primitive(corpus, DEFAULT_SYNONYMS, fraction=0.0,
                                            rng=random.Random(0), written=corpus)
     assert len(out) == 2 and all(v == 0 for v in counts.values())
 
 
 def test_make_consistency_pairs():
     corpus = corpus_of("swap repeat A B", "copy A B", "append C , D")
-    pairs, skipped = make_consistency_pairs(corpus, SynonymMap.default())
+    pairs, skipped = make_consistency_pairs(corpus, DEFAULT_SYNONYMS)
     assert skipped == 1  # "copy A B" holds no mapped function
     assert [p.src_base for p in pairs] == [corpus.samples[0].src, corpus.samples[2].src]
     assert pairs[0].src_syn == ("swap_syn", "repeat_syn", "A", "B")
@@ -204,11 +203,11 @@ def test_make_consistency_pairs():
 
 
 def test_synonym_map_validation():
-    with pytest.raises(ValueError):
-        SynonymMap.from_dict({"swap": "x_syn", "repeat": "x_syn"})
+    with pytest.raises(ValueError, match="synonym names must be distinct"):
+        DEFAULT_REGISTRY.with_synonyms({"swap": "x_syn", "repeat": "x_syn"})
     with pytest.raises(ValueError, match="unknown function 'nope'"):
-        SynonymMap.from_dict({"nope": "nope_syn"})
-    reg = SynonymMap.default().registry()
+        DEFAULT_REGISTRY.with_synonyms({"nope": "nope_syn"})
+    reg = DEFAULT_REGISTRY.with_synonyms(DEFAULT_SYNONYMS)
     assert evaluate("repeat_syn A".split(), reg) == ("A", "A")
 
 
